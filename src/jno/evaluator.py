@@ -3,10 +3,13 @@
 Node kinds dispatch through a handler table.  Derivative nodes resolve
 either through reverse-mode AD (pointwise over the point axis, nested tapes
 for second order) or through mesh-driven finite differences built from
-moving-least-squares gradient reconstruction on vertex neighborhoods.
+moving-least-squares gradient reconstruction on vertex neighborhoods.  The
+finite-difference operators (MLS gradients and barycentric interpolation)
+are CSR matrices applied with :func:`jno.tensor.sparse_matmul`.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import tensor as T
 from . import trace as tr
@@ -40,10 +43,12 @@ class EvalContext:
         self.cache = {}
         self.stats = {"evaluations": 0, "cache_hits": 0, "by_kind": {}}
         self._interp_cache = {}
+        self._vertex_contexts = {}
 
     def reset_cache(self):
         self.cache = {}
         self._interp_cache = {}
+        self._vertex_contexts = {}
 
     def child(self, extra_bindings):
         sub = EvalContext(domain=self.domain,
@@ -258,14 +263,15 @@ def _derivative_ad(node, ctx, order):
 # First derivatives come from a least-squares affine fit over each vertex's
 # 1-ring (exact on affine fields); second derivatives iterate the same
 # reconstruction.  Vertex values map to the sampled context points by
-# barycentric interpolation inside the containing element.
+# barycentric interpolation inside the containing element.  The gradient
+# and interpolation operators have a few nonzeros per row and are kept in CSR.
 # ---------------------------------------------------------------------------
 
 def mls_gradient_operators(mesh, connectivity):
-    """One (V, V) matrix per space dimension; row i holds the reconstruction
-    weights of vertex i's neighborhood."""
+    """One (V, V) CSR matrix per space dimension; row i holds the
+    reconstruction weights of vertex i's neighborhood."""
     V, D = mesh.num_vertices, mesh.dim
-    ops = [np.zeros((V, V)) for _ in range(D)]
+    rows, cols, vals = [], [], [[] for _ in range(D)]
     verts = mesh.vertices
     for i in range(V):
         ring = connectivity.neighbors[i]
@@ -276,62 +282,79 @@ def mls_gradient_operators(mesh, connectivity):
             raise DegenerateNeighborhood(
                 f"vertex {i} has only {len(support) - 1} neighbors"
             )
-        pinv, *_ = np.linalg.lstsq(M, np.eye(len(support)), rcond=None)
-        if np.linalg.matrix_rank(M) < D + 1:
+        pinv, _, rank, _ = np.linalg.lstsq(M, np.eye(len(support)),
+                                           rcond=None)
+        if rank < D + 1:
             raise DegenerateNeighborhood(
                 f"vertex {i}: neighborhood is affinely degenerate"
             )
+        rows.append(np.full(len(support), i))
+        cols.append(support)
         for d in range(D):
-            ops[d][i, support] = pinv[d + 1]
-    return ops
+            vals[d].append(pinv[d + 1])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    return [sp.csr_matrix((np.concatenate(v), (rows, cols)), shape=(V, V))
+            for v in vals]
 
 
 def _locate_barycentric(mesh, points):
-    """(N, V) interpolation matrix: rows are barycentric weights inside the
-    containing element."""
-    V = mesh.num_vertices
+    """(N, V) CSR interpolation matrix: row n holds the barycentric weights
+    of point n inside the lowest-index element that contains it.
+
+    Candidates are the elements with the nearest centroids; a point that no
+    candidate contains is tested against every element.
+    """
+    from scipy.spatial import cKDTree
+
     pts = np.asarray(points, dtype=np.float64)
-    P = np.zeros((len(pts), V))
     elems = mesh.elements
     verts = mesh.vertices
+    E = len(elems)
     tol = 1e-9
     if mesh.kind == "LINE2":
         x0 = verts[elems[:, 0], 0]
         x1 = verts[elems[:, 1], 0]
-        for n, p in enumerate(pts):
-            x = p[0]
-            inside = np.nonzero(
-                (x >= np.minimum(x0, x1) - tol) & (x <= np.maximum(x0, x1) + tol)
-            )[0]
-            if len(inside) == 0:
-                raise PointOutsideMesh(f"point {p} outside mesh")
-            e = int(inside[0])
-            denom = x1[e] - x0[e]
-            s = (x - x0[e]) / denom
-            P[n, elems[e, 0]] = 1 - s
-            P[n, elems[e, 1]] = s
-        return P
-    if mesh.kind != "TRI3":
+        pts = pts[:, :1]
+
+        def weights(n, e):
+            x = pts[n, 0]
+            inside = (x >= np.minimum(x0[e], x1[e]) - tol) \
+                & (x <= np.maximum(x0[e], x1[e]) + tol)
+            s = (x - x0[e]) / (x1[e] - x0[e])
+            return inside, np.stack([1 - s, s], axis=-1)
+    elif mesh.kind == "TRI3":
+        p0 = verts[elems[:, 0]]
+        d1 = verts[elems[:, 1]] - p0
+        d2 = verts[elems[:, 2]] - p0
+        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        pts = pts[:, :2]
+
+        def weights(n, e):
+            r = pts[n] - p0[e]
+            l1 = (r[..., 0] * d2[e, 1] - r[..., 1] * d2[e, 0]) / det[e]
+            l2 = (d1[e, 0] * r[..., 1] - d1[e, 1] * r[..., 0]) / det[e]
+            l0 = 1.0 - l1 - l2
+            inside = (l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol)
+            return inside, np.stack([l0, l1, l2], axis=-1)
+    else:
         raise PointOutsideMesh(f"interpolation unsupported for {mesh.kind}")
-    p0 = verts[elems[:, 0]]
-    p1 = verts[elems[:, 1]]
-    p2 = verts[elems[:, 2]]
-    d1 = p1 - p0
-    d2 = p2 - p0
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    for n, p in enumerate(pts):
-        r = p[None, :2] - p0
-        l1 = (r[:, 0] * d2[:, 1] - r[:, 1] * d2[:, 0]) / det
-        l2 = (d1[:, 0] * r[:, 1] - d1[:, 1] * r[:, 0]) / det
-        l0 = 1.0 - l1 - l2
-        inside = np.nonzero((l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol))[0]
-        if len(inside) == 0:
-            raise PointOutsideMesh(f"point {p} outside mesh")
-        e = int(inside[0])
-        P[n, elems[e, 0]] = l0[e]
-        P[n, elems[e, 1]] = l1[e]
-        P[n, elems[e, 2]] = l2[e]
-    return P
+
+    N = len(pts)
+    k = min(8, E)
+    centroids = verts[elems].mean(axis=1)
+    _, cand = cKDTree(centroids).query(pts, k=k)
+    cand = cand.reshape(N, k)
+    inside, _ = weights(np.arange(N)[:, None], cand)
+    chosen = np.where(inside, cand, E).min(axis=1)
+    for n in np.nonzero(chosen == E)[0]:
+        hits = np.nonzero(weights(n, np.arange(E))[0])[0]
+        if len(hits) == 0:
+            raise PointOutsideMesh(f"point {pts[n]} outside mesh")
+        chosen[n] = hits[0]
+    _, lam = weights(np.arange(N), chosen)
+    rows = np.repeat(np.arange(N), elems.shape[1])
+    return sp.csr_matrix((lam.ravel(), (rows, elems[chosen].ravel())),
+                         shape=(N, mesh.num_vertices))
 
 
 def _fd_operators(ctx):
@@ -364,39 +387,48 @@ def _derivative_fd(node, ctx, order):
     _, tag, direction = spec
 
     # evaluate the expression on all mesh vertices
-    verts = domain.mesh.vertices
-    Vn = len(verts)
-    Tn = domain.num_times
-    B = domain.batch
-    overlay = {}
-    for var, vspec in domain._vars.items():
-        if vspec[0] == "coord" and vspec[1] == tag:
-            col = verts[:, vspec[2]].reshape(1, 1, Vn, 1)
-            overlay[var] = T.Tensor(
-                np.broadcast_to(col, (B, Tn, Vn, 1)).copy()
-            )
-        elif vspec[0] == "full" and vspec[1] == tag:
-            full = verts.reshape(1, 1, Vn, -1)
-            overlay[var] = T.Tensor(
-                np.broadcast_to(full, (B, Tn) + verts.shape).copy()
-            )
-    sub = ctx.child(overlay)
-    u_vertex = evaluate(expr, sub)
+    u_vertex = evaluate(expr, _vertex_context(ctx, tag))
+    Vn = domain.mesh.num_vertices
     if u_vertex.ndim < 2 or u_vertex.shape[-2] != Vn:
         # constants need explicit expansion before the operator applies
-        u_vertex = T.broadcast_to(u_vertex, (B, Tn, Vn, 1))
+        u_vertex = T.broadcast_to(u_vertex,
+                                  (domain.batch, domain.num_times, Vn, 1))
 
-    ops = _fd_operators(ctx)
-    G = T.Tensor(ops[direction])
-    g = T.matmul(G, u_vertex)
+    G = _fd_operators(ctx)[direction]
+    g = T.sparse_matmul(G, u_vertex)
     if order == 2:
-        g = T.matmul(G, g)
+        g = T.sparse_matmul(G, g)
 
     # map vertex values onto the sampled context points of this tag
     key = (tag, id(domain.context[tag]))
     P = ctx._interp_cache.get(key)
     if P is None:
-        points = domain.context[tag][0, 0]
-        P = T.Tensor(_locate_barycentric(domain.mesh, points))
+        P = _locate_barycentric(domain.mesh, domain.context[tag][0, 0])
         ctx._interp_cache[key] = P
-    return T.matmul(P, g)
+    return T.sparse_matmul(P, g)
+
+
+def _vertex_context(ctx, tag):
+    """Child context that binds `tag`'s coordinate variables to every mesh
+    vertex; shared by all FD derivatives of that tag in `ctx`."""
+    sub = ctx._vertex_contexts.get(tag)
+    if sub is not None:
+        return sub
+    domain = ctx.domain
+    verts = domain.mesh.vertices
+    Vn = len(verts)
+    lead = (domain.batch, domain.num_times)
+    overlay = {}
+    for var, vspec in domain._vars.items():
+        if vspec[0] == "coord" and vspec[1] == tag:
+            col = verts[:, vspec[2]].reshape(1, 1, Vn, 1)
+            overlay[var] = T.Tensor(
+                np.broadcast_to(col, lead + (Vn, 1)).copy()
+            )
+        elif vspec[0] == "full" and vspec[1] == tag:
+            full = verts.reshape(1, 1, Vn, -1)
+            overlay[var] = T.Tensor(
+                np.broadcast_to(full, lead + verts.shape).copy()
+            )
+    sub = ctx._vertex_contexts[tag] = ctx.child(overlay)
+    return sub

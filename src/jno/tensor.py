@@ -11,6 +11,7 @@ import itertools
 import numpy as np
 
 from .errors import (
+    IndexOutOfRange,
     InvalidAxis,
     NonScalarOutput,
     ShapeMismatch,
@@ -543,6 +544,28 @@ def matmul(a, b):
         return ga, gb
 
     _record(out, (a, b), backward)
+    return out
+
+
+def sparse_matmul(S, x):
+    """`S @ x` over the second-to-last axis of `x`, for a constant
+    ``scipy.sparse`` matrix `S` of shape (M, V) and `x` of shape (..., V, k).
+
+    `S` takes no gradient; the adjoint of `x` is ``sparse_matmul(S.T, adj)``,
+    so outer tapes record the backward pass like any other primitive.
+    """
+    x = _as_tensor(x)
+    if x.ndim < 2 or x.shape[-2] != S.shape[1]:
+        raise ShapeMismatch(
+            f"sparse_matmul: operator {S.shape} does not apply to {x.shape}"
+        )
+    # the operator axis leads; batch axes and the last axis fold into columns
+    cols = np.moveaxis(x.data, -2, 0).reshape(S.shape[1], -1)
+    moved = (S @ cols).reshape((S.shape[0],) + x.shape[:-2] + x.shape[-1:])
+    out = Tensor(np.moveaxis(moved, 0, -2))
+    _record(out, (x,), lambda adj, want: (
+        sparse_matmul(S.T, adj) if want[0] else None,
+    ))
     return out
 
 

@@ -221,7 +221,7 @@ class TestFiniteDifferences:
         d = dm.rect(mesh_size=0.5)
         e0 = d.mesh.elements[0]
         centroid = d.mesh.vertices[e0].mean(axis=0, keepdims=True)
-        P = ev._locate_barycentric(d.mesh, centroid)
+        P = ev._locate_barycentric(d.mesh, centroid).toarray()
         np.testing.assert_allclose(P[0, e0], 1 / 3, atol=1e-12)
         assert P[0].sum() == pytest.approx(1.0)
 

@@ -1,0 +1,241 @@
+"""Sparse finite-difference operators: `T.sparse_matmul`, the CSR MLS
+gradients and the CSR point location, each against a dense oracle."""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from jno import domain as dm
+from jno import evaluator as ev
+from jno import mesh as meshmod
+from jno import nn
+from jno import tensor as T
+from jno import trace as tr
+from jno.errors import PointOutsideMesh, ShapeMismatch
+
+
+def _random_csr(rows, cols, seed, density=0.3):
+    return sp.random(rows, cols, density=density, format="csr",
+                     random_state=seed)
+
+
+def _sin(node):
+    return tr.build(tr.ARITH, "sin", (node,))
+
+
+class TestSparseMatmul:
+    def test_forward_matches_dense_4d(self):
+        S = _random_csr(5, 7, seed=0)
+        x = np.random.default_rng(1).standard_normal((2, 3, 7, 4))
+        out = T.sparse_matmul(S, T.Tensor(x))
+        assert out.shape == (2, 3, 5, 4)
+        np.testing.assert_allclose(out.data, S.toarray() @ x, atol=1e-13)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch):
+            T.sparse_matmul(_random_csr(5, 7, seed=0), T.ones((1, 6, 1)))
+        with pytest.raises(ShapeMismatch):
+            T.sparse_matmul(_random_csr(5, 7, seed=0), T.ones((7,)))
+
+    def test_gradient_matches_central_differences(self):
+        S = _random_csr(6, 5, seed=2, density=0.5)
+        x0 = np.random.default_rng(3).standard_normal((2, 5, 3))
+
+        def f(x):
+            return T.reduce_sum(T.sin(T.sparse_matmul(S, x)))
+
+        g = T.grad(f, T.Tensor(x0)).data
+        h = 1e-6
+        fd = np.zeros_like(x0)
+        for i in np.ndindex(*x0.shape):
+            xp, xm = x0.copy(), x0.copy()
+            xp[i] += h
+            xm[i] -= h
+            fd[i] = (f(T.Tensor(xp)).item() - f(T.Tensor(xm)).item()) / (2 * h)
+        np.testing.assert_allclose(g, fd, atol=1e-8)
+
+    def test_second_order_through_nested_tapes(self):
+        # loss = c . S2 (y * y), y = S1 x: the Hessian-vector product is
+        # 2 S1^T diag(S2^T c) S1 v
+        S1 = _random_csr(6, 4, seed=4, density=0.5)
+        S2 = _random_csr(3, 6, seed=5, density=0.5)
+        rng = np.random.default_rng(6)
+        c, v = rng.standard_normal((3, 1)), rng.standard_normal((4, 1))
+        x = T.Tensor(rng.standard_normal((4, 1)))
+        with T.Tape() as outer:
+            outer.watch(x)
+            with T.Tape() as inner:
+                inner.watch(x)
+                y = T.sparse_matmul(S1, x)
+                loss = T.reduce_sum(T.mul(T.sparse_matmul(S2, T.mul(y, y)),
+                                          T.Tensor(c)))
+            g = inner.gradient(loss, [x])[x.uid]
+            gv = T.reduce_sum(T.mul(g, T.Tensor(v)))
+        hv = outer.gradient(gv, [x])[x.uid].data
+        d1, d2 = S1.toarray(), S2.toarray()
+        want = 2 * d1.T @ (np.diag((d2.T @ c)[:, 0]) @ (d1 @ v))
+        np.testing.assert_allclose(hv, want, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Point location
+# ---------------------------------------------------------------------------
+
+def _dense_locate(mesh, points):
+    """Exhaustive reference: barycentric weights in the lowest-index element
+    that contains each point, tested against every element.  Returns the
+    dense (N, V) matrix and the chosen element of each point."""
+    pts = np.asarray(points, dtype=np.float64)
+    P = np.zeros((len(pts), mesh.num_vertices))
+    chosen = np.zeros(len(pts), dtype=np.int64)
+    elems, verts, tol = mesh.elements, mesh.vertices, 1e-9
+    if mesh.kind == "LINE2":
+        x0, x1 = verts[elems[:, 0], 0], verts[elems[:, 1], 0]
+        for n, p in enumerate(pts):
+            x = p[0]
+            inside = np.nonzero((x >= np.minimum(x0, x1) - tol)
+                                & (x <= np.maximum(x0, x1) + tol))[0]
+            e = chosen[n] = int(inside[0])
+            s = (x - x0[e]) / (x1[e] - x0[e])
+            P[n, elems[e, 0]] = 1 - s
+            P[n, elems[e, 1]] = s
+        return P, chosen
+    p0, p1, p2 = (verts[elems[:, i]] for i in range(3))
+    d1, d2 = p1 - p0, p2 - p0
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    for n, p in enumerate(pts):
+        r = p[None, :2] - p0
+        l1 = (r[:, 0] * d2[:, 1] - r[:, 1] * d2[:, 0]) / det
+        l2 = (d1[:, 0] * r[:, 1] - d1[:, 1] * r[:, 0]) / det
+        l0 = 1.0 - l1 - l2
+        e = chosen[n] = int(
+            np.nonzero((l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol))[0][0])
+        P[n, elems[e]] = l0[e], l1[e], l2[e]
+    return P, chosen
+
+
+MESHES = {
+    "rect": lambda: meshmod.rect_mesh((0.0, 1.0), (0.0, 1.0), 0.1),
+    "disk": lambda: meshmod.disk_mesh(1.0, (0.0, 0.0), 0.15),
+    "lshape": lambda: meshmod.lshape_mesh(0.1, 1.0),
+    "rect_with_hole": lambda: meshmod.rect_with_hole_mesh(
+        (0.0, 1.0), (0.0, 1.0), (0.5, 0.5), 0.2, 0.1),
+    "line": lambda: meshmod.line_mesh((0.0, 1.0), 0.05),
+}
+
+
+def _probe_points(mesh, seed):
+    """100 random points inside random elements, then every vertex, then the
+    midpoint of every element edge."""
+    rng = np.random.default_rng(seed)
+    elems, verts = mesh.elements, mesh.vertices
+    corners = verts[elems]                                  # (E, k, D)
+    pick = rng.integers(len(elems), size=100)
+    lam = rng.dirichlet(np.ones(elems.shape[1]), size=100)
+    inside = np.einsum("nk,nkd->nd", lam, corners[pick])
+    mids = [(corners[:, a] + corners[:, b]) / 2
+            for a in range(elems.shape[1]) for b in range(a + 1, elems.shape[1])]
+    return np.concatenate([inside, verts] + mids)
+
+
+class TestLocateBarycentric:
+    @pytest.mark.parametrize("name", sorted(MESHES))
+    def test_matches_exhaustive_reference(self, name):
+        mesh = MESHES[name]()
+        pts = _probe_points(mesh, seed=7)
+        P = ev._locate_barycentric(mesh, pts)
+        assert sp.issparse(P) and P.format == "csr"
+        assert P.shape == (len(pts), mesh.num_vertices)
+        want, chosen = _dense_locate(mesh, pts)
+        np.testing.assert_allclose(P.toarray(), want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.asarray(P.sum(axis=1)).ravel(), 1.0,
+                                   rtol=0, atol=1e-12)
+        # off the vertices, the containing elements all have nearby
+        # centroids, so the row is stored on the lowest-index one's vertices
+        on_vertex = np.zeros(len(pts), dtype=bool)
+        on_vertex[100:100 + mesh.num_vertices] = True
+        for n in np.nonzero(~on_vertex)[0]:
+            stored = P.indices[P.indptr[n]:P.indptr[n + 1]]
+            assert set(stored) == set(mesh.elements[chosen[n]])
+
+    def test_falls_back_when_no_candidate_contains_the_point(self):
+        # eight slivers just past the hypotenuse have nearer centroids than
+        # the big triangle that holds the point
+        verts = [[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]]
+        elems = [[0, 1, 2]]
+        for i in range(8):
+            x = 0.05 * i
+            base = len(verts)
+            verts += [[x, 10.05 - x], [x + 0.04, 10.05 - x],
+                      [x, 10.09 - x]]
+            elems.append([base, base + 1, base + 2])
+        mesh = meshmod.Mesh(verts, elems, "TRI3")
+        pts = np.array([[0.1, 9.8]])
+        P = ev._locate_barycentric(mesh, pts)
+        want, chosen = _dense_locate(mesh, pts)
+        np.testing.assert_allclose(P.toarray(), want, rtol=0, atol=1e-12)
+        assert chosen[0] == 0 and set(P.indices) == {0, 1, 2}
+
+    @pytest.mark.parametrize("name,point", [("rect", [5.0, 5.0]),
+                                            ("lshape", [0.75, 0.75]),
+                                            ("rect_with_hole", [0.5, 0.5]),
+                                            ("line", [1.5])])
+    def test_outside_point_raises(self, name, point):
+        with pytest.raises(PointOutsideMesh):
+            ev._locate_barycentric(MESHES[name](), np.array([point]))
+
+
+# ---------------------------------------------------------------------------
+# FD derivatives
+# ---------------------------------------------------------------------------
+
+class TestFdDerivatives:
+    def test_d_and_dd_match_dense_recomputation(self):
+        d = dm.rect(mesh_size=0.1)
+        d.register_resampler("interior", count=40)
+        d.apply_resamplers(np.random.default_rng(0))
+        x, y, _ = d.variable("interior")
+        u = _sin(np.pi * x) * y * y + x * y
+        ctx = ev.EvalContext(domain=d, derivative_mode="finite-difference")
+        du_dx = ev.evaluate(tr.d(u, x), ctx).data
+        ddu_dy = ev.evaluate(tr.dd(u, y), ctx).data
+
+        verts = d.mesh.vertices
+        u_v = (np.sin(np.pi * verts[:, 0]) * verts[:, 1] ** 2
+               + verts[:, 0] * verts[:, 1])[:, None]
+        Gx, Gy = (G.toarray() for G in ev._fd_operators(ctx))
+        P = ev._locate_barycentric(d.mesh, d.context["interior"][0, 0])
+        P = P.toarray()
+        np.testing.assert_allclose(du_dx[0, 0], P @ (Gx @ u_v),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ddu_dy[0, 0], P @ (Gy @ (Gy @ u_v)),
+                                   rtol=0, atol=1e-12)
+
+    def test_mls_operators_are_csr_and_exact_on_affine(self):
+        d = dm.disk(mesh_size=0.2)
+        ops = ev.mls_gradient_operators(d.mesh, d.connectivity)
+        verts = d.mesh.vertices
+        for direction, G in enumerate(ops):
+            assert sp.issparse(G) and G.format == "csr"
+            assert G.shape == (len(verts), len(verts))
+            u = 3.0 * verts[:, 0] - 2.0 * verts[:, 1] + 0.5
+            np.testing.assert_allclose(G @ u, [3.0, -2.0][direction],
+                                       atol=1e-10)
+
+    def test_sibling_derivatives_share_one_vertex_pass(self, monkeypatch):
+        d = dm.rect(mesh_size=0.25)
+        x, y, _ = d.variable("interior")
+        net = nn.mlp(2, [4], 1).initialize(0)
+        calls = []
+        forward = net.forward
+        monkeypatch.setattr(net, "forward",
+                            lambda args: calls.append(1) or forward(args))
+        u = net(tr.concat_nodes([x, y], axis=-1))
+        lap = u.dd(x) + u.dd(y)
+        ctx = ev.EvalContext(domain=d, derivative_mode="finite-difference")
+        ev.evaluate(lap, ctx)
+        assert len(calls) == 1
+        ctx.reset_cache()
+        assert ctx._vertex_contexts == {}
+        ev.evaluate(lap, ctx)
+        assert len(calls) == 2

@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jno import tensor as T
-from jno.errors import InvalidAxis, NonScalarOutput, ShapeMismatch, UnknownNode
+from jno.errors import (
+    IndexOutOfRange,
+    InvalidAxis,
+    NonScalarOutput,
+    ShapeMismatch,
+    UnknownNode,
+)
 
 
 def central_diff(f, x, h=1e-5):
@@ -105,7 +111,7 @@ class TestLinalg:
     def test_slice_and_oob(self):
         x = T.Tensor(np.arange(10.0))
         assert T.take_slice(x, (slice(2, 5),)).tolist() == [2.0, 3.0, 4.0]
-        with pytest.raises(Exception):
+        with pytest.raises(IndexOutOfRange):
             T.take_slice(x, (42,))
 
 
