@@ -133,9 +133,6 @@ class Domain:
         out.append(tvar)
         return tuple(out)
 
-    def time_variable_of(self, var):
-        return self._vars.get(var, (None,))[0] == "time"
-
     def binding_spec(self, var):
         return self._vars.get(var)
 
@@ -173,17 +170,6 @@ class Domain:
         if batch_idx is not None:
             arr = arr[np.asarray(batch_idx)]
         return arr
-
-    def variable_shapes(self, batch_idx=None):
-        n = len(batch_idx) if batch_idx is not None else None
-        shapes = {}
-        for var, spec in self._vars.items():
-            arr = self._resolve(spec, None)
-            s = list(arr.shape)
-            if n is not None:
-                s[0] = n
-            shapes[var] = tuple(s)
-        return shapes
 
     # -- algebra -----------------------------------------------------------
 

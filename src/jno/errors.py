@@ -199,7 +199,7 @@ class StateShapeMismatch(JnoError):
     pass
 
 
-# -- core / persistence / cli -----------------------------------------------
+# -- core -------------------------------------------------------------------
 
 class NonScalarConstraint(JnoError):
     pass
@@ -218,40 +218,3 @@ class NaNLoss(JnoError):
         super().__init__(f"non-finite loss at outer step {step}")
         self.step = step
         self.history = history
-
-
-class EmptySpace(JnoError):
-    pass
-
-
-class ObjectiveFailure(JnoError):
-    pass
-
-
-class SignatureInvalid(JnoError):
-    pass
-
-
-class VersionUnsupported(JnoError):
-    pass
-
-
-class CorruptPayload(JnoError):
-    def __init__(self, message, offset=None):
-        super().__init__(message)
-        self.offset = offset
-
-
-class ChecksumFailure(JnoError):
-    pass
-
-
-class ConfigParseError(JnoError):
-    def __init__(self, path, line, message):
-        super().__init__(f"{path}:{line}: {message}")
-        self.path = path
-        self.line = line
-
-
-class IoError(JnoError):
-    pass

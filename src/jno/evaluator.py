@@ -110,8 +110,6 @@ def _eval_constant(node, ctx):
 def _eval_arith(node, ctx):
     op = node.payload
     args = [evaluate(c, ctx) for c in node.children]
-    if op == "pow":
-        return T.power(*args)
     return T.ELEMENTWISE[op](*args)
 
 

@@ -1,7 +1,17 @@
-"""Weak-form lowering on P1 elements (TRI3, LINE2 in 1D).
+"""Weak-form lowering on P1 simplices (TRI3, and LINE2 in 1D).
 
-Symbolic weak forms written with trial/test symbols are grouped into
-volume and tagged-boundary terms, then dispatched to one of four targets:
+Every integral runs over one *quadrature region*: the volume, or the
+boundary facets of one mesh tag.  :func:`_simplex_region` builds each
+region from its simplices and a reference rule into one record: the
+element->dof map, the quadrature points and weights, the P1 basis values
+at the reference points and, on full-dimensional cells, the physical basis
+gradients.  The element type only chooses the reference rule.
+
+:func:`init_fem` registers each region's points in the mesh pool, under
+``fem_gauss`` for the volume and ``gauss_<tag>`` for a boundary tag.  A
+weak-form term belongs to the region whose pool variables it uses (the
+volume when it uses none), and every target integrates a term against its
+region's record the same way, whatever the region:
 
 * ``vpinn``         -> traced residual against the nodal hat test set
 * ``fem_system``    -> linear system (A, b) with Dirichlet elimination
@@ -9,6 +19,8 @@ volume and tagged-boundary terms, then dispatched to one of four targets:
 * ``fem_time``      -> semi-discrete block M u' + A u = b(t) (or its
                        nonlinear counterpart) for implicit stepping
 """
+
+from collections import namedtuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,7 +60,15 @@ _TRI_RULES = {
 }
 
 
-def _tri_rule(degree):
+def _reference_rule(k, degree):
+    """Points (nq, k) and weights (summing to 1/k!) on the reference
+    k-simplex: one unit point for k = 0, Gauss-Legendre on [0, 1] for k = 1,
+    the tabulated triangle rules for k = 2."""
+    if k == 0:
+        return np.zeros((1, 0)), np.ones(1)
+    if k == 1:
+        x, w = np.polynomial.legendre.leggauss(max(1, (int(degree) + 2) // 2))
+        return (x[:, None] + 1.0) / 2.0, w / 2.0
     if degree not in _TRI_RULES:
         raise UnsupportedElement(
             f"TRI3 quadrature degree {degree} unsupported (have 1..3)"
@@ -56,10 +76,37 @@ def _tri_rule(degree):
     return _TRI_RULES[degree]
 
 
-def _gauss_legendre_01(degree):
-    npts = max(1, (int(degree) + 2) // 2)
-    x, w = np.polynomial.legendre.leggauss(npts)
-    return (x + 1.0) / 2.0, w / 2.0
+# One quadrature region: dofs (E, n) element->vertex map, coords (E, nq, D),
+# weights (E, nq), values (nq, n) P1 basis values, grads (E, n, D) physical
+# basis gradients (None on facets), tag = its mesh-pool key.
+_Region = namedtuple("_Region", "tag dofs coords weights values grads")
+
+
+def _simplex_region(tag, verts, cells, ref_pts, ref_w):
+    """The quadrature record of P1 simplices `cells` (E, k+1) under the
+    reference rule (ref_pts, ref_w) of the k-simplex."""
+    p0 = verts[cells[:, 0]]
+    J = verts[cells[:, 1:]] - p0[:, None, :]          # (E, k, D), rows = edges
+    k, D = J.shape[1:]
+    if k == D:
+        measure = np.abs(np.linalg.det(J))
+        ref_grads = np.vstack([-np.ones(k), np.eye(k)])   # (k+1, k)
+        # grads[e] = ref_grads @ inv(J[e]).T, as one product over all e
+        grads = np.tensordot(np.linalg.inv(J), ref_grads, axes=(2, 1)) \
+            .transpose(0, 2, 1)
+    else:
+        # facet: Gram determinant; a 0-simplex gets det of a 0x0 matrix = 1
+        measure = np.sqrt(np.linalg.det(J @ J.transpose(0, 2, 1)))
+        grads = None
+    return _Region(
+        tag=tag,
+        dofs=cells,
+        coords=p0[:, None, :]
+        + np.tensordot(ref_pts, J, axes=(1, 1)).transpose(1, 0, 2),
+        weights=measure[:, None] * ref_w[None, :],
+        values=np.column_stack([1.0 - ref_pts.sum(axis=1), ref_pts]),
+        grads=grads,
+    )
 
 
 class Dirichlet:
@@ -74,7 +121,7 @@ class Neumann:
 
 
 class FemSetup:
-    """Quadrature data, cached shape functions, bc metadata and the dof map."""
+    """Quadrature regions, bc metadata and the dof map."""
 
     def __init__(self, domain, element_type, quad_degree, bcs):
         mesh = domain.mesh
@@ -91,70 +138,28 @@ class FemSetup:
         self.test = tr.build(tr.TEST, self, (), name="phi")
 
         verts = mesh.vertices
-        elems = mesh.elements
-        E = len(elems)
-        D = mesh.dim
+        V = mesh.num_vertices
+        k = mesh.elements.shape[1] - 1
+        self.regions = {GAUSS_VOLUME: _simplex_region(
+            GAUSS_VOLUME, verts, mesh.elements,
+            *_reference_rule(k, self.quad_degree),
+        )}
 
-        if element_type == "TRI3":
-            ref_pts, ref_w = _tri_rule(self.quad_degree)
-            nq = len(ref_w)
-            # P1 shape functions at reference points
-            self.shape_values = np.stack(
-                [1 - ref_pts[:, 0] - ref_pts[:, 1], ref_pts[:, 0],
-                 ref_pts[:, 1]], axis=1,
-            )  # (nq, 3)
-            ref_grads = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-            p0 = verts[elems[:, 0]]
-            d1 = verts[elems[:, 1]] - p0
-            d2 = verts[elems[:, 2]] - p0
-            J = np.stack([d1, d2], axis=1)              # (E, 2, 2) rows d1,d2
-            detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-            inv = np.empty_like(J)
-            inv[:, 0, 0] = J[:, 1, 1]
-            inv[:, 0, 1] = -J[:, 0, 1]
-            inv[:, 1, 0] = -J[:, 1, 0]
-            inv[:, 1, 1] = J[:, 0, 0]
-            inv /= detJ[:, None, None]
-            # dN/dx_d = ref_grads @ inv  per element
-            self.shape_grads = np.einsum("ar,erd->ead", ref_grads, inv)
-            self.qp_weights = np.abs(detJ)[:, None] * ref_w[None, :] * 2.0
-            # reference weights sum to 1/2; element area = |detJ|/2
-            self.qp_coords = (
-                p0[:, None, :]
-                + ref_pts[None, :, 0, None] * d1[:, None, :]
-                + ref_pts[None, :, 1, None] * d2[:, None, :]
-            )
-        else:  # LINE2
-            ref_x, ref_w = _gauss_legendre_01(self.quad_degree)
-            nq = len(ref_w)
-            self.shape_values = np.stack([1 - ref_x, ref_x], axis=1)
-            x0 = verts[elems[:, 0], 0]
-            x1 = verts[elems[:, 1], 0]
-            length = x1 - x0
-            self.shape_grads = np.stack(
-                [-1.0 / length, 1.0 / length], axis=1
-            )[:, :, None]
-            self.qp_weights = np.abs(length)[:, None] * ref_w[None, :]
-            self.qp_coords = (x0[:, None] + ref_x[None, :] * length[:, None])[
-                :, :, None
-            ]
-
-        self.nq = nq
-        self.num_elements = E
-
-        # tagged boundary quadrature
-        self.boundary = {}
+        # one region per boundary tag: the boundary facets it fully owns
         conn = domain.connectivity
-        boundary_vertices = set(conn.boundary_vertices.tolist())
-        facets = sorted(conn.boundary_facets)
+        facets = np.asarray(sorted(conn.boundary_facets),
+                            dtype=np.int64).reshape(-1, k)
+        on_boundary = np.zeros(V, dtype=bool)
+        on_boundary[conn.boundary_vertices] = True
+        facet_rule = _reference_rule(k - 1, self.quad_degree)
         for tag, members in mesh.tags.items():
-            mset = set(members.tolist())
-            if not mset or not mset.issubset(boundary_vertices):
-                continue
-            tagged = [f for f in facets if all(v in mset for v in f)]
-            if not tagged:
-                continue
-            self.boundary[tag] = self._edge_quadrature(tagged)
+            inside = np.zeros(V, dtype=bool)
+            inside[members] = True
+            tagged = facets[inside[facets].all(axis=1)]
+            if len(tagged) and on_boundary[members].all():
+                key = f"gauss_{tag}"
+                self.regions[key] = _simplex_region(key, verts, tagged,
+                                                    *facet_rule)
 
         # Dirichlet constraints
         self.dirichlet_values = {}
@@ -170,54 +175,28 @@ class FemSetup:
                         self.dirichlet_values[int(v)] = val
             elif isinstance(bc, Neumann):
                 for tag in bc.tags:
-                    if tag not in self.boundary:
+                    if f"gauss_{tag}" not in self.regions:
                         raise UnknownBcTag(
                             f"Neumann tag {tag!r} owns no boundary facets"
                         )
             else:
                 raise UnknownBcTag(f"unsupported bc record {bc!r}")
 
-        V = mesh.num_vertices
         constrained = sorted(self.dirichlet_values)
         self.constrained = np.asarray(constrained, dtype=np.int64)
+        self.constrained_values = np.array(
+            [self.dirichlet_values[v] for v in constrained], dtype=np.float64
+        )
         mask = np.ones(V, dtype=bool)
         mask[self.constrained] = False
         self.free = np.nonzero(mask)[0]
         self.num_vertices = V
 
-    def _edge_quadrature(self, facets):
-        mesh = self.domain.mesh
-        verts = mesh.vertices
-        if mesh.kind == "LINE2":
-            # 0-d facets: point evaluation with unit weight
-            vids = np.asarray([f[0] for f in facets], dtype=np.int64)
-            return {
-                "vertices": vids[:, None],
-                "coords": verts[vids][:, None, :],
-                "weights": np.ones((len(vids), 1)),
-                "values": np.ones((1, 1)),
-            }
-        ref_x, ref_w = _gauss_legendre_01(self.quad_degree)
-        pairs = np.asarray(facets, dtype=np.int64)  # (Ed, 2)
-        p0 = verts[pairs[:, 0]]
-        p1 = verts[pairs[:, 1]]
-        lengths = np.linalg.norm(p1 - p0, axis=1)
-        coords = p0[:, None, :] + ref_x[None, :, None] * (p1 - p0)[:, None, :]
-        weights = lengths[:, None] * ref_w[None, :]
-        values = np.stack([1 - ref_x, ref_x], axis=1)  # (nqe, 2)
-        return {
-            "vertices": pairs,
-            "coords": coords,
-            "weights": weights,
-            "values": values,
-        }
-
     def lift(self, u_free):
         """Expand free-dof values to the full vertex vector."""
         full = np.zeros(self.num_vertices)
         full[self.free] = np.asarray(u_free, dtype=np.float64).reshape(-1)
-        for v, val in self.dirichlet_values.items():
-            full[v] = val
+        full[self.constrained] = self.constrained_values
         return full
 
     def restrict(self, u_full):
@@ -230,18 +209,14 @@ def init_fem(domain, element_type="TRI3", quad_degree=2, bcs=()):
 
     Tn = domain.num_times
     B = domain.batch
-
-    def register(tag, coords_flat):
-        pool = coords_flat[None, None]
-        pool = np.broadcast_to(pool, (1, Tn) + coords_flat.shape)
+    for tag, region in setup.regions.items():
+        coords_flat = region.coords.reshape(-1, domain.mesh.dim)
+        pool = np.broadcast_to(coords_flat[None, None],
+                               (1, Tn) + coords_flat.shape)
         domain.mesh_pool[tag] = np.ascontiguousarray(pool)
         ctx = np.broadcast_to(coords_flat[None, None],
                               (B, Tn) + coords_flat.shape)
         domain.context[tag] = np.ascontiguousarray(ctx)
-
-    register(GAUSS_VOLUME, setup.qp_coords.reshape(-1, domain.mesh.dim))
-    for tag, edge in setup.boundary.items():
-        register(f"gauss_{tag}", edge["coords"].reshape(-1, domain.mesh.dim))
     return setup
 
 
@@ -256,13 +231,14 @@ def fem_symbols(domain):
 # ---------------------------------------------------------------------------
 
 def _contains(node, kinds, memo):
-    hit = memo.get(node)
+    key = (node, kinds)
+    hit = memo.get(key)
     if hit is not None:
         return hit
     out = node.kind in kinds or any(
         _contains(c, kinds, memo) for c in node.children
     )
-    memo[node] = out
+    memo[key] = out
     return out
 
 
@@ -301,19 +277,19 @@ class _Term:
     __slots__ = ("sign", "coeff", "trial_parts", "test_part", "region",
                  "temporal")
 
-    def __init__(self):
-        self.sign = 1.0
+    def __init__(self, sign):
+        self.sign = sign
         self.coeff = []        # coefficient factor nodes
-        self.trial_parts = []  # ("value",) | ("grad", d) | ("expr", node)
-        self.test_part = None  # ("value",) | ("grad", d)
-        self.region = None     # None -> volume; tag name for boundary
-        self.temporal = False
+        # parts end with their factor node:
+        # ("value", f) | ("grad", d, f) | ("expr", f)
+        self.trial_parts = []
+        self.test_part = None  # ("value", f) | ("grad", d, f)
+        self.region = None     # the _Region the term integrates over
+        self.temporal = False  # d(u, t) is kept as its ("value", f) part
 
 
 def _classify_term(setup, sign, factors, memo):
-    domain = setup.domain
-    term = _Term()
-    term.sign = sign
+    term = _Term(sign)
     for f in factors:
         has_trial = _contains(f, (tr.TRIAL,), memo)
         has_test = _contains(f, (tr.TEST,), memo)
@@ -324,26 +300,33 @@ def _classify_term(setup, sign, factors, memo):
         if has_test:
             if term.test_part is not None:
                 raise TargetMismatch("term is nonlinear in the test symbol")
-            term.test_part = _symbol_part(setup, f, tr.TEST, term)
+            term.test_part = _symbol_part(setup, f, tr.TEST)
             if term.test_part[0] == "dt":
                 raise TargetMismatch("temporal derivative of the test symbol")
         elif has_trial:
-            part = _symbol_part(setup, f, tr.TRIAL, term)
+            part = _symbol_part(setup, f, tr.TRIAL)
             if part[0] == "dt":
                 term.temporal = True
-            else:
-                term.trial_parts.append(part)
+                part = ("value", f)
+            term.trial_parts.append(part)
         else:
             term.coeff.append(f)
     if term.test_part is None:
         raise TargetMismatch(
             "every weak-form term needs exactly one test factor"
         )
-    term.region = _term_region(domain, factors, memo)
+    term.region = _term_region(setup, factors)
+    if term.region.grads is None and (
+            term.test_part[0] == "grad"
+            or any(_trial_derivatives(setup, factors))):
+        raise TargetMismatch(
+            "boundary terms support only symbol values (no tangential "
+            "gradients)"
+        )
     return term
 
 
-def _symbol_part(setup, factor, symbol_kind, term):
+def _symbol_part(setup, factor, symbol_kind):
     """Recognize u, d(u, x_i), d(u, t) (and arbitrary trial expressions)."""
     if factor.kind == symbol_kind:
         return ("value", factor)
@@ -376,32 +359,29 @@ def _symbol_part(setup, factor, symbol_kind, term):
     return ("expr", factor)
 
 
-def _term_region(domain, factors, memo):
-    regions = set()
+def _trial_derivatives(setup, roots):
+    """(node, d) for each node d(u, x_d) under `roots`."""
+    for node in tr.walk(roots):
+        if node.kind == tr.DERIVATIVE and node.children[0] is setup.trial:
+            spec = setup.domain.binding_spec(node.children[1])
+            if spec and spec[0] == "coord":
+                yield node, spec[2]
 
-    def visit(node, seen):
-        if node in seen:
-            return
-        seen.add(node)
+
+def _term_region(setup, factors):
+    """The region whose pool variables the factors use (the volume if none)."""
+    tags = set()
+    for node in tr.walk(factors):
         if node.kind == tr.VARIABLE:
-            spec = domain.binding_spec(node)
-            if spec and spec[0] in ("coord", "full"):
-                tag = spec[1]
-                if tag == GAUSS_VOLUME:
-                    regions.add(None)
-                elif tag.startswith("gauss_"):
-                    regions.add(tag[len("gauss_"):])
-        for c in node.children:
-            visit(c, seen)
-
-    seen = set()
-    for f in factors:
-        visit(f, seen)
-    if len(regions) > 1:
+            spec = setup.domain.binding_spec(node)
+            if spec and spec[0] in ("coord", "full") \
+                    and spec[1] in setup.regions:
+                tags.add(spec[1])
+    if len(tags) > 1:
         raise TargetMismatch(
-            f"one term mixes quadrature regions: {sorted(map(str, regions))}"
+            f"one term mixes quadrature regions: {sorted(tags)}"
         )
-    return regions.pop() if regions else None
+    return setup.regions[tags.pop() if tags else GAUSS_VOLUME]
 
 
 def _group(setup, weak):
@@ -422,131 +402,125 @@ def _trial_degree(term):
     return deg
 
 
+def _split_linear(terms, message):
+    """(bilinear terms, trial-free terms); NonlinearTerm for anything else."""
+    degrees = [_trial_degree(t) for t in terms]
+    if any(d not in (0, 1) for d in degrees):
+        raise NonlinearTerm(message)
+    return ([t for t, d in zip(terms, degrees) if d == 1],
+            [t for t, d in zip(terms, degrees) if d == 0])
+
+
 # ---------------------------------------------------------------------------
 # Numeric helpers
 # ---------------------------------------------------------------------------
 
-def _coefficient_values(setup, term, nq_total, time_value=None):
-    """Evaluate the product of coefficient factors on the term's quadrature
-    points; returns a flat (nq_total,) array."""
-    domain = setup.domain
+def _coefficient_values(setup, term, time_value=None):
+    """Product of the coefficient factors at the term's region points,
+    shaped (E, nq)."""
+    region = term.region
     if not term.coeff:
-        return np.ones(nq_total)
-    tag = GAUSS_VOLUME if term.region is None else f"gauss_{term.region}"
-    coords = domain.mesh_pool[tag][0, :1]        # (1, N, D) at batch/time 1
-    npts = coords.shape[1]
-    overlay = {}
-    for var, spec in domain._vars.items():
-        if spec[0] == "coord" and spec[1] == tag:
-            overlay[var] = T.Tensor(coords[None, :, :, spec[2]:spec[2] + 1])
-        elif spec[0] == "full" and spec[1] == tag:
-            overlay[var] = T.Tensor(coords[None])
-        elif spec[0] == "time":
-            t0 = time_value
-            if t0 is None:
-                t0 = domain.time_grid[0] if domain.time_grid is not None else 0.0
-            overlay[var] = T.Tensor(np.full((1, 1, 1, 1), float(t0)))
+        return np.ones(region.weights.shape)
+    domain = setup.domain
+    coords = region.coords.reshape(1, 1, -1, region.coords.shape[-1])
+    if time_value is None:
+        time_value = domain.time_grid[0] if domain.time_grid is not None \
+            else 0.0
     ctx = ev.EvalContext(domain=domain)
-    ctx.bindings.update(overlay)
+    for var, spec in domain._vars.items():
+        if spec[0] == "coord" and spec[1] == region.tag:
+            ctx.bindings[var] = T.Tensor(coords[..., spec[2]:spec[2] + 1])
+        elif spec[0] == "full" and spec[1] == region.tag:
+            ctx.bindings[var] = T.Tensor(coords)
+        elif spec[0] == "time":
+            ctx.bindings[var] = T.Tensor(np.full((1, 1, 1, 1),
+                                                 float(time_value)))
     value = T.Tensor(np.ones(()))
     for f in term.coeff:
         value = T.mul(value, ev.evaluate(f, ctx))
-    arr = np.broadcast_to(value.data, (1, 1, npts, 1)) \
-        if value.data.ndim <= 4 else value.data
-    return np.ascontiguousarray(arr).reshape(npts)[:nq_total]
+    return np.broadcast_to(value.data, (1, 1, coords.shape[2], 1)) \
+        .reshape(region.weights.shape)
 
 
-def _volume_part_values(setup, part):
-    """(E, nq, nodes_per_element) values of a trial/test part at volume
-    quadrature points."""
-    E, nq = setup.num_elements, setup.nq
-    n_nodes = setup.shape_values.shape[1]
+def _basis(region, part):
+    """Factors (Q, G) of the basis values of a ("value",) or ("grad", d)
+    part at the region's points, value[e, q, a] = Q[q, a] * G[e, a]: P1
+    values vary over the points only, P1 gradients over the cells only."""
     if part[0] == "value":
-        return np.broadcast_to(setup.shape_values[None], (E, nq, n_nodes))
-    if part[0] == "grad":
-        d = part[1]
-        return np.broadcast_to(setup.shape_grads[:, None, :, d],
-                               (E, nq, n_nodes))
-    raise NonlinearTerm(f"part {part[0]!r} has no linear basis values")
+        return region.values, np.ones((1, region.values.shape[1]))
+    return np.ones((region.values.shape[0], 1)), region.grads[:, :, part[1]]
 
 
-def _edge_part_values(edge, part):
-    Ed, nqe = edge["weights"].shape
-    n_nodes = edge["values"].shape[1]
-    if part[0] == "value":
-        return np.broadcast_to(edge["values"][None], (Ed, nqe, n_nodes))
-    raise TargetMismatch(
-        "boundary terms support only symbol values (no tangential gradients)"
-    )
+def _weighted_terms(setup, terms, time_value=None):
+    """(term, region, sign * weight * coefficient (E, nq)) of each term."""
+    for term in terms:
+        region = term.region
+        c = _coefficient_values(setup, term, time_value)
+        yield term, region, term.sign * (region.weights * c)
 
 
-def _accumulate_bilinear(setup, term, rows, cols, vals, time_value=None):
-    sign = term.sign
-    if term.region is None:
-        E, nq = setup.num_elements, setup.nq
-        c = _coefficient_values(setup, term, E * nq, time_value)
-        wc = setup.qp_weights * c.reshape(E, nq)
-        test_vals = _volume_part_values(setup, term.test_part)
-        trial_vals = _volume_part_values(setup, term.trial_parts[0])
-        local = sign * np.einsum("eq,eqa,eqb->eab", wc, test_vals, trial_vals)
-        elems = setup.domain.mesh.elements
-        n = elems.shape[1]
-        for a in range(n):
-            for b in range(n):
-                rows.append(elems[:, a])
-                cols.append(elems[:, b])
-                vals.append(local[:, a, b])
-    else:
-        edge = setup.boundary.get(term.region)
-        if edge is None:
-            raise UnknownBcTag(f"no quadrature region for {term.region!r}")
-        Ed, nqe = edge["weights"].shape
-        c = _coefficient_values(setup, term, Ed * nqe, time_value)
-        wc = edge["weights"] * c.reshape(Ed, nqe)
-        test_vals = _edge_part_values(edge, term.test_part)
-        trial_vals = _edge_part_values(edge, term.trial_parts[0])
-        local = sign * np.einsum("eq,eqa,eqb->eab", wc, test_vals, trial_vals)
-        pairs = edge["vertices"]
-        n = pairs.shape[1]
-        for a in range(n):
-            for b in range(n):
-                rows.append(pairs[:, a])
-                cols.append(pairs[:, b])
-                vals.append(local[:, a, b])
+def _matrix(setup, terms):
+    """The bilinear terms as one full V x V CSR matrix."""
+    local = {}
+    for term, region, wc in _weighted_terms(setup, terms):
+        Qa, Ga = _basis(region, term.test_part)
+        Qb, Gb = _basis(region, term.trial_parts[0])
+        QQ = Qa[:, :, None] * Qb[:, None, :]
+        m = (wc @ QQ.reshape(len(QQ), -1)).reshape((-1,) + QQ.shape[1:]) \
+            * Ga[:, :, None] * Gb[:, None, :]
+        local[region.tag] = local.get(region.tag, 0.0) + m
+    return _scatter(setup, local)
 
 
-def _accumulate_load(setup, term, out, time_value=None):
-    """Add the term (as written) into the full-length vector `out`."""
-    sign = term.sign
-    if term.region is None:
-        E, nq = setup.num_elements, setup.nq
-        c = _coefficient_values(setup, term, E * nq, time_value)
-        wc = setup.qp_weights * c.reshape(E, nq)
-        test_vals = _volume_part_values(setup, term.test_part)
-        local = sign * np.einsum("eq,eqa->ea", wc, test_vals)
-        np.add.at(out, setup.domain.mesh.elements, local)
-    else:
-        edge = setup.boundary.get(term.region)
-        if edge is None:
-            raise UnknownBcTag(f"no quadrature region for {term.region!r}")
-        Ed, nqe = edge["weights"].shape
-        c = _coefficient_values(setup, term, Ed * nqe, time_value)
-        wc = edge["weights"] * c.reshape(Ed, nqe)
-        test_vals = _edge_part_values(edge, term.test_part)
-        local = sign * np.einsum("eq,eqa->ea", wc, test_vals)
-        np.add.at(out, edge["vertices"], local)
+def _vector(setup, terms, time_value=None):
+    """The trial-free terms, as written, as one full-length vector."""
+    out = np.zeros(setup.num_vertices)
+    for term, region, wc in _weighted_terms(setup, terms, time_value):
+        Q, G = _basis(region, term.test_part)
+        np.add.at(out, region.dofs, (wc @ Q) * G)
+    return out
 
 
-def _coo(setup, rows, cols, vals):
-    if rows:
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-        v = np.concatenate(vals)
-    else:
-        r = c = np.zeros(0, dtype=np.int64)
-        v = np.zeros(0)
+def _scatter(setup, local):
+    """Sum element matrices {region tag: (E, n, n)} into a full V x V CSR
+    matrix."""
     V = setup.num_vertices
-    return sp.coo_matrix((v, (r, c)), shape=(V, V))
+    if not local:
+        return sp.csr_matrix((V, V))
+    dofs = [setup.regions[tag].dofs for tag in local]
+    rows = [np.repeat(d, d.shape[1], axis=1).ravel() for d in dofs]
+    cols = [np.tile(d, d.shape[1]).ravel() for d in dofs]
+    vals = [m.ravel() for m in local.values()]
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(V, V),
+    ).tocsr()
+
+
+def _reduce(setup, A_full):
+    """Free-dof block of a full matrix and its Dirichlet lift A_fc g."""
+    rows = A_full.tocsr()[setup.free]
+    return rows[:, setup.free], \
+        rows[:, setup.constrained] @ setup.constrained_values
+
+
+def _fields(region, u_full, tape=None):
+    """Local coefficients u_loc (E, n), watched on `tape`, and as
+    (1, 1, E*nq, 1) tensors of them: u and its gradient components at the
+    region's quadrature points (no gradients on facets)."""
+    E, nq = region.weights.shape
+    flat = (1, 1, E * nq, 1)
+    u_loc = T.Tensor(u_full[region.dofs])
+    if tape is not None:
+        tape.watch(u_loc)
+    u_q = T.reshape(T.matmul(u_loc, T.Tensor(region.values.T)), flat)
+    grads = []
+    if region.grads is not None:
+        for d in range(region.grads.shape[2]):
+            gd = T.reduce_sum(T.mul(u_loc, T.Tensor(region.grads[:, :, d])),
+                              axes=1, keepdims=True)            # (E, 1)
+            grads.append(T.reshape(T.broadcast_to(gd, (E, nq)), flat))
+    return u_loc, u_q, grads
 
 
 class LinearSystem:
@@ -554,18 +528,14 @@ class LinearSystem:
 
     def __init__(self, setup, A_full, b_full):
         self.setup = setup
-        free = setup.free
-        con = setup.constrained
-        csr = A_full.tocsr()
-        self.full_matrix = csr
+        self.full_matrix = A_full.tocsr()
         self.full_rhs = b_full
-        g = np.array([setup.dirichlet_values[int(v)] for v in con]) \
-            if len(con) else np.zeros(0)
-        self.A = csr[free][:, free].tocoo()
-        lift = csr[free][:, con] @ g if len(con) else 0.0
-        self.b = b_full[free] - lift
+        A, lift = _reduce(setup, self.full_matrix)
+        self.A = A.tocoo()
+        self.b = b_full[setup.free] - lift
         self.dirichlet = {
-            "free": free, "constrained": con, "values": g,
+            "free": setup.free, "constrained": setup.constrained,
+            "values": setup.constrained_values,
         }
 
     def __iter__(self):
@@ -627,25 +597,12 @@ def _find_setup(weak):
 
 
 def assemble_fem_system(setup, terms):
-    rows, cols, vals = [], [], []
-    b_full = np.zeros(setup.num_vertices)
-    for term in terms:
-        deg = _trial_degree(term)
-        if deg is None or deg > 1:
-            raise NonlinearTerm(
-                "fem_system needs terms at most linear in the trial symbol"
-            )
-        if deg == 1:
-            _accumulate_bilinear(setup, term, rows, cols, vals)
-        else:
-            # trial-free: weak = a(u,phi) + load = 0  =>  A u = -load
-            neg = _Term()
-            neg.sign = -term.sign
-            neg.coeff = term.coeff
-            neg.test_part = term.test_part
-            neg.region = term.region
-            _accumulate_load(setup, neg, b_full)
-    return LinearSystem(setup, _coo(setup, rows, cols, vals), b_full)
+    bilinear, loads = _split_linear(
+        terms, "fem_system needs terms at most linear in the trial symbol"
+    )
+    # weak = a(u, phi) + load = 0  =>  A u = -load
+    return LinearSystem(setup, _matrix(setup, bilinear),
+                        -_vector(setup, loads))
 
 
 class ResidualOperator:
@@ -656,77 +613,47 @@ class ResidualOperator:
         self.terms = terms
         self.time_value = time_value
 
-    def _local_fields(self, u_full, watch_tape=None):
-        """Taped per-element interpolants: u_q (1,1,E*nq,1) and per-direction
-        gradients, as functions of the local coefficient tensor."""
+    def _point_values(self, term, u_q, grads):
+        """Taped product of all non-test factors at the term's points, with
+        u and d(u, x_d) read from the interpolated fields."""
         setup = self.setup
-        elems = setup.domain.mesh.elements
-        E, nq = setup.num_elements, setup.nq
-        u_loc = T.Tensor(u_full[elems])  # (E, n_nodes)
-        if watch_tape is not None:
-            watch_tape.watch(u_loc)
-        Nt = T.Tensor(setup.shape_values.T)            # (n_nodes, nq)
-        u_q = T.matmul(u_loc, Nt)                      # (E, nq)
-        u_q = T.reshape(u_q, (1, 1, E * nq, 1))
-        grads = []
-        for d in range(setup.domain.mesh.dim):
-            gd = T.reduce_sum(
-                T.mul(u_loc, T.Tensor(setup.shape_grads[:, :, d])),
-                axes=1, keepdims=True,
-            )                                          # (E, 1)
-            gd = T.broadcast_to(gd, (E, nq))
-            grads.append(T.reshape(gd, (1, 1, E * nq, 1)))
-        return u_loc, u_q, grads
-
-    def _term_point_values(self, term, u_q, grads):
-        """Taped product of all non-test factors at the volume points."""
-        setup = self.setup
-        E, nq = setup.num_elements, setup.nq
         value = T.Tensor(
-            _coefficient_values(setup, term, E * nq, self.time_value)
-            .reshape(1, 1, E * nq, 1) * term.sign
+            _coefficient_values(setup, term, self.time_value)
+            .reshape(u_q.shape) * term.sign
         )
-        for part in term.trial_parts:
-            if part[0] == "value":
-                value = T.mul(value, u_q)
-            elif part[0] == "grad":
-                value = T.mul(value, grads[part[1]])
-            else:
-                value = T.mul(
-                    value, self._eval_trial_expr(part[1], u_q, grads)
-                )
-        return value
-
-    def _eval_trial_expr(self, factor, u_q, grads):
-        """Evaluate an arbitrary trial-bearing factor by preseeding the
-        symbol (and its derivative nodes) with live taped tensors."""
-        setup = self.setup
+        factors = [part[-1] for part in term.trial_parts]
         ctx = ev.EvalContext(domain=setup.domain)
         ctx.cache[setup.trial] = u_q
-        for node in tr.walk(factor):
-            if node.kind == tr.DERIVATIVE and node.children[0] is setup.trial:
-                spec = setup.domain.binding_spec(node.children[1])
-                if spec and spec[0] == "coord":
-                    ctx.cache[node] = grads[spec[2]]
-        return ev.evaluate(factor, ctx)
+        for node, d in _trial_derivatives(setup, factors):
+            ctx.cache[node] = grads[d]
+        for f in factors:
+            value = T.mul(value, ev.evaluate(f, ctx))
+        return value
+
+    def _element_residuals(self, u_full, tape=None):
+        """{tag: (u_loc, R)}: per region, the taped (E, n) element residual
+        of its terms as a function of the local coefficients u_loc."""
+        fields, sums = {}, {}
+        for term in self.terms:
+            region = term.region
+            if region.tag not in fields:
+                fields[region.tag] = _fields(region, u_full, tape)
+            _, u_q, grads = fields[region.tag]
+            wv = T.mul(
+                T.reshape(self._point_values(term, u_q, grads),
+                          region.weights.shape),
+                T.Tensor(region.weights),
+            )
+            Q, G = _basis(region, term.test_part)
+            r = T.mul(T.matmul(wv, T.Tensor(Q)), T.Tensor(G))
+            prev = sums.get(region.tag)
+            sums[region.tag] = r if prev is None else T.add(prev, r)
+        return {tag: (fields[tag][0], r) for tag, r in sums.items()}
 
     def residual_full(self, u_full):
-        setup = self.setup
-        E, nq = setup.num_elements, setup.nq
-        _, u_q, grads = self._local_fields(u_full)
-        out = np.zeros(setup.num_vertices)
-        for term in self.terms:
-            if term.region is not None:
-                # boundary terms carry no trial dependence here
-                _accumulate_load(setup, term, out,
-                                 time_value=self.time_value)
-                continue
-            value = self._term_point_values(term, u_q, grads)
-            wv = np.broadcast_to(value.data.reshape(-1), (E * nq,)) \
-                .reshape(E, nq) * setup.qp_weights
-            test_vals = _volume_part_values(setup, term.test_part)
-            local = np.einsum("eq,eqa->ea", wv, test_vals)
-            np.add.at(out, setup.domain.mesh.elements, local)
+        out = np.zeros(self.setup.num_vertices)
+        for tag, (_, r) in self._element_residuals(u_full).items():
+            np.add.at(out, self.setup.regions[tag].dofs, r.data)
         return out
 
     def __call__(self, u_free):
@@ -735,50 +662,22 @@ class ResidualOperator:
 
     def jacobian(self, u_free):
         setup = self.setup
-        E, nq = setup.num_elements, setup.nq
-        elems = setup.domain.mesh.elements
-        n_nodes = elems.shape[1]
-        u_full = setup.lift(u_free)
-
         with T.Tape() as tape:
-            u_loc, u_q, grads = self._local_fields(u_full, watch_tape=tape)
-            contribs = []
-            for term in self.terms:
-                if term.region is not None:
-                    continue
-                value = self._term_point_values(term, u_q, grads)
-                wv = T.mul(
-                    value,
-                    T.Tensor(setup.qp_weights.reshape(1, 1, E * nq, 1)),
-                )
-                test_vals = _volume_part_values(setup, term.test_part)
-                for a in range(n_nodes):
-                    ta = T.Tensor(test_vals[:, :, a].reshape(1, 1, E * nq, 1))
-                    contribs.append((a, T.mul(wv, ta)))
-            # per local test index: sum over quadrature within each element
-            locals_by_a = {}
-            for a, v in contribs:
-                r = T.reduce_sum(T.reshape(v, (E, nq)), axes=1)
-                locals_by_a[a] = r if a not in locals_by_a else \
-                    T.add(locals_by_a[a], r)
-            sums = {a: T.reduce_sum(v) for a, v in locals_by_a.items()}
-        rows, cols, vals = [], [], []
-        for a, total in sums.items():
-            g = tape.gradient(total, [u_loc])[u_loc.uid]  # (E, n_nodes)
-            for b in range(n_nodes):
-                rows.append(elems[:, a])
-                cols.append(elems[:, b])
-                vals.append(g.data[:, b])
-        J_full = _coo(setup, rows, cols, vals).tocsr()
-        return J_full[setup.free][:, setup.free]
+            parts = self._element_residuals(setup.lift(u_free), tape)
+            # row a of an element block is the gradient of sum_e R[e, a]
+            sums = {
+                tag: [T.reduce_sum(T.take_slice(r, (slice(None), a)))
+                      for a in range(r.shape[1])]
+                for tag, (_, r) in parts.items()
+            }
+        local = {}
+        for tag, (u_loc, _) in parts.items():
+            local[tag] = np.stack([tape.gradient(s, [u_loc])[u_loc.uid].data
+                                   for s in sums[tag]], axis=1)
+        return _reduce(setup, _scatter(setup, local))[0]
 
 
 def assemble_fem_residual(setup, terms):
-    for term in terms:
-        if term.region is not None and _trial_degree(term) not in (0,):
-            raise NonlinearTerm(
-                "fem_residual supports trial-free boundary terms only"
-            )
     return ResidualOperator(setup, terms)
 
 
@@ -826,102 +725,52 @@ def _substitute(root, mapping):
     return rec(root)
 
 
-def _test_weight_matrix(setup, term):
-    """(n_free, nq_total) matrix of quadrature-weighted test values."""
-    free_index = -np.ones(setup.num_vertices, dtype=np.int64)
+def _test_weights(setup, term):
+    """(n_free, E*nq) matrix of quadrature-weighted test values."""
+    region = term.region
+    E, nq = region.weights.shape
+    Q, G = _basis(region, term.test_part)
+    local = region.weights[:, :, None] * Q[None] * G[:, None, :]
+    free_index = np.full(setup.num_vertices, -1, dtype=np.int64)
     free_index[setup.free] = np.arange(len(setup.free))
-    if term.region is None:
-        E, nq = setup.num_elements, setup.nq
-        W = np.zeros((len(setup.free), E * nq))
-        test_vals = _volume_part_values(setup, term.test_part)
-        elems = setup.domain.mesh.elements
-        wq = setup.qp_weights
-        for a in range(elems.shape[1]):
-            gl = free_index[elems[:, a]]
-            e_ok = np.nonzero(gl >= 0)[0]
-            rows = np.repeat(gl[e_ok], nq)
-            cols = (e_ok[:, None] * nq + np.arange(nq)).reshape(-1)
-            np.add.at(W, (rows, cols),
-                      (wq[e_ok] * test_vals[e_ok, :, a]).reshape(-1))
-        return W
-    edge = setup.boundary[term.region]
-    Ed, nqe = edge["weights"].shape
-    W = np.zeros((len(setup.free), Ed * nqe))
-    test_vals = _edge_part_values(edge, term.test_part)
-    for a in range(edge["vertices"].shape[1]):
-        gl = free_index[edge["vertices"][:, a]]
-        e_ok = np.nonzero(gl >= 0)[0]
-        rows = np.repeat(gl[e_ok], nqe)
-        cols = (e_ok[:, None] * nqe + np.arange(nqe)).reshape(-1)
-        np.add.at(W, (rows, cols),
-                  (edge["weights"][e_ok] * test_vals[e_ok, :, a]).reshape(-1))
+    rows = np.broadcast_to(free_index[region.dofs][:, None, :], local.shape)
+    cols = np.broadcast_to(np.arange(E * nq).reshape(E, nq, 1), local.shape)
+    keep = rows >= 0
+    W = np.zeros((len(setup.free), E * nq))
+    W[rows[keep], cols[keep]] = local[keep]
     return W
 
 
-def _nodal_substitution(setup, terms, nodal):
-    """Constant substitution values for a P1-interpolated trial field."""
-    u_full = nodal if len(nodal) == setup.num_vertices else setup.lift(nodal)
-    elems = setup.domain.mesh.elements
-    E, nq = setup.num_elements, setup.nq
-    u_loc = u_full[elems]
-    u_q = (u_loc @ setup.shape_values.T).reshape(1, 1, E * nq, 1)
-    grads = []
-    for d in range(setup.domain.mesh.dim):
-        gd = np.sum(u_loc * setup.shape_grads[:, :, d], axis=1)
-        grads.append(np.broadcast_to(gd[:, None], (E, nq))
-                     .reshape(1, 1, E * nq, 1))
+def _nodal_mapping(setup, region, u_full, factors):
+    """Constants for u and each d(u, x_d) under `factors`: the P1
+    interpolant of the nodal values at the region's quadrature points."""
+    _, u_q, grads = _fields(region, u_full)
     mapping = {setup.trial: tr.constant(u_q, name="u_h")}
-    for term in terms:
-        for part in term.trial_parts:
-            if part[0] == "grad":
-                mapping.setdefault(
-                    part[2], tr.constant(grads[part[1]], name=f"du_h_{part[1]}")
-                )
-            elif part[0] == "expr":
-                for node in tr.walk(part[1]):
-                    if node.kind == tr.DERIVATIVE and \
-                            node.children[0] is setup.trial:
-                        spec = setup.domain.binding_spec(node.children[1])
-                        if spec and spec[0] == "coord":
-                            mapping.setdefault(
-                                node, tr.constant(grads[spec[2]])
-                            )
+    for node, d in _trial_derivatives(setup, factors):
+        mapping[node] = tr.constant(grads[d], name=f"du_h_{d}")
     return mapping
 
 
 def assemble_vpinn(setup, terms, trial):
     """Traced residual: sum over hat-function tests of the squared
     quadrature-weighted weak residual."""
-    if isinstance(trial, tr.ExprNode):
-        mapping = {setup.trial: trial}
-        symbolic = True
-    else:
-        mapping = _nodal_substitution(setup, terms,
-                                      np.asarray(trial, dtype=np.float64))
-        symbolic = False
+    symbolic = isinstance(trial, tr.ExprNode)
+    if not symbolic:
+        nodal = np.asarray(trial, dtype=np.float64)
+        u_full = nodal if len(nodal) == setup.num_vertices \
+            else setup.lift(nodal)
 
-    pieces = []
+    r = None
     for term in terms:
-        s_expr = None
-        for f in term.coeff:
-            s_expr = f if s_expr is None else s_expr * f
-
-        for part in term.trial_parts:
-            if part[0] == "value":
-                node = mapping[setup.trial]
-            elif part[0] == "grad":
-                if symbolic:
-                    node = tr.derivative(mapping[setup.trial],
-                                         part[2].children[1], order=1)
-                else:
-                    node = mapping[part[2]]
-            else:
-                node = _substitute(part[1], mapping)
-            s_expr = node if s_expr is None else s_expr * node
-        if s_expr is None:
-            s_expr = tr.literal(1.0)
-        if term.sign != 1.0:
-            s_expr = tr.literal(term.sign) * s_expr
+        factors = [part[-1] for part in term.trial_parts]
+        mapping = {setup.trial: trial} if symbolic else \
+            _nodal_mapping(setup, term.region, u_full, factors)
+        W = _test_weights(setup, term)
+        # start from the signed ones, so that every piece, a constant one
+        # too, spans the whole point axis of W
+        s_expr = tr.constant(np.full((1, 1, W.shape[1], 1), term.sign))
+        for f in term.coeff + [_substitute(f, mapping) for f in factors]:
+            s_expr = s_expr * f
 
         for node in tr.walk(s_expr):
             if node.kind in _SYMBOLS:
@@ -929,12 +778,8 @@ def assemble_vpinn(setup, terms, trial):
                     "trial/test symbol remains after vpinn substitution"
                 )
 
-        W = tr.constant(_test_weight_matrix(setup, term), name="test_weights")
-        pieces.append(tr.matmul_nodes(W, s_expr))
-
-    r = pieces[0]
-    for p in pieces[1:]:
-        r = r + p
+        piece = tr.matmul_nodes(tr.constant(W, name="test_weights"), s_expr)
+        r = piece if r is None else r + piece
     return (r * r).reduce("sum", axes=(-2, -1))
 
 
@@ -977,14 +822,11 @@ class TimeBlock:
             return self.A
         return self._jacobian(u, t)
 
-    # integration entry points
+    # integration entry point
     def integrate(self, dt, steps, scheme="backward_euler"):
         if scheme != "backward_euler":
             raise TargetMismatch(f"unknown scheme {scheme!r}")
         return step_backward_euler(self, dt, steps)
-
-    def as_explicit_ode(self):
-        return export_explicit_ode(self)
 
 
 def assemble_fem_time(setup, temporal, steady, linear=True, state0=None,
@@ -999,21 +841,11 @@ def assemble_fem_time(setup, temporal, steady, linear=True, state0=None,
         )
     if mode != "implicit":
         raise TargetMismatch(f"mode {mode!r} unsupported; use 'implicit'")
-    mterm = temporal[0]
-    if mterm.trial_parts:
+    if _trial_degree(temporal[0]) != 1:
         raise NonlinearTerm("the temporal term must be linear: c * u_t * phi")
 
-    rows, cols, vals = [], [], []
-    mass_like = _Term()
-    mass_like.sign = mterm.sign
-    mass_like.coeff = mterm.coeff
-    mass_like.test_part = mterm.test_part
-    mass_like.region = mterm.region
-    mass_like.trial_parts = [("value", None)]
-    _accumulate_bilinear(setup, mass_like, rows, cols, vals)
-    M_full = _coo(setup, rows, cols, vals).tocsr()
+    M = _reduce(setup, _matrix(setup, temporal))[0]
     free = setup.free
-    M = M_full[free][:, free]
 
     if state0 is None:
         u0 = np.zeros(len(free))
@@ -1028,34 +860,13 @@ def assemble_fem_time(setup, temporal, steady, linear=True, state0=None,
             )
 
     if linear:
-        for term in steady:
-            deg = _trial_degree(term)
-            if deg is None or deg > 1:
-                raise NonlinearTerm(
-                    "linear=True but a term is nonlinear in the trial symbol"
-                )
-        a_terms = [t for t in steady if _trial_degree(t) == 1]
-        load_terms = [t for t in steady if _trial_degree(t) == 0]
-        rows, cols, vals = [], [], []
-        for term in a_terms:
-            _accumulate_bilinear(setup, term, rows, cols, vals)
-        A_full = _coo(setup, rows, cols, vals).tocsr()
-        A = A_full[free][:, free]
-        con = setup.constrained
-        g = np.array([setup.dirichlet_values[int(v)] for v in con]) \
-            if len(con) else np.zeros(0)
-        lift = A_full[free][:, con] @ g if len(con) else 0.0
+        bilinear, loads = _split_linear(
+            steady, "linear=True but a term is nonlinear in the trial symbol"
+        )
+        A, lift = _reduce(setup, _matrix(setup, bilinear))
 
         def b(t):
-            out = np.zeros(setup.num_vertices)
-            for term in load_terms:
-                neg = _Term()
-                neg.sign = -term.sign
-                neg.coeff = term.coeff
-                neg.test_part = term.test_part
-                neg.region = term.region
-                _accumulate_load(setup, neg, out, time_value=t)
-            return out[free] - lift
+            return -_vector(setup, loads, time_value=t)[free] - lift
 
         return TimeBlock(setup, M, u0, True, A=A, b=b, mode=mode)
 

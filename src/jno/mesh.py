@@ -10,7 +10,6 @@ import numpy as np
 
 from .errors import (
     DegenerateGeometry,
-    NotABoundaryTag,
     ParseError,
     UnsupportedElement,
 )
@@ -48,9 +47,6 @@ class Mesh:
     @property
     def num_vertices(self):
         return len(self.vertices)
-
-    def tag_vertices(self, name):
-        return self.tags[name]
 
     # -- boundary inference -------------------------------------------------
 
@@ -499,13 +495,3 @@ def load_mesh_text(path):
         tags[name] = idx
 
     return Mesh(vertices, elements, kind, tags)
-
-
-def boundary_edges_of_tag(mesh, connectivity, tag):
-    """Boundary facets whose vertices all carry the tag."""
-    members = set(mesh.tags[tag].tolist())
-    facets = [f for f in connectivity.boundary_facets
-              if all(v in members for v in f)]
-    if not facets:
-        raise NotABoundaryTag(f"tag {tag!r} owns no boundary facets")
-    return facets

@@ -107,9 +107,6 @@ class OptimizerSpec:
             hp.update(over)
         return hp
 
-    def lr_at(self, step):
-        return self.schedule.value(step)
-
     def describe(self):
         return {
             "kind": self.kind, "b1": self.b1, "b2": self.b2, "eps": self.eps,

@@ -286,10 +286,6 @@ def dd(expr, wrt):
     return derivative(expr, wrt, order=2)
 
 
-# `grad` mirrors the listing-level spelling for first derivatives.
-grad = d
-
-
 def tracker(expr, interval):
     """Monitor `expr` every `interval` outer steps without touching the loss."""
     if int(interval) < 1:

@@ -1,0 +1,286 @@
+"""P1 finite-element lowering, each target checked against an independent
+answer: the O(h^2) L2 rate of a manufactured solution, the VPINN residual
+vanishing at the Galerkin solution, solutions that P1 holds exactly (u = x
+from a Neumann or Robin flux), quadratic Newton convergence, and the exact
+backward-Euler decay of one generalized eigenmode."""
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from jno import domain as dm
+from jno import evaluator as ev
+from jno import fem
+from jno import trace as tr
+from jno.errors import NonlinearTerm, TargetMismatch, UnknownBcTag
+
+
+def sin(node):
+    return tr.build(tr.ARITH, "sin", (node,))
+
+
+def laplace(u, phi, coords):
+    out = u.d(coords[0]) * phi.d(coords[0])
+    for c in coords[1:]:
+        out = out + u.d(c) * phi.d(c)
+    return out
+
+
+def setup_fem(dom, bcs, element_type="TRI3"):
+    dom.init_fem(element_type=element_type, bcs=bcs)
+    u, phi = dom.fem_symbols()
+    return u, phi, dom.variable(fem.GAUSS_VOLUME)[:-1]
+
+
+def l2_error(mesh, u_nodal, exact):
+    """L2 norm of (P1 interpolant - exact), by a rule written here: the
+    edge-midpoint rule on triangles, 3-point Gauss-Legendre on segments."""
+    cells = mesh.elements
+    p = mesh.vertices[cells]                        # (E, n, D)
+    u = u_nodal[cells]                              # (E, n)
+    if mesh.kind == "TRI3":
+        d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        area = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        bary = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+        w = np.full(3, 1 / 3)
+        size = area
+    else:
+        x, w = np.polynomial.legendre.leggauss(3)
+        x, w = (x + 1) / 2, w / 2
+        bary = np.stack([1 - x, x], axis=1)
+        size = np.abs(p[:, 1, 0] - p[:, 0, 0])
+    pts = np.einsum("qa,ead->eqd", bary, p)
+    err = u @ bary.T - exact(*np.moveaxis(pts, -1, 0))
+    return float(np.sqrt(np.sum(size[:, None] * w[None] * err ** 2)))
+
+
+def manufactured(n):
+    """-lap u = 2 pi^2 sin(pi x) sin(pi y), u = 0 on the boundary."""
+    dom = dm.structured_rect(n, n)
+    u, phi, (x, y) = setup_fem(dom, [dom.dirichlet("boundary", 0.0)])
+    f = 2 * np.pi ** 2 * sin(np.pi * x) * sin(np.pi * y)
+    weak = laplace(u, phi, (x, y)) - f * phi
+    return dom, weak, weak.assemble("fem_system").solve()
+
+
+def neumann_problem(n=4):
+    """-lap u = 0, u = 0 on the left, du/dn = 1 on the right: u = x."""
+    dom = dm.structured_rect(n, n)
+    u, phi, (x, y) = setup_fem(
+        dom, [dom.dirichlet("left", 0.0), dom.neumann("right")]
+    )
+    xr = dom.variable("gauss_right")[0]             # x = 1 on the right
+    return dom, laplace(u, phi, (x, y)) - xr * phi
+
+
+def vpinn_value(dom, weak, nodal):
+    r = weak.assemble("vpinn", trial=nodal)
+    return float(ev.evaluate(r, ev.EvalContext(domain=dom)).data.sum())
+
+
+class TestFemSystem:
+    def test_manufactured_l2_rate(self):
+        exact = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)  # noqa: E731
+        errs = []
+        for n in (8, 16, 32):
+            dom, _, uh = manufactured(n)
+            errs.append(l2_error(dom.mesh, uh, exact))
+        rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert np.all(rates > 1.9), (errs, rates)
+
+    def test_neumann_flux_gives_u_equals_x(self):
+        dom, weak = neumann_problem()
+        uh = weak.assemble("fem_system").solve()
+        np.testing.assert_allclose(uh, dom.mesh.vertices[:, 0], atol=1e-12)
+
+    def test_line2_poisson_rate(self):
+        exact = lambda x: np.sin(np.pi * x)  # noqa: E731
+        errs = []
+        for n in (8, 16, 32):
+            dom = dm.line(1.0 / n)
+            u, phi, (x,) = setup_fem(dom, [dom.dirichlet("boundary", 0.0)],
+                                     element_type="LINE2")
+            weak = laplace(u, phi, (x,)) - np.pi ** 2 * sin(np.pi * x) * phi
+            uh = weak.assemble("fem_system").solve()
+            errs.append(l2_error(dom.mesh, uh, exact))
+        rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert np.all(rates > 1.9), (errs, rates)
+
+    @pytest.mark.parametrize("make", [
+        lambda: dm.structured_rect(4, 4), lambda: dm.disk(0.3),
+    ])
+    def test_affine_gradient_is_exact(self, make):
+        # For u = 3x - 2y + 1, int d(u)/dx_d phi_i = g_d * int phi_i, and
+        # int phi_i is the lumped nodal measure of the mesh.
+        dom = make()
+        u, phi, (x, y) = setup_fem(dom, [])
+        xy = dom.mesh.vertices
+        u_aff = 3 * xy[:, 0] - 2 * xy[:, 1] + 1
+        measure = dom.connectivity.nodal_measure
+        for var, g in ((x, 3.0), (y, -2.0)):
+            weak = u.d(var) * phi
+            A = weak.assemble("fem_system").full_matrix
+            np.testing.assert_allclose(A @ u_aff, g * measure, atol=1e-12)
+            op = weak.assemble("fem_residual")
+            np.testing.assert_allclose(op.residual_full(u_aff), g * measure,
+                                       atol=1e-12)
+
+    def test_robin_flux_gives_u_equals_x(self):
+        # u = 0 on the left, du/dn + u = 2 on the right: u = x.
+        dom = dm.structured_rect(4, 4)
+        u, phi, (x, y) = setup_fem(dom, [dom.dirichlet("left", 0.0)])
+        xr = dom.variable("gauss_right")[0]         # x = 1 on the right
+        weak = laplace(u, phi, (x, y)) + xr * u * phi - 2.0 * xr * phi
+        exact = dom.mesh.vertices[:, 0]
+        uh = weak.assemble("fem_system").solve()
+        np.testing.assert_allclose(uh, exact, atol=1e-12)
+        op = weak.assemble("fem_residual")
+        u_free, norms = fem.newton_solve(op, np.zeros(len(op.setup.free)))
+        np.testing.assert_allclose(op.setup.lift(u_free), exact, atol=1e-12)
+        assert len(norms) == 2                      # linear: one step
+
+
+class TestVpinn:
+    def test_vanishes_at_galerkin_solution(self):
+        dom, weak, uh = manufactured(8)
+        assert vpinn_value(dom, weak, uh) < 1e-20
+        assert vpinn_value(dom, weak, 1.1 * uh) > 1e-8
+
+    def test_vanishes_with_neumann_term(self):
+        dom, weak = neumann_problem()
+        uh = weak.assemble("fem_system").solve()
+        assert vpinn_value(dom, weak, uh) < 1e-20
+        assert vpinn_value(dom, weak, 0.9 * uh) > 1e-8
+
+    def test_constant_load_term(self):
+        dom = dm.structured_rect(6, 6)
+        u, phi, (x, y) = setup_fem(dom, [dom.dirichlet("boundary", 0.0)])
+        weak = laplace(u, phi, (x, y)) - 1.0 * phi
+        uh = weak.assemble("fem_system").solve()
+        assert vpinn_value(dom, weak, uh) < 1e-20
+        assert vpinn_value(dom, weak, np.zeros_like(uh)) > 1e-8
+
+
+class TestNewton:
+    def _op(self, n=8):
+        dom = dm.structured_rect(n, n)
+        u, phi, (x, y) = setup_fem(dom, [dom.dirichlet("boundary", 0.0)])
+        f = 20.0 * sin(np.pi * x) * sin(np.pi * y)
+        weak = laplace(u, phi, (x, y)) + u ** 3 * phi - f * phi
+        return weak.assemble("fem_residual")
+
+    def test_cubic_converges_quadratically(self):
+        op = self._op()
+        u, norms = fem.newton_solve(op, np.zeros(len(op.setup.free)))
+        assert norms[-1] < 1e-10 and len(norms) >= 4
+        for prev, nxt in zip(norms[1:-1], norms[2:]):
+            # quadratic until the residual reaches round-off
+            assert nxt < max(10.0 * prev ** 2, 1e-13), norms
+
+    def test_jacobian_matches_central_differences(self):
+        op = self._op(4)
+        rng = np.random.default_rng(0)
+        u = rng.normal(size=len(op.setup.free))
+        J = op.jacobian(u).toarray()
+        h = 1e-6
+        fd = np.stack([
+            (op(u + h * e) - op(u - h * e)) / (2 * h)
+            for e in np.eye(len(u))
+        ], axis=1)
+        np.testing.assert_allclose(J, fd, atol=1e-7)
+
+
+class TestFemTime:
+    def test_backward_euler_decays_one_eigenmode(self):
+        dom = dm.structured_rect(6, 6)
+        u, phi, (x, y) = setup_fem(dom, [dom.dirichlet("boundary", 0.0)])
+        t = dom.variable(fem.GAUSS_VOLUME)[-1]
+        weak = u.d(t) * phi + laplace(u, phi, (x, y))
+        block = weak.assemble("fem_time")
+        lam, vecs = scipy.linalg.eigh(block.A.toarray(), block.M.toarray())
+        v = vecs[:, 0]
+        dt, steps = 0.01, 5
+        traj = weak.assemble("fem_time", state0=v).integrate(dt, steps)
+        decay = (1 + dt * lam[0]) ** -np.arange(steps + 1)
+        np.testing.assert_allclose(traj, decay[:, None] * v[None], atol=1e-12)
+
+
+class TestErrors:
+    def test_unknown_dirichlet_tag(self):
+        dom = dm.structured_rect(2, 2)
+        with pytest.raises(UnknownBcTag):
+            dom.init_fem(bcs=[dom.dirichlet("nowhere", 0.0)])
+
+    def test_term_mixing_regions(self):
+        dom = dm.structured_rect(2, 2)
+        u, phi, (x, y) = setup_fem(dom, [])
+        xr = dom.variable("gauss_right")[0]
+        with pytest.raises(TargetMismatch):
+            (u * phi - x * xr * phi).assemble("fem_system")
+
+    def test_gradient_on_a_boundary_region(self):
+        dom = dm.structured_rect(2, 2)
+        u, phi, (x, y) = setup_fem(dom, [])
+        xr = dom.variable("gauss_right")[0]
+        with pytest.raises(TargetMismatch):
+            (xr * u.d(x) * phi).assemble("fem_system")
+
+    def test_second_derivative_of_trial(self):
+        dom = dm.structured_rect(2, 2)
+        u, phi, (x, y) = setup_fem(dom, [])
+        with pytest.raises(NonlinearTerm):
+            (u.dd(x) * phi).assemble("fem_system")
+
+
+class TestRegions:
+    def test_weights_sum_to_measure(self):
+        dom = dm.structured_rect(4, 3, x_range=(0.0, 2.0))
+        dom.init_fem(quad_degree=3)
+        sums = {tag: r.weights.sum() for tag, r in dom.fem.regions.items()}
+        expected = {"fem_gauss": 2.0, "gauss_left": 1.0, "gauss_right": 1.0,
+                    "gauss_bottom": 2.0, "gauss_top": 2.0,
+                    "gauss_boundary": 6.0}
+        assert sums.keys() == expected.keys()
+        for tag, value in expected.items():
+            assert sums[tag] == pytest.approx(value, abs=1e-12)
+
+    def test_disk_weights_and_coords(self):
+        dom = dm.disk(0.3)
+        dom.init_fem()
+        vol = dom.fem.regions["fem_gauss"]
+        bnd = dom.fem.regions["gauss_boundary"]
+        assert vol.weights.sum() == pytest.approx(dom.total_measure(),
+                                                  abs=1e-12)
+        xy = dom.mesh.vertices
+        edges = np.asarray(dom.connectivity.boundary_facets)
+        perimeter = np.linalg.norm(xy[edges[:, 1]] - xy[edges[:, 0]], axis=1)
+        assert bnd.weights.sum() == pytest.approx(perimeter.sum(), abs=1e-12)
+        # points are the P1 interpolant of the vertex coordinates
+        for region in (vol, bnd):
+            np.testing.assert_allclose(
+                region.coords, np.einsum("qa,ead->eqd", region.values,
+                                         xy[region.dofs]), atol=1e-14)
+        np.testing.assert_array_equal(
+            dom.mesh_pool["gauss_boundary"][0, 0], bnd.coords.reshape(-1, 2))
+
+    @pytest.mark.parametrize("make", [
+        lambda: dm.structured_rect(4, 4), lambda: dm.disk(0.3),
+    ])
+    def test_affine_gradient_on_record(self, make):
+        dom = make()
+        dom.init_fem()
+        vol = dom.fem.regions["fem_gauss"]
+        xy = dom.mesh.vertices
+        u = 3 * xy[:, 0] - 2 * xy[:, 1] + 1
+        g = np.einsum("ead,ea->ed", vol.grads, u[vol.dofs])
+        np.testing.assert_allclose(g, np.broadcast_to([3.0, -2.0], g.shape),
+                                   atol=1e-12)
+
+    def test_line_boundary_points(self):
+        dom = dm.line(0.25)
+        dom.init_fem(element_type="LINE2")
+        left, vol = dom.fem.regions["gauss_left"], dom.fem.regions["fem_gauss"]
+        assert left.grads is None and vol.grads.shape == (4, 2, 1)
+        np.testing.assert_array_equal(left.weights, [[1.0]])
+        np.testing.assert_array_equal(left.coords, [[[0.0]]])
+        assert vol.weights.sum() == pytest.approx(1.0, abs=1e-14)
