@@ -254,8 +254,9 @@ class Domain:
         if tag not in self.mesh.tags:
             raise UnknownTag(f"unknown tag {tag!r}")
         idx = self.mesh.tags[tag]
-        boundary = set(self.connectivity.boundary_vertices.tolist())
-        if len(idx) == 0 or not all(int(v) in boundary for v in idx):
+        on_boundary = np.zeros(self.mesh.num_vertices, dtype=bool)
+        on_boundary[self.connectivity.boundary_vertices] = True
+        if len(idx) == 0 or not on_boundary[idx].all():
             raise NotABoundaryTag(f"tag {tag!r} is not a boundary tag")
         return Tensor(self.connectivity.vertex_normals[idx])
 

@@ -191,7 +191,7 @@ class NotAMatrix(JnoError):
     pass
 
 
-class MissingPath(JnoError):
+class InvalidSeed(JnoError):
     pass
 
 

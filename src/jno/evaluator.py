@@ -220,13 +220,14 @@ assert_handler_totality()
 # Residual expressions depend on a coordinate pointwise (each output point
 # sees only its own input point), so the derivative is the diagonal of the
 # Jacobian over the point axis: grad of sum(u) w.r.t. a broadcast-expanded
-# copy of the coordinate binding.
+# copy of the coordinate binding.  Expressions that mix points are rejected.
 # ---------------------------------------------------------------------------
 
 def _derivative_ad(node, ctx, order):
     expr, wrt = node.children
     x0 = ctx.lookup(wrt)
     base = evaluate(expr, ctx)
+    _check_pointwise(expr, wrt, ctx)
     try:
         target = np.broadcast_shapes(x0.shape, base.shape)
     except ValueError:
@@ -253,6 +254,47 @@ def _derivative_ad(node, ctx, order):
         g = inner.gradient(total, [xs])[xs.uid]
         g_total = T.reduce_sum(g)
     return outer.gradient(g_total, [xs])[xs.uid]
+
+
+def _check_pointwise(expr, wrt, ctx):
+    """Raise NonDifferentiablePath if the part of `expr` that depends on
+    `wrt` mixes points (axis -2): a reduce over all axes, over that axis or
+    over an axis after it (which moves it), a matmul whose right operand
+    depends on `wrt`, a concat along that axis, or a reshape or transpose
+    that moves it.
+
+    Shapes are read from the values `ctx` cached while evaluating `expr`;
+    parts evaluated in other contexts (FD derivatives) are not checked.
+    """
+    depends = {wrt}
+    for n in tr.toposort(expr):
+        if not any(c in depends for c in n.children):
+            continue
+        depends.add(n)
+        out = ctx.cache.get(n)
+        arg = ctx.cache.get(n.children[0])
+        if out is None or arg is None:
+            continue
+        r = arg.ndim
+        if n.kind == tr.REDUCE:
+            axes = n.payload[1]
+            mixes = not axes or any(a % r >= r - 2 for a in axes)
+        elif n.kind == tr.MATMUL:
+            mixes = n.children[1] in depends
+        elif n.kind == tr.CONCAT:
+            mixes = n.payload % r == r - 2
+        elif n.kind == tr.RESHAPE:
+            mixes = arg.shape[-2:] != out.shape[-2:]
+        elif n.kind == tr.TRANSPOSE:
+            perm = n.payload or tuple(reversed(range(r)))
+            mixes = r >= 2 and perm[-2] % r != r - 2
+        else:
+            mixes = False
+        if mixes:
+            raise NonDifferentiablePath(
+                f"{n.kind} mixes points along axis -2; the AD derivative is "
+                "only defined for pointwise expressions"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +337,21 @@ def mls_gradient_operators(mesh, connectivity):
             for v in vals]
 
 
-def _locate_barycentric(mesh, points):
+def _centroid_tree(mesh):
+    """k-d tree of the element centroids, for `_locate_barycentric`."""
+    from scipy.spatial import cKDTree
+
+    return cKDTree(mesh.vertices[mesh.elements].mean(axis=1))
+
+
+def _locate_barycentric(mesh, points, tree):
     """(N, V) CSR interpolation matrix: row n holds the barycentric weights
     of point n inside the lowest-index element that contains it.
 
-    Candidates are the elements with the nearest centroids; a point that no
-    candidate contains is tested against every element.
+    Candidates are the elements with the nearest centroids in `tree` (from
+    `_centroid_tree(mesh)`); a point that no candidate contains is tested
+    against every element.
     """
-    from scipy.spatial import cKDTree
-
     pts = np.asarray(points, dtype=np.float64)
     elems = mesh.elements
     verts = mesh.vertices
@@ -339,8 +387,7 @@ def _locate_barycentric(mesh, points):
 
     N = len(pts)
     k = min(8, E)
-    centroids = verts[elems].mean(axis=1)
-    _, cand = cKDTree(centroids).query(pts, k=k)
+    _, cand = tree.query(pts, k=k)
     cand = cand.reshape(N, k)
     inside, _ = weights(np.arange(N)[:, None], cand)
     chosen = np.where(inside, cand, E).min(axis=1)
@@ -356,10 +403,13 @@ def _locate_barycentric(mesh, points):
 
 
 def _fd_operators(ctx):
+    """The MLS gradient operators and the centroid tree of the domain's
+    mesh, built once per domain."""
     domain = ctx.domain
     cached = getattr(domain, "_fd_ops", None)
     if cached is None:
-        cached = mls_gradient_operators(domain.mesh, domain.connectivity)
+        cached = (mls_gradient_operators(domain.mesh, domain.connectivity),
+                  _centroid_tree(domain.mesh))
         domain._fd_ops = cached
     return cached
 
@@ -392,7 +442,8 @@ def _derivative_fd(node, ctx, order):
         u_vertex = T.broadcast_to(u_vertex,
                                   (domain.batch, domain.num_times, Vn, 1))
 
-    G = _fd_operators(ctx)[direction]
+    gradients, tree = _fd_operators(ctx)
+    G = gradients[direction]
     g = T.sparse_matmul(G, u_vertex)
     if order == 2:
         g = T.sparse_matmul(G, g)
@@ -401,7 +452,7 @@ def _derivative_fd(node, ctx, order):
     key = (tag, id(domain.context[tag]))
     P = ctx._interp_cache.get(key)
     if P is None:
-        P = _locate_barycentric(domain.mesh, domain.context[tag][0, 0])
+        P = _locate_barycentric(domain.mesh, domain.context[tag][0, 0], tree)
         ctx._interp_cache[key] = P
     return T.sparse_matmul(P, g)
 

@@ -147,8 +147,7 @@ class FemSetup:
 
         # one region per boundary tag: the boundary facets it fully owns
         conn = domain.connectivity
-        facets = np.asarray(sorted(conn.boundary_facets),
-                            dtype=np.int64).reshape(-1, k)
+        facets = conn.boundary_facets
         on_boundary = np.zeros(V, dtype=bool)
         on_boundary[conn.boundary_vertices] = True
         facet_rule = _reference_rule(k - 1, self.quad_degree)

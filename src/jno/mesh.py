@@ -6,7 +6,10 @@ with a fixed diagonal so meshes (and everything derived from them) are
 bitwise reproducible.
 """
 
+from functools import cached_property
+
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     DegenerateGeometry,
@@ -32,11 +35,8 @@ class Mesh:
         if self.elements.size and self.elements.max() >= len(self.vertices):
             raise ParseError("element references vertex beyond vertex count")
         self.kind = kind
-        self.tags = {}
-        if tags:
-            for name, idx in tags.items():
-                self.tags[name] = np.asarray(sorted(set(int(i) for i in idx)),
-                                             dtype=np.int64)
+        self.tags = {name: np.unique(np.asarray(idx, dtype=np.int64))
+                     for name, idx in (tags or {}).items()}
         if "boundary" not in self.tags or "interior" not in self.tags:
             self._infer_interior_boundary()
 
@@ -50,124 +50,96 @@ class Mesh:
 
     # -- boundary inference -------------------------------------------------
 
+    @cached_property
     def boundary_facets(self):
-        """Facets owned by exactly one element, as sorted vertex tuples."""
-        counts = {}
-        for row in self.elements:
-            for facet in _facets_of(row, self.kind):
-                counts[facet] = counts.get(facet, 0) + 1
-        return [f for f, c in counts.items() if c == 1]
+        """Facets owned by exactly one element, as an (F, k) array of sorted
+        vertex rows in lexicographic order, and the index of each facet's
+        owner element."""
+        local = LOCAL_FACETS[self.kind]
+        rows = np.sort(self.elements[:, local], axis=2)
+        facets, first, counts = np.unique(
+            rows.reshape(-1, local.shape[1]), axis=0,
+            return_index=True, return_counts=True,
+        )
+        once = counts == 1
+        return facets[once], first[once] // len(local)
 
     def _infer_interior_boundary(self):
-        facets = self.boundary_facets()
-        on_boundary = sorted({v for f in facets for v in f})
-        boundary = np.asarray(on_boundary, dtype=np.int64)
+        boundary = np.unique(self.boundary_facets[0])
         mask = np.ones(self.num_vertices, dtype=bool)
         mask[boundary] = False
         self.tags.setdefault("boundary", boundary)
-        self.tags.setdefault("interior", np.nonzero(mask)[0].astype(np.int64))
+        self.tags.setdefault("interior", np.nonzero(mask)[0])
 
 
-def _facets_of(element, kind):
-    e = [int(v) for v in element]
-    if kind == "LINE2":
-        return [(e[0],), (e[1],)]
-    if kind == "TRI3":
-        return [
-            tuple(sorted((e[0], e[1]))),
-            tuple(sorted((e[1], e[2]))),
-            tuple(sorted((e[2], e[0]))),
-        ]
-    if kind == "TET4":
-        return [
-            tuple(sorted((e[0], e[1], e[2]))),
-            tuple(sorted((e[0], e[1], e[3]))),
-            tuple(sorted((e[0], e[2], e[3]))),
-            tuple(sorted((e[1], e[2], e[3]))),
-        ]
-    raise UnsupportedElement(kind)
+# local vertex indices of each facet of one element, per element kind
+LOCAL_FACETS = {
+    "LINE2": np.array([[0], [1]]),
+    "TRI3": np.array([[0, 1], [1, 2], [2, 0]]),
+    "TET4": np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]),
+}
 
 
 class Connectivity:
-    """Neighbor lists, element topology, lumped nodal measures and
-    outward boundary normals, all derived from the mesh geometry."""
+    """Neighbor lists, lumped nodal measures and outward boundary normals,
+    all derived from the mesh geometry."""
 
     def __init__(self, mesh):
         self.mesh = mesh
         V = mesh.num_vertices
-        self.neighbors = [set() for _ in range(V)]
-        self.vertex_elements = [[] for _ in range(V)]
-        self.nodal_measure = np.zeros(V)
+        elems = mesh.elements
+        nodes_per = elems.shape[1]
 
-        measures = element_measures(mesh)
-        self.element_measure = measures
-        nodes_per = mesh.elements.shape[1]
-        for ei, row in enumerate(mesh.elements):
-            for a in row:
-                self.vertex_elements[int(a)].append(ei)
-                self.nodal_measure[int(a)] += measures[ei] / nodes_per
-            for a in row:
-                for b in row:
-                    if a != b:
-                        self.neighbors[int(a)].add(int(b))
-        self.neighbors = [np.asarray(sorted(s), dtype=np.int64)
-                          for s in self.neighbors]
+        # vertex adjacency: every ordered pair of distinct vertices of an element
+        rows = np.repeat(elems, nodes_per, axis=1).ravel()
+        cols = np.tile(elems, (1, nodes_per)).ravel()
+        off = rows != cols
+        adj = sp.csr_matrix((np.ones(off.sum()), (rows[off], cols[off])),
+                            shape=(V, V))
+        adj.sum_duplicates()
+        self.neighbors = np.split(adj.indices.astype(np.int64),
+                                  adj.indptr[1:-1])
 
-        self.boundary_facets = mesh.boundary_facets()
-        self.boundary_vertices = np.asarray(
-            sorted({v for f in self.boundary_facets for v in f}), dtype=np.int64
+        self.nodal_measure = np.bincount(
+            elems.ravel(), minlength=V,
+            weights=np.repeat(element_measures(mesh) / nodes_per, nodes_per),
         )
-        self._facet_owner = self._find_facet_owners()
-        self.vertex_normals = self._vertex_normals()
 
-    def _find_facet_owners(self):
-        owners = {}
-        facet_set = set(self.boundary_facets)
-        for ei, row in enumerate(self.mesh.elements):
-            for f in _facets_of(row, self.mesh.kind):
-                if f in facet_set and f not in owners:
-                    owners[f] = ei
-        return owners
+        self.boundary_facets, owners = mesh.boundary_facets
+        self.boundary_vertices = np.unique(self.boundary_facets)
+        self.vertex_normals = self._vertex_normals(owners)
 
-    def _facet_normal(self, facet, owner):
-        """Unit normal of a boundary facet pointing away from its owner."""
+    def _vertex_normals(self, owners):
+        """Unit normal of each boundary facet pointing away from its owner
+        element, summed per boundary vertex and normalized.
+
+        The facet normal is the offset from the owner's centroid to the
+        facet's centroid with its components along the facet's edges
+        projected out.
+        """
         mesh = self.mesh
-        pts = mesh.vertices
-        centroid = pts[mesh.elements[owner]].mean(axis=0)
-        if mesh.kind == "LINE2":
-            p = pts[facet[0]]
-            n = p - centroid
-        elif mesh.kind == "TRI3":
-            p0, p1 = pts[facet[0]], pts[facet[1]]
-            t = p1 - p0
-            n = np.array([t[1], -t[0]])
-            if np.dot(n, centroid - (p0 + p1) / 2) > 0:
-                n = -n
-        else:  # TET4 -> triangular facet
-            p0, p1, p2 = pts[facet[0]], pts[facet[1]], pts[facet[2]]
-            n = np.cross(p1 - p0, p2 - p0)
-            if np.dot(n, centroid - (p0 + p1 + p2) / 3) > 0:
-                n = -n
-        norm = np.linalg.norm(n)
-        if norm == 0:
+        pts = mesh.vertices[self.boundary_facets]             # (F, k, D)
+        d = pts.mean(axis=1) - mesh.vertices[mesh.elements[owners]].mean(axis=1)
+        edges = pts[:, 1:] - pts[:, :1]                       # (F, k-1, D)
+        gram = edges @ edges.transpose(0, 2, 1)
+        if (np.linalg.det(gram) == 0).any():
             raise DegenerateGeometry("zero-length boundary facet")
-        return n / norm
+        coef = np.linalg.solve(gram, edges @ d[:, :, None])
+        n = d - (edges.transpose(0, 2, 1) @ coef)[:, :, 0]
+        length = np.linalg.norm(n, axis=1)
+        if (length == 0).any():
+            raise DegenerateGeometry(
+                "boundary facet through its element's centroid")
 
-    def _vertex_normals(self):
-        """Average of adjacent facet normals per boundary vertex, normalized."""
-        V = self.mesh.num_vertices
-        D = self.mesh.dim
-        acc = np.zeros((V, D))
-        for facet in self.boundary_facets:
-            n = self._facet_normal(facet, self._facet_owner[facet])
-            for v in facet:
-                acc[v] += n
-        normals = np.zeros((V, D))
-        for v in self.boundary_vertices:
-            norm = np.linalg.norm(acc[v])
-            if norm == 0:
-                raise DegenerateGeometry(f"undefined normal at vertex {v}")
-            normals[v] = acc[v] / norm
+        acc = np.zeros((mesh.num_vertices, mesh.dim))
+        np.add.at(acc, self.boundary_facets, (n / length[:, None])[:, None])
+        bv = self.boundary_vertices
+        norm = np.linalg.norm(acc[bv], axis=1)
+        if (norm == 0).any():
+            raise DegenerateGeometry(
+                f"undefined normal at vertex {bv[np.argmin(norm)]}")
+        normals = np.zeros_like(acc)
+        normals[bv] = acc[bv] / norm[:, None]
         return normals
 
 
@@ -226,31 +198,25 @@ def rect_mesh(x_range=(0.0, 1.0), y_range=(0.0, 1.0), mesh_size=0.1,
     ys = np.linspace(y0, y1, ny + 1)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     vertices = np.stack([X.ravel(), Y.ravel()], axis=1)
-
-    def vid(i, j):
-        return i * (ny + 1) + j
-
-    elements = []
-    for i in range(nx):
-        for j in range(ny):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            # fixed diagonal from v00 to v11
-            elements.append((v00, v10, v11))
-            elements.append((v00, v11, v01))
-    elements = np.asarray(elements, dtype=np.int64)
-
-    left = [vid(0, j) for j in range(ny + 1)]
-    right = [vid(nx, j) for j in range(ny + 1)]
-    bottom = [vid(i, 0) for i in range(nx + 1)]
-    top = [vid(i, ny) for i in range(nx + 1)]
-    boundary = sorted(set(left) | set(right) | set(bottom) | set(top))
-    interior = [v for v in range(len(vertices)) if v not in set(boundary)]
+    vid = np.arange(len(vertices)).reshape(nx + 1, ny + 1)
+    rim = np.ones_like(vid, dtype=bool)
+    rim[1:-1, 1:-1] = False
     tags = {
-        "left": left, "right": right, "bottom": bottom, "top": top,
-        "boundary": boundary, "interior": interior,
+        "left": vid[0], "right": vid[nx],
+        "bottom": vid[:, 0], "top": vid[:, ny],
+        "boundary": vid[rim], "interior": vid[~rim],
     }
-    return Mesh(vertices, elements, "TRI3", tags)
+    return Mesh(vertices, _grid_triangles(vid), "TRI3", tags)
+
+
+def _grid_triangles(vid):
+    """Two triangles per grid cell whose four corner ids all exist (>= 0),
+    split along the fixed diagonal from (i, j) to (i+1, j+1); cells in
+    row-major order."""
+    cells = np.stack([vid[:-1, :-1], vid[1:, :-1], vid[1:, 1:], vid[:-1, 1:]],
+                     axis=-1).reshape(-1, 4)
+    cells = cells[(cells >= 0).all(axis=1)]
+    return cells[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
 
 
 def disk_mesh(radius=1.0, center=(0.0, 0.0), mesh_size=0.1):
@@ -287,28 +253,12 @@ def lshape_mesh(mesh_size=0.1, size=1.0):
     if n % 2 == 1:
         n += 1  # keep the reentrant corner on the grid
     xs = np.linspace(0.0, s, n + 1)
-    grid_id = -np.ones((n + 1, n + 1), dtype=np.int64)
-    vertices = []
-    half = n // 2
-    for i in range(n + 1):
-        for j in range(n + 1):
-            if xs[i] > s / 2 + 1e-12 and xs[j] > s / 2 + 1e-12:
-                continue
-            grid_id[i, j] = len(vertices)
-            vertices.append((xs[i], xs[j]))
-    elements = []
-    for i in range(n):
-        for j in range(n):
-            if i >= half and j >= half:
-                continue
-            v00, v10 = grid_id[i, j], grid_id[i + 1, j]
-            v01, v11 = grid_id[i, j + 1], grid_id[i + 1, j + 1]
-            if min(v00, v10, v01, v11) < 0:
-                continue
-            elements.append((v00, v10, v11))
-            elements.append((v00, v11, v01))
-    return Mesh(np.asarray(vertices), np.asarray(elements, dtype=np.int64),
-                "TRI3")
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    keep = (X <= s / 2 + 1e-12) | (Y <= s / 2 + 1e-12)
+    grid_id = np.full(X.shape, -1, dtype=np.int64)
+    grid_id[keep] = np.arange(keep.sum())
+    vertices = np.stack([X[keep], Y[keep]], axis=1)
+    return Mesh(vertices, _grid_triangles(grid_id), "TRI3")
 
 
 def cube_mesh(x_range=(0.0, 1.0), y_range=(0.0, 1.0), z_range=(0.0, 1.0),
@@ -323,27 +273,19 @@ def cube_mesh(x_range=(0.0, 1.0), y_range=(0.0, 1.0), z_range=(0.0, 1.0),
                   np.linspace(z0, z1, nz + 1))
     X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
     vertices = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
+    vid = np.arange(len(vertices)).reshape(nx + 1, ny + 1, nz + 1)
 
-    def vid(i, j, k):
-        return (i * (ny + 1) + j) * (nz + 1) + k
-
+    # corners of every hexahedron, indexed as binary abc
+    corners = np.stack([
+        vid[a:a + nx, b:b + ny, c:c + nz].ravel()
+        for a in (0, 1) for b in (0, 1) for c in (0, 1)
+    ], axis=1)
     # six tetrahedra per hexahedron (Kuhn split, fixed orientation)
     corner_tets = [
         (0, 1, 3, 7), (0, 1, 5, 7), (0, 4, 5, 7),
         (0, 2, 3, 7), (0, 2, 6, 7), (0, 4, 6, 7),
     ]
-    elements = []
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                corners = [
-                    vid(i + a, j + b, k + c)
-                    for a in (0, 1) for b in (0, 1) for c in (0, 1)
-                ]
-                # corners indexed as binary abc
-                for t in corner_tets:
-                    elements.append(tuple(corners[x] for x in t))
-    return Mesh(vertices, np.asarray(elements, dtype=np.int64), "TET4")
+    return Mesh(vertices, corners[:, corner_tets].reshape(-1, 4), "TET4")
 
 
 def rect_with_hole_mesh(x_range=(0.0, 1.0), y_range=(0.0, 1.0),
@@ -370,21 +312,18 @@ def rect_with_hole_mesh(x_range=(0.0, 1.0), y_range=(0.0, 1.0),
     vertices = base.vertices[used]
     elements = remap[elements]
 
-    outer_old = set(base.tags["boundary"].tolist())
     mesh = Mesh(vertices, elements, "TRI3")
-    all_boundary = set(mesh.tags["boundary"].tolist())
-    outer = sorted(v for v in all_boundary if int(used[v]) in outer_old)
-    hole = sorted(all_boundary - set(outer))
-    mesh.tags["boundary"] = np.asarray(outer, dtype=np.int64)
-    mesh.tags["hole"] = np.asarray(hole, dtype=np.int64)
-    inter = sorted(set(range(len(vertices))) - set(outer) - set(hole))
-    mesh.tags["interior"] = np.asarray(inter, dtype=np.int64)
+    on_boundary = np.zeros(len(vertices), dtype=bool)
+    on_boundary[mesh.tags["boundary"]] = True
+    outer_old = np.zeros(base.num_vertices, dtype=bool)
+    outer_old[base.tags["boundary"]] = True
+    outer = on_boundary & outer_old[used]
+    mesh.tags["boundary"] = np.nonzero(outer)[0]
+    mesh.tags["hole"] = np.nonzero(on_boundary & ~outer)[0]
+    mesh.tags["interior"] = np.nonzero(~on_boundary)[0]
     for side in ("left", "right", "top", "bottom"):
-        old = set(base.tags[side].tolist())
-        mesh.tags[side] = np.asarray(
-            sorted(v for v in range(len(vertices)) if int(used[v]) in old),
-            dtype=np.int64,
-        )
+        new = remap[base.tags[side]]
+        mesh.tags[side] = new[new >= 0]
     return mesh
 
 

@@ -15,9 +15,8 @@ from . import trace as tr
 from .errors import (
     BadDimension,
     InputRankMismatch,
-    MissingPath,
+    InvalidSeed,
     NotAMatrix,
-    ShapeMismatch,
     StateShapeMismatch,
     UnknownPath,
 )
@@ -216,11 +215,19 @@ class Model:
         self.opt_spec = spec
         return self
 
-    def initialize(self, seed_or_path=0):
-        if isinstance(seed_or_path, (int, np.integer)):
-            self._init_from_seed(int(seed_or_path))
-        else:
-            self._init_from_checkpoint(str(seed_or_path))
+    def initialize(self, seed=0):
+        """Zero biases and weights uniform in ±sqrt(6 / fan_in), from `seed`."""
+        if not isinstance(seed, (int, np.integer)):
+            raise InvalidSeed(f"seed must be an integer, got {seed!r}")
+        rng = np.random.default_rng(int(seed))
+        self.params = {}
+        for path, shape, fan_in in self._param_specs():
+            if path.endswith("bias"):
+                self.params[path] = T.Tensor(np.zeros(shape))
+            else:
+                limit = math.sqrt(6.0 / fan_in)
+                self.params[path] = T.Tensor(
+                    rng.uniform(-limit, limit, size=shape))
         self._initialized = True
         self.opt_state = None
         return self
@@ -306,31 +313,6 @@ class Model:
     def _param_specs(self):
         """Ordered (path, shape, fan_in) triples defined by the architecture."""
         raise NotImplementedError
-
-    def _init_from_seed(self, seed):
-        rng = np.random.default_rng(seed)
-        params = {}
-        for path, shape, fan_in in self._param_specs():
-            if path.endswith("bias"):
-                params[path] = T.Tensor(np.zeros(shape))
-            else:
-                limit = math.sqrt(6.0 / fan_in)
-                params[path] = T.Tensor(rng.uniform(-limit, limit, size=shape))
-        self.params = params
-
-    def _init_from_checkpoint(self, path):
-        from . import persist
-
-        manifest, meta = persist.load_model_manifest(path)
-        expected = {p: shape for p, shape, _ in self._param_specs()}
-        for p, shape in expected.items():
-            if p not in manifest:
-                raise MissingPath(f"checkpoint missing parameter {p!r}")
-            if tuple(manifest[p].shape) != tuple(shape):
-                raise ShapeMismatch(
-                    f"checkpoint shape {manifest[p].shape} != {shape} at {p!r}"
-                )
-        self.params = {p: T.Tensor(manifest[p]) for p in manifest}
 
     def _require_init(self):
         if not self._initialized:

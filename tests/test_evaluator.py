@@ -100,6 +100,37 @@ class TestAdDerivatives:
         assert np.all(val.data == 1.0)
         assert val.shape == d.context["interior"].shape
 
+    @pytest.mark.parametrize("mix", [
+        lambda x, s: x * x.mean,
+        lambda x, s: x * x.reduce("sum", -2),
+        lambda x, s: x * x.reduce("sum", -1),
+        lambda x, s: tr.matmul_nodes(tr.constant(T.Tensor(np.ones((3, 3)))), x),
+        lambda x, s: tr.concat_nodes([x, x * x], axis=-2),
+        lambda x, s: tr.reshape_node(x, (1, 1, 3)),
+        lambda x, s: tr.transpose_node(x, (0, 1, 3, 2)),
+        lambda x, s: tr.d(s * x.sum, s),
+    ])
+    def test_point_mixing_expression_rejected(self, mix):
+        # points 0.25, 0.5, 0.75: d(x * mean(x))/dx has diagonal 0.5 + x/3,
+        # which the pointwise trick cannot produce
+        d = dm.line(mesh_size=0.25)
+        x, _ = d.variable("interior")
+        s = tr.variable("s")
+        ctx = ev.EvalContext(bindings={s: np.ones((1, 1, 3, 1))}, domain=d)
+        with pytest.raises(NonDifferentiablePath):
+            ev.evaluate(tr.d(mix(x, s), x), ctx)
+
+    def test_pointwise_reshapes_and_left_matmul_accepted(self):
+        d = dm.line(mesh_size=0.25)
+        x, _ = d.variable("interior")
+        W = tr.constant(T.Tensor(np.array([[2.0], [3.0]])))
+        u = tr.matmul_nodes(tr.concat_nodes([x, x * x], axis=-1), W)
+        u = tr.transpose_node(tr.reshape_node(u.reduce("sum", (0, 1)),
+                                              (1, 1, 3, 1)), (1, 0, 2, 3))
+        val = ev.evaluate(tr.d(u, x), ev.EvalContext(domain=d))
+        pts = d.context["interior"][..., 0:1]
+        np.testing.assert_allclose(val.data, 2.0 + 6.0 * pts, atol=1e-12)
+
     def test_sin_second_derivative(self):
         rng = np.random.default_rng(1)
         pts = rng.uniform(-2, 2, (1, 1, 100, 1))
@@ -221,14 +252,16 @@ class TestFiniteDifferences:
         d = dm.rect(mesh_size=0.5)
         e0 = d.mesh.elements[0]
         centroid = d.mesh.vertices[e0].mean(axis=0, keepdims=True)
-        P = ev._locate_barycentric(d.mesh, centroid).toarray()
+        P = ev._locate_barycentric(d.mesh, centroid,
+                                   ev._centroid_tree(d.mesh)).toarray()
         np.testing.assert_allclose(P[0, e0], 1 / 3, atol=1e-12)
         assert P[0].sum() == pytest.approx(1.0)
 
     def test_point_outside(self):
         d = dm.rect(mesh_size=0.5)
         with pytest.raises(PointOutsideMesh):
-            ev._locate_barycentric(d.mesh, np.array([[5.0, 5.0]]))
+            ev._locate_barycentric(d.mesh, np.array([[5.0, 5.0]]),
+                                   ev._centroid_tree(d.mesh))
 
     def test_temporal_fd_unsupported(self):
         d = dm.rect(mesh_size=0.5, time=(0.0, 1.0, 1))

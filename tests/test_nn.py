@@ -5,6 +5,7 @@ from jno import nn
 from jno import tensor as T
 from jno.errors import (
     BadDimension,
+    InvalidSeed,
     NotAMatrix,
     StateShapeMismatch,
     UnknownPath,
@@ -26,6 +27,14 @@ class TestArchitectures:
             nn.mlp(0, [4], 1)
         with pytest.raises(BadDimension):
             nn.deeponet(1, 2, 0, 4)
+
+    @pytest.mark.parametrize("seed", ["ckpt.npz", 1.5, None])
+    def test_initialize_needs_an_integer_seed(self, seed):
+        net = nn.mlp(2, [4], 1)
+        with pytest.raises(InvalidSeed):
+            net.initialize(seed)
+        assert not net.params
+        assert net.initialize(np.int64(3)).parameter_count() == 17
 
     def test_deeponet_shape_contract(self):
         net = nn.deeponet(1, 2, 32, 128).initialize(0)

@@ -143,7 +143,7 @@ class TestLocateBarycentric:
     def test_matches_exhaustive_reference(self, name):
         mesh = MESHES[name]()
         pts = _probe_points(mesh, seed=7)
-        P = ev._locate_barycentric(mesh, pts)
+        P = ev._locate_barycentric(mesh, pts, ev._centroid_tree(mesh))
         assert sp.issparse(P) and P.format == "csr"
         assert P.shape == (len(pts), mesh.num_vertices)
         want, chosen = _dense_locate(mesh, pts)
@@ -171,7 +171,7 @@ class TestLocateBarycentric:
             elems.append([base, base + 1, base + 2])
         mesh = meshmod.Mesh(verts, elems, "TRI3")
         pts = np.array([[0.1, 9.8]])
-        P = ev._locate_barycentric(mesh, pts)
+        P = ev._locate_barycentric(mesh, pts, ev._centroid_tree(mesh))
         want, chosen = _dense_locate(mesh, pts)
         np.testing.assert_allclose(P.toarray(), want, rtol=0, atol=1e-12)
         assert chosen[0] == 0 and set(P.indices) == {0, 1, 2}
@@ -182,7 +182,9 @@ class TestLocateBarycentric:
                                             ("line", [1.5])])
     def test_outside_point_raises(self, name, point):
         with pytest.raises(PointOutsideMesh):
-            ev._locate_barycentric(MESHES[name](), np.array([point]))
+            mesh = MESHES[name]()
+            ev._locate_barycentric(mesh, np.array([point]),
+                                   ev._centroid_tree(mesh))
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +205,9 @@ class TestFdDerivatives:
         verts = d.mesh.vertices
         u_v = (np.sin(np.pi * verts[:, 0]) * verts[:, 1] ** 2
                + verts[:, 0] * verts[:, 1])[:, None]
-        Gx, Gy = (G.toarray() for G in ev._fd_operators(ctx))
-        P = ev._locate_barycentric(d.mesh, d.context["interior"][0, 0])
+        gradients, tree = ev._fd_operators(ctx)
+        Gx, Gy = (G.toarray() for G in gradients)
+        P = ev._locate_barycentric(d.mesh, d.context["interior"][0, 0], tree)
         P = P.toarray()
         np.testing.assert_allclose(du_dx[0, 0], P @ (Gx @ u_v),
                                    rtol=0, atol=1e-12)
