@@ -1,11 +1,12 @@
 """Graph evaluation against one batch context.
 
 Node kinds dispatch through a handler table.  Derivative nodes resolve
-either through reverse-mode AD (pointwise over the point axis, nested tapes
-for second order) or through mesh-driven finite differences built from
-moving-least-squares gradient reconstruction on vertex neighborhoods.  The
-finite-difference operators (MLS gradients and barycentric interpolation)
-are CSR matrices applied with :func:`jno.tensor.sparse_matmul`.
+either through Taylor-mode AD (pointwise over the point axis, one
+:class:`jno.tensor.Jet` push per direction) or through mesh-driven finite
+differences built from moving-least-squares gradient reconstruction on
+vertex neighborhoods.  The finite-difference operators (MLS gradients and
+barycentric interpolation) are CSR matrices applied with
+:func:`jno.tensor.sparse_matmul`.
 """
 
 import numpy as np
@@ -29,6 +30,8 @@ class EvalContext:
 
     One context per thread; the cache is only valid for one batch, so build
     a fresh context (or call :meth:`reset_cache`) whenever bindings change.
+    Child contexts (derivatives, operation calls, FD vertex overlays) add
+    to their parent's `stats`.
     """
 
     def __init__(self, bindings=None, domain=None, derivative_mode="auto",
@@ -44,16 +47,19 @@ class EvalContext:
         self.stats = {"evaluations": 0, "cache_hits": 0, "by_kind": {}}
         self._interp_cache = {}
         self._vertex_contexts = {}
+        self._jet_passes = {}
 
     def reset_cache(self):
         self.cache = {}
         self._interp_cache = {}
         self._vertex_contexts = {}
+        self._jet_passes = {}
 
     def child(self, extra_bindings):
         sub = EvalContext(domain=self.domain,
                           derivative_mode=self.derivative_mode,
                           nan_check=self.nan_check)
+        sub.stats = self.stats
         sub.bindings = dict(self.bindings)
         for node, value in extra_bindings.items():
             sub.bindings[node] = value if isinstance(value, T.Tensor) \
@@ -219,41 +225,58 @@ assert_handler_totality()
 #
 # Residual expressions depend on a coordinate pointwise (each output point
 # sees only its own input point), so the derivative is the diagonal of the
-# Jacobian over the point axis: grad of sum(u) w.r.t. a broadcast-expanded
-# copy of the coordinate binding.  Expressions that mix points are rejected.
+# Jacobian over the point axis, which is the Taylor coefficient of the
+# expression along a direction of ones at the coordinate.  A variable with
+# several columns takes one direction per column, and its derivative is the
+# diagonal over the columns too.  Expressions that mix points are rejected.
 # ---------------------------------------------------------------------------
 
 def _derivative_ad(node, ctx, order):
     expr, wrt = node.children
-    x0 = ctx.lookup(wrt)
-    base = evaluate(expr, ctx)
-    _check_pointwise(expr, wrt, ctx)
+    if wrt not in ctx._jet_passes.get(expr, ({},))[0]:
+        ctx._jet_passes[expr] = _jet_pass(expr, wrt, ctx)
+    seeds, sub, jet, u, pushes = ctx._jet_passes[expr]
+    x = seeds[wrt]
+    _check_pointwise(expr, wrt, sub)
     try:
-        target = np.broadcast_shapes(x0.shape, base.shape)
+        target = np.broadcast_shapes(x.shape, u.shape)
     except ValueError:
         raise NonDifferentiablePath(
-            f"derivative target shape {x0.shape} does not broadcast with "
-            f"expression shape {base.shape}"
+            f"derivative target shape {x.shape} does not broadcast with "
+            f"expression shape {u.shape}"
         ) from None
-    xs = T.Tensor(np.broadcast_to(x0.data, target).copy())
-    sub = ctx.child({wrt: xs})
+    if len(pushes.get(wrt, ())) < order:
+        pushes[wrt] = _column_derivatives(jet, x, u, order, target)
+    return pushes[wrt][order - 1]
 
-    if order == 1:
-        with T.Tape() as t:
-            t.watch(xs)
-            u = evaluate(expr, sub)
-            total = T.reduce_sum(u)
-        return t.gradient(total, [xs])[xs.uid]
 
-    with T.Tape() as outer:
-        outer.watch(xs)
-        with T.Tape() as inner:
-            inner.watch(xs)
-            u = evaluate(expr, sub)
-            total = T.reduce_sum(u)
-        g = inner.gradient(total, [xs])[xs.uid]
-        g_total = T.reduce_sum(g)
-    return outer.gradient(g_total, [xs])[xs.uid]
+def _column_derivatives(jet, x, u, order, target):
+    """Derivatives of `u` up to `order`, each in the shape `target`.  Column
+    j is the derivative along column j of `x`: of all of `u` if it has one
+    column, of its column j if it has as many as `x`."""
+    ds = [T.zeros(target)] * order
+    for e in np.eye(x.shape[-1]):
+        seed = T.Tensor(np.broadcast_to(e, x.shape))
+        for k, c in enumerate(jet.push(x, order, seed)):
+            if u.uid in c:
+                ds[k] = T.add(ds[k], T.mul(c[u.uid], T.Tensor(e)))
+    return ds
+
+
+def _jet_pass(expr, wrt, ctx):
+    """Evaluate `expr` once under a Jet, for all of its AD derivatives in
+    `ctx`, with every Variable it reads (and `wrt`) bound to a taped
+    identity of its value, so that outer Tapes and Jets see the path
+    through it.  Returns (identities, child context, jet, value, pushes)."""
+    seeds = {}
+    for var in {n for n in tr.walk(expr) if n.kind == tr.VARIABLE} | {wrt}:
+        value = ctx.lookup(var)
+        seeds[var] = T.reshape(value, value.shape)
+    sub = ctx.child(seeds)
+    with T.Jet() as jet:
+        jet.watch(*seeds.values())
+        u = evaluate(expr, sub)
+    return seeds, sub, jet, u, {}
 
 
 def _check_pointwise(expr, wrt, ctx):
@@ -263,14 +286,20 @@ def _check_pointwise(expr, wrt, ctx):
     depends on `wrt`, a concat along that axis, or a reshape or transpose
     that moves it.
 
-    Shapes are read from the values `ctx` cached while evaluating `expr`;
-    parts evaluated in other contexts (FD derivatives) are not checked.
+    Shapes are read from the values `ctx` cached while evaluating `expr`,
+    and from the passes of the AD derivatives inside it; parts evaluated in
+    other contexts (FD derivatives, operation bodies) are not checked.
     """
     depends = {wrt}
     for n in tr.toposort(expr):
         if not any(c in depends for c in n.children):
             continue
         depends.add(n)
+        if n.kind == tr.DERIVATIVE:
+            inner = ctx._jet_passes.get(n.children[0])
+            if inner is not None:
+                _check_pointwise(n.children[0], wrt, inner[1])
+            continue
         out = ctx.cache.get(n)
         arg = ctx.cache.get(n.children[0])
         if out is None or arg is None:
@@ -313,9 +342,9 @@ def mls_gradient_operators(mesh, connectivity):
     V, D = mesh.num_vertices, mesh.dim
     rows, cols, vals = [], [], [[] for _ in range(D)]
     verts = mesh.vertices
+    ptr, nbr = connectivity.neighbor_indptr, connectivity.neighbor_indices
     for i in range(V):
-        ring = connectivity.neighbors[i]
-        support = np.concatenate([[i], ring])
+        support = np.concatenate([[i], nbr[ptr[i]:ptr[i + 1]]])
         offsets = verts[support] - verts[i]
         M = np.concatenate([np.ones((len(support), 1)), offsets], axis=1)
         if len(support) < D + 1:

@@ -82,7 +82,11 @@ LOCAL_FACETS = {
 
 class Connectivity:
     """Neighbor lists, lumped nodal measures and outward boundary normals,
-    all derived from the mesh geometry."""
+    all derived from the mesh geometry.
+
+    The neighbors of vertex i, in increasing order, are
+    ``neighbor_indices[neighbor_indptr[i]:neighbor_indptr[i + 1]]``.
+    """
 
     def __init__(self, mesh):
         self.mesh = mesh
@@ -97,8 +101,8 @@ class Connectivity:
         adj = sp.csr_matrix((np.ones(off.sum()), (rows[off], cols[off])),
                             shape=(V, V))
         adj.sum_duplicates()
-        self.neighbors = np.split(adj.indices.astype(np.int64),
-                                  adj.indptr[1:-1])
+        self.neighbor_indptr = adj.indptr.astype(np.int64)
+        self.neighbor_indices = adj.indices.astype(np.int64)
 
         self.nodal_measure = np.bincount(
             elems.ravel(), minlength=V,

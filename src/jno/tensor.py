@@ -1,16 +1,22 @@
-"""Dense f64 tensors with broadcasting, reductions and tape-based reverse AD.
+"""Dense f64 tensors with broadcasting, reductions and recorded derivatives.
 
-Every runtime value in the library is a :class:`Tensor`.  Gradients are
-obtained by recording primitive operations on a :class:`Tape`; backward
-rules are themselves written with the public primitives, so tapes nest and
+Every runtime value in the library is a :class:`Tensor`.  Primitive ops are
+recorded on the active recorders that track one of their inputs: a
+:class:`Tape` replays them backward for reverse-mode gradients, and a
+:class:`Jet` replays them forward for second-order Taylor coefficients
+along one direction (Griewank & Walther, *Evaluating Derivatives*, ch. 13).
+Backward and Taylor rules are themselves written with the public
+primitives, so an active Tape or an outer Jet records what they compute and
 higher-order derivatives fall out of repeated application.
 """
 
 import itertools
+import threading
 
 import numpy as np
 
 from .errors import (
+    ArityMismatch,
     IndexOutOfRange,
     InvalidAxis,
     NonScalarOutput,
@@ -20,9 +26,17 @@ from .errors import (
 
 _UIDS = itertools.count(1)
 
-# Stack of active tapes.  Ops record on every tape that tracks one of their
-# inputs, so an inner tape's backward pass is captured by the outer tapes.
-_TAPES = []
+
+class _Active(threading.local):
+    """The Tapes and Jets inside their ``with`` block, outermost first, per
+    thread: an op records on every one that tracks one of its inputs, so an
+    inner recorder's replay is captured by the outer ones."""
+
+    def __init__(self):
+        self.recorders = []
+
+
+_ACTIVE = _Active()
 
 
 class Tensor:
@@ -127,25 +141,26 @@ def has_nan(t):
 
 
 # ---------------------------------------------------------------------------
-# Tape
+# Tape and Jet
 # ---------------------------------------------------------------------------
 
 class _Record:
-    __slots__ = ("out_uid", "in_uids", "backward")
+    __slots__ = ("out_uid", "in_uids", "backward", "taylor")
 
-    def __init__(self, out_uid, in_uids, backward):
+    def __init__(self, out_uid, in_uids, backward, taylor):
         self.out_uid = out_uid
         self.in_uids = in_uids
         self.backward = backward
+        self.taylor = taylor
 
 
-class Tape:
-    """Ordered record of primitive ops for one reverse-mode sweep.
+class _Recorder:
+    """Ordered record of the primitive ops that depend on watched tensors.
 
-    Single-writer: one thread records and replays.  Use as a context
-    manager; call :meth:`gradient` after the ``with`` block so the replay
-    itself is not re-recorded (outer tapes still see it, which is what
-    makes nested/higher-order differentiation work).
+    Single-writer: the thread that opens the ``with`` block records and
+    replays.  Replay after the ``with`` block, so the replay itself is not
+    re-recorded (outer recorders still see it, which is what makes nested
+    and higher-order differentiation work).
     """
 
     def __init__(self):
@@ -153,11 +168,11 @@ class Tape:
         self._live = set()
 
     def __enter__(self):
-        _TAPES.append(self)
+        _ACTIVE.recorders.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _TAPES.remove(self)
+        _ACTIVE.recorders.remove(self)
         return False
 
     def watch(self, *tensors):
@@ -166,6 +181,15 @@ class Tape:
 
     def tracks(self, t):
         return t.uid in self._live
+
+    def _require(self, tensors):
+        for t in tensors:
+            if t.uid not in self._live:
+                raise UnknownNode(f"tensor uid {t.uid} was not recorded here")
+
+
+class Tape(_Recorder):
+    """Reverse mode: replays the records backward from a scalar output."""
 
     def gradient(self, output, inputs):
         """Reverse-replay adjoints of a scalar `output` w.r.t. `inputs`.
@@ -177,10 +201,7 @@ class Tape:
             raise NonScalarOutput(
                 f"gradient target must be scalar, got shape {output.shape}"
             )
-        wanted = {t.uid for t in inputs}
-        for t in inputs:
-            if t.uid not in self._live:
-                raise UnknownNode(f"tensor uid {t.uid} was not recorded on this tape")
+        self._require(inputs)
         adjoints = {output.uid: ones(output.shape)}
         for rec in reversed(self.records):
             adj = adjoints.pop(rec.out_uid, None)
@@ -198,15 +219,119 @@ class Tape:
         }
 
 
-def _record(out, inputs, backward):
-    if not _TAPES:
+class Jet(_Recorder):
+    """Taylor mode: replays the records forward along one direction.
+
+    A tensor's coefficients along a direction are its first and second
+    derivatives t1, t2 along it.  Each record's Taylor rule maps the
+    coefficients of the op's inputs to those of its output, for example
+    ``t1 = f'(a) a1`` and ``t2 = f'(a) a2 + f''(a) a1**2`` for a unary map,
+    so one forward replay gives every recorded tensor's derivatives, where
+    reverse mode needs one sweep per output and nested sweeps for t2.
+    """
+
+    def push(self, x, order=2, direction=None):
+        """Coefficients up to `order` (1 or 2) along `direction` (a tensor of
+        `x`'s shape; ones by default) at the watched tensor `x`: a list with
+        one dict uid -> Tensor per order.  A tensor missing from a dict has
+        a zero coefficient.
+        """
+        if order not in (1, 2):
+            raise ArityMismatch(f"Taylor order must be 1 or 2, got {order}")
+        self._require([x])
+        if direction is None:
+            direction = ones(x.shape)
+        elif direction.shape != x.shape:
+            raise ShapeMismatch(
+                f"direction {direction.shape} does not match {x.shape}")
+        coeffs = [{x.uid: direction}] + [{} for _ in range(order - 1)]
+        first = coeffs[0]
+        for rec in self.records:
+            ds = [tuple(first.get(uid) for uid in rec.in_uids)]
+            if all(c is None for c in ds[0]):
+                continue
+            ds += [tuple(ck.get(uid) for uid in rec.in_uids)
+                   for ck in coeffs[1:]]
+            for ck, t in zip(coeffs, rec.taylor(ds)):
+                if t is not None:
+                    ck[rec.out_uid] = t
+        return coeffs
+
+
+def _record(out, inputs, backward, taylor):
+    """Record `out` = op(`inputs`) on every active recorder that tracks an
+    input.  `backward(adj, want)` returns the adjoints of the inputs;
+    `taylor(ds)` maps ``ds[k]``, the order-(k+1) coefficients of the inputs
+    (None for zero), to the output's coefficients up to that order.
+
+    Rules that need only the output's shape bind the shape
+    (``shape=out.shape``), so that a recorder does not keep the output
+    itself alive."""
+    if not _ACTIVE.recorders:
         return
-    for tape in _TAPES:
-        if any(t.uid in tape._live for t in inputs):
-            tape._live.add(out.uid)
-            tape.records.append(
-                _Record(out.uid, tuple(t.uid for t in inputs), backward)
-            )
+    rec = None
+    for r in _ACTIVE.recorders:
+        if any(t.uid in r._live for t in inputs):
+            if rec is None:
+                rec = _Record(out.uid, tuple(t.uid for t in inputs),
+                              backward, taylor)
+            r._live.add(out.uid)
+            r.records.append(rec)
+
+
+# Helpers of the Taylor rules.  A coefficient of None stands for zero.
+
+def _plus(a, b):
+    if a is None:
+        return b
+    return a if b is None else add(a, b)
+
+
+def _minus(a, b):
+    if b is None:
+        return a
+    return neg(b) if a is None else sub(a, b)
+
+
+def _on(f, a, b):
+    """f(a, b), or zero if either is zero (f bilinear)."""
+    return None if a is None or b is None else f(a, b)
+
+
+def _fit(c, shape):
+    """A coefficient in the full shape of its tensor, so that reductions,
+    slices and reshapes of it see every element."""
+    return c if c is None or c.shape == shape else broadcast_to(c, shape)
+
+
+def _linear(ds, f, *args):
+    """Rule of an op linear in its single input: t_k = f(a_k)."""
+    return [None if c is None else f(c, *args) for (c,) in ds]
+
+
+def _bilinear(ds, f, a, b, shape):
+    """Rule of an op linear in each of its two inputs (mul, matmul):
+    t1 = f(a1, b) + f(a, b1), t2 = f(a2, b) + 2 f(a1, b1) + f(a, b2)."""
+    (a1, b1) = ds[0]
+    out = [_plus(_on(f, a1, b), _on(f, a, b1))]
+    if len(ds) > 1:
+        (a2, b2) = ds[1]
+        cross = _on(f, a1, b1)
+        out.append(_plus(_plus(_on(f, a2, b), _on(f, a, b2)),
+                         _plus(cross, cross)))
+    return [_fit(c, shape) for c in out]
+
+
+def _chain(ds, first, second):
+    """Rule of a unary map f with f'(a) = first() and f''(a) = second(f'(a)):
+    t1 = f'(a) a1, t2 = f'(a) a2 + f''(a) a1**2."""
+    (a1,) = ds[0]
+    fp = first()
+    out = [mul(fp, a1)]
+    if len(ds) > 1:
+        (a2,) = ds[1]
+        out.append(_plus(_on(mul, fp, a2), mul(second(fp), mul(a1, a1))))
+    return out
 
 
 def _unbroadcast(grad, shape):
@@ -243,7 +368,8 @@ def add(a, b):
     _record(out, (a, b), lambda adj, want: (
         _unbroadcast(adj, a.shape) if want[0] else None,
         _unbroadcast(adj, b.shape) if want[1] else None,
-    ))
+    ), lambda ds, shape=out.shape: [_fit(_plus(da, db), shape)
+                                    for da, db in ds])
     return out
 
 
@@ -254,7 +380,8 @@ def sub(a, b):
     _record(out, (a, b), lambda adj, want: (
         _unbroadcast(adj, a.shape) if want[0] else None,
         _unbroadcast(neg(adj), b.shape) if want[1] else None,
-    ))
+    ), lambda ds, shape=out.shape: [_fit(_minus(da, db), shape)
+                                    for da, db in ds])
     return out
 
 
@@ -265,7 +392,7 @@ def mul(a, b):
     _record(out, (a, b), lambda adj, want: (
         _unbroadcast(mul(adj, b), a.shape) if want[0] else None,
         _unbroadcast(mul(adj, a), b.shape) if want[1] else None,
-    ))
+    ), lambda ds, shape=out.shape: _bilinear(ds, mul, a, b, shape))
     return out
 
 
@@ -282,14 +409,26 @@ def div(a, b):
             gb = _unbroadcast(neg(div(mul(adj, a), mul(b, b))), b.shape)
         return ga, gb
 
-    _record(out, (a, b), backward)
+    def taylor(ds):
+        # differentiate a = out * b: a_k = sum_j C(k, j) out_j b_(k-j)
+        (a1, b1) = ds[0]
+        q1 = _fit(_on(div, _minus(a1, _on(mul, out, b1)), b), out.shape)
+        if len(ds) == 1:
+            return [q1]
+        (a2, b2) = ds[1]
+        cross = _on(mul, q1, b1)
+        rest = _minus(_minus(a2, _plus(cross, cross)), _on(mul, out, b2))
+        return [q1, _fit(_on(div, rest, b), out.shape)]
+
+    _record(out, (a, b), backward, taylor)
     return out
 
 
 def neg(a):
     a = _as_tensor(a)
     out = Tensor(-a.data)
-    _record(out, (a,), lambda adj, want: (neg(adj) if want[0] else None,))
+    _record(out, (a,), lambda adj, want: (neg(adj) if want[0] else None,),
+            lambda ds: _linear(ds, neg))
     return out
 
 
@@ -310,14 +449,41 @@ def power(a, b):
             gb = _unbroadcast(mul(adj, mul(out, log(a))), b.shape)
         return ga, gb
 
-    _record(out, (a, b), backward)
+    def taylor(ds):
+        # partials of a**b: f_a = b a**(b-1), f_b = out log a,
+        # f_aa = b (b-1) a**(b-2), f_ab = a**(b-1) (1 + b log a),
+        # f_bb = out (log a)**2; log a is only taken where b varies
+        (a1, b1) = ds[0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b_1 = sub(b, Tensor(1.0))
+            f_a = None if a1 is None else mul(b, power(a, b_1))
+            log_a = None if b1 is None else log(a)
+            f_b = None if b1 is None else mul(out, log_a)
+            t1 = _fit(_plus(_on(mul, f_a, a1), _on(mul, f_b, b1)), out.shape)
+            if len(ds) == 1:
+                return [t1]
+            (a2, b2) = ds[1]
+            t2 = _plus(_on(mul, f_a, a2), _on(mul, f_b, b2))
+            if a1 is not None:
+                f_aa = mul(mul(b, b_1), power(a, sub(b, Tensor(2.0))))
+                t2 = _plus(t2, mul(f_aa, mul(a1, a1)))
+            if b1 is not None:
+                t2 = _plus(t2, mul(mul(f_b, log_a), mul(b1, b1)))
+            if a1 is not None and b1 is not None:
+                f_ab = mul(power(a, b_1), add(Tensor(1.0), mul(b, log_a)))
+                cross = mul(f_ab, mul(a1, b1))
+                t2 = add(t2, add(cross, cross))
+        return [t1, _fit(t2, out.shape)]
+
+    _record(out, (a, b), backward, taylor)
     return out
 
 
 def exp(a):
     a = _as_tensor(a)
     out = Tensor(np.exp(a.data))
-    _record(out, (a,), lambda adj, want: (mul(adj, out) if want[0] else None,))
+    _record(out, (a,), lambda adj, want: (mul(adj, out) if want[0] else None,),
+            lambda ds: _chain(ds, lambda: out, lambda fp: out))
     return out
 
 
@@ -325,14 +491,18 @@ def log(a):
     a = _as_tensor(a)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = Tensor(np.log(a.data))
-    _record(out, (a,), lambda adj, want: (div(adj, a) if want[0] else None,))
+    _record(out, (a,), lambda adj, want: (div(adj, a) if want[0] else None,),
+            lambda ds: _chain(ds, lambda: div(Tensor(1.0), a),
+                              lambda fp: neg(mul(fp, fp))))
     return out
 
 
 def sin(a):
     a = _as_tensor(a)
     out = Tensor(np.sin(a.data))
-    _record(out, (a,), lambda adj, want: (mul(adj, cos(a)) if want[0] else None,))
+    _record(out, (a,), lambda adj, want: (
+        mul(adj, cos(a)) if want[0] else None,
+    ), lambda ds: _chain(ds, lambda: cos(a), lambda fp: neg(out)))
     return out
 
 
@@ -341,7 +511,8 @@ def cos(a):
     out = Tensor(np.cos(a.data))
     _record(out, (a,), lambda adj, want: (
         neg(mul(adj, sin(a))) if want[0] else None,
-    ))
+    ), lambda ds: _chain(ds, lambda: neg(sin(a)),
+                         lambda fp: neg(out)))
     return out
 
 
@@ -354,7 +525,10 @@ def tanh(a):
             return (None,)
         return (mul(adj, sub(Tensor(1.0), mul(out, out))),)
 
-    _record(out, (a,), backward)
+    # f' = 1 - out**2, f'' = -2 out f'
+    _record(out, (a,), backward, lambda ds: _chain(
+        ds, lambda: sub(Tensor(1.0), mul(out, out)),
+        lambda fp: mul(Tensor(-2.0), mul(out, fp))))
     return out
 
 
@@ -362,24 +536,34 @@ def relu(a):
     # Subgradient 0 at the kink.
     a = _as_tensor(a)
     out = Tensor(np.maximum(a.data, 0.0))
+    if not _ACTIVE.recorders:
+        return out
     gate = Tensor((a.data > 0.0).astype(np.float64))
     _record(out, (a,), lambda adj, want: (
         mul(adj, gate) if want[0] else None,
-    ))
+    ), lambda ds: _linear(ds, mul, gate))
     return out
+
+
+def _gated(ds, ga, gb, shape):
+    """Rule of maximum/minimum: each side's coefficients where it wins."""
+    return [_fit(_plus(_on(mul, da, ga), _on(mul, db, gb)), shape)
+            for da, db in ds]
 
 
 def maximum(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     _broadcast_check(a, b, "maximum")
     out = Tensor(np.maximum(a.data, b.data))
+    if not _ACTIVE.recorders:
+        return out
     # Ties get subgradient 0 on both sides.
     ga = Tensor((a.data > b.data).astype(np.float64))
     gb = Tensor((b.data > a.data).astype(np.float64))
     _record(out, (a, b), lambda adj, want: (
         _unbroadcast(mul(adj, ga), a.shape) if want[0] else None,
         _unbroadcast(mul(adj, gb), b.shape) if want[1] else None,
-    ))
+    ), lambda ds, shape=out.shape: _gated(ds, ga, gb, shape))
     return out
 
 
@@ -387,12 +571,14 @@ def minimum(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     _broadcast_check(a, b, "minimum")
     out = Tensor(np.minimum(a.data, b.data))
+    if not _ACTIVE.recorders:
+        return out
     ga = Tensor((a.data < b.data).astype(np.float64))
     gb = Tensor((b.data < a.data).astype(np.float64))
     _record(out, (a, b), lambda adj, want: (
         _unbroadcast(mul(adj, ga), a.shape) if want[0] else None,
         _unbroadcast(mul(adj, gb), b.shape) if want[1] else None,
-    ))
+    ), lambda ds, shape=out.shape: _gated(ds, ga, gb, shape))
     return out
 
 
@@ -446,7 +632,8 @@ def reduce_sum(a, axes=None, keepdims=False):
             g = reshape(g, _restore_shape(a.shape, axes))
         return (broadcast_to(g, a.shape),)
 
-    _record(out, (a,), backward)
+    _record(out, (a,), backward,
+            lambda ds: _linear(ds, reduce_sum, axes, keepdims))
     return out
 
 
@@ -490,7 +677,7 @@ def reshape(a, shape):
         ) from None
     _record(out, (a,), lambda adj, want: (
         reshape(adj, a.shape) if want[0] else None,
-    ))
+    ), lambda ds: _linear(ds, reshape, shape))
     return out
 
 
@@ -499,10 +686,12 @@ def transpose(a, axes=None):
     if axes is None:
         axes = tuple(reversed(range(a.ndim)))
     out = Tensor(np.transpose(a.data, axes))
+    if not _ACTIVE.recorders:
+        return out
     inv = tuple(np.argsort(axes))
     _record(out, (a,), lambda adj, want: (
         transpose(adj, inv) if want[0] else None,
-    ))
+    ), lambda ds: _linear(ds, transpose, axes))
     return out
 
 
@@ -516,7 +705,7 @@ def broadcast_to(a, shape):
         ) from None
     _record(out, (a,), lambda adj, want: (
         _unbroadcast(adj, a.shape) if want[0] else None,
-    ))
+    ), lambda ds: _linear(ds, broadcast_to, shape))
     return out
 
 
@@ -543,7 +732,8 @@ def matmul(a, b):
             gb = _unbroadcast(matmul(_swap_last(a), adj), b.shape)
         return ga, gb
 
-    _record(out, (a, b), backward)
+    _record(out, (a, b), backward,
+            lambda ds, shape=out.shape: _bilinear(ds, matmul, a, b, shape))
     return out
 
 
@@ -565,7 +755,7 @@ def sparse_matmul(S, x):
     out = Tensor(np.moveaxis(moved, 0, -2))
     _record(out, (x,), lambda adj, want: (
         sparse_matmul(S.T, adj) if want[0] else None,
-    ))
+    ), lambda ds: _linear(ds, lambda c: sparse_matmul(S, c)))
     return out
 
 
@@ -590,6 +780,8 @@ def concat(parts, axis=-1):
                     f"concat non-axis dims differ: {p.shape} vs {parts[0].shape}"
                 )
     out = Tensor(np.concatenate([p.data for p in parts], axis=ax))
+    if not _ACTIVE.recorders:
+        return out
     sizes = [p.shape[ax] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
@@ -604,7 +796,12 @@ def concat(parts, axis=-1):
             grads.append(take_slice(adj, tuple(spec)))
         return tuple(grads)
 
-    _record(out, tuple(parts), backward)
+    def taylor(ds):
+        return [None if all(c is None for c in d) else concat(
+            [zeros(p.shape) if c is None else c for p, c in zip(parts, d)],
+            axis=ax) for d in ds]
+
+    _record(out, tuple(parts), backward, taylor)
     return out
 
 
@@ -625,7 +822,7 @@ def take_slice(a, spec):
             return (None,)
         return (scatter_slice(adj, spec, a.shape),)
 
-    _record(out, (a,), backward)
+    _record(out, (a,), backward, lambda ds: _linear(ds, take_slice, spec))
     return out
 
 
@@ -637,7 +834,7 @@ def scatter_slice(adj, spec, shape):
     out = Tensor(buf)
     _record(out, (adj,), lambda a2, want: (
         take_slice(a2, spec) if want[0] else None,
-    ))
+    ), lambda ds: _linear(ds, scatter_slice, spec, shape))
     return out
 
 

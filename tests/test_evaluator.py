@@ -68,6 +68,28 @@ class TestBasics:
         ctx = ev.EvalContext(bindings={x: np.array(2.0)})
         assert ev.evaluate(nested, ctx).item() == 16.0
 
+    def test_stats_count_child_contexts(self, monkeypatch):
+        d = dm.rect(mesh_size=0.25)
+        x, y, _ = d.variable("interior")
+        xb, yb, _ = d.variable("boundary")
+        net = nn.mlp(2, [8], 1).initialize(0)
+        u = net(tr.concat_nodes([x, y], axis=-1))
+        loss = (u.dd(x) + u.dd(y) + x * y).mse \
+            + net(tr.concat_nodes([xb, yb], axis=-1)).mse
+        runs = []
+        forward = nn.MLP.forward
+
+        def counted(model, args):
+            runs.append(1)
+            return forward(model, args)
+
+        monkeypatch.setattr(nn.MLP, "forward", counted)
+        ctx = ev.EvalContext(domain=d)
+        ev.evaluate(loss, ctx)
+        assert ctx.stats["by_kind"]["ModelCall"] == 2
+        assert len(runs) == 2
+        assert ctx.stats["by_kind"][tr.DERIVATIVE] == 2
+
     def test_temporal_separation(self):
         d = dm.rect(mesh_size=0.5, time=(0.0, 1.0, 1))
         x, y, t = d.variable("interior")

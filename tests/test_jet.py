@@ -1,0 +1,316 @@
+"""Taylor-mode (Jet) coordinate derivatives: the second-order rule of every
+primitive against central differences, and the AD derivatives of the
+evaluator against central differences and against nested reverse tapes."""
+
+import inspect
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from jno import domain as dm
+from jno import evaluator as ev
+from jno import nn
+from jno import tensor as T
+from jno import trace as tr
+from jno.errors import ArityMismatch, ShapeMismatch, UnknownNode
+
+
+def _curve(s, seed):
+    """A smooth function of `s` (values in about [0.5, 3.5]) whose first and
+    second derivatives along a direction of ones are nonzero."""
+    rng = np.random.default_rng(seed)
+    c2, c1, c0 = (T.Tensor(rng.uniform(0.5, 1.0, s.shape)) for _ in range(3))
+    return T.add(T.mul(T.mul(s, s), c2), T.add(T.mul(s, c1), c0))
+
+
+def A(s):
+    return _curve(s, 1)
+
+
+def B(s):
+    return _curve(s, 2)
+
+
+_S = sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, -1.0, 0.0],
+                             [0.5, 0.5, 0.5], [0.0, 0.0, 0.0],
+                             [3.0, 0.0, -2.0]]))
+_C = T.Tensor(np.linspace(-1.0, 1.0, 8).reshape(4, 2))
+
+# Each case builds its output from a watched s of shape (3, 4) through one
+# primitive whose inputs vary with s (both inputs, for the binary ones, so
+# that the cross term of the second coefficient is exercised).
+CASES = {
+    "add": lambda s: T.add(A(s), T.reduce_sum(B(s), axes=0)),
+    "sub": lambda s: T.sub(T.reduce_sum(A(s), axes=1, keepdims=True), B(s)),
+    "mul": lambda s: T.mul(A(s), T.reduce_sum(B(s), axes=0)),
+    "div": lambda s: T.div(A(s), B(s)),
+    "neg": lambda s: T.neg(A(s)),
+    "power": lambda s: T.power(A(s), B(s)),
+    "exp": lambda s: T.exp(A(s)),
+    "log": lambda s: T.log(A(s)),
+    "sin": lambda s: T.sin(A(s)),
+    "cos": lambda s: T.cos(A(s)),
+    "tanh": lambda s: T.tanh(T.sub(A(s), T.Tensor(2.0))),
+    "relu": lambda s: T.relu(T.sub(A(s), B(s))),
+    "maximum": lambda s: T.maximum(A(s), B(s)),
+    "minimum": lambda s: T.minimum(A(s), B(s)),
+    "reduce_sum": lambda s: T.reduce_sum(A(s), axes=1),
+    "reshape": lambda s: T.reshape(A(s), (2, 6)),
+    "transpose": lambda s: T.transpose(A(s)),
+    "broadcast_to": lambda s: T.broadcast_to(
+        T.reduce_sum(A(s), axes=0, keepdims=True), (2, 3, 4)),
+    "matmul": lambda s: T.matmul(A(s), T.transpose(B(s))),
+    "sparse_matmul": lambda s: T.sparse_matmul(_S, A(s)),
+    "concat": lambda s: T.concat([A(s), T.ones((3, 1)), B(s)], axis=1),
+    "take_slice": lambda s: T.take_slice(A(s), (slice(0, 2), 1)),
+    "scatter_slice": lambda s: T.scatter_slice(A(s), (slice(1, 4),), (5, 4)),
+}
+
+# More inputs for the branches that the cases above leave out.
+MORE = {
+    "power_const_exponent": lambda s: T.power(A(s), T.Tensor(3.0)),
+    "power_const_base": lambda s: T.power(T.Tensor(1.7), A(s)),
+    "mul_const": lambda s: T.mul(A(s), T.Tensor(-2.5)),
+    "div_const_numerator": lambda s: T.div(T.Tensor(2.0), A(s)),
+    "matmul_const_right": lambda s: T.matmul(A(s), _C),
+    "concat_one_varying": lambda s: T.concat([T.zeros((3, 4)), A(s)], axis=0),
+}
+
+
+def _primitives_that_record():
+    return {name for name, fn in inspect.getmembers(T, inspect.isfunction)
+            if fn.__module__ == T.__name__ and not name.startswith("_")
+            and "_record(" in inspect.getsource(fn)}
+
+
+def test_every_recorded_primitive_has_a_taylor_rule():
+    assert _primitives_that_record() == set(CASES)
+    for f in CASES.values():
+        s = T.Tensor(np.full((3, 4), 0.3))
+        with T.Jet() as jet:
+            jet.watch(s)
+            out = f(s)
+        assert jet.records[-1].out_uid == out.uid
+        assert callable(jet.records[-1].taylor)
+
+
+def _coefficients(f, s0, order):
+    s = T.Tensor(s0)
+    with T.Jet() as jet:
+        jet.watch(s)
+        out = f(s)
+    coeffs = jet.push(s, order)
+    return [c.get(out.uid, T.zeros(out.shape)).data for c in coeffs]
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + sorted(MORE))
+def test_coefficients_match_central_differences(name):
+    f = {**CASES, **MORE}[name]
+    s0 = np.random.default_rng(0).uniform(0.2, 0.8, (3, 4))
+    t1, t2 = _coefficients(f, s0, 2)
+    (only_t1,) = _coefficients(f, s0, 1)
+    assert only_t1.tobytes() == t1.tobytes()
+
+    def at(shift):
+        return f(T.Tensor(s0 + shift)).data
+
+    h1, h2 = 1e-5, 1e-3
+    fd1 = (at(h1) - at(-h1)) / (2 * h1)
+    fd2 = (at(h2) - 2 * at(0.0) + at(-h2)) / h2 ** 2
+    scale = 1.0 + np.abs(fd2).max()
+    np.testing.assert_allclose(t1, fd1, atol=1e-7 * scale)
+    np.testing.assert_allclose(t2, fd2, atol=1e-5 * scale)
+
+
+def test_push_needs_a_watched_tensor_and_order_one_or_two():
+    s = T.Tensor(np.ones(3))
+    with T.Jet() as jet:
+        jet.watch(s)
+        T.sin(s)
+    with pytest.raises(UnknownNode):
+        jet.push(T.Tensor(np.ones(3)))
+    with pytest.raises(ArityMismatch):
+        jet.push(s, 3)
+
+
+def test_parameter_tape_records_the_push():
+    # a Tape around the push differentiates the Laplacian w.r.t. w:
+    # d/dw sum(-w**2 sin(w s)) against central differences
+    s0 = np.linspace(0.1, 0.9, 5)
+
+    def lap(w):
+        s = T.Tensor(s0)
+        with T.Jet() as jet:
+            jet.watch(s)
+            out = T.sin(T.mul(w, s))
+        return T.reduce_sum(jet.push(s, 2)[1][out.uid])
+
+    w = T.Tensor(1.3)
+    with T.Tape() as tape:
+        tape.watch(w)
+        total = lap(w)
+    g = tape.gradient(total, [w])[w.uid].item()
+    h = 1e-6
+    fd = (lap(T.Tensor(1.3 + h)).item()
+          - lap(T.Tensor(1.3 - h)).item()) / (2 * h)
+    exact = np.sum(-2 * 1.3 * np.sin(1.3 * s0)
+                   - 1.3 ** 2 * s0 * np.cos(1.3 * s0))
+    assert g == pytest.approx(fd, rel=1e-7)
+    assert g == pytest.approx(exact, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Evaluator AD derivatives
+# ---------------------------------------------------------------------------
+
+def _mlp_rect():
+    d = dm.rect(mesh_size=0.25)
+    x, y, _ = d.variable("interior")
+    net = nn.mlp(2, [32, 32], 1).initialize(5)
+    u = net(tr.concat_nodes([x, y], axis=-1))
+    return d, x, y, net, u
+
+
+def _forward(net, px, py):
+    return net.forward([T.Tensor(np.concatenate([px, py], axis=-1))]).data
+
+
+def _nested_tape_second_derivative(net, px, py, axis):
+    """Reference: d2u/dc2 as the gradient of the gradient of sum(u), with
+    two nested reverse tapes on a copy of the coordinate."""
+    cs = [T.Tensor(px.copy()), T.Tensor(py.copy())]
+    c = cs[axis]
+    with T.Tape() as outer:
+        outer.watch(c)
+        with T.Tape() as inner:
+            inner.watch(c)
+            u = net.forward([T.concat(cs, axis=-1)])
+            total = T.reduce_sum(u)
+        g = inner.gradient(total, [c])[c.uid]
+        g_total = T.reduce_sum(g)
+    return outer.gradient(g_total, [c])[c.uid].data
+
+
+def test_mlp_laplacian_against_differences_and_nested_tapes():
+    d, x, y, net, u = _mlp_rect()
+    lap = ev.evaluate(u.dd(x) + u.dd(y), ev.EvalContext(domain=d)).data
+    pts = d.context["interior"]
+    px, py = pts[..., :1], pts[..., 1:2]
+
+    h = 1e-4
+    u0 = _forward(net, px, py)
+    fd = (_forward(net, px + h, py) + _forward(net, px - h, py)
+          + _forward(net, px, py + h) + _forward(net, px, py - h)
+          - 4 * u0) / h ** 2
+    np.testing.assert_allclose(lap, fd, atol=1e-6)
+
+    ref = _nested_tape_second_derivative(net, px, py, 0) \
+        + _nested_tape_second_derivative(net, px, py, 1)
+    np.testing.assert_allclose(lap, ref, rtol=1e-12, atol=1e-12)
+
+
+def test_mlp_mixed_partial_against_differences():
+    d, x, y, net, u = _mlp_rect()
+    got = ev.evaluate(tr.d(tr.d(u, x), y), ev.EvalContext(domain=d)).data
+    pts = d.context["interior"]
+    px, py = pts[..., :1], pts[..., 1:2]
+    h = 1e-4
+    fd = (_forward(net, px + h, py + h) - _forward(net, px + h, py - h)
+          - _forward(net, px - h, py + h) + _forward(net, px - h, py - h)) \
+        / (4 * h ** 2)
+    np.testing.assert_allclose(got, fd, atol=1e-6)
+
+
+def test_derivative_of_a_derivative_sees_the_inner_path():
+    d = dm.line(mesh_size=0.25)
+    x, _ = d.variable("interior")
+    val = ev.evaluate(tr.d(tr.d(x * x * x, x), x), ev.EvalContext(domain=d))
+    pts = d.context["interior"][..., 0:1]
+    np.testing.assert_allclose(val.data, 6 * pts, rtol=1e-14)
+
+
+def test_pointwise_map_with_several_output_columns():
+    d = dm.line(mesh_size=0.25)
+    x, _ = d.variable("interior")
+    W = tr.constant(T.Tensor(np.array([[1.0, 2.0, 3.0]])))
+    val = ev.evaluate(tr.d(tr.matmul_nodes(x, W), x), ev.EvalContext(domain=d))
+    assert val.shape == (1, 1, 3, 3)
+    np.testing.assert_array_equal(val.data[0, 0], np.tile([1.0, 2.0, 3.0],
+                                                          (3, 1)))
+
+
+def test_push_along_a_direction():
+    s = T.Tensor(np.linspace(0.1, 0.9, 4))
+    with T.Jet() as jet:
+        jet.watch(s)
+        out = T.sin(s)
+    t1, t2 = (c[out.uid].data for c in jet.push(s, 2, T.full((4,), 2.0)))
+    np.testing.assert_allclose(t1, 2 * np.cos(s.data), rtol=1e-15)
+    np.testing.assert_allclose(t2, -4 * np.sin(s.data), rtol=1e-15)
+    with pytest.raises(ShapeMismatch):
+        jet.push(s, 1, T.ones((4, 1)))
+
+
+def test_variable_with_several_columns():
+    # u.d(X) and u.dd(X) of an unsplit (x, y) variable hold one column per
+    # coordinate: the first and the pure second partials
+    d = dm.rect(mesh_size=0.25)
+    X = d.variable("interior", split=False)
+    x, y, _ = d.variable("interior")
+    net = nn.mlp(2, [32, 32], 1).initialize(5)
+    u = net(X)
+    ctx = ev.EvalContext(domain=d)
+    pts = d.context["interior"]
+    assert ev.evaluate(u.d(X), ctx).shape == pts.shape
+    grad = ev.evaluate(u.d(X), ctx).data.reshape(-1, 2).T
+    second = ev.evaluate(u.dd(X), ctx).data.reshape(-1, 2).T
+
+    def at(shift):
+        return net.forward([T.Tensor(pts + shift)]).data.reshape(-1)
+
+    for j, e in enumerate(np.eye(2)):
+        h1, h2 = 1e-6, 1e-4
+        np.testing.assert_allclose(
+            grad[j], (at(h1 * e) - at(-h1 * e)) / (2 * h1), atol=1e-8)
+        np.testing.assert_allclose(
+            second[j], (at(h2 * e) - 2 * at(0.0) + at(-h2 * e)) / h2 ** 2,
+            atol=1e-6)
+
+    # the same numbers as the split coordinates, and d(d(u, X), X) = u.dd(X)
+    split = net(tr.concat_nodes([x, y], axis=-1))
+    for j, c in enumerate((x, y)):
+        np.testing.assert_allclose(
+            ev.evaluate(split.d(c), ctx).data.reshape(-1), grad[j],
+            rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(
+            ev.evaluate(split.dd(c), ctx).data.reshape(-1), second[j],
+            rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(ev.evaluate(tr.d(u.d(X), X), ctx).data,
+                               ev.evaluate(u.dd(X), ctx).data,
+                               rtol=1e-12, atol=1e-14)
+
+
+def test_columnwise_map_of_a_variable_with_several_columns():
+    d = dm.rect(mesh_size=0.25)
+    X = d.variable("interior", split=False)
+    ctx = ev.EvalContext(domain=d)
+    pts = d.context["interior"]
+    np.testing.assert_allclose(ev.evaluate(tr.d(X * X * X, X), ctx).data,
+                               3 * pts ** 2, rtol=1e-14)
+    np.testing.assert_allclose(ev.evaluate(tr.dd(X * X * X, X), ctx).data,
+                               6 * pts, rtol=1e-14)
+
+
+def test_field_with_as_many_columns_as_the_variable():
+    # column j of v.d(X) is dv_j/dx_j, so the columns sum to div v
+    d = dm.rect(mesh_size=0.25)
+    X = d.variable("interior", split=False)
+    net = nn.mlp(2, [16], 2).initialize(3)
+    div = ev.evaluate(net(X).d(X), ev.EvalContext(domain=d)).data
+    pts = d.context["interior"]
+    h = 1e-6
+    for j, e in enumerate(np.eye(2)):
+        fd = (net.forward([T.Tensor(pts + h * e)]).data
+              - net.forward([T.Tensor(pts - h * e)]).data) / (2 * h)
+        np.testing.assert_allclose(div[..., j], fd[..., j], atol=1e-8)

@@ -125,7 +125,9 @@ def test_topology_matches_per_element_loops(name, tmp_path):
     assert [tuple(f) for f in facets.tolist()] == ref["facets"]
     assert owners.tolist() == [ref["owners"][f] for f in ref["facets"]]
     assert conn.boundary_vertices.tolist() == ref["boundary"]
-    assert [n.tolist() for n in conn.neighbors] == ref["neighbors"]
+    ptr, nbr = conn.neighbor_indptr, conn.neighbor_indices
+    assert [nbr[ptr[i]:ptr[i + 1]].tolist()
+            for i in range(mesh.num_vertices)] == ref["neighbors"]
     assert np.array_equal(conn.nodal_measure, ref["measure"])
     np.testing.assert_allclose(conn.vertex_normals, ref["normals"],
                                rtol=0, atol=1e-14)

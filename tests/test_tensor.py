@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -139,6 +141,27 @@ class TestGrad:
             y = T.mul(x, x)  # x never watched
         with pytest.raises(UnknownNode):
             t.gradient(y, [x])
+
+    @pytest.mark.parametrize("recorder", [T.Tape, T.Jet])
+    def test_recorder_ignores_other_threads(self, recorder):
+        shared = T.Tensor(np.ones(4))
+        opened, done = threading.Event(), threading.Event()
+
+        def other_thread():
+            opened.wait(timeout=10)
+            for _ in range(50):
+                T.mul(shared, shared)
+            done.set()
+
+        worker = threading.Thread(target=other_thread)
+        worker.start()
+        with recorder() as r:
+            r.watch(shared)
+            opened.set()
+            assert done.wait(timeout=10)
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert r.records == []
 
     def test_mse_linear_regression_vs_fd(self):
         rng = np.random.default_rng(0)
