@@ -1,6 +1,8 @@
 """Graph evaluation against one batch context.
 
-Node kinds dispatch through a handler table.  Derivative nodes resolve
+:func:`evaluate` walks the graph children first with an explicit stack and
+dispatches each node kind through a handler table; a handler reads its
+children's values from the context's cache.  Derivative nodes resolve
 either through Taylor-mode AD (pointwise over the point axis, one
 :class:`jno.tensor.Jet` push per direction) or through mesh-driven finite
 differences built from moving-least-squares gradient reconstruction on
@@ -30,8 +32,8 @@ class EvalContext:
 
     One context per thread; the cache is only valid for one batch, so build
     a fresh context (or call :meth:`reset_cache`) whenever bindings change.
-    Child contexts (derivatives, operation calls, FD vertex overlays) add
-    to their parent's `stats`.
+    Child contexts (AD derivative passes, FD vertex overlays) add to their
+    parent's `stats`.
     """
 
     def __init__(self, bindings=None, domain=None, derivative_mode="auto",
@@ -80,21 +82,40 @@ class EvalContext:
 
 
 def evaluate(root, ctx):
-    """Value of `root` under `ctx`; shared nodes evaluate once per context."""
-    hit = ctx.cache.get(root)
-    if hit is not None:
-        ctx.stats["cache_hits"] += 1
-        return hit
-    handler = HANDLERS.get(root.kind)
-    if handler is None:
-        raise UnassembledSymbol(f"no handler for node kind {root.kind}")
-    value = handler(root, ctx)
-    ctx.stats["evaluations"] += 1
-    ctx.stats["by_kind"][root.kind] = ctx.stats["by_kind"].get(root.kind, 0) + 1
-    if ctx.nan_check and T.has_nan(value):
-        raise NaNDetected(root, f"non-finite value at {root!r}")
-    ctx.cache[root] = value
-    return value
+    """Value of `root` under `ctx`; shared nodes evaluate once per context.
+
+    Walks the part of the graph below `root` that is not in `ctx.cache`,
+    children first and left to right, with an explicit stack: a node goes
+    on the stack again below its children and is evaluated when it comes
+    off again.  The walk does not enter Derivative nodes: their handlers
+    evaluate the expression in a child context.  `ctx.stats` counts each
+    evaluated node and each visit that found its node cached.
+    """
+    cache, stats = ctx.cache, ctx.stats
+    by_kind = stats["by_kind"]
+    expanded = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node in cache:
+            stats["cache_hits"] += 1
+        elif node not in expanded:
+            expanded.add(node)
+            stack.append(node)
+            if node.kind != tr.DERIVATIVE:
+                stack.extend(reversed(node.children))
+        else:
+            handler = HANDLERS.get(node.kind)
+            if handler is None:
+                raise UnassembledSymbol(
+                    f"no handler for node kind {node.kind}")
+            value = handler(node, ctx)
+            stats["evaluations"] += 1
+            by_kind[node.kind] = by_kind.get(node.kind, 0) + 1
+            if ctx.nan_check and T.has_nan(value):
+                raise NaNDetected(node, f"non-finite value at {node!r}")
+            cache[node] = value
+    return cache[root]
 
 
 # ---------------------------------------------------------------------------
@@ -114,43 +135,39 @@ def _eval_constant(node, ctx):
 
 
 def _eval_arith(node, ctx):
-    op = node.payload
-    args = [evaluate(c, ctx) for c in node.children]
-    return T.ELEMENTWISE[op](*args)
+    return T.ELEMENTWISE[node.payload](*[ctx.cache[c] for c in node.children])
 
 
 def _eval_compare(node, ctx):
-    a = evaluate(node.children[0], ctx)
-    b = evaluate(node.children[1], ctx)
-    return T.compare(node.payload, a, b)
+    a, b = node.children
+    return T.compare(node.payload, ctx.cache[a], ctx.cache[b])
 
 
 def _eval_reduce(node, ctx):
     op, axes = node.payload
-    return T.REDUCERS[op](evaluate(node.children[0], ctx), axes=axes)
+    return T.REDUCERS[op](ctx.cache[node.children[0]], axes=axes)
 
 
 def _eval_slice(node, ctx):
-    return T.take_slice(evaluate(node.children[0], ctx),
+    return T.take_slice(ctx.cache[node.children[0]],
                         tr.thaw_slice(node.payload))
 
 
 def _eval_concat(node, ctx):
-    return T.concat([evaluate(c, ctx) for c in node.children],
-                    axis=node.payload)
+    return T.concat([ctx.cache[c] for c in node.children], axis=node.payload)
 
 
 def _eval_reshape(node, ctx):
-    return T.reshape(evaluate(node.children[0], ctx), node.payload)
+    return T.reshape(ctx.cache[node.children[0]], node.payload)
 
 
 def _eval_transpose(node, ctx):
-    return T.transpose(evaluate(node.children[0], ctx), node.payload)
+    return T.transpose(ctx.cache[node.children[0]], node.payload)
 
 
 def _eval_matmul(node, ctx):
-    return T.matmul(evaluate(node.children[0], ctx),
-                    evaluate(node.children[1], ctx))
+    a, b = node.children
+    return T.matmul(ctx.cache[a], ctx.cache[b])
 
 
 def _eval_model_call(node, ctx):
@@ -159,20 +176,11 @@ def _eval_model_call(node, ctx):
         raise ModelNotInitialized(
             f"model {model.name!r} has no parameters; call initialize()"
         )
-    args = [evaluate(c, ctx) for c in node.children]
-    return model.forward(args)
-
-
-def _eval_op_call(node, ctx):
-    op_def = node.payload
-    values = {p: evaluate(arg, ctx)
-              for p, arg in zip(op_def.params, node.children)}
-    sub = ctx.child(values)
-    return evaluate(op_def.body, sub)
+    return model.forward([ctx.cache[c] for c in node.children])
 
 
 def _eval_tracker(node, ctx):
-    return evaluate(node.children[0], ctx)
+    return ctx.cache[node.children[0]]
 
 
 def _eval_symbol(node, ctx):
@@ -204,7 +212,6 @@ HANDLERS = {
     tr.MATMUL: _eval_matmul,
     tr.DERIVATIVE: _eval_derivative,
     tr.MODEL_CALL: _eval_model_call,
-    tr.OP_CALL: _eval_op_call,
     tr.TRACKER: _eval_tracker,
     tr.TRIAL: _eval_symbol,
     tr.TEST: _eval_symbol,
@@ -287,8 +294,8 @@ def _check_pointwise(expr, wrt, ctx):
     that moves it.
 
     Shapes are read from the values `ctx` cached while evaluating `expr`,
-    and from the passes of the AD derivatives inside it; parts evaluated in
-    other contexts (FD derivatives, operation bodies) are not checked.
+    and from the passes of the AD derivatives inside it; FD derivatives
+    inside it, evaluated in their own contexts, are not checked.
     """
     depends = {wrt}
     for n in tr.toposort(expr):

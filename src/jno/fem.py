@@ -703,27 +703,6 @@ def newton_solve(op, u0, tol=1e-10, max_iter=10):
 # vpinn
 # ---------------------------------------------------------------------------
 
-def _substitute(root, mapping):
-    """Rebuild `root` with nodes replaced per `mapping` (identity keys)."""
-    memo = {}
-
-    def rec(node):
-        if node in mapping:
-            return mapping[node]
-        hit = memo.get(node)
-        if hit is not None:
-            return hit
-        new_children = tuple(rec(c) for c in node.children)
-        if new_children == node.children:
-            out = node
-        else:
-            out = tr.ExprNode(node.kind, node.payload, new_children, node.name)
-        memo[node] = out
-        return out
-
-    return rec(root)
-
-
 def _test_weights(setup, term):
     """(n_free, E*nq) matrix of quadrature-weighted test values."""
     region = term.region
@@ -768,7 +747,7 @@ def assemble_vpinn(setup, terms, trial):
         # start from the signed ones, so that every piece, a constant one
         # too, spans the whole point axis of W
         s_expr = tr.constant(np.full((1, 1, W.shape[1], 1), term.sign))
-        for f in term.coeff + [_substitute(f, mapping) for f in factors]:
+        for f in term.coeff + [tr.substitute(f, mapping) for f in factors]:
             s_expr = s_expr * f
 
         for node in tr.walk(s_expr):

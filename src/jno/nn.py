@@ -199,7 +199,6 @@ class Model:
         self._mask = {}
         self._saved_mask = None
         self.lora_cfg = None
-        self.precision = "f64"
         self.opt_spec = None
         self.opt_state = None
         self._initialized = False
@@ -276,18 +275,6 @@ class Model:
             adapted.append(p)
         self.lora_cfg = {"rank": int(rank), "alpha": float(alpha),
                          "paths": adapted}
-        return self
-
-    def dtype(self, precision):
-        if precision not in ("f32", "f64"):
-            raise BadDimension(f"precision must be f32 or f64, got {precision!r}")
-        self.precision = precision
-        if precision == "f32":
-            self.params = {
-                p: T.Tensor(t.data.astype(np.float32).astype(np.float64),
-                            precision="f32")
-                for p, t in self.params.items()
-            }
         return self
 
     # -- trainable set -----------------------------------------------------

@@ -40,20 +40,15 @@ _ACTIVE = _Active()
 
 
 class Tensor:
-    """Immutable dense array of 64-bit reals.
+    """Immutable dense array of 64-bit reals."""
 
-    `precision` is a storage hint only ({"f32", "f64"}); arithmetic always
-    accumulates in f64.
-    """
+    __slots__ = ("data", "uid")
 
-    __slots__ = ("data", "precision", "uid")
-
-    def __init__(self, data, precision="f64"):
+    def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
         self.data = arr
-        self.precision = precision
         self.uid = next(_UIDS)
 
     @property
@@ -119,8 +114,8 @@ def _as_tensor(value):
     return Tensor(value)
 
 
-def tensor(data, precision="f64"):
-    return _as_tensor(data) if not isinstance(data, Tensor) else data
+def tensor(data):
+    return _as_tensor(data)
 
 
 def zeros(shape):
@@ -599,7 +594,7 @@ def compare(op, a, b):
     try:
         fn = _COMPARE_FNS[op]
     except KeyError:
-        raise ValueError(f"unknown comparison {op!r}") from None
+        raise ArityMismatch(f"unknown comparison {op!r}") from None
     return Tensor(fn(a.data, b.data).astype(np.float64))
 
 

@@ -2,7 +2,9 @@
 
 User-facing symbols build :class:`ExprNode` graphs instead of executing.
 Nodes compare and hash by identity, never by structure; structural sharing
-is introduced explicitly by :func:`cse`.
+is introduced explicitly by :func:`cse`.  Every graph walk here is a loop
+over an explicit stack, so graph depth is bounded by memory, not by the
+interpreter's recursion limit.
 """
 
 import io
@@ -34,18 +36,23 @@ TRANSPOSE = "Transpose"
 MATMUL = "MatMul"
 DERIVATIVE = "Derivative"
 MODEL_CALL = "ModelCall"
-OP_CALL = "OperationCall"
 TRACKER = "Tracker"
 TRIAL = "TrialSymbol"
 TEST = "TestSymbol"
 
 ALL_KINDS = (
     VARIABLE, LITERAL, CONSTANT, TENSOR_TAG, ARITH, COMPARE, REDUCE, SLICE,
-    CONCAT, RESHAPE, TRANSPOSE, MATMUL, DERIVATIVE, MODEL_CALL, OP_CALL,
-    TRACKER, TRIAL, TEST,
+    CONCAT, RESHAPE, TRANSPOSE, MATMUL, DERIVATIVE, MODEL_CALL, TRACKER,
+    TRIAL, TEST,
 )
 
 LEAF_KINDS = (VARIABLE, LITERAL, CONSTANT, TENSOR_TAG, TRIAL, TEST)
+
+# CSE keys these by identity: leaves that stand for distinct inputs, and
+# trackers, which are monitoring sinks and never merge.
+_IDENTITY_KINDS = frozenset(
+    (VARIABLE, CONSTANT, TENSOR_TAG, TRIAL, TEST, TRACKER)
+)
 
 _UNARY_ARITH = {"neg", "exp", "log", "sin", "cos", "tanh", "relu"}
 _BINARY_ARITH = {"add", "sub", "mul", "div", "pow", "maximum", "minimum"}
@@ -169,7 +176,7 @@ class ExprNode:
 
     def reduce(self, op, axes=None):
         if op not in T.REDUCERS:
-            raise ValueError(f"unknown reduction {op!r}")
+            raise ArityMismatch(f"unknown reduction {op!r}")
         if axes is not None and not isinstance(axes, tuple):
             axes = (axes,)
         return build(REDUCE, (op, axes), (self,))
@@ -191,6 +198,8 @@ class ExprNode:
 
 
 def _check_arity(node):
+    """Reject a node whose children do not fit its kind: a wrong count, or
+    a derivative target that is not a Variable."""
     want = _ARITY.get(node.kind)
     if node.kind == ARITH:
         op = node.payload
@@ -204,12 +213,16 @@ def _check_arity(node):
         if len(node.children) < 1:
             raise ArityMismatch("Concat needs at least one child")
         return
-    elif node.kind in (MODEL_CALL, OP_CALL):
-        return  # any arity
     if want is not None and len(node.children) != want:
         raise ArityMismatch(
             f"{node.kind} expects {want} children, got {len(node.children)}"
         )
+    if node.kind == DERIVATIVE:
+        wrt = node.children[1]
+        if not isinstance(wrt, ExprNode) or wrt.kind != VARIABLE:
+            raise NotAVariable(
+                f"derivative target must be a Variable, got {wrt!r}"
+            )
 
 
 def _freeze_slice(spec):
@@ -271,8 +284,6 @@ def tensor_tag(name, tensor):
 
 def derivative(expr, wrt, order=1, mode="default"):
     """Deferred d/d(wrt) of `expr`; `wrt` must be a Variable node."""
-    if not isinstance(wrt, ExprNode) or wrt.kind != VARIABLE:
-        raise NotAVariable(f"derivative target must be a Variable, got {wrt!r}")
     if order not in (1, 2):
         raise ArityMismatch("derivative order must be 1 or 2")
     return build(DERIVATIVE, (order, mode), (as_node(expr), wrt))
@@ -314,11 +325,16 @@ def transpose_node(a, axes=None):
 
 
 # ---------------------------------------------------------------------------
-# OperationDef / OperationCall
+# Operations
 # ---------------------------------------------------------------------------
 
 class OperationDef:
-    """A reusable equation fragment: formal placeholder params plus a body."""
+    """A reusable equation fragment: formal placeholder params plus a body.
+
+    A call inlines the body with the params replaced by the arguments, so
+    the result is an ordinary graph that CSE, shape tracing, evaluation and
+    FEM lowering see through.
+    """
 
     def __init__(self, params, body, name=None):
         for p in params:
@@ -344,7 +360,9 @@ def define_operation(params, body, name=None):
 
 
 def call_operation(op_def, bindings):
-    """Bind the formals of `op_def`; the body graph is shared, not copied."""
+    """The body of `op_def` with each formal replaced by its binding.  Body
+    nodes that depend on no formal are shared with the body, the rest are
+    copied; CSE merges identical calls."""
     missing = [p for p in op_def.params if p not in bindings]
     if missing:
         raise MissingBinding(
@@ -353,8 +371,8 @@ def call_operation(op_def, bindings):
     extra = [k for k in bindings if k not in op_def.params]
     if extra:
         raise ExtraBinding(f"unexpected bindings {[getattr(k, 'name', k) for k in extra]}")
-    ordered = tuple(as_node(bindings[p]) for p in op_def.params)
-    return build(OP_CALL, op_def, ordered, name=op_def.name)
+    return substitute(op_def.body,
+                      {p: as_node(bindings[p]) for p in op_def.params})
 
 
 # ---------------------------------------------------------------------------
@@ -381,27 +399,24 @@ def walk(roots):
 
 
 def toposort(roots):
-    """Children-before-parents order (Kahn's algorithm)."""
+    """Children-before-parents order: an iterative post-order DFS that
+    visits children left to right.  A node goes on the stack a second time,
+    below its children, and is emitted when it comes off again."""
     if isinstance(roots, ExprNode):
         roots = [roots]
-    nodes = walk(roots)
-    consumers = {n: [] for n in nodes}
-    pending = {}
-    for n in nodes:
-        pending[n] = len(set(n.children))
-        for c in set(n.children):
-            consumers[c].append(n)
-    ready = [n for n in nodes if pending[n] == 0]
-    order = []
-    while ready:
-        n = ready.pop()
-        order.append(n)
-        for parent in consumers[n]:
-            pending[parent] -= 1
-            if pending[parent] == 0:
-                ready.append(parent)
-    if len(order) != len(nodes):
-        raise AssertionError("cycle detected in expression graph")
+    order, expanded, done = [], set(), set()
+    stack = list(reversed(roots))
+    while stack:
+        node = stack.pop()
+        if node in done:
+            continue
+        if node in expanded:
+            done.add(node)
+            order.append(node)
+            continue
+        expanded.add(node)
+        stack.append(node)
+        stack.extend(reversed(node.children))
     return order
 
 
@@ -409,83 +424,53 @@ def count_nodes(roots):
     return len(walk(roots))
 
 
+def substitute(root, mapping):
+    """`root` with the nodes in `mapping` (identity keys) replaced by their
+    values.  Nodes with no replaced node below them are kept, not copied."""
+    out = dict(mapping)
+    for node in toposort(root):
+        if node not in out:
+            kids = tuple(out[c] for c in node.children)
+            out[node] = node if kids == node.children \
+                else ExprNode(node.kind, node.payload, kids, node.name)
+    return out[root]
+
+
 # ---------------------------------------------------------------------------
 # Common sub-expression elimination
 # ---------------------------------------------------------------------------
 
-def _canonical_key(node, env, memo):
-    """Structural key; identity for Variables/Constants/TensorTags/models,
-    value for Literals, and operation calls keyed through their substituted
-    bodies."""
-    if node in env:
-        return env[node]
-    hit = memo.get(node)
-    if hit is not None:
-        return hit
-    kind = node.kind
-    if kind == VARIABLE or kind == CONSTANT or kind == TENSOR_TAG \
-            or kind == TRIAL or kind == TEST:
-        key = ("id", id(node))
-    elif kind == LITERAL:
-        key = ("lit", node.payload)
-    elif kind == OP_CALL:
-        op_def = node.payload
-        inner_env = dict(env)
-        for p, arg in zip(op_def.params, node.children):
-            inner_env[p] = _canonical_key(arg, env, memo)
-        key = _canonical_key(op_def.body, inner_env, {})
-    elif kind == MODEL_CALL:
-        key = ("model", id(node.payload)) + tuple(
-            _canonical_key(c, env, memo) for c in node.children
-        )
-    elif kind == DERIVATIVE:
-        key = ("deriv", node.payload) + tuple(
-            _canonical_key(c, env, memo) for c in node.children
-        )
-    elif kind == TRACKER:
-        # trackers are monitoring sinks; never merge two trackers
-        key = ("id", id(node))
-    else:
-        key = (kind, node.payload) + tuple(
-            _canonical_key(c, env, memo) for c in node.children
-        )
-    if not env:
-        memo[node] = key
-    return key
-
-
 def cse(roots):
-    """Canonicalize structurally identical subtrees to shared nodes.
+    """Canonicalize structurally identical subgraphs to shared nodes.
 
-    Returns (new_roots, stats) where stats carries nodes_before/nodes_after.
-    Semantics are unchanged for every root.
+    One children-first pass keys each node on its kind, its payload and the
+    ids of its children's representatives, so a key costs O(children), not
+    O(subtree).  Identity kinds (distinct inputs and trackers) are keyed by
+    their own id and a model call by its model's id; Literals merge by
+    value.  Returns (new_roots, stats) where stats carries
+    nodes_before/nodes_after.  Semantics are unchanged for every root.
     """
     single = isinstance(roots, ExprNode)
     root_list = [roots] if single else list(roots)
-    before = count_nodes(root_list)
-
-    memo = {}
+    order = toposort(root_list)
     by_key = {}
     replacement = {}
-
-    for node in toposort(root_list):
-        new_children = tuple(replacement[c] for c in node.children)
-        key = _canonical_key(node, {}, memo)
-        rep = by_key.get(key)
-        if rep is not None:
-            replacement[node] = rep
-            continue
-        if new_children == node.children:
-            rep = node
+    for node in order:
+        kids = tuple(replacement[c] for c in node.children)
+        if node.kind in _IDENTITY_KINDS:
+            key = id(node)
         else:
-            rep = ExprNode(node.kind, node.payload, new_children, node.name)
-            rep.shape_hint = node.shape_hint
-        by_key[key] = rep
+            payload = id(node.payload) if node.kind == MODEL_CALL \
+                else node.payload
+            key = (node.kind, payload, tuple(map(id, kids)))
+        rep = by_key.get(key)
+        if rep is None:
+            rep = by_key[key] = node if kids == node.children \
+                else ExprNode(node.kind, node.payload, kids, node.name)
         replacement[node] = rep
 
     new_roots = [replacement[r] for r in root_list]
-    after = count_nodes(new_roots)
-    stats = {"nodes_before": before, "nodes_after": after}
+    stats = {"nodes_before": len(order), "nodes_after": len(by_key)}
     return (new_roots[0] if single else new_roots), stats
 
 
@@ -496,7 +481,7 @@ def cse(roots):
 class ShapeReport:
     def __init__(self, shapes, order, roots):
         self.shapes = shapes  # node -> shape tuple
-        self.order = order    # nodes in first-visit order
+        self.order = order    # nodes, children before parents
         self.roots = tuple(roots)
 
     def __getitem__(self, node):
@@ -583,13 +568,6 @@ def _infer_shape(node, shapes, context_shapes):
     if kind == MODEL_CALL:
         model = node.payload
         return model.output_shape([shapes[c] for c in node.children])
-    if kind == OP_CALL:
-        op_def = node.payload
-        inner = dict(context_shapes)
-        for p, arg in zip(op_def.params, node.children):
-            inner[p] = shapes[arg]
-        report = trace_shapes(op_def.body, inner)
-        return report[op_def.body]
     if kind == TRACKER:
         return shapes[node.children[0]]
     raise ShapeInferenceFailure(node, f"unhandled kind {kind}")
@@ -605,48 +583,58 @@ def trace_shapes(roots, context_shapes=None):
     root_list = [roots] if single else list(roots)
     context_shapes = context_shapes or {}
     shapes = {}
-    order = walk(root_list)
-    for node in toposort(root_list):
+    order = toposort(root_list)
+    for node in order:
         shapes[node] = _infer_shape(node, shapes, context_shapes)
     return ShapeReport(shapes, order, root_list)
+
+
+def _label(node):
+    """Kind, payload summary and name of `node`, as the dumps print it."""
+    kind, payload = node.kind, node.payload
+    if kind in (ARITH, COMPARE, LITERAL):
+        kind += f"[{payload}]"
+    elif kind == REDUCE:
+        kind += f"[{payload[0]}]"
+    elif kind == DERIVATIVE:
+        kind += f"[order={payload[0]}]"
+    elif kind == TRACKER:
+        kind += f"[every={payload}]"
+    elif kind == MODEL_CALL:
+        kind += f"[{payload.name}]"
+    return kind + (f" {node.name!r}" if node.name else "")
+
+
+def _preorder(roots):
+    """(node, depth, first) in the pre-order of an indented listing of the
+    graphs under `roots`: a node's children follow it only on its first
+    visit, so a shared node is expanded once."""
+    seen = set()
+    for root in roots:
+        stack = [(root, 0)]
+        while stack:
+            node, depth = stack.pop()
+            first = node not in seen
+            yield node, depth, first
+            if first:
+                seen.add(node)
+                stack.extend((c, depth + 1) for c in reversed(node.children))
 
 
 def print_shapes(report, sink=None):
     """Deterministic rendering of a ShapeReport; returns the text."""
     out = io.StringIO()
     index = {n: i for i, n in enumerate(report.order)}
-    seen = set()
-
-    def label(node):
-        txt = node.kind
-        if node.kind == ARITH or node.kind == COMPARE:
-            txt += f"[{node.payload}]"
-        elif node.kind == REDUCE:
-            txt += f"[{node.payload[0]}]"
-        elif node.kind == DERIVATIVE:
-            txt += f"[order={node.payload[0]}]"
-        elif node.kind == MODEL_CALL:
-            txt += f"[{node.payload.name}]"
-        elif node.kind == OP_CALL:
-            txt += f"[{node.payload.name}]"
-        if node.name:
-            txt += f" {node.name!r}"
-        return txt
-
-    def render(node, depth):
-        pad = "  " * depth
-        n = index[node]
-        if node in seen:
-            out.write(f"{pad}#{n} ^\n")
-            return
-        seen.add(node)
-        out.write(f"{pad}#{n} {label(node)} -> {report[node]}\n")
-        for c in node.children:
-            render(c, depth + 1)
-
-    for i, root in enumerate(report.roots):
-        out.write(f"root {i}:\n")
-        render(root, 1)
+    root_number = iter(range(len(report.roots)))
+    for node, depth, first in _preorder(report.roots):
+        if depth == 0:
+            out.write(f"root {next(root_number)}:\n")
+        pad = "  " * (depth + 1)
+        if first:
+            out.write(
+                f"{pad}#{index[node]} {_label(node)} -> {report[node]}\n")
+        else:
+            out.write(f"{pad}#{index[node]} ^\n")
     text = out.getvalue()
     if sink is not None:
         sink.write(text)
@@ -657,38 +645,14 @@ def dump_tree(root, sink=None):
     """Indented structural dump; shared nodes appear once, then by back-ref."""
     out = io.StringIO()
     index = {}
-    counter = iter(range(10**9))
-
-    def render(node, depth):
+    for node, depth, first in _preorder([root]):
         pad = "  " * depth
-        if node in index:
+        if first:
+            index[node] = len(index)
+            out.write(f"{pad}{index[node]}: {_label(node)} "
+                      f"children={len(node.children)}\n")
+        else:
             out.write(f"{pad}^{index[node]}\n")
-            return
-        index[node] = next(counter)
-        payload = ""
-        if node.kind in (ARITH, COMPARE):
-            payload = f"[{node.payload}]"
-        elif node.kind == REDUCE:
-            payload = f"[{node.payload[0]}]"
-        elif node.kind == LITERAL:
-            payload = f"[{node.payload}]"
-        elif node.kind == DERIVATIVE:
-            payload = f"[order={node.payload[0]}]"
-        elif node.kind == TRACKER:
-            payload = f"[every={node.payload}]"
-        elif node.kind == MODEL_CALL:
-            payload = f"[{node.payload.name}]"
-        elif node.kind == OP_CALL:
-            payload = f"[{node.payload.name}]"
-        name = f" {node.name!r}" if node.name else ""
-        out.write(
-            f"{pad}{index[node]}: {node.kind}{payload}{name} "
-            f"children={len(node.children)}\n"
-        )
-        for c in node.children:
-            render(c, depth + 1)
-
-    render(root, 0)
     text = out.getvalue()
     if sink is not None:
         sink.write(text)

@@ -142,6 +142,14 @@ class TestAdDerivatives:
         with pytest.raises(NonDifferentiablePath):
             ev.evaluate(tr.d(mix(x, s), x), ctx)
 
+    def test_point_mixing_through_an_operation_rejected(self):
+        d = dm.line(mesh_size=0.25)
+        x, _ = d.variable("interior")
+        a = tr.variable("a")
+        f = tr.define_operation([a], a * a.mean)
+        with pytest.raises(NonDifferentiablePath):
+            ev.evaluate(tr.d(f(x), x), ev.EvalContext(domain=d))
+
     def test_pointwise_reshapes_and_left_matmul_accepted(self):
         d = dm.line(mesh_size=0.25)
         x, _ = d.variable("interior")

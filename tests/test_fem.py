@@ -161,6 +161,27 @@ class TestVpinn:
         assert vpinn_value(dom, weak, np.zeros_like(uh)) > 1e-8
 
 
+class TestOperations:
+    def test_operation_lowers_like_its_inlined_body(self):
+        dom = dm.structured_rect(8, 8)
+        u, phi, (x, y) = setup_fem(dom, [dom.dirichlet("boundary", 0.0)])
+        p, q = tr.variable("p"), tr.variable("q")
+        grad_dot = tr.define_operation([p, q], laplace(p, q, (x, y)))
+        called = grad_dot(u, phi) - 1.0 * phi
+        inlined = laplace(u, phi, (x, y)) - 1.0 * phi
+        got, want = (w.assemble("fem_system") for w in (called, inlined))
+        np.testing.assert_allclose(got.full_matrix.toarray(),
+                                   want.full_matrix.toarray(), rtol=0,
+                                   atol=1e-14)
+        np.testing.assert_allclose(got.full_rhs, want.full_rhs, rtol=0,
+                                   atol=1e-14)
+        nodal = 1.1 * want.solve()
+        got, want = (ev.evaluate(w.assemble("vpinn", trial=nodal),
+                                 ev.EvalContext(domain=dom)).data
+                     for w in (called, inlined))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
 class TestNewton:
     def _op(self, n=8):
         dom = dm.structured_rect(n, n)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from jno import tensor as T
 from jno.errors import (
+    ArityMismatch,
     IndexOutOfRange,
     InvalidAxis,
     NonScalarOutput,
@@ -51,6 +52,10 @@ class TestElementwise:
     def test_compare_is_binary(self):
         out = T.compare("lt", T.Tensor([1.0, 5.0]), T.Tensor([2.0, 2.0]))
         assert out.tolist() == [1.0, 0.0]
+
+    def test_unknown_comparison(self):
+        with pytest.raises(ArityMismatch):
+            T.compare("bogus", T.ones((2,)), T.ones((2,)))
 
     @given(
         st.lists(st.floats(-10, 10), min_size=1, max_size=8),

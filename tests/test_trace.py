@@ -74,6 +74,10 @@ class TestBuild:
         assert node.kind == tr.DERIVATIVE
         assert node.payload[0] == 2
 
+    def test_unknown_reduction(self):
+        with pytest.raises(ArityMismatch):
+            tr.variable("x").reduce("bogus")
+
     def test_reduction_properties(self):
         x = tr.variable("x")
         assert (x.mse).payload == ("mse", None)
@@ -89,12 +93,26 @@ class TestBuild:
 
 class TestOperationDef:
     def test_shared_body(self):
-        a = tr.variable("a")
-        square = tr.define_operation([a], a * a, name="square")
-        x, y = tr.variable("x"), tr.variable("y")
-        c1, c2 = square(x), square(y)
-        assert c1.payload is c2.payload
-        assert c1 is not c2
+        a, k = tr.variable("a"), tr.variable("k")
+        scaled = k * 2.0
+        op = tr.define_operation([a], a * scaled, name="scale")
+        x = tr.variable("x")
+        call = op(x)
+        # the formal is replaced in a copy; the part of the body that does
+        # not depend on it is shared, and the body is left as it was
+        assert call.kind == tr.ARITH and call.payload == "mul"
+        assert call.children == (x, scaled)
+        assert op.body.children == (a, scaled)
+
+    def test_formal_derivative_target_needs_a_variable(self):
+        a, t = tr.variable("a"), tr.variable("t")
+        op = tr.define_operation([a, t], a.d(t))
+        x = tr.variable("x")
+        sq = x * x
+        call = op(sq, x)
+        assert call.kind == tr.DERIVATIVE and call.children == (sq, x)
+        with pytest.raises(NotAVariable):
+            op(x, x + 1.0)
 
     def test_missing_binding(self):
         a, b = tr.variable("a"), tr.variable("b")
@@ -118,6 +136,17 @@ class TestOperationDef:
         root = c1 + c2
         new_root, stats = tr.cse(root)
         assert stats["nodes_after"] < stats["nodes_before"]
+        assert new_root.children[0] is new_root.children[1]
+
+    def test_identical_calls_merge_to_one_subgraph(self):
+        a, b = tr.variable("a"), tr.variable("b")
+        op = tr.define_operation([a, b], (a * b + 1.0).mean)
+        x, y = tr.variable("x"), tr.variable("y")
+        root = op(x, y) + op(x, y)
+        new_root, stats = tr.cse(root)
+        # x, y and the body's literal are shared; mul, add and mean are
+        # copied per call and merge again
+        assert stats == {"nodes_before": 10, "nodes_after": 7}
         assert new_root.children[0] is new_root.children[1]
 
     def test_call_expands_like_inline_body(self):
@@ -269,3 +298,48 @@ class TestDump:
         x, y = tr.variable("x"), tr.variable("y")
         root = (x + y) * (x - y)
         assert tr.dump_tree(root) == tr.dump_tree(root)
+
+
+
+def chain(x, n):
+    """The left-deep chain x + 1 + 1 + ... with `n` additions, each of a
+    fresh Literal."""
+    node = x
+    for _ in range(n):
+        node = node + 1.0
+    return node
+
+
+class TestDeepGraphs:
+    """Graph walks use explicit stacks, so they run at the default
+    recursion limit on graphs far deeper than it."""
+
+    def test_long_chain(self):
+        from jno import evaluator as ev
+
+        n = 10 ** 5
+        x = tr.variable("x", shape=(2, 1))
+        root = chain(x, n)
+        order = tr.toposort(root)
+        assert len(order) == 2 * n + 1 and order[-1] is root
+        shared, stats = tr.cse(root)
+        assert stats == {"nodes_before": 2 * n + 1, "nodes_after": n + 2}
+        assert tr.trace_shapes(shared)[shared] == (2, 1)
+        ctx = ev.EvalContext(bindings={x: np.zeros((2, 1))})
+        assert ev.evaluate(shared, ctx).tolist() == [[n], [n]]
+        assert ctx.stats["evaluations"] == n + 2
+
+    def test_dumps_of_a_chain(self):
+        n = 3000
+        x = tr.variable("x", shape=(1,))
+        root, _ = tr.cse(chain(x, n))
+        # pre-order: the n adds down the chain, x, the one merged literal at
+        # the deepest add, then a back-reference to it for every other add
+        lines = tr.dump_tree(root).splitlines()
+        assert len(lines) == 2 * n + 1
+        assert lines[n] == "  " * n + f"{n}: Variable 'x' children=0"
+        assert lines[n + 1] == "  " * n + f"{n + 1}: Literal[1.0] children=0"
+        assert lines[-1] == f"  ^{n + 1}"
+        lines = tr.print_shapes(tr.trace_shapes(root)).splitlines()
+        assert len(lines) == 2 * n + 2 and lines[0] == "root 0:"
+        assert lines[n + 1].endswith("Variable 'x' -> (1,)")
