@@ -166,8 +166,10 @@ def _eval_transpose(node, ctx):
 
 
 def _eval_matmul(node, ctx):
-    a, b = node.children
-    return T.matmul(ctx.cache[a], ctx.cache[b])
+    a, b = (ctx.cache[c] for c in node.children)
+    if sp.issparse(a):
+        return T.sparse_matmul(a, b)
+    return T.matmul(a, b)
 
 
 def _eval_model_call(node, ctx):

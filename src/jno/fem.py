@@ -10,17 +10,29 @@ gradients.  The element type only chooses the reference rule.
 :func:`init_fem` registers each region's points in the mesh pool, under
 ``fem_gauss`` for the volume and ``gauss_<tag>`` for a boundary tag.  A
 weak-form term belongs to the region whose pool variables it uses (the
-volume when it uses none), and every target integrates a term against its
-region's record the same way, whatever the region:
+volume when it uses none).  Every target turns a term into weighted point
+values wv (E, nq) on its region, sign * weight * coefficient times what
+the target needs, and integrates them on the factored basis
+value[e, q, a] = Q[q, a] * G[e, a] of :func:`_basis` with one of two
+kernels: :func:`_vector` sums the element vectors (wv @ Q) * G of a test
+part, :func:`_matrix` scatters the element blocks
+sum_q wv Qa[q, a] Qb[q, b] * Ga[e, a] Gb[e, b] of a test and a trial part.
 
-* ``vpinn``         -> traced residual against the nodal hat test set
 * ``fem_system``    -> linear system (A, b) with Dirichlet elimination
-* ``fem_residual``  -> residual operator R(u) with Jacobian callable J(u)
+* ``fem_residual``  -> residual operator R(u), wv times the trial factors'
+                       values at the interpolated u and d(u, x_d).  Those
+                       are pointwise, so the Jacobian is the bilinear form
+                       of their partials df/du and df/d(d_d u) at each
+                       point, from one Tape pass per term, assembled
+                       against the trial parts ("value",) and ("grad", d)
 * ``fem_time``      -> semi-discrete block M u' + A u = b(t) (or its
-                       nonlinear counterpart) for implicit stepping
+                       nonlinear counterpart) for backward-Euler stepping
+* ``vpinn``         -> traced residual against the nodal hat test set: each
+                       term's test integrals are one constant (n_free, E*nq)
+                       CSR operator, applied with ``T.sparse_matmul``
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -229,47 +241,59 @@ def fem_symbols(domain):
 # Term expansion and classification
 # ---------------------------------------------------------------------------
 
-def _contains(node, kinds, memo):
-    key = (node, kinds)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    out = node.kind in kinds or any(
-        _contains(c, kinds, memo) for c in node.children
-    )
-    memo[key] = out
-    return out
-
-
 _SYMBOLS = (tr.TRIAL, tr.TEST)
 
 
-def _expand_terms(node, memo):
-    """Distribute products over sums -> list of (sign, [factor nodes])."""
-    if not _contains(node, _SYMBOLS, memo):
-        return [(1.0, [node])]
-    if node.kind == tr.ARITH:
-        op = node.payload
+def _expand(weak):
+    """(the FemSetup of its symbols, {node: frozenset of the symbol kinds
+    at or below it}, the terms of `weak` as (sign, [factor nodes])), in one
+    children-first pass that distributes products over sums.  A node's term
+    list is handed to its last parent to extend, so a long sum expands in
+    linear time."""
+    order = tr.toposort(weak)
+    pending = Counter(c for node in order for c in node.children)
+    symbols, terms = {}, {}
+
+    def take(node):
+        if not symbols[node]:
+            return [(1.0, [node])]
+        pending[node] -= 1
+        return terms.pop(node) if pending[node] == 0 else list(terms[node])
+
+    setup = None
+    for node in order:
+        kids = node.children
+        own = (node.kind,) if node.kind in _SYMBOLS else ()
+        if own:
+            setup = node.payload
+        syms = symbols[node] = frozenset(own).union(
+            *(symbols[c] for c in kids))
+        if not syms:
+            continue
+        op = node.payload if node.kind == tr.ARITH else None
         if op == "add":
-            return _expand_terms(node.children[0], memo) + \
-                _expand_terms(node.children[1], memo)
-        if op == "sub":
-            right = [(-s, f) for s, f in _expand_terms(node.children[1], memo)]
-            return _expand_terms(node.children[0], memo) + right
-        if op == "neg":
-            return [(-s, f) for s, f in _expand_terms(node.children[0], memo)]
-        if op == "mul":
-            left = _expand_terms(node.children[0], memo)
-            right = _expand_terms(node.children[1], memo)
-            return [(sl * sr, fl + fr) for sl, fl in left for sr, fr in right]
-        if op == "div":
-            den = node.children[1]
-            if _contains(den, _SYMBOLS, memo):
+            out = take(kids[0])
+            out += take(kids[1])
+        elif op == "sub":
+            out = take(kids[0])
+            out += [(-s, f) for s, f in take(kids[1])]
+        elif op == "neg":
+            out = [(-s, f) for s, f in take(kids[0])]
+        elif op == "mul":
+            left, right = take(kids[0]), take(kids[1])
+            out = [(sl * sr, fl + fr) for sl, fl in left for sr, fr in right]
+        elif op == "div":
+            if symbols[kids[1]]:
                 raise NonlinearTerm("division by trial/test is not assemblable")
-            inv = tr.literal(1.0) / den
-            return [(s, f + [inv])
-                    for s, f in _expand_terms(node.children[0], memo)]
-    return [(1.0, [node])]
+            inv = tr.literal(1.0) / kids[1]
+            symbols[inv] = frozenset()
+            out = [(s, f + [inv]) for s, f in take(kids[0])]
+        else:
+            out = [(1.0, [node])]
+        terms[node] = out
+    if setup is None:
+        raise UnassembledSymbol("weak form contains no trial/test symbols")
+    return setup, symbols, terms[weak]
 
 
 class _Term:
@@ -287,11 +311,11 @@ class _Term:
         self.temporal = False  # d(u, t) is kept as its ("value", f) part
 
 
-def _classify_term(setup, sign, factors, memo):
+def _classify_term(setup, sign, factors, symbols):
     term = _Term(sign)
     for f in factors:
-        has_trial = _contains(f, (tr.TRIAL,), memo)
-        has_test = _contains(f, (tr.TEST,), memo)
+        has_trial = tr.TRIAL in symbols[f]
+        has_test = tr.TEST in symbols[f]
         if has_trial and has_test:
             raise NonlinearTerm(
                 "a single factor mixes trial and test symbols"
@@ -383,12 +407,10 @@ def _term_region(setup, factors):
     return setup.regions[tags.pop() if tags else GAUSS_VOLUME]
 
 
-def _group(setup, weak):
-    memo = {}
-    if not _contains(weak, _SYMBOLS, memo):
-        raise UnassembledSymbol("weak form contains no trial/test symbols")
-    raw = _expand_terms(weak, memo)
-    return [_classify_term(setup, s, f, memo) for s, f in raw]
+def _group(weak):
+    """(setup, the classified terms of `weak`)."""
+    setup, symbols, raw = _expand(weak)
+    return setup, [_classify_term(setup, s, f, symbols) for s, f in raw]
 
 
 def _trial_degree(term):
@@ -450,33 +472,43 @@ def _basis(region, part):
     return np.ones((region.values.shape[0], 1)), region.grads[:, :, part[1]]
 
 
-def _weighted_terms(setup, terms, time_value=None):
-    """(term, region, sign * weight * coefficient (E, nq)) of each term."""
-    for term in terms:
-        region = term.region
-        c = _coefficient_values(setup, term, time_value)
-        yield term, region, term.sign * (region.weights * c)
+def _weights(setup, term, time_value=None):
+    """sign * quadrature weight * coefficient of `term` at its region's
+    points, (E, nq)."""
+    c = _coefficient_values(setup, term, time_value)
+    return term.sign * (term.region.weights * c)
 
 
-def _matrix(setup, terms):
-    """The bilinear terms as one full V x V CSR matrix."""
+def _linear_pieces(setup, terms, time_value=None):
+    """The kernel pieces of terms at most linear in the trial symbol:
+    (region, test part, [trial part,] weighted point values)."""
+    return [(t.region, t.test_part, *t.trial_parts[:1],
+             _weights(setup, t, time_value)) for t in terms]
+
+
+def _matrix(setup, pieces):
+    """One full V x V CSR matrix from the bilinear pieces (region, test
+    part, trial part, wv (E, nq)): the element blocks
+    sum_q wv[e, q] Qa[q, a] Qb[q, b] * Ga[e, a] Gb[e, b], scattered."""
     local = {}
-    for term, region, wc in _weighted_terms(setup, terms):
-        Qa, Ga = _basis(region, term.test_part)
-        Qb, Gb = _basis(region, term.trial_parts[0])
+    for region, test_part, trial_part, wv in pieces:
+        Qa, Ga = _basis(region, test_part)
+        Qb, Gb = _basis(region, trial_part)
         QQ = Qa[:, :, None] * Qb[:, None, :]
-        m = (wc @ QQ.reshape(len(QQ), -1)).reshape((-1,) + QQ.shape[1:]) \
+        m = (wv @ QQ.reshape(len(QQ), -1)).reshape((-1,) + QQ.shape[1:]) \
             * Ga[:, :, None] * Gb[:, None, :]
         local[region.tag] = local.get(region.tag, 0.0) + m
     return _scatter(setup, local)
 
 
-def _vector(setup, terms, time_value=None):
-    """The trial-free terms, as written, as one full-length vector."""
+def _vector(setup, pieces):
+    """One full-length vector from the pieces (region, test part,
+    wv (E, nq)): the element vectors (wv @ Q) * G, summed at their dofs."""
     out = np.zeros(setup.num_vertices)
-    for term, region, wc in _weighted_terms(setup, terms, time_value):
-        Q, G = _basis(region, term.test_part)
-        np.add.at(out, region.dofs, (wc @ Q) * G)
+    for region, test_part, wv in pieces:
+        Q, G = _basis(region, test_part)
+        out += np.bincount(region.dofs.ravel(), ((wv @ Q) * G).ravel(),
+                           minlength=setup.num_vertices)
     return out
 
 
@@ -503,23 +535,18 @@ def _reduce(setup, A_full):
         rows[:, setup.constrained] @ setup.constrained_values
 
 
-def _fields(region, u_full, tape=None):
-    """Local coefficients u_loc (E, n), watched on `tape`, and as
-    (1, 1, E*nq, 1) tensors of them: u and its gradient components at the
-    region's quadrature points (no gradients on facets)."""
+def _fields(region, u_full):
+    """u and its gradient components d(u, x_d) at the region's quadrature
+    points, as (1, 1, E*nq, 1) tensors of the nodal values `u_full` (no
+    gradients on facets)."""
     E, nq = region.weights.shape
     flat = (1, 1, E * nq, 1)
-    u_loc = T.Tensor(u_full[region.dofs])
-    if tape is not None:
-        tape.watch(u_loc)
-    u_q = T.reshape(T.matmul(u_loc, T.Tensor(region.values.T)), flat)
-    grads = []
-    if region.grads is not None:
-        for d in range(region.grads.shape[2]):
-            gd = T.reduce_sum(T.mul(u_loc, T.Tensor(region.grads[:, :, d])),
-                              axes=1, keepdims=True)            # (E, 1)
-            grads.append(T.reshape(T.broadcast_to(gd, (E, nq)), flat))
-    return u_loc, u_q, grads
+    u_loc = u_full[region.dofs]
+    u_q = T.Tensor((u_loc @ region.values.T).reshape(flat))
+    if region.grads is None:
+        return u_q, []
+    g = np.einsum("ea,ead->de", u_loc, region.grads)            # (D, E)
+    return u_q, [T.Tensor(np.repeat(gd, nq).reshape(flat)) for gd in g]
 
 
 class LinearSystem:
@@ -554,45 +581,39 @@ class LinearSystem:
 # Targets
 # ---------------------------------------------------------------------------
 
+# the options each target takes
+_OPTIONS = {
+    "fem_system": (), "fem_residual": (), "fem_time": ("linear", "state0"),
+    "vpinn": ("trial",),
+}
+
+
 def assemble(weak, target, **options):
-    setup = _find_setup(weak)
-    terms = _group(setup, weak)
+    if target not in _OPTIONS:
+        raise TargetMismatch(f"unknown assembly target {target!r}")
+    for name in options:
+        if name not in _OPTIONS[target]:
+            raise TargetMismatch(f"{target} takes no option {name!r}")
+    setup, terms = _group(weak)
     temporal = [t for t in terms if t.temporal]
     steady = [t for t in terms if not t.temporal]
 
+    if target == "fem_time":
+        return assemble_fem_time(setup, temporal, steady,
+                                 linear=options.get("linear", True),
+                                 state0=options.get("state0"))
+    if temporal:
+        raise TargetMismatch(
+            f"{target} expects a steady form; use target='fem_time'"
+        )
     if target == "fem_system":
-        if temporal:
-            raise TargetMismatch(
-                "fem_system cannot assemble temporal derivatives; "
-                "use target='fem_time'"
-            )
         return assemble_fem_system(setup, steady)
     if target == "fem_residual":
-        if temporal:
-            raise TargetMismatch("fem_residual expects a steady form")
         return assemble_fem_residual(setup, steady)
-    if target == "fem_time":
-        return assemble_fem_time(
-            setup, temporal, steady,
-            linear=options.get("linear", True),
-            state0=options.get("state0"),
-            mode=options.get("mode", "implicit"),
-        )
-    if target == "vpinn":
-        trial = options.get("trial")
-        if trial is None:
-            raise TargetMismatch("vpinn needs trial=<expression or nodal values>")
-        if temporal:
-            raise TargetMismatch("vpinn expects a steady form")
-        return assemble_vpinn(setup, steady, trial)
-    raise TargetMismatch(f"unknown assembly target {target!r}")
-
-
-def _find_setup(weak):
-    for node in tr.walk(weak):
-        if node.kind in _SYMBOLS:
-            return node.payload
-    raise UnassembledSymbol("weak form contains no trial/test symbols")
+    trial = options.get("trial")
+    if trial is None:
+        raise TargetMismatch("vpinn needs trial=<expression or nodal values>")
+    return assemble_vpinn(setup, steady, trial)
 
 
 def assemble_fem_system(setup, terms):
@@ -600,80 +621,80 @@ def assemble_fem_system(setup, terms):
         terms, "fem_system needs terms at most linear in the trial symbol"
     )
     # weak = a(u, phi) + load = 0  =>  A u = -load
-    return LinearSystem(setup, _matrix(setup, bilinear),
-                        -_vector(setup, loads))
+    return LinearSystem(setup, _matrix(setup, _linear_pieces(setup, bilinear)),
+                        -_vector(setup, _linear_pieces(setup, loads)))
 
 
 class ResidualOperator:
-    """R(u) over free dofs with an AD-assembled Jacobian callable."""
+    """R(u) over free dofs, and the Jacobian of its pointwise linearization."""
 
     def __init__(self, setup, terms, time_value=None):
         self.setup = setup
         self.terms = terms
         self.time_value = time_value
 
-    def _point_values(self, term, u_q, grads):
-        """Taped product of all non-test factors at the term's points, with
-        u and d(u, x_d) read from the interpolated fields."""
+    def _point_values(self, term, fields):
+        """The product of the term's trial factors at its region's points,
+        (1, 1, E*nq, 1), with u and d(u, x_d) read from `fields`; and the
+        context that evaluated it."""
         setup = self.setup
-        value = T.Tensor(
-            _coefficient_values(setup, term, self.time_value)
-            .reshape(u_q.shape) * term.sign
-        )
+        u_q, grads = fields
         factors = [part[-1] for part in term.trial_parts]
         ctx = ev.EvalContext(domain=setup.domain)
         ctx.cache[setup.trial] = u_q
         for node, d in _trial_derivatives(setup, factors):
             ctx.cache[node] = grads[d]
+        value = T.ones(u_q.shape)
         for f in factors:
             value = T.mul(value, ev.evaluate(f, ctx))
-        return value
+        return value, ctx
 
-    def _element_residuals(self, u_full, tape=None):
-        """{tag: (u_loc, R)}: per region, the taped (E, n) element residual
-        of its terms as a function of the local coefficients u_loc."""
-        fields, sums = {}, {}
-        for term in self.terms:
-            region = term.region
-            if region.tag not in fields:
-                fields[region.tag] = _fields(region, u_full, tape)
-            _, u_q, grads = fields[region.tag]
-            wv = T.mul(
-                T.reshape(self._point_values(term, u_q, grads),
-                          region.weights.shape),
-                T.Tensor(region.weights),
-            )
-            Q, G = _basis(region, term.test_part)
-            r = T.mul(T.matmul(wv, T.Tensor(Q)), T.Tensor(G))
-            prev = sums.get(region.tag)
-            sums[region.tag] = r if prev is None else T.add(prev, r)
-        return {tag: (fields[tag][0], r) for tag, r in sums.items()}
+    def _region_fields(self, u_full):
+        """{region tag: (u_q, grads)} of each region the terms use."""
+        regions = {t.region.tag: t.region for t in self.terms}
+        return {tag: _fields(r, u_full) for tag, r in regions.items()}
 
     def residual_full(self, u_full):
-        out = np.zeros(self.setup.num_vertices)
-        for tag, (_, r) in self._element_residuals(u_full).items():
-            np.add.at(out, self.setup.regions[tag].dofs, r.data)
-        return out
+        fields, pieces = self._region_fields(u_full), []
+        for term in self.terms:
+            value, _ = self._point_values(term, fields[term.region.tag])
+            w = _weights(self.setup, term, self.time_value)
+            pieces.append((term.region, term.test_part,
+                           w * value.data.reshape(w.shape)))
+        return _vector(self.setup, pieces)
 
     def __call__(self, u_free):
         u_full = self.setup.lift(u_free)
         return self.residual_full(u_full)[self.setup.free]
 
     def jacobian(self, u_free):
+        """The bilinear assembly of df/du and df/d(d_d u), the partials of
+        each term's point values f at every point.  They come from one Tape
+        pass per term, which is exact only because f is pointwise:
+        NonDifferentiablePath for a trial factor that mixes points."""
         setup = self.setup
-        with T.Tape() as tape:
-            parts = self._element_residuals(setup.lift(u_free), tape)
-            # row a of an element block is the gradient of sum_e R[e, a]
-            sums = {
-                tag: [T.reduce_sum(T.take_slice(r, (slice(None), a)))
-                      for a in range(r.shape[1])]
-                for tag, (_, r) in parts.items()
-            }
-        local = {}
-        for tag, (u_loc, _) in parts.items():
-            local[tag] = np.stack([tape.gradient(s, [u_loc])[u_loc.uid].data
-                                   for s in sums[tag]], axis=1)
-        return _reduce(setup, _scatter(setup, local))[0]
+        fields, pieces = self._region_fields(setup.lift(u_free)), []
+        for term in self.terms:
+            if not term.trial_parts:
+                continue
+            u_q, grads = fields[term.region.tag]
+            inputs = [u_q, *grads]
+            with T.Tape() as tape:
+                tape.watch(*inputs)
+                value, ctx = self._point_values(term, (u_q, grads))
+                total = T.reduce_sum(value)
+            for part in term.trial_parts:
+                ev._check_pointwise(part[-1], setup.trial, ctx)
+            partials = tape.gradient(total, inputs)
+            # a field that no recorded op reads has a zero partial
+            read = {uid for rec in tape.records for uid in rec.in_uids}
+            w = _weights(setup, term, self.time_value)
+            parts = [("value",)] + [("grad", d) for d in range(len(grads))]
+            for field, part in zip(inputs, parts):
+                if field.uid in read:
+                    df = partials[field.uid].data.reshape(w.shape)
+                    pieces.append((term.region, term.test_part, part, w * df))
+        return _reduce(setup, _matrix(setup, pieces))[0]
 
 
 def assemble_fem_residual(setup, terms):
@@ -704,7 +725,9 @@ def newton_solve(op, u0, tol=1e-10, max_iter=10):
 # ---------------------------------------------------------------------------
 
 def _test_weights(setup, term):
-    """(n_free, E*nq) matrix of quadrature-weighted test values."""
+    """(n_free, E*nq) CSR operator of the quadrature-weighted test values
+    w[e, q] Q[q, a] G[e, a]: row i holds the integrals of free dof i's hat
+    function (or its gradient component) against the point values."""
     region = term.region
     E, nq = region.weights.shape
     Q, G = _basis(region, term.test_part)
@@ -714,15 +737,14 @@ def _test_weights(setup, term):
     rows = np.broadcast_to(free_index[region.dofs][:, None, :], local.shape)
     cols = np.broadcast_to(np.arange(E * nq).reshape(E, nq, 1), local.shape)
     keep = rows >= 0
-    W = np.zeros((len(setup.free), E * nq))
-    W[rows[keep], cols[keep]] = local[keep]
-    return W
+    return sp.csr_matrix((local[keep], (rows[keep], cols[keep])),
+                         shape=(len(setup.free), E * nq))
 
 
 def _nodal_mapping(setup, region, u_full, factors):
     """Constants for u and each d(u, x_d) under `factors`: the P1
     interpolant of the nodal values at the region's quadrature points."""
-    _, u_q, grads = _fields(region, u_full)
+    u_q, grads = _fields(region, u_full)
     mapping = {setup.trial: tr.constant(u_q, name="u_h")}
     for node, d in _trial_derivatives(setup, factors):
         mapping[node] = tr.constant(grads[d], name=f"du_h_{d}")
@@ -766,49 +788,22 @@ def assemble_vpinn(setup, terms, trial):
 # ---------------------------------------------------------------------------
 
 class TimeBlock:
-    """Semi-discrete block over free dofs.
+    """Semi-discrete block over free dofs, M u' + R(u, t) = 0, with R as
+    `residual(u, t)` and its Jacobian as `jacobian(u, t)`.  A linear block
+    has R = A u - b(t) and carries A and b(t) too."""
 
-    linear:    M u' + A u = b(t)
-    nonlinear: M(t) u' + R(u, t) = 0  with Jacobian J(u, t)
-    """
+    def __init__(self, setup, M, u0, residual, jacobian, A=None, b=None):
+        self.setup, self.M, self.u0 = setup, M, u0
+        self.residual, self.jacobian = residual, jacobian
+        self.A, self.b = A, b
+        self.linear = A is not None
 
-    def __init__(self, setup, M, u0, linear, A=None, b=None,
-                 residual=None, jacobian=None, mode="implicit"):
-        self.setup = setup
-        self.M = M
-        self.u0 = u0
-        self.linear = linear
-        self.A = A
-        self._b = b
-        self._residual = residual
-        self._jacobian = jacobian
-        self.mode = mode
-
-    def b(self, t):
-        return self._b(t)
-
-    def mass(self, t=0.0):
-        return self.M
-
-    def residual(self, u, t):
-        if self.linear:
-            return self.A @ u - self.b(t)
-        return self._residual(u, t)
-
-    def jacobian(self, u, t):
-        if self.linear:
-            return self.A
-        return self._jacobian(u, t)
-
-    # integration entry point
-    def integrate(self, dt, steps, scheme="backward_euler"):
-        if scheme != "backward_euler":
-            raise TargetMismatch(f"unknown scheme {scheme!r}")
+    def integrate(self, dt, steps):
+        """Backward-Euler trajectory, see :func:`step_backward_euler`."""
         return step_backward_euler(self, dt, steps)
 
 
-def assemble_fem_time(setup, temporal, steady, linear=True, state0=None,
-                      mode="implicit"):
+def assemble_fem_time(setup, temporal, steady, linear=True, state0=None):
     if not temporal:
         raise NoTemporalTerm(
             "fem_time needs exactly one temporal-derivative term"
@@ -817,12 +812,10 @@ def assemble_fem_time(setup, temporal, steady, linear=True, state0=None,
         raise MultipleTemporalTerms(
             f"found {len(temporal)} temporal terms; expected one"
         )
-    if mode != "implicit":
-        raise TargetMismatch(f"mode {mode!r} unsupported; use 'implicit'")
     if _trial_degree(temporal[0]) != 1:
         raise NonlinearTerm("the temporal term must be linear: c * u_t * phi")
 
-    M = _reduce(setup, _matrix(setup, temporal))[0]
+    M = _reduce(setup, _matrix(setup, _linear_pieces(setup, temporal)))[0]
     free = setup.free
 
     if state0 is None:
@@ -841,23 +834,21 @@ def assemble_fem_time(setup, temporal, steady, linear=True, state0=None,
         bilinear, loads = _split_linear(
             steady, "linear=True but a term is nonlinear in the trial symbol"
         )
-        A, lift = _reduce(setup, _matrix(setup, bilinear))
+        A, lift = _reduce(setup,
+                          _matrix(setup, _linear_pieces(setup, bilinear)))
 
         def b(t):
-            return -_vector(setup, loads, time_value=t)[free] - lift
+            loads_t = _linear_pieces(setup, loads, t)
+            return -_vector(setup, loads_t)[free] - lift
 
-        return TimeBlock(setup, M, u0, True, A=A, b=b, mode=mode)
+        return TimeBlock(setup, M, u0, lambda u, t: A @ u - b(t),
+                         lambda u, t: A, A=A, b=b)
 
-    def residual(u, t):
-        op = ResidualOperator(setup, steady, time_value=t)
-        return op(u)
-
-    def jacobian(u, t):
-        op = ResidualOperator(setup, steady, time_value=t)
-        return op.jacobian(u)
-
-    return TimeBlock(setup, M, u0, False, residual=residual,
-                     jacobian=jacobian, mode=mode)
+    return TimeBlock(
+        setup, M, u0,
+        lambda u, t: ResidualOperator(setup, steady, t)(u),
+        lambda u, t: ResidualOperator(setup, steady, t).jacobian(u),
+    )
 
 
 def step_backward_euler(block, dt, steps, t0=0.0, newton_tol=1e-10,
@@ -904,16 +895,10 @@ def step_backward_euler(block, dt, steps, t0=0.0, newton_tol=1e-10,
 
 
 def export_explicit_ode(block):
-    """RHS callback u' = M^{-1} (b(t) - A u); M factorized once."""
+    """RHS callback u' = -M^{-1} R(u, t); M factorized once."""
     try:
         lu = spla.splu(block.M.tocsc())
     except RuntimeError as exc:
         raise SingularMass(str(exc)) from None
 
-    if block.linear:
-        def rhs(t, u):
-            return lu.solve(block.b(t) - block.A @ u)
-    else:
-        def rhs(t, u):
-            return lu.solve(-block.residual(u, t))
-    return rhs
+    return lambda t, u: lu.solve(-block.residual(u, t))

@@ -13,6 +13,7 @@ import numpy as np
 from . import tensor as T
 from . import trace as tr
 from .errors import (
+    ArityMismatch,
     BadDimension,
     InputRankMismatch,
     InvalidSeed,
@@ -78,7 +79,7 @@ class OptimizerSpec:
     def __init__(self, kind, learning_rate, b1=0.9, b2=0.999, eps=1e-8,
                  weight_decay=0.0, group_overrides=None):
         if kind not in ("sgd", "adam", "adamw"):
-            raise ValueError(f"unknown optimizer {kind!r}")
+            raise ArityMismatch(f"unknown optimizer {kind!r}")
         self.kind = kind
         self.schedule = _as_schedule(learning_rate)
         self.b1 = float(b1)

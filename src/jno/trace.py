@@ -10,6 +10,7 @@ interpreter's recursion limit.
 import io
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import tensor as T
 from .errors import (
@@ -273,7 +274,10 @@ def literal(value):
 
 
 def constant(value, name=None):
-    t = value if isinstance(value, T.Tensor) else T.Tensor(value)
+    """A constant leaf; a ``scipy.sparse`` matrix is kept as it is, and a
+    matmul applies it as the left operand through ``T.sparse_matmul``."""
+    t = value if isinstance(value, T.Tensor) or sp.issparse(value) \
+        else T.Tensor(value)
     return ExprNode(CONSTANT, t, (), name)
 
 

@@ -7,12 +7,18 @@ backward-Euler decay of one generalized eigenmode."""
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from jno import domain as dm
 from jno import evaluator as ev
 from jno import fem
 from jno import trace as tr
-from jno.errors import NonlinearTerm, TargetMismatch, UnknownBcTag
+from jno.errors import (
+    NonDifferentiablePath,
+    NonlinearTerm,
+    TargetMismatch,
+    UnknownBcTag,
+)
 
 
 def sin(node):
@@ -71,6 +77,12 @@ def neumann_problem(n=4):
     )
     xr = dom.variable("gauss_right")[0]             # x = 1 on the right
     return dom, laplace(u, phi, (x, y)) - xr * phi
+
+
+def central_differences(op, u, h=1e-6):
+    """The Jacobian of `op` at `u` by central differences, column by column."""
+    return np.stack([(op(u + h * e) - op(u - h * e)) / (2 * h)
+                     for e in np.eye(len(u))], axis=1)
 
 
 def vpinn_value(dom, weak, nodal):
@@ -139,6 +151,20 @@ class TestFemSystem:
         np.testing.assert_allclose(op.setup.lift(u_free), exact, atol=1e-12)
         assert len(norms) == 2                      # linear: one step
 
+    def test_long_sum_at_default_recursion_limit(self):
+        # 1500 summed load terms nest 1500 deep; the term walkers must not
+        # recurse (checked at the interpreter's default limit of 1000)
+        dom = dm.structured_rect(4, 4)
+        u, phi, (x, y) = setup_fem(dom, [dom.dirichlet("boundary", 0.0)])
+        many = laplace(u, phi, (x, y))
+        for _ in range(1500):
+            many = many - 0.001 * phi
+        one = laplace(u, phi, (x, y)) - 1.5 * phi
+        got, want = (w.assemble("fem_system") for w in (many, one))
+        np.testing.assert_allclose(got.full_rhs, want.full_rhs, rtol=0,
+                                   atol=1e-12)
+        assert abs(got.full_matrix - want.full_matrix).max() == 0.0
+
 
 class TestVpinn:
     def test_vanishes_at_galerkin_solution(self):
@@ -159,6 +185,45 @@ class TestVpinn:
         uh = weak.assemble("fem_system").solve()
         assert vpinn_value(dom, weak, uh) < 1e-20
         assert vpinn_value(dom, weak, np.zeros_like(uh)) > 1e-8
+
+    def test_matches_dense_test_weights(self):
+        # reference: each term's point values times its dense (n_free, E*nq)
+        # matrix of quadrature-weighted test values, summed over the terms
+        dom, weak = neumann_problem(16)
+        x = dom.variable(fem.GAUSS_VOLUME)[0]
+        weak = weak - (2.0 + x) * dom.fem.test
+        setup = dom.fem
+        xy = dom.mesh.vertices
+        nodal = np.sin(3 * xy[:, 0]) * np.cos(2 * xy[:, 1])
+        nodal[setup.constrained] = 0.0
+
+        def dense(region, basis, values):
+            E, nq = region.weights.shape
+            W = np.zeros((setup.num_vertices, E * nq))
+            for a in range(region.dofs.shape[1]):
+                np.add.at(W, (np.repeat(region.dofs[:, a], nq),
+                              np.arange(E * nq)),
+                          (region.weights * basis[..., a]).ravel())
+            return W[setup.free] @ values.ravel()
+
+        vol, right = setup.regions["fem_gauss"], setup.regions["gauss_right"]
+        E, nq = vol.weights.shape
+        grad_u = np.einsum("ea,ead->de", nodal[vol.dofs], vol.grads)
+        r = -dense(right, right.values[None], right.coords[..., 0])
+        r -= dense(vol, vol.values[None], 2.0 + vol.coords[..., 0])
+        for d in range(2):
+            r += dense(vol, vol.grads[:, None, :, d], np.repeat(grad_u[d], nq))
+        want = float(r @ r)
+
+        res = weak.assemble("vpinn", trial=nodal)
+        got = float(ev.evaluate(res, ev.EvalContext(domain=dom)).data.sum())
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+        # one (n_free, E*nq) operator per term, at most n = 3 entries a column
+        ops = [n.payload for n in tr.walk(res) if n.name == "test_weights"]
+        assert len(ops) == 4
+        for op in ops:
+            assert sp.issparse(op) and op.shape[0] == len(setup.free)
+            assert op.nnz <= vol.dofs.shape[1] * op.shape[1]
 
 
 class TestOperations:
@@ -202,21 +267,47 @@ class TestNewton:
         op = self._op(4)
         rng = np.random.default_rng(0)
         u = rng.normal(size=len(op.setup.free))
-        J = op.jacobian(u).toarray()
-        h = 1e-6
-        fd = np.stack([
-            (op(u + h * e) - op(u - h * e)) / (2 * h)
-            for e in np.eye(len(u))
-        ], axis=1)
-        np.testing.assert_allclose(J, fd, atol=1e-7)
+        np.testing.assert_allclose(op.jacobian(u).toarray(),
+                                   central_differences(op, u), atol=1e-7)
+
+    def test_quasilinear_jacobian_with_boundary_term(self):
+        # (1 + u^2) grad u . grad phi + u^2 x_r phi: partials in d(u, x_d)
+        # that depend on u, and a term on the Neumann region
+        dom = dm.structured_rect(4, 4)
+        u, phi, (x, y) = setup_fem(
+            dom, [dom.dirichlet("left", 0.0), dom.neumann("right")]
+        )
+        xr = dom.variable("gauss_right")[0]
+        weak = (1 + u * u) * laplace(u, phi, (x, y)) + u * u * xr * phi \
+            - x * phi
+        op = weak.assemble("fem_residual")
+        u0 = np.random.default_rng(1).normal(size=len(op.setup.free))
+        np.testing.assert_allclose(op.jacobian(u0).toarray(),
+                                   central_differences(op, u0), atol=1e-7)
+
+    def test_point_mixing_factor_is_rejected(self):
+        dom = dm.structured_rect(4, 4)
+        u, phi, (x, y) = setup_fem(dom, [dom.dirichlet("boundary", 0.0)])
+        weak = laplace(u, phi, (x, y)) + u * u.mean * phi - 1.0 * phi
+        op = weak.assemble("fem_residual")
+        u0 = np.ones(len(op.setup.free))
+        assert np.isfinite(op(u0)).all()
+        with pytest.raises(NonDifferentiablePath):
+            op.jacobian(u0)
 
 
 class TestFemTime:
-    def test_backward_euler_decays_one_eigenmode(self):
+    def _heat(self, source=True):
         dom = dm.structured_rect(6, 6)
         u, phi, (x, y) = setup_fem(dom, [dom.dirichlet("boundary", 0.0)])
         t = dom.variable(fem.GAUSS_VOLUME)[-1]
         weak = u.d(t) * phi + laplace(u, phi, (x, y))
+        if source:
+            weak = weak - (1 + t) * sin(np.pi * x) * phi
+        return weak
+
+    def test_backward_euler_decays_one_eigenmode(self):
+        weak = self._heat(source=False)
         block = weak.assemble("fem_time")
         lam, vecs = scipy.linalg.eigh(block.A.toarray(), block.M.toarray())
         v = vecs[:, 0]
@@ -225,8 +316,38 @@ class TestFemTime:
         decay = (1 + dt * lam[0]) ** -np.arange(steps + 1)
         np.testing.assert_allclose(traj, decay[:, None] * v[None], atol=1e-12)
 
+    def test_nonlinear_path_steps_like_the_linear_one(self):
+        weak = self._heat()
+        n = len(weak.assemble("fem_time").u0)
+        v = np.sin(np.arange(n))
+        traj = [weak.assemble("fem_time", linear=linear, state0=v)
+                .integrate(0.01, 5) for linear in (True, False)]
+        assert np.abs(traj[0][-1] - v).max() > 1e-2
+        np.testing.assert_allclose(traj[1], traj[0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("linear", [True, False])
+    def test_explicit_ode_at_an_eigenpair(self, linear):
+        weak = self._heat(source=False)
+        block = weak.assemble("fem_time")
+        lam, vecs = scipy.linalg.eigh(block.A.toarray(), block.M.toarray())
+        rhs = fem.export_explicit_ode(
+            weak.assemble("fem_time", linear=linear))
+        np.testing.assert_allclose(rhs(0.0, vecs[:, 0]),
+                                   -lam[0] * vecs[:, 0], rtol=0, atol=1e-10)
+
 
 class TestErrors:
+    @pytest.mark.parametrize("target, option", [
+        ("fem_system", "lineer"), ("fem_system", "trial"),
+        ("fem_residual", "linear"), ("fem_time", "mode"),
+        ("vpinn", "state0"),
+    ])
+    def test_option_the_target_does_not_take(self, target, option):
+        dom = dm.structured_rect(2, 2)
+        u, phi, (x, y) = setup_fem(dom, [])
+        with pytest.raises(TargetMismatch, match=repr(option)):
+            (u * phi - phi).assemble(target, **{option: False})
+
     def test_unknown_dirichlet_tag(self):
         dom = dm.structured_rect(2, 2)
         with pytest.raises(UnknownBcTag):

@@ -4,6 +4,7 @@ import pytest
 from jno import nn
 from jno import tensor as T
 from jno.errors import (
+    ArityMismatch,
     BadDimension,
     InvalidSeed,
     NotAMatrix,
@@ -185,6 +186,10 @@ class TestOptimizers:
         state = nn.OptimizerState(params)
         with pytest.raises(StateShapeMismatch):
             nn.optimizer_step(spec, state, params, {"w": T.Tensor([1.0])})
+
+    def test_unknown_kind(self):
+        with pytest.raises(ArityMismatch, match="bogus"):
+            nn.OptimizerSpec("bogus", 1e-3)
 
     def test_determinism(self):
         def run():
