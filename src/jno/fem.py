@@ -32,7 +32,7 @@ sum_q wv Qa[q, a] Qb[q, b] * Ga[e, a] Gb[e, b] of a test and a trial part.
                        CSR operator, applied with ``T.sparse_matmul``
 """
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -242,25 +242,27 @@ def fem_symbols(domain):
 # ---------------------------------------------------------------------------
 
 _SYMBOLS = (tr.TRIAL, tr.TEST)
+_DISTRIBUTING = ("add", "sub", "neg", "mul", "div")
+
+
+def _distributes(node):
+    return node.kind == tr.ARITH and node.payload in _DISTRIBUTING
 
 
 def _expand(weak):
     """(the FemSetup of its symbols, {node: frozenset of the symbol kinds
-    at or below it}, the terms of `weak` as (sign, [factor nodes])), in one
-    children-first pass that distributes products over sums.  A node's term
-    list is handed to its last parent to extend, so a long sum expands in
-    linear time."""
+    at or below it}, the terms of `weak` as (sign, [factor nodes])).
+    Products are distributed over the sums that `weak` reaches through
+    add/sub/neg/mul/div; any other node (exp, a derivative, ...) is one
+    factor.  Both passes run over `tr.toposort`, so nothing recurses."""
     order = tr.toposort(weak)
-    pending = Counter(c for node in order for c in node.children)
-    symbols, terms = {}, {}
-
-    def take(node):
-        if not symbols[node]:
-            return [(1.0, [node])]
-        pending[node] -= 1
-        return terms.pop(node) if pending[node] == 0 else list(terms[node])
+    spread = {weak}
+    for node in reversed(order):
+        if node in spread and _distributes(node):
+            spread.update(node.children)
 
     setup = None
+    symbols, terms = {}, {}
     for node in order:
         kids = node.children
         own = (node.kind,) if node.kind in _SYMBOLS else ()
@@ -268,28 +270,27 @@ def _expand(weak):
             setup = node.payload
         syms = symbols[node] = frozenset(own).union(
             *(symbols[c] for c in kids))
-        if not syms:
+        if node not in spread:
             continue
-        op = node.payload if node.kind == tr.ARITH else None
+        if not syms or not _distributes(node):
+            terms[node] = [(1.0, [node])]
+            continue
+        op = node.payload
         if op == "add":
-            out = take(kids[0])
-            out += take(kids[1])
+            out = terms[kids[0]] + terms[kids[1]]
         elif op == "sub":
-            out = take(kids[0])
-            out += [(-s, f) for s, f in take(kids[1])]
+            out = terms[kids[0]] + [(-s, f) for s, f in terms[kids[1]]]
         elif op == "neg":
-            out = [(-s, f) for s, f in take(kids[0])]
+            out = [(-s, f) for s, f in terms[kids[0]]]
         elif op == "mul":
-            left, right = take(kids[0]), take(kids[1])
-            out = [(sl * sr, fl + fr) for sl, fl in left for sr, fr in right]
-        elif op == "div":
+            out = [(sl * sr, fl + fr) for sl, fl in terms[kids[0]]
+                   for sr, fr in terms[kids[1]]]
+        else:
             if symbols[kids[1]]:
                 raise NonlinearTerm("division by trial/test is not assemblable")
             inv = tr.literal(1.0) / kids[1]
             symbols[inv] = frozenset()
-            out = [(s, f + [inv]) for s, f in take(kids[0])]
-        else:
-            out = [(1.0, [node])]
+            out = [(s, f + [inv]) for s, f in terms[kids[0]]]
         terms[node] = out
     if setup is None:
         raise UnassembledSymbol("weak form contains no trial/test symbols")

@@ -285,6 +285,19 @@ class TestNewton:
         np.testing.assert_allclose(op.jacobian(u0).toarray(),
                                    central_differences(op, u0), atol=1e-7)
 
+    def test_quotient_inside_a_function_is_one_factor(self):
+        # exp(-1/u) is a trial factor as a whole: the division by u under
+        # exp is not distributed, so it is not rejected as a term
+        dom = dm.structured_rect(4, 4)
+        u, phi, (x, y) = setup_fem(dom, [dom.dirichlet("boundary", 1.0)])
+        exp = tr.build(tr.ARITH, "exp", (-1.0 / u,))
+        weak = laplace(u, phi, (x, y)) + exp * phi - phi
+        op = weak.assemble("fem_residual")
+        rng = np.random.default_rng(2)
+        u0 = 1.0 + 0.1 * rng.normal(size=len(op.setup.free))
+        np.testing.assert_allclose(op.jacobian(u0).toarray(),
+                                   central_differences(op, u0), atol=1e-7)
+
     def test_point_mixing_factor_is_rejected(self):
         dom = dm.structured_rect(4, 4)
         u, phi, (x, y) = setup_fem(dom, [dom.dirichlet("boundary", 0.0)])
