@@ -25,13 +25,16 @@ sum_q wv Qa[q, a] Qb[q, b] * Ga[e, a] Gb[e, b] of a test and a trial part.
                        of their partials df/du and df/d(d_d u) at each
                        point, from one Tape pass per term, assembled
                        against the trial parts ("value",) and ("grad", d)
-* ``fem_time``      -> semi-discrete block M u' + A u = b(t) (or its
-                       nonlinear counterpart) for backward-Euler stepping
+* ``fem_time``      -> semi-discrete block M u' + R(u, t) = 0 for
+                       backward-Euler stepping: R = A u - b(t) with A
+                       factored once if the form is linear in u with
+                       time-independent coefficients, else Newton per step
 * ``vpinn``         -> traced residual against the nodal hat test set: each
                        term's test integrals are one constant (n_free, E*nq)
                        CSR operator, applied with ``T.sparse_matmul``
 """
 
+import functools
 from collections import namedtuple
 
 import numpy as np
@@ -424,11 +427,11 @@ def _trial_degree(term):
     return deg
 
 
-def _split_linear(terms, message):
-    """(bilinear terms, trial-free terms); NonlinearTerm for anything else."""
+def _split_linear(terms):
+    """(bilinear terms, trial-free terms); None if a term is neither."""
     degrees = [_trial_degree(t) for t in terms]
     if any(d not in (0, 1) for d in degrees):
-        raise NonlinearTerm(message)
+        return None
     return ([t for t, d in zip(terms, degrees) if d == 1],
             [t for t, d in zip(terms, degrees) if d == 0])
 
@@ -551,7 +554,8 @@ def _fields(region, u_full):
 
 
 class LinearSystem:
-    """Reduced system A u = b plus the Dirichlet elimination record."""
+    """The system A u = b over the free dofs, with the Dirichlet values
+    eliminated, and the full matrix and right-hand side it came from."""
 
     def __init__(self, setup, A_full, b_full):
         self.setup = setup
@@ -560,18 +564,6 @@ class LinearSystem:
         A, lift = _reduce(setup, self.full_matrix)
         self.A = A.tocoo()
         self.b = b_full[setup.free] - lift
-        self.dirichlet = {
-            "free": setup.free, "constrained": setup.constrained,
-            "values": setup.constrained_values,
-        }
-
-    def __iter__(self):
-        yield self.A
-        yield self.b
-
-    @property
-    def triplets(self):
-        return self.A.row, self.A.col, self.A.data
 
     def solve(self):
         u_free = spla.spsolve(self.A.tocsc(), self.b)
@@ -584,7 +576,7 @@ class LinearSystem:
 
 # the options each target takes
 _OPTIONS = {
-    "fem_system": (), "fem_residual": (), "fem_time": ("linear", "state0"),
+    "fem_system": (), "fem_residual": (), "fem_time": ("state0",),
     "vpinn": ("trial",),
 }
 
@@ -601,7 +593,6 @@ def assemble(weak, target, **options):
 
     if target == "fem_time":
         return assemble_fem_time(setup, temporal, steady,
-                                 linear=options.get("linear", True),
                                  state0=options.get("state0"))
     if temporal:
         raise TargetMismatch(
@@ -618,21 +609,27 @@ def assemble(weak, target, **options):
 
 
 def assemble_fem_system(setup, terms):
-    bilinear, loads = _split_linear(
-        terms, "fem_system needs terms at most linear in the trial symbol"
-    )
+    split = _split_linear(terms)
+    if split is None:
+        raise NonlinearTerm(
+            "fem_system needs terms at most linear in the trial symbol")
+    bilinear, loads = split
     # weak = a(u, phi) + load = 0  =>  A u = -load
     return LinearSystem(setup, _matrix(setup, _linear_pieces(setup, bilinear)),
                         -_vector(setup, _linear_pieces(setup, loads)))
 
 
 class ResidualOperator:
-    """R(u) over free dofs, and the Jacobian of its pointwise linearization."""
+    """R(u) over free dofs, and the Jacobian of its pointwise linearization.
+
+    The coefficients are evaluated at assembly, at `time_value`, as
+    fem_system's matrix is: each term's sign * weight * coefficient is
+    computed here once, not at every residual or Jacobian."""
 
     def __init__(self, setup, terms, time_value=None):
         self.setup = setup
         self.terms = terms
-        self.time_value = time_value
+        self.weights = [_weights(setup, t, time_value) for t in terms]
 
     def _point_values(self, term, fields):
         """The product of the term's trial factors at its region's points,
@@ -657,9 +654,8 @@ class ResidualOperator:
 
     def residual_full(self, u_full):
         fields, pieces = self._region_fields(u_full), []
-        for term in self.terms:
+        for term, w in zip(self.terms, self.weights):
             value, _ = self._point_values(term, fields[term.region.tag])
-            w = _weights(self.setup, term, self.time_value)
             pieces.append((term.region, term.test_part,
                            w * value.data.reshape(w.shape)))
         return _vector(self.setup, pieces)
@@ -675,7 +671,7 @@ class ResidualOperator:
         NonDifferentiablePath for a trial factor that mixes points."""
         setup = self.setup
         fields, pieces = self._region_fields(setup.lift(u_free)), []
-        for term in self.terms:
+        for term, w in zip(self.terms, self.weights):
             if not term.trial_parts:
                 continue
             u_q, grads = fields[term.region.tag]
@@ -689,7 +685,6 @@ class ResidualOperator:
             partials = tape.gradient(total, inputs)
             # a field that no recorded op reads has a zero partial
             read = {uid for rec in tape.records for uid in rec.in_uids}
-            w = _weights(setup, term, self.time_value)
             parts = [("value",)] + [("grad", d) for d in range(len(grads))]
             for field, part in zip(inputs, parts):
                 if field.uid in read:
@@ -804,7 +799,17 @@ class TimeBlock:
         return step_backward_euler(self, dt, steps)
 
 
-def assemble_fem_time(setup, temporal, steady, linear=True, state0=None):
+def _reads_time(setup, nodes):
+    """Whether the time variable appears under `nodes`."""
+    return any(node.kind == tr.VARIABLE
+               and (setup.domain.binding_spec(node) or ("",))[0] == "time"
+               for node in tr.walk(nodes))
+
+
+def assemble_fem_time(setup, temporal, steady, state0=None):
+    """The block of M u' + R(u, t) = 0.  R is factored once as A u - b(t)
+    when every steady term is at most linear in u and no coefficient of a
+    term in u reads the time; otherwise each step solves by Newton."""
     if not temporal:
         raise NoTemporalTerm(
             "fem_time needs exactly one temporal-derivative term"
@@ -831,10 +836,10 @@ def assemble_fem_time(setup, temporal, steady, linear=True, state0=None):
                 f"count {len(free)} nor vertex count {setup.num_vertices}"
             )
 
-    if linear:
-        bilinear, loads = _split_linear(
-            steady, "linear=True but a term is nonlinear in the trial symbol"
-        )
+    split = _split_linear(steady)
+    if split is not None and not any(_reads_time(setup, t.coeff)
+                                     for t in split[0]):
+        bilinear, loads = split
         A, lift = _reduce(setup,
                           _matrix(setup, _linear_pieces(setup, bilinear)))
 
@@ -845,11 +850,11 @@ def assemble_fem_time(setup, temporal, steady, linear=True, state0=None):
         return TimeBlock(setup, M, u0, lambda u, t: A @ u - b(t),
                          lambda u, t: A, A=A, b=b)
 
-    return TimeBlock(
-        setup, M, u0,
-        lambda u, t: ResidualOperator(setup, steady, t)(u),
-        lambda u, t: ResidualOperator(setup, steady, t).jacobian(u),
-    )
+    # one operator per time value: a step's Newton iterations share it
+    at = functools.lru_cache(maxsize=1)(
+        lambda t: ResidualOperator(setup, steady, t))
+    return TimeBlock(setup, M, u0, lambda u, t: at(t)(u),
+                     lambda u, t: at(t).jacobian(u))
 
 
 def step_backward_euler(block, dt, steps, t0=0.0, newton_tol=1e-10,

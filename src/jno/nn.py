@@ -39,9 +39,6 @@ class Constant(Schedule):
     def value(self, step):
         return self.lr
 
-    def describe(self):
-        return {"kind": "constant", "lr": self.lr}
-
 
 class CosineDecay(Schedule):
     """lr(s) = init * (alpha + (1-alpha) * (1+cos(pi*min(s,D)/D)) / 2)."""
@@ -55,12 +52,6 @@ class CosineDecay(Schedule):
         frac = min(step, self.decay_steps) / self.decay_steps
         cosine = (1.0 + math.cos(math.pi * frac)) / 2.0
         return self.init_value * (self.alpha + (1.0 - self.alpha) * cosine)
-
-    def describe(self):
-        return {
-            "kind": "cosine", "init_value": self.init_value,
-            "decay_steps": self.decay_steps, "alpha": self.alpha,
-        }
 
 
 def constant_schedule(lr):
@@ -106,14 +97,6 @@ class OptimizerSpec:
                 hp["lr"] = _as_schedule(over.pop("learning_rate")).value(step)
             hp.update(over)
         return hp
-
-    def describe(self):
-        return {
-            "kind": self.kind, "b1": self.b1, "b2": self.b2, "eps": self.eps,
-            "weight_decay": self.weight_decay,
-            "schedule": self.schedule.describe()
-            if hasattr(self.schedule, "describe") else {"kind": "constant"},
-        }
 
 
 def sgd(learning_rate):
@@ -192,9 +175,8 @@ def _fresh_name(base):
 
 
 class Model:
-    def __init__(self, name, arch):
+    def __init__(self, name):
         self.name = _fresh_name(name)
-        self.arch = arch
         self.params = {}
         self.frozen = False
         self._mask = {}
@@ -363,11 +345,7 @@ class MLP(Model):
             raise BadDimension(f"all dimensions must be positive, got {dims}")
         if activation not in _ACTIVATIONS:
             raise BadDimension(f"unknown activation {activation!r}")
-        super().__init__(name, {
-            "type": "mlp", "in_dim": int(in_dim),
-            "hidden_dims": [int(h) for h in hidden_dims],
-            "out_dim": int(out_dim), "activation": activation,
-        })
+        super().__init__(name)
         self.dims = dims
         self.activation = activation
 
@@ -407,12 +385,7 @@ class DeepONet(Model):
         for v in (n_sensors, coord_dim, basis_functions, hidden_dim):
             if int(v) < 1:
                 raise BadDimension("all DeepONet dimensions must be positive")
-        super().__init__(name, {
-            "type": "deeponet", "n_sensors": int(n_sensors),
-            "coord_dim": int(coord_dim),
-            "basis_functions": int(basis_functions),
-            "hidden_dim": int(hidden_dim), "activation": activation,
-        })
+        super().__init__(name)
         p = int(basis_functions)
         h = int(hidden_dim)
         self.branch_dims = [int(n_sensors), h, h, p]

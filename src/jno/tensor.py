@@ -5,12 +5,17 @@ recorded on the active recorders that track one of their inputs: a
 :class:`Tape` replays them backward for reverse-mode gradients, and a
 :class:`Jet` replays them forward for second-order Taylor coefficients
 along one direction (Griewank & Walther, *Evaluating Derivatives*, ch. 13).
-Backward and Taylor rules are themselves written with the public
-primitives, so an active Tape or an outer Jet records what they compute and
-higher-order derivatives fall out of repeated application.
+Each primitive states its derivative once and both rules derive from it:
+an elementwise op gives its partials, diagonal maps that are their own
+transposes, and its second-order term; a linear op gives the map and its
+transpose (Frostig et al., arXiv:2105.09469).  The rules are themselves
+written with the public primitives, so an active Tape or an outer Jet
+records what they compute and higher-order derivatives fall out of
+repeated application.
 """
 
 import itertools
+import operator
 import threading
 
 import numpy as np
@@ -255,13 +260,15 @@ class Jet(_Recorder):
 
 def _record(out, inputs, backward, taylor):
     """Record `out` = op(`inputs`) on every active recorder that tracks an
-    input.  `backward(adj, want)` returns the adjoints of the inputs;
-    `taylor(ds)` maps ``ds[k]``, the order-(k+1) coefficients of the inputs
-    (None for zero), to the output's coefficients up to that order.
+    input.  `backward(adj, want)` returns the adjoints of the inputs flagged
+    in `want`; `taylor(ds)` maps ``ds[k]``, the order-(k+1) coefficients of
+    the inputs (None for zero), to the output's coefficients up to that
+    order.  Elementwise ops get both rules from `_pointwise`, linear ones
+    from `_linear_map`; only matmul and concat write their own.
 
-    Rules that need only the output's shape bind the shape
-    (``shape=out.shape``), so that a recorder does not keep the output
-    itself alive."""
+    The rules bind the values they read and, where they read no more than
+    an input's shape, the shape, so that a recorder does not keep the
+    input itself alive."""
     if not _ACTIVE.recorders:
         return
     rec = None
@@ -274,7 +281,7 @@ def _record(out, inputs, backward, taylor):
             r.records.append(rec)
 
 
-# Helpers of the Taylor rules.  A coefficient of None stands for zero.
+# Helpers of the rules.  A coefficient of None stands for zero.
 
 def _plus(a, b):
     if a is None:
@@ -282,10 +289,8 @@ def _plus(a, b):
     return a if b is None else add(a, b)
 
 
-def _minus(a, b):
-    if b is None:
-        return a
-    return neg(b) if a is None else sub(a, b)
+def _twice(c):
+    return _plus(c, c)
 
 
 def _on(f, a, b):
@@ -299,34 +304,12 @@ def _fit(c, shape):
     return c if c is None or c.shape == shape else broadcast_to(c, shape)
 
 
-def _linear(ds, f, *args):
-    """Rule of an op linear in its single input: t_k = f(a_k)."""
-    return [None if c is None else f(c, *args) for (c,) in ds]
+def _same(t):
+    return t
 
 
-def _bilinear(ds, f, a, b, shape):
-    """Rule of an op linear in each of its two inputs (mul, matmul):
-    t1 = f(a1, b) + f(a, b1), t2 = f(a2, b) + 2 f(a1, b1) + f(a, b2)."""
-    (a1, b1) = ds[0]
-    out = [_plus(_on(f, a1, b), _on(f, a, b1))]
-    if len(ds) > 1:
-        (a2, b2) = ds[1]
-        cross = _on(f, a1, b1)
-        out.append(_plus(_plus(_on(f, a2, b), _on(f, a, b2)),
-                         _plus(cross, cross)))
-    return [_fit(c, shape) for c in out]
-
-
-def _chain(ds, first, second):
-    """Rule of a unary map f with f'(a) = first() and f''(a) = second(f'(a)):
-    t1 = f'(a) a1, t2 = f'(a) a2 + f''(a) a1**2."""
-    (a1,) = ds[0]
-    fp = first()
-    out = [mul(fp, a1)]
-    if len(ds) > 1:
-        (a2,) = ds[1]
-        out.append(_plus(_on(mul, fp, a2), mul(second(fp), mul(a1, a1))))
-    return out
+# numpy's division and invalid-value warnings off, as a decorator
+_QUIET = np.errstate(divide="ignore", invalid="ignore")
 
 
 def _unbroadcast(grad, shape):
@@ -343,13 +326,86 @@ def _unbroadcast(grad, shape):
     return g
 
 
-def _broadcast_check(a, b, op):
+def _pointwise(out, inputs, rule):
+    """Record the elementwise `out` = f(`inputs`) from one statement of its
+    derivative.  `rule(live)` returns, for the inputs flagged in `live`,
+    ``partials[i](t)`` = t df/dx_i and ``curvature(d1, t1)``, the term
+    sum_ij f_ij a1_i a1_j of the inputs' first coefficients `d1` (`t1` is
+    the output's), or None where that term is zero.
+
+    A partial of an elementwise map is diagonal, hence its own transpose,
+    so it serves both modes: the Tape's adjoint of input i is
+    ``partials[i](adj)`` summed back to the input's shape, and the Jet's
+    coefficients are t_k = sum_i partials[i](a_k_i), plus the curvature for
+    k = 2."""
+    if not _ACTIVE.recorders:
+        return out
+    shapes = tuple(t.shape for t in inputs)
+    shape = out.shape
+
+    def backward(adj, want):
+        partials, _ = rule(want)
+        return tuple(_unbroadcast(p(adj), s) if w else None
+                     for p, s, w in zip(partials, shapes, want))
+
+    def taylor(ds):
+        # an input whose first coefficient is zero has a zero second one
+        partials, curvature = rule(tuple(c is not None for c in ds[0]))
+        ts = [None] * len(ds)
+        for k, d in enumerate(ds):
+            for p, c in zip(partials, d):
+                if c is not None:
+                    ts[k] = _plus(ts[k], p(c))
+        if len(ds) > 1 and curvature is not None:
+            ts[1] = _plus(ts[1], curvature(ds[0], ts[0]))
+        return [_fit(t, shape) for t in ts]
+
+    _record(out, inputs, backward, taylor)
+    return out
+
+
+def _unary(out, a, first, second):
+    """Record the smooth map `out` = f(`a`), with f'(a) = first() and
+    f''(a) = second(f'(a)): t1 = f'(a) a1, t2 = f'(a) a2 + f''(a) a1**2."""
+    def rule(live):
+        fp = first()
+        return ((lambda t: mul(t, fp),),
+                lambda d1, t1: mul(second(fp), mul(d1[0], d1[0])))
+
+    return _pointwise(out, (a,), rule)
+
+
+def _linear_map(out, a, apply, transpose):
+    """Record `out` = L(`a`) for a linear L: the Jet maps each coefficient
+    of `a` by `apply` (L itself) and the Tape maps the adjoint by
+    `transpose`, L's transpose."""
+    _record(out, (a,), lambda adj, want: (transpose(adj),),
+            lambda ds: [None if c is None else apply(c) for (c,) in ds])
+    return out
+
+
+def _bilinear(ds, f, a, b, shape):
+    """Rule of matmul, linear in each of its two inputs:
+    t1 = f(a1, b) + f(a, b1), t2 = f(a2, b) + 2 f(a1, b1) + f(a, b2)."""
+    (a1, b1) = ds[0]
+    out = [_plus(_on(f, a1, b), _on(f, a, b1))]
+    if len(ds) > 1:
+        (a2, b2) = ds[1]
+        out.append(_plus(_plus(_on(f, a2, b), _on(f, a, b2)),
+                         _twice(_on(f, a1, b1))))
+    return [_fit(c, shape) for c in out]
+
+
+def _binary(fn, a, b, name):
+    """The tensors `a`, `b` and fn(a, b) for a broadcasting numpy function
+    `fn`; ShapeMismatch, naming the op `name`, if the shapes do not
+    broadcast."""
+    a, b = _as_tensor(a), _as_tensor(b)
     try:
-        return np.broadcast_shapes(a.shape, b.shape)
+        return a, b, Tensor(fn(a.data, b.data))
     except ValueError:
-        raise ShapeMismatch(
-            f"{op}: shapes {a.shape} and {b.shape} do not broadcast"
-        ) from None
+        raise ShapeMismatch(f"{name}: shapes {a.shape} and {b.shape} "
+                            "do not broadcast") from None
 
 
 # ---------------------------------------------------------------------------
@@ -357,224 +413,137 @@ def _broadcast_check(a, b, op):
 # ---------------------------------------------------------------------------
 
 def add(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    _broadcast_check(a, b, "add")
-    out = Tensor(a.data + b.data)
-    _record(out, (a, b), lambda adj, want: (
-        _unbroadcast(adj, a.shape) if want[0] else None,
-        _unbroadcast(adj, b.shape) if want[1] else None,
-    ), lambda ds, shape=out.shape: [_fit(_plus(da, db), shape)
-                                    for da, db in ds])
-    return out
+    a, b, out = _binary(operator.add, a, b, "add")
+    return _pointwise(out, (a, b), lambda live: ((_same, _same), None))
 
 
 def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    _broadcast_check(a, b, "sub")
-    out = Tensor(a.data - b.data)
-    _record(out, (a, b), lambda adj, want: (
-        _unbroadcast(adj, a.shape) if want[0] else None,
-        _unbroadcast(neg(adj), b.shape) if want[1] else None,
-    ), lambda ds, shape=out.shape: [_fit(_minus(da, db), shape)
-                                    for da, db in ds])
-    return out
+    a, b, out = _binary(operator.sub, a, b, "sub")
+    return _pointwise(out, (a, b), lambda live: ((_same, neg), None))
 
 
 def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    _broadcast_check(a, b, "mul")
-    out = Tensor(a.data * b.data)
-    _record(out, (a, b), lambda adj, want: (
-        _unbroadcast(mul(adj, b), a.shape) if want[0] else None,
-        _unbroadcast(mul(adj, a), b.shape) if want[1] else None,
-    ), lambda ds, shape=out.shape: _bilinear(ds, mul, a, b, shape))
-    return out
+    a, b, out = _binary(operator.mul, a, b, "mul")
+    return _pointwise(out, (a, b), lambda live: (
+        (lambda t: mul(t, b), lambda t: mul(t, a)),
+        lambda d1, t1: _twice(_on(mul, *d1))))
 
 
 def div(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    _broadcast_check(a, b, "div")
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = Tensor(a.data / b.data)
+        a, b, out = _binary(operator.truediv, a, b, "div")
 
-    def backward(adj, want):
-        ga = _unbroadcast(div(adj, b), a.shape) if want[0] else None
-        gb = None
-        if want[1]:
-            gb = _unbroadcast(neg(div(mul(adj, a), mul(b, b))), b.shape)
-        return ga, gb
+    def rule(live):
+        # f_a = 1/b, f_b = -a/b**2; the second-order term
+        # 2 f_ab a1 b1 + f_bb b1**2 is -2 t1 b1 / b
+        def curvature(d1, t1):
+            b1 = d1[1]
+            return None if b1 is None else neg(div(_twice(mul(t1, b1)), b))
 
-    def taylor(ds):
-        # differentiate a = out * b: a_k = sum_j C(k, j) out_j b_(k-j)
-        (a1, b1) = ds[0]
-        q1 = _fit(_on(div, _minus(a1, _on(mul, out, b1)), b), out.shape)
-        if len(ds) == 1:
-            return [q1]
-        (a2, b2) = ds[1]
-        cross = _on(mul, q1, b1)
-        rest = _minus(_minus(a2, _plus(cross, cross)), _on(mul, out, b2))
-        return [q1, _fit(_on(div, rest, b), out.shape)]
+        return ((lambda t: div(t, b),
+                 lambda t: neg(div(mul(t, a), mul(b, b)))), curvature)
 
-    _record(out, (a, b), backward, taylor)
-    return out
+    return _pointwise(out, (a, b), rule)
 
 
 def neg(a):
     a = _as_tensor(a)
-    out = Tensor(-a.data)
-    _record(out, (a,), lambda adj, want: (neg(adj) if want[0] else None,),
-            lambda ds: _linear(ds, neg))
-    return out
+    return _linear_map(Tensor(-a.data), a, neg, neg)
 
 
 def power(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    _broadcast_check(a, b, "pow")
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = Tensor(a.data ** b.data)
+        a, b, out = _binary(operator.pow, a, b, "power")
 
-    def backward(adj, want):
-        ga = gb = None
-        if want[0]:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ga = _unbroadcast(
-                    mul(adj, mul(b, power(a, sub(b, Tensor(1.0))))), a.shape
-                )
-        if want[1]:
-            gb = _unbroadcast(mul(adj, mul(out, log(a))), b.shape)
-        return ga, gb
-
-    def taylor(ds):
+    @_QUIET
+    def rule(live):
         # partials of a**b: f_a = b a**(b-1), f_b = out log a,
         # f_aa = b (b-1) a**(b-2), f_ab = a**(b-1) (1 + b log a),
         # f_bb = out (log a)**2; log a is only taken where b varies
-        (a1, b1) = ds[0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            b_1 = sub(b, Tensor(1.0))
-            f_a = None if a1 is None else mul(b, power(a, b_1))
-            log_a = None if b1 is None else log(a)
-            f_b = None if b1 is None else mul(out, log_a)
-            t1 = _fit(_plus(_on(mul, f_a, a1), _on(mul, f_b, b1)), out.shape)
-            if len(ds) == 1:
-                return [t1]
-            (a2, b2) = ds[1]
-            t2 = _plus(_on(mul, f_a, a2), _on(mul, f_b, b2))
+        b_1 = sub(b, Tensor(1.0)) if live[0] else None
+        f_a = mul(b, power(a, b_1)) if live[0] else None
+        log_a = log(a) if live[1] else None
+        f_b = mul(out, log_a) if live[1] else None
+
+        @_QUIET
+        def curvature(d1, t1):
+            (a1, b1) = d1
+            t2 = None
             if a1 is not None:
                 f_aa = mul(mul(b, b_1), power(a, sub(b, Tensor(2.0))))
-                t2 = _plus(t2, mul(f_aa, mul(a1, a1)))
+                t2 = mul(f_aa, mul(a1, a1))
             if b1 is not None:
                 t2 = _plus(t2, mul(mul(f_b, log_a), mul(b1, b1)))
             if a1 is not None and b1 is not None:
                 f_ab = mul(power(a, b_1), add(Tensor(1.0), mul(b, log_a)))
-                cross = mul(f_ab, mul(a1, b1))
-                t2 = add(t2, add(cross, cross))
-        return [t1, _fit(t2, out.shape)]
+                t2 = add(t2, _twice(mul(f_ab, mul(a1, b1))))
+            return t2
 
-    _record(out, (a, b), backward, taylor)
-    return out
+        return ((_QUIET(lambda t: mul(t, f_a)),
+                 _QUIET(lambda t: mul(t, f_b))), curvature)
+
+    return _pointwise(out, (a, b), rule)
 
 
 def exp(a):
     a = _as_tensor(a)
     out = Tensor(np.exp(a.data))
-    _record(out, (a,), lambda adj, want: (mul(adj, out) if want[0] else None,),
-            lambda ds: _chain(ds, lambda: out, lambda fp: out))
-    return out
+    return _unary(out, a, lambda: out, lambda fp: out)
 
 
 def log(a):
     a = _as_tensor(a)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = Tensor(np.log(a.data))
-    _record(out, (a,), lambda adj, want: (div(adj, a) if want[0] else None,),
-            lambda ds: _chain(ds, lambda: div(Tensor(1.0), a),
-                              lambda fp: neg(mul(fp, fp))))
-    return out
+    return _unary(out, a, lambda: div(Tensor(1.0), a),
+                  lambda fp: neg(mul(fp, fp)))
 
 
 def sin(a):
     a = _as_tensor(a)
     out = Tensor(np.sin(a.data))
-    _record(out, (a,), lambda adj, want: (
-        mul(adj, cos(a)) if want[0] else None,
-    ), lambda ds: _chain(ds, lambda: cos(a), lambda fp: neg(out)))
-    return out
+    return _unary(out, a, lambda: cos(a), lambda fp: neg(out))
 
 
 def cos(a):
     a = _as_tensor(a)
     out = Tensor(np.cos(a.data))
-    _record(out, (a,), lambda adj, want: (
-        neg(mul(adj, sin(a))) if want[0] else None,
-    ), lambda ds: _chain(ds, lambda: neg(sin(a)),
-                         lambda fp: neg(out)))
-    return out
+    return _unary(out, a, lambda: neg(sin(a)), lambda fp: neg(out))
 
 
 def tanh(a):
     a = _as_tensor(a)
     out = Tensor(np.tanh(a.data))
-
-    def backward(adj, want):
-        if not want[0]:
-            return (None,)
-        return (mul(adj, sub(Tensor(1.0), mul(out, out))),)
-
     # f' = 1 - out**2, f'' = -2 out f'
-    _record(out, (a,), backward, lambda ds: _chain(
-        ds, lambda: sub(Tensor(1.0), mul(out, out)),
-        lambda fp: mul(Tensor(-2.0), mul(out, fp))))
-    return out
+    return _unary(out, a, lambda: sub(Tensor(1.0), mul(out, out)),
+                  lambda fp: mul(Tensor(-2.0), mul(out, fp)))
+
+
+def _extremum(fn, wins, a, b, name):
+    """maximum or minimum (`fn`) of `a` and `b`: each input's coefficients
+    where it wins (``wins(x, y)``); ties get subgradient 0 on both sides."""
+    a, b, out = _binary(fn, a, b, name)
+
+    def gated(x, y):
+        gate = Tensor(wins(x.data, y.data))
+        return lambda t: mul(t, gate)
+
+    return _pointwise(out, (a, b), lambda live: (
+        (gated(a, b) if live[0] else None, gated(b, a) if live[1] else None),
+        None))
 
 
 def relu(a):
     # Subgradient 0 at the kink.
-    a = _as_tensor(a)
-    out = Tensor(np.maximum(a.data, 0.0))
-    if not _ACTIVE.recorders:
-        return out
-    gate = Tensor((a.data > 0.0).astype(np.float64))
-    _record(out, (a,), lambda adj, want: (
-        mul(adj, gate) if want[0] else None,
-    ), lambda ds: _linear(ds, mul, gate))
-    return out
-
-
-def _gated(ds, ga, gb, shape):
-    """Rule of maximum/minimum: each side's coefficients where it wins."""
-    return [_fit(_plus(_on(mul, da, ga), _on(mul, db, gb)), shape)
-            for da, db in ds]
+    return _extremum(np.maximum, np.greater, a, Tensor(0.0), "relu")
 
 
 def maximum(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    _broadcast_check(a, b, "maximum")
-    out = Tensor(np.maximum(a.data, b.data))
-    if not _ACTIVE.recorders:
-        return out
-    # Ties get subgradient 0 on both sides.
-    ga = Tensor((a.data > b.data).astype(np.float64))
-    gb = Tensor((b.data > a.data).astype(np.float64))
-    _record(out, (a, b), lambda adj, want: (
-        _unbroadcast(mul(adj, ga), a.shape) if want[0] else None,
-        _unbroadcast(mul(adj, gb), b.shape) if want[1] else None,
-    ), lambda ds, shape=out.shape: _gated(ds, ga, gb, shape))
-    return out
+    return _extremum(np.maximum, np.greater, a, b, "maximum")
 
 
 def minimum(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    _broadcast_check(a, b, "minimum")
-    out = Tensor(np.minimum(a.data, b.data))
-    if not _ACTIVE.recorders:
-        return out
-    ga = Tensor((a.data < b.data).astype(np.float64))
-    gb = Tensor((b.data < a.data).astype(np.float64))
-    _record(out, (a, b), lambda adj, want: (
-        _unbroadcast(mul(adj, ga), a.shape) if want[0] else None,
-        _unbroadcast(mul(adj, gb), b.shape) if want[1] else None,
-    ), lambda ds, shape=out.shape: _gated(ds, ga, gb, shape))
-    return out
+    return _extremum(np.minimum, np.less, a, b, "minimum")
 
 
 _COMPARE_FNS = {
@@ -589,13 +558,11 @@ _COMPARE_FNS = {
 
 def compare(op, a, b):
     """0/1-valued comparison; non-differentiable (no tape record)."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    _broadcast_check(a, b, "compare")
     try:
         fn = _COMPARE_FNS[op]
     except KeyError:
         raise ArityMismatch(f"unknown comparison {op!r}") from None
-    return Tensor(fn(a.data, b.data).astype(np.float64))
+    return _binary(fn, a, b, "compare")[2]
 
 
 # ---------------------------------------------------------------------------
@@ -618,18 +585,15 @@ def reduce_sum(a, axes=None, keepdims=False):
     a = _as_tensor(a)
     axes = _norm_axes(a, axes)
     out = Tensor(np.sum(a.data, axis=axes or None, keepdims=keepdims))
+    shape = a.shape
 
-    def backward(adj, want):
-        if not want[0]:
-            return (None,)
-        g = adj
+    def spread(adj):
         if not keepdims and axes:
-            g = reshape(g, _restore_shape(a.shape, axes))
-        return (broadcast_to(g, a.shape),)
+            adj = reshape(adj, _restore_shape(shape, axes))
+        return broadcast_to(adj, shape)
 
-    _record(out, (a,), backward,
-            lambda ds: _linear(ds, reduce_sum, axes, keepdims))
-    return out
+    return _linear_map(out, a, lambda c: reduce_sum(c, axes, keepdims),
+                       spread)
 
 
 def _restore_shape(shape, axes):
@@ -667,13 +631,9 @@ def reshape(a, shape):
     try:
         out = Tensor(a.data.reshape(shape))
     except ValueError:
-        raise ShapeMismatch(
-            f"cannot reshape {a.shape} to {shape}"
-        ) from None
-    _record(out, (a,), lambda adj, want: (
-        reshape(adj, a.shape) if want[0] else None,
-    ), lambda ds: _linear(ds, reshape, shape))
-    return out
+        raise ShapeMismatch(f"cannot reshape {a.shape} to {shape}") from None
+    return _linear_map(out, a, lambda c: reshape(c, shape),
+                       lambda adj, s=a.shape: reshape(adj, s))
 
 
 def transpose(a, axes=None):
@@ -681,13 +641,8 @@ def transpose(a, axes=None):
     if axes is None:
         axes = tuple(reversed(range(a.ndim)))
     out = Tensor(np.transpose(a.data, axes))
-    if not _ACTIVE.recorders:
-        return out
-    inv = tuple(np.argsort(axes))
-    _record(out, (a,), lambda adj, want: (
-        transpose(adj, inv) if want[0] else None,
-    ), lambda ds: _linear(ds, transpose, axes))
-    return out
+    return _linear_map(out, a, lambda c: transpose(c, axes),
+                       lambda adj: transpose(adj, tuple(np.argsort(axes))))
 
 
 def broadcast_to(a, shape):
@@ -695,13 +650,9 @@ def broadcast_to(a, shape):
     try:
         out = Tensor(np.broadcast_to(a.data, shape).copy())
     except ValueError:
-        raise ShapeMismatch(
-            f"cannot broadcast {a.shape} to {shape}"
-        ) from None
-    _record(out, (a,), lambda adj, want: (
-        _unbroadcast(adj, a.shape) if want[0] else None,
-    ), lambda ds: _linear(ds, broadcast_to, shape))
-    return out
+        raise ShapeMismatch(f"cannot broadcast {a.shape} to {shape}") from None
+    return _linear_map(out, a, lambda c: broadcast_to(c, shape),
+                       lambda adj, s=a.shape: _unbroadcast(adj, s))
 
 
 def matmul(a, b):
@@ -748,10 +699,8 @@ def sparse_matmul(S, x):
     cols = np.moveaxis(x.data, -2, 0).reshape(S.shape[1], -1)
     moved = (S @ cols).reshape((S.shape[0],) + x.shape[:-2] + x.shape[-1:])
     out = Tensor(np.moveaxis(moved, 0, -2))
-    _record(out, (x,), lambda adj, want: (
-        sparse_matmul(S.T, adj) if want[0] else None,
-    ), lambda ds: _linear(ds, lambda c: sparse_matmul(S, c)))
-    return out
+    return _linear_map(out, x, lambda c: sparse_matmul(S, c),
+                       lambda adj: sparse_matmul(S.T, adj))
 
 
 def _swap_last(a):
@@ -777,23 +726,19 @@ def concat(parts, axis=-1):
     out = Tensor(np.concatenate([p.data for p in parts], axis=ax))
     if not _ACTIVE.recorders:
         return out
-    sizes = [p.shape[ax] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    shapes = [p.shape for p in parts]
+    offsets = np.cumsum([0] + [s[ax] for s in shapes])
 
     def backward(adj, want):
-        grads = []
-        for i, p in enumerate(parts):
-            if not want[i]:
-                grads.append(None)
-                continue
-            spec = [slice(None)] * nd
+        spec, grads = [slice(None)] * nd, []
+        for i, w in enumerate(want):
             spec[ax] = slice(int(offsets[i]), int(offsets[i + 1]))
-            grads.append(take_slice(adj, tuple(spec)))
+            grads.append(take_slice(adj, tuple(spec)) if w else None)
         return tuple(grads)
 
     def taylor(ds):
         return [None if all(c is None for c in d) else concat(
-            [zeros(p.shape) if c is None else c for p, c in zip(parts, d)],
+            [zeros(s) if c is None else c for s, c in zip(shapes, d)],
             axis=ax) for d in ds]
 
     _record(out, tuple(parts), backward, taylor)
@@ -810,15 +755,8 @@ def take_slice(a, spec):
     for i, s in enumerate(spec):
         if isinstance(s, int) and not -a.shape[i] <= s < a.shape[i]:
             raise IndexOutOfRange(f"index {s} out of range for axis {i} of {a.shape}")
-    out = Tensor(a.data[spec])
-
-    def backward(adj, want):
-        if not want[0]:
-            return (None,)
-        return (scatter_slice(adj, spec, a.shape),)
-
-    _record(out, (a,), backward, lambda ds: _linear(ds, take_slice, spec))
-    return out
+    return _linear_map(Tensor(a.data[spec]), a, lambda c: take_slice(c, spec),
+                       lambda adj, s=a.shape: scatter_slice(adj, spec, s))
 
 
 def scatter_slice(adj, spec, shape):
@@ -826,11 +764,9 @@ def scatter_slice(adj, spec, shape):
     adj = _as_tensor(adj)
     buf = np.zeros(shape, dtype=np.float64)
     buf[spec] = adj.data
-    out = Tensor(buf)
-    _record(out, (adj,), lambda a2, want: (
-        take_slice(a2, spec) if want[0] else None,
-    ), lambda ds: _linear(ds, scatter_slice, spec, shape))
-    return out
+    return _linear_map(Tensor(buf), adj,
+                       lambda c: scatter_slice(c, spec, shape),
+                       lambda a: take_slice(a, spec))
 
 
 ELEMENTWISE = {

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from jno import domain as dm
 from jno import evaluator as ev
@@ -310,11 +311,18 @@ class TestNewton:
 
 
 class TestFemTime:
-    def _heat(self, source=True):
+    # stiffness coefficients of the heat form other than 1, as functions of
+    # the time node
+    STIFFNESS = {"1+0t": lambda t: 1 + 0 * t, "1+10t": lambda t: 1 + 10 * t}
+
+    def _heat(self, source=True, stiffness="1"):
         dom = dm.structured_rect(6, 6)
         u, phi, (x, y) = setup_fem(dom, [dom.dirichlet("boundary", 0.0)])
         t = dom.variable(fem.GAUSS_VOLUME)[-1]
-        weak = u.d(t) * phi + laplace(u, phi, (x, y))
+        a = laplace(u, phi, (x, y))
+        if stiffness != "1":
+            a = self.STIFFNESS[stiffness](t) * a
+        weak = u.d(t) * phi + a
         if source:
             weak = weak - (1 + t) * sin(np.pi * x) * phi
         return weak
@@ -330,21 +338,41 @@ class TestFemTime:
         np.testing.assert_allclose(traj, decay[:, None] * v[None], atol=1e-12)
 
     def test_nonlinear_path_steps_like_the_linear_one(self):
-        weak = self._heat()
-        n = len(weak.assemble("fem_time").u0)
+        # a stiffness coefficient that reads the time takes the Newton path
+        n = len(self._heat().assemble("fem_time").u0)
         v = np.sin(np.arange(n))
-        traj = [weak.assemble("fem_time", linear=linear, state0=v)
-                .integrate(0.01, 5) for linear in (True, False)]
+        blocks = [self._heat(stiffness=c).assemble("fem_time", state0=v)
+                  for c in ("1", "1+0t")]
+        assert [b.linear for b in blocks] == [True, False]
+        traj = [b.integrate(0.01, 5) for b in blocks]
         assert np.abs(traj[0][-1] - v).max() > 1e-2
         np.testing.assert_allclose(traj[1], traj[0], rtol=0, atol=1e-12)
 
+    def test_time_dependent_stiffness_is_not_frozen(self):
+        # reference: (M + dt (1 + 10 t_(k+1)) A0) u_(k+1) = M u_k
+        A0 = self._heat(source=False).assemble("fem_time").A
+        weak = self._heat(source=False, stiffness="1+10t")
+        n = A0.shape[0]
+        v = np.sin(np.arange(n))
+        block = weak.assemble("fem_time", state0=v)
+        assert not block.linear
+        dt, steps = 0.05, 10
+        ref = [v]
+        for k in range(steps):
+            step = (block.M + dt * (1 + 10 * dt * (k + 1)) * A0).tocsc()
+            ref.append(scipy.sparse.linalg.spsolve(step, block.M @ ref[-1]))
+        np.testing.assert_allclose(block.integrate(dt, steps), ref,
+                                   rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("linear", [True, False])
     def test_explicit_ode_at_an_eigenpair(self, linear):
-        weak = self._heat(source=False)
-        block = weak.assemble("fem_time")
+        # the stiffness 1 + 10t takes the Newton path and is 1 at t = 0
+        block = self._heat(source=False).assemble("fem_time")
         lam, vecs = scipy.linalg.eigh(block.A.toarray(), block.M.toarray())
-        rhs = fem.export_explicit_ode(
-            weak.assemble("fem_time", linear=linear))
+        stepped = self._heat(source=False, stiffness="1" if linear else
+                             "1+10t").assemble("fem_time")
+        assert stepped.linear == linear
+        rhs = fem.export_explicit_ode(stepped)
         np.testing.assert_allclose(rhs(0.0, vecs[:, 0]),
                                    -lam[0] * vecs[:, 0], rtol=0, atol=1e-10)
 
@@ -353,6 +381,7 @@ class TestErrors:
     @pytest.mark.parametrize("target, option", [
         ("fem_system", "lineer"), ("fem_system", "trial"),
         ("fem_residual", "linear"), ("fem_time", "mode"),
+        ("fem_time", "linear"),
         ("vpinn", "state0"),
     ])
     def test_option_the_target_does_not_take(self, target, option):

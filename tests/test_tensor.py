@@ -1,4 +1,5 @@
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -45,9 +46,13 @@ class TestElementwise:
         assert np.isposinf(out.data).all()
         assert T.has_nan(out)
 
-    def test_broadcast_failure(self):
-        with pytest.raises(ShapeMismatch):
-            T.add(T.ones((2, 3)), T.ones((4,)))
+    @pytest.mark.parametrize("name", ["add", "sub", "mul", "div", "power",
+                                      "maximum", "minimum", "compare"])
+    def test_broadcast_failure(self, name):
+        a, b = T.ones((2, 3)), T.ones((4,))
+        args = ("lt", a, b) if name == "compare" else (a, b)
+        with pytest.raises(ShapeMismatch, match=f"^{name}: "):
+            getattr(T, name)(*args)
 
     def test_compare_is_binary(self):
         out = T.compare("lt", T.Tensor([1.0, 5.0]), T.Tensor([2.0, 2.0]))
@@ -139,6 +144,21 @@ class TestGrad:
             y = T.mul(x, x)
         with pytest.raises(NonScalarOutput):
             t.gradient(y, [x])
+
+    def test_tape_keeps_no_input_that_a_rule_reads_only_the_shape_of(self):
+        # add's adjoints need only its inputs' shapes, so its record must not
+        # keep the matmul output alive
+        x, w, b = T.ones((4, 3)), T.ones((3, 2)), T.ones((1, 2))
+        with T.Tape() as tape:
+            tape.watch(w, b)
+            h = T.matmul(x, w)
+            total = T.reduce_sum(T.add(h, b))
+        h_data = weakref.ref(h.data)
+        del h
+        assert h_data() is None
+        grads = tape.gradient(total, [w, b])
+        np.testing.assert_array_equal(grads[b.uid].data, [[4.0, 4.0]])
+        np.testing.assert_array_equal(grads[w.uid].data, np.full((3, 2), 4.0))
 
     def test_unknown_node(self):
         x = T.Tensor(1.0)
