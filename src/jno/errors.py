@@ -167,6 +167,10 @@ class SingularMass(JnoError):
     pass
 
 
+class TimeDependentMass(JnoError):
+    pass
+
+
 class NewtonDivergence(JnoError):
     def __init__(self, iterations, residual_norm):
         super().__init__(

@@ -4,10 +4,11 @@
 dispatches each node kind through a handler table; a handler reads its
 children's values from the context's cache.  Derivative nodes resolve
 either through Taylor-mode AD (pointwise over the point axis, one
-:class:`jno.tensor.Jet` push per direction) or through mesh-driven finite
-differences built from moving-least-squares gradient reconstruction on
-vertex neighborhoods.  The finite-difference operators (MLS gradients and
-barycentric interpolation) are CSR matrices applied with
+:class:`jno.tensor.Jet` push per expression for every direction its
+derivatives need) or through mesh-driven finite differences built from
+moving-least-squares gradient reconstruction on vertex neighborhoods.
+The finite-difference operators (MLS gradients and barycentric
+interpolation) are CSR matrices applied with
 :func:`jno.tensor.sparse_matmul`.
 """
 
@@ -50,12 +51,14 @@ class EvalContext:
         self._interp_cache = {}
         self._vertex_contexts = {}
         self._jet_passes = {}
+        self._ad_requests = {}
 
     def reset_cache(self):
         self.cache = {}
         self._interp_cache = {}
         self._vertex_contexts = {}
         self._jet_passes = {}
+        self._ad_requests = {}
 
     def child(self, extra_bindings):
         sub = EvalContext(domain=self.domain,
@@ -84,38 +87,56 @@ class EvalContext:
 def evaluate(root, ctx):
     """Value of `root` under `ctx`; shared nodes evaluate once per context.
 
-    Walks the part of the graph below `root` that is not in `ctx.cache`,
-    children first and left to right, with an explicit stack: a node goes
-    on the stack again below its children and is evaluated when it comes
-    off again.  The walk does not enter Derivative nodes: their handlers
-    evaluate the expression in a child context.  `ctx.stats` counts each
-    evaluated node and each visit that found its node cached.
+    First `_schedule` lists the nodes to evaluate, then the handlers
+    evaluate them in that order.  `ctx.stats` counts each evaluated node
+    and each visit that found its node cached or already walked.
     """
     cache, stats = ctx.cache, ctx.stats
     by_kind = stats["by_kind"]
-    expanded = set()
+    for node in _schedule(root, ctx):
+        handler = HANDLERS.get(node.kind)
+        if handler is None:
+            raise UnassembledSymbol(f"no handler for node kind {node.kind}")
+        value = handler(node, ctx)
+        stats["evaluations"] += 1
+        by_kind[node.kind] = by_kind.get(node.kind, 0) + 1
+        if ctx.nan_check and T.has_nan(value):
+            raise NaNDetected(node, f"non-finite value at {node!r}")
+        cache[node] = value
+    return cache[root]
+
+
+def _schedule(root, ctx):
+    """The part of the graph below `root` that is not in `ctx.cache`,
+    children first and left to right.
+
+    The walk uses an explicit stack: a node goes on the stack again, under
+    a None marker, below its children, and is listed when the marker comes
+    off.  A node met again was listed already, since a graph has no
+    cycles.  The walk does not enter Derivative nodes, whose handlers
+    evaluate the expression in a child context; it records the AD
+    derivatives it meets in `ctx`, so that the first of them on an
+    expression pushes the directions of all of them in one replay.
+    """
+    cache, stats = ctx.cache, ctx.stats
+    expanded, order = set(), []
     stack = [root]
     while stack:
         node = stack.pop()
-        if node in cache:
+        if node is None:
+            order.append(stack.pop())
+        elif node in cache or node in expanded:
             stats["cache_hits"] += 1
-        elif node not in expanded:
+        else:
             expanded.add(node)
-            stack.append(node)
+            stack += (node, None)
             if node.kind != tr.DERIVATIVE:
                 stack.extend(reversed(node.children))
-        else:
-            handler = HANDLERS.get(node.kind)
-            if handler is None:
-                raise UnassembledSymbol(
-                    f"no handler for node kind {node.kind}")
-            value = handler(node, ctx)
-            stats["evaluations"] += 1
-            by_kind[node.kind] = by_kind.get(node.kind, 0) + 1
-            if ctx.nan_check and T.has_nan(value):
-                raise NaNDetected(node, f"non-finite value at {node!r}")
-            cache[node] = value
-    return cache[root]
+            elif _derivative_mode(node, ctx) != "finite-difference":
+                expr, wrt = node.children
+                wanted = ctx._ad_requests.setdefault(expr, {})
+                wanted[wrt] = max(wanted.get(wrt, 0), node.payload[0])
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +212,14 @@ def _eval_symbol(node, ctx):
     )
 
 
+def _derivative_mode(node, ctx):
+    hint = node.payload[1]
+    return ctx.derivative_mode if hint == "default" else hint
+
+
 def _eval_derivative(node, ctx):
-    order, hint = node.payload
-    mode = ctx.derivative_mode if hint == "default" else hint
-    if mode == "finite-difference":
+    order = node.payload[0]
+    if _derivative_mode(node, ctx) == "finite-difference":
         return _derivative_fd(node, ctx, order)
     return _derivative_ad(node, ctx, order)
 
@@ -238,47 +263,62 @@ assert_handler_totality()
 # expression along a direction of ones at the coordinate.  A variable with
 # several columns takes one direction per column, and its derivative is the
 # diagonal over the columns too.  Expressions that mix points are rejected.
+#
+# `evaluate` records every AD derivative request on an expression before the
+# first of them runs, so one Jet push serves all of them.
 # ---------------------------------------------------------------------------
 
 def _derivative_ad(node, ctx, order):
     expr, wrt = node.children
-    if wrt not in ctx._jet_passes.get(expr, ({},))[0]:
-        ctx._jet_passes[expr] = _jet_pass(expr, wrt, ctx)
+    wanted = ctx._ad_requests[expr]
+    if not wanted.keys() <= ctx._jet_passes.get(expr, ({},))[0].keys():
+        ctx._jet_passes[expr] = _jet_pass(expr, wanted, ctx)
     seeds, sub, jet, u, pushes = ctx._jet_passes[expr]
-    x = seeds[wrt]
     _check_pointwise(expr, wrt, sub)
-    try:
-        target = np.broadcast_shapes(x.shape, u.shape)
-    except ValueError:
-        raise NonDifferentiablePath(
-            f"derivative target shape {x.shape} does not broadcast with "
-            f"expression shape {u.shape}"
-        ) from None
-    if len(pushes.get(wrt, ())) < order:
-        pushes[wrt] = _column_derivatives(jet, x, u, order, target)
+    missing = [w for w, k in wanted.items() if len(pushes.get(w, ())) < k]
+    if missing:
+        pushes.update(zip(missing, _column_derivatives(
+            jet, u, [(seeds[w], wanted[w]) for w in missing])))
     return pushes[wrt][order - 1]
 
 
-def _column_derivatives(jet, x, u, order, target):
-    """Derivatives of `u` up to `order`, each in the shape `target`.  Column
-    j is the derivative along column j of `x`: of all of `u` if it has one
-    column, of its column j if it has as many as `x`."""
-    ds = [T.zeros(target)] * order
-    for e in np.eye(x.shape[-1]):
-        seed = T.Tensor(np.broadcast_to(e, x.shape))
-        for k, c in enumerate(jet.push(x, order, seed)):
-            if u.uid in c:
-                ds[k] = T.add(ds[k], T.mul(c[u.uid], T.Tensor(e)))
-    return ds
+def _column_derivatives(jet, u, wanted):
+    """Derivatives of `u` up to order k along each (x, k) in `wanted`, from
+    one push of every column of every x: one list per x, each derivative in
+    the shape of x broadcast with u.  Column j is the derivative along
+    column j of `x`: of all of `u` if it has one column, of its column j if
+    it has as many as `x`."""
+    targets, seeds = [], []
+    for x, order in wanted:
+        try:
+            targets.append(np.broadcast_shapes(x.shape, u.shape))
+        except ValueError:
+            raise NonDifferentiablePath(
+                f"derivative target shape {x.shape} does not broadcast with "
+                f"expression shape {u.shape}"
+            ) from None
+        seeds += [(x, order, T.Tensor(np.broadcast_to(e, x.shape)))
+                  for e in np.eye(x.shape[-1])]
+    coeffs = iter(jet.push(seeds))
+    out = []
+    for (x, order), target in zip(wanted, targets):
+        ds = [T.zeros(target)] * order
+        for e in np.eye(x.shape[-1]):
+            for k, c in enumerate(next(coeffs)):
+                if u.uid in c:
+                    ds[k] = T.add(ds[k], T.mul(c[u.uid], T.Tensor(e)))
+        out.append(ds)
+    return out
 
 
-def _jet_pass(expr, wrt, ctx):
+def _jet_pass(expr, wanted, ctx):
     """Evaluate `expr` once under a Jet, for all of its AD derivatives in
-    `ctx`, with every Variable it reads (and `wrt`) bound to a taped
-    identity of its value, so that outer Tapes and Jets see the path
+    `ctx`, with every Variable it reads (and those in `wanted`) bound to a
+    taped identity of its value, so that outer Tapes and Jets see the path
     through it.  Returns (identities, child context, jet, value, pushes)."""
     seeds = {}
-    for var in {n for n in tr.walk(expr) if n.kind == tr.VARIABLE} | {wrt}:
+    for var in {n for n in tr.walk(expr) if n.kind == tr.VARIABLE} \
+            | wanted.keys():
         value = ctx.lookup(var)
         seeds[var] = T.reshape(value, value.shape)
     sub = ctx.child(seeds)
@@ -347,29 +387,43 @@ def _check_pointwise(expr, wrt, ctx):
 
 def mls_gradient_operators(mesh, connectivity):
     """One (V, V) CSR matrix per space dimension; row i holds the
-    reconstruction weights of vertex i's neighborhood."""
+    reconstruction weights of vertex i's neighborhood.
+
+    Vertices with the same support size (the vertex and its neighbors) are
+    fitted together: one stacked SVD gives each one's pseudo-inverse and its
+    rank, with the cutoff of ``np.linalg.lstsq``'s default `rcond`."""
     V, D = mesh.num_vertices, mesh.dim
-    rows, cols, vals = [], [], [[] for _ in range(D)]
     verts = mesh.vertices
     ptr, nbr = connectivity.neighbor_indptr, connectivity.neighbor_indices
-    for i in range(V):
-        support = np.concatenate([[i], nbr[ptr[i]:ptr[i + 1]]])
-        offsets = verts[support] - verts[i]
-        M = np.concatenate([np.ones((len(support), 1)), offsets], axis=1)
-        if len(support) < D + 1:
-            raise DegenerateNeighborhood(
-                f"vertex {i} has only {len(support) - 1} neighbors"
-            )
-        pinv, _, rank, _ = np.linalg.lstsq(M, np.eye(len(support)),
-                                           rcond=None)
-        if rank < D + 1:
-            raise DegenerateNeighborhood(
-                f"vertex {i}: neighborhood is affinely degenerate"
-            )
-        rows.append(np.full(len(support), i))
-        cols.append(support)
+    sizes = np.diff(ptr) + 1
+    few = sizes < D + 1
+    flat = np.zeros(V, dtype=bool)
+    rows, cols, vals = [], [], [[] for _ in range(D)]
+    for n in np.unique(sizes[~few]):
+        idx = np.nonzero(sizes == n)[0]
+        support = np.concatenate(
+            [idx[:, None], nbr[ptr[idx][:, None] + np.arange(n - 1)]], axis=1)
+        offsets = verts[support] - verts[idx][:, None]
+        M = np.concatenate([np.ones(support.shape + (1,)), offsets], axis=2)
+        U, S, Vt = np.linalg.svd(M, full_matrices=False)
+        cutoff = np.finfo(np.float64).eps * max(n, D + 1) * S[:, :1]
+        kept = S > cutoff
+        flat[idx] = kept.sum(axis=1) < D + 1
+        # rows 1..D of the pseudo-inverse V S^-1 U^T
+        inv = 1.0 / np.where(kept, S, np.inf)
+        pinv = np.einsum("gkd,gk,gnk->gdn", Vt[:, :, 1:], inv, U)
+        rows.append(np.repeat(idx, n))
+        cols.append(support.ravel())
         for d in range(D):
-            vals[d].append(pinv[d + 1])
+            vals[d].append(pinv[:, d].ravel())
+    bad = np.nonzero(few | flat)[0]
+    if len(bad):
+        i = bad[0]
+        if few[i]:
+            raise DegenerateNeighborhood(
+                f"vertex {i} has only {sizes[i] - 1} neighbors")
+        raise DegenerateNeighborhood(
+            f"vertex {i}: neighborhood is affinely degenerate")
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     return [sp.csr_matrix((np.concatenate(v), (rows, cols)), shape=(V, V))
             for v in vals]

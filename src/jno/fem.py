@@ -52,6 +52,7 @@ from .errors import (
     SingularMass,
     SingularStepMatrix,
     TargetMismatch,
+    TimeDependentMass,
     TrialSymbolRemaining,
     UnassembledSymbol,
     UnknownBcTag,
@@ -820,6 +821,11 @@ def assemble_fem_time(setup, temporal, steady, state0=None):
         )
     if _trial_degree(temporal[0]) != 1:
         raise NonlinearTerm("the temporal term must be linear: c * u_t * phi")
+    if _reads_time(setup, temporal[0].coeff):
+        # M is assembled once; c(t) would be frozen at the first time value
+        raise TimeDependentMass(
+            "the coefficient c of the temporal term c * u_t * phi must not "
+            "read the time")
 
     M = _reduce(setup, _matrix(setup, _linear_pieces(setup, temporal)))[0]
     free = setup.free

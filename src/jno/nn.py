@@ -313,6 +313,11 @@ class Model:
 _ACTIVATIONS = {"tanh": T.tanh, "relu": T.relu, "sin": T.sin}
 
 
+def _check_activation(activation):
+    if activation not in _ACTIVATIONS:
+        raise BadDimension(f"unknown activation {activation!r}")
+
+
 def _mlp_specs(prefix, dims):
     specs = []
     for i in range(len(dims) - 1):
@@ -343,8 +348,7 @@ class MLP(Model):
         dims = [int(in_dim)] + [int(h) for h in hidden_dims] + [int(out_dim)]
         if any(d < 1 for d in dims):
             raise BadDimension(f"all dimensions must be positive, got {dims}")
-        if activation not in _ACTIVATIONS:
-            raise BadDimension(f"unknown activation {activation!r}")
+        _check_activation(activation)
         super().__init__(name)
         self.dims = dims
         self.activation = activation
@@ -385,6 +389,7 @@ class DeepONet(Model):
         for v in (n_sensors, coord_dim, basis_functions, hidden_dim):
             if int(v) < 1:
                 raise BadDimension("all DeepONet dimensions must be positive")
+        _check_activation(activation)
         super().__init__(name)
         p = int(basis_functions)
         h = int(hidden_dim)

@@ -4,7 +4,8 @@ Every runtime value in the library is a :class:`Tensor`.  Primitive ops are
 recorded on the active recorders that track one of their inputs: a
 :class:`Tape` replays them backward for reverse-mode gradients, and a
 :class:`Jet` replays them forward for second-order Taylor coefficients
-along one direction (Griewank & Walther, *Evaluating Derivatives*, ch. 13).
+along given directions (Griewank & Walther, *Evaluating Derivatives*,
+ch. 13).
 Each primitive states its derivative once and both rules derive from it:
 an elementwise op gives its partials, diagonal maps that are their own
 transposes, and its second-order term; a linear op gives the map and its
@@ -14,6 +15,7 @@ records what they compute and higher-order derivatives fall out of
 repeated application.
 """
 
+import functools
 import itertools
 import operator
 import threading
@@ -45,15 +47,16 @@ _ACTIVE = _Active()
 
 
 class Tensor:
-    """Immutable dense array of 64-bit reals."""
+    """Immutable dense array of 64-bit reals.
+
+    The array may be a view of another tensor's, such as a transpose or a
+    slice: no tensor is written in place, so views are shared, not copied.
+    """
 
     __slots__ = ("data", "uid")
 
     def __init__(self, data):
-        arr = np.asarray(data, dtype=np.float64)
-        if not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
         self.uid = next(_UIDS)
 
     @property
@@ -220,51 +223,60 @@ class Tape(_Recorder):
 
 
 class Jet(_Recorder):
-    """Taylor mode: replays the records forward along one direction.
+    """Taylor mode: replays the records forward along given directions.
 
     A tensor's coefficients along a direction are its first and second
     derivatives t1, t2 along it.  Each record's Taylor rule maps the
     coefficients of the op's inputs to those of its output, for example
     ``t1 = f'(a) a1`` and ``t2 = f'(a) a2 + f''(a) a1**2`` for a unary map,
     so one forward replay gives every recorded tensor's derivatives, where
-    reverse mode needs one sweep per output and nested sweeps for t2.
+    reverse mode needs one sweep per output and nested sweeps for t2.  One
+    replay serves every direction: a record's rule computes what the
+    directions share, such as f'(a) and f''(a), once.
     """
 
-    def push(self, x, order=2, direction=None):
-        """Coefficients up to `order` (1 or 2) along `direction` (a tensor of
-        `x`'s shape; ones by default) at the watched tensor `x`: a list with
+    def push(self, seeds):
+        """Coefficients along each seed ``(x, order, direction)``: up to
+        `order` (1 or 2) along `direction` (a tensor of `x`'s shape, or None
+        for ones) at the watched tensor `x`.  Returns, per seed, a list with
         one dict uid -> Tensor per order.  A tensor missing from a dict has
         a zero coefficient.
         """
-        if order not in (1, 2):
-            raise ArityMismatch(f"Taylor order must be 1 or 2, got {order}")
-        self._require([x])
-        if direction is None:
-            direction = ones(x.shape)
-        elif direction.shape != x.shape:
-            raise ShapeMismatch(
-                f"direction {direction.shape} does not match {x.shape}")
-        coeffs = [{x.uid: direction}] + [{} for _ in range(order - 1)]
-        first = coeffs[0]
+        coeffs = []
+        for x, order, direction in seeds:
+            if order not in (1, 2):
+                raise ArityMismatch(
+                    f"Taylor order must be 1 or 2, got {order}")
+            self._require([x])
+            if direction is None:
+                direction = ones(x.shape)
+            elif direction.shape != x.shape:
+                raise ShapeMismatch(
+                    f"direction {direction.shape} does not match {x.shape}")
+            coeffs.append([{x.uid: direction}]
+                          + [{} for _ in range(order - 1)])
         for rec in self.records:
-            ds = [tuple(first.get(uid) for uid in rec.in_uids)]
-            if all(c is None for c in ds[0]):
+            moving = [cs for cs in coeffs
+                      if any(uid in cs[0] for uid in rec.in_uids)]
+            if not moving:
                 continue
-            ds += [tuple(ck.get(uid) for uid in rec.in_uids)
-                   for ck in coeffs[1:]]
-            for ck, t in zip(coeffs, rec.taylor(ds)):
-                if t is not None:
-                    ck[rec.out_uid] = t
+            dss = [[tuple(ck.get(uid) for uid in rec.in_uids) for ck in cs]
+                   for cs in moving]
+            for cs, ts in zip(moving, rec.taylor(dss)):
+                for ck, t in zip(cs, ts):
+                    if t is not None:
+                        ck[rec.out_uid] = t
         return coeffs
 
 
 def _record(out, inputs, backward, taylor):
     """Record `out` = op(`inputs`) on every active recorder that tracks an
     input.  `backward(adj, want)` returns the adjoints of the inputs flagged
-    in `want`; `taylor(ds)` maps ``ds[k]``, the order-(k+1) coefficients of
-    the inputs (None for zero), to the output's coefficients up to that
-    order.  Elementwise ops get both rules from `_pointwise`, linear ones
-    from `_linear_map`; only matmul and concat write their own.
+    in `want`; `taylor(dss)` maps, for each direction's ``ds`` in `dss`,
+    ``ds[k]``, the order-(k+1) coefficients of the inputs (None for zero),
+    to the output's coefficients up to that order.  Elementwise ops get
+    both rules from `_pointwise`, linear ones from `_linear_map`; only
+    matmul and concat write their own.
 
     The rules bind the values they read and, where they read no more than
     an input's shape, the shape, so that a recorder does not keep the
@@ -336,8 +348,9 @@ def _pointwise(out, inputs, rule):
     A partial of an elementwise map is diagonal, hence its own transpose,
     so it serves both modes: the Tape's adjoint of input i is
     ``partials[i](adj)`` summed back to the input's shape, and the Jet's
-    coefficients are t_k = sum_i partials[i](a_k_i), plus the curvature for
-    k = 2."""
+    coefficients along each direction are t_k = sum_i partials[i](a_k_i),
+    plus the curvature for k = 2.  A replay calls `rule` once, for the
+    inputs live along any of its directions."""
     if not _ACTIVE.recorders:
         return out
     shapes = tuple(t.shape for t in inputs)
@@ -348,17 +361,22 @@ def _pointwise(out, inputs, rule):
         return tuple(_unbroadcast(p(adj), s) if w else None
                      for p, s, w in zip(partials, shapes, want))
 
-    def taylor(ds):
+    def taylor(dss):
         # an input whose first coefficient is zero has a zero second one
-        partials, curvature = rule(tuple(c is not None for c in ds[0]))
-        ts = [None] * len(ds)
-        for k, d in enumerate(ds):
-            for p, c in zip(partials, d):
-                if c is not None:
-                    ts[k] = _plus(ts[k], p(c))
-        if len(ds) > 1 and curvature is not None:
-            ts[1] = _plus(ts[1], curvature(ds[0], ts[0]))
-        return [_fit(t, shape) for t in ts]
+        partials, curvature = rule(tuple(
+            any(c is not None for c in col)
+            for col in zip(*(ds[0] for ds in dss))))
+        out = []
+        for ds in dss:
+            ts = [None] * len(ds)
+            for k, d in enumerate(ds):
+                for p, c in zip(partials, d):
+                    if c is not None:
+                        ts[k] = _plus(ts[k], p(c))
+            if len(ds) > 1 and curvature is not None:
+                ts[1] = _plus(ts[1], curvature(ds[0], ts[0]))
+            out.append([_fit(t, shape) for t in ts])
+        return out
 
     _record(out, inputs, backward, taylor)
     return out
@@ -366,11 +384,14 @@ def _pointwise(out, inputs, rule):
 
 def _unary(out, a, first, second):
     """Record the smooth map `out` = f(`a`), with f'(a) = first() and
-    f''(a) = second(f'(a)): t1 = f'(a) a1, t2 = f'(a) a2 + f''(a) a1**2."""
+    f''(a) = second(f'(a)): t1 = f'(a) a1, t2 = f'(a) a2 + f''(a) a1**2.
+    f''(a) is computed once per replay, for the first direction that needs
+    it."""
     def rule(live):
         fp = first()
+        fpp = functools.cache(lambda: second(fp))
         return ((lambda t: mul(t, fp),),
-                lambda d1, t1: mul(second(fp), mul(d1[0], d1[0])))
+                lambda d1, t1: mul(fpp(), mul(d1[0], d1[0])))
 
     return _pointwise(out, (a,), rule)
 
@@ -380,7 +401,8 @@ def _linear_map(out, a, apply, transpose):
     of `a` by `apply` (L itself) and the Tape maps the adjoint by
     `transpose`, L's transpose."""
     _record(out, (a,), lambda adj, want: (transpose(adj),),
-            lambda ds: [None if c is None else apply(c) for (c,) in ds])
+            lambda dss: [[None if c is None else apply(c) for (c,) in ds]
+                         for ds in dss])
     return out
 
 
@@ -637,6 +659,7 @@ def reshape(a, shape):
 
 
 def transpose(a, axes=None):
+    """`a` with its axes permuted (reversed by default), as a view."""
     a = _as_tensor(a)
     if axes is None:
         axes = tuple(reversed(range(a.ndim)))
@@ -671,6 +694,7 @@ def matmul(a, b):
         ) from None
 
     def backward(adj, want):
+        # the transposes are views: matmul reads them in place
         ga = gb = None
         if want[0]:
             ga = _unbroadcast(matmul(adj, _swap_last(b)), a.shape)
@@ -679,7 +703,8 @@ def matmul(a, b):
         return ga, gb
 
     _record(out, (a, b), backward,
-            lambda ds, shape=out.shape: _bilinear(ds, matmul, a, b, shape))
+            lambda dss, shape=out.shape: [_bilinear(ds, matmul, a, b, shape)
+                                          for ds in dss])
     return out
 
 
@@ -736,10 +761,10 @@ def concat(parts, axis=-1):
             grads.append(take_slice(adj, tuple(spec)) if w else None)
         return tuple(grads)
 
-    def taylor(ds):
-        return [None if all(c is None for c in d) else concat(
+    def taylor(dss):
+        return [[None if all(c is None for c in d) else concat(
             [zeros(s) if c is None else c for s, c in zip(shapes, d)],
-            axis=ax) for d in ds]
+            axis=ax) for d in ds] for ds in dss]
 
     _record(out, tuple(parts), backward, taylor)
     return out

@@ -8,6 +8,7 @@ interpreter's recursion limit.
 """
 
 import io
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -451,8 +452,9 @@ def cse(roots):
     ids of its children's representatives, so a key costs O(children), not
     O(subtree).  Identity kinds (distinct inputs and trackers) are keyed by
     their own id and a model call by its model's id; Literals merge by
-    value.  Returns (new_roots, stats) where stats carries
-    nodes_before/nodes_after.  Semantics are unchanged for every root.
+    value and sign, so 0.0 and -0.0 stay apart.  Returns (new_roots,
+    stats) where stats carries nodes_before/nodes_after.  Semantics are
+    unchanged for every root.
     """
     single = isinstance(roots, ExprNode)
     root_list = [roots] if single else list(roots)
@@ -464,8 +466,12 @@ def cse(roots):
         if node.kind in _IDENTITY_KINDS:
             key = id(node)
         else:
-            payload = id(node.payload) if node.kind == MODEL_CALL \
-                else node.payload
+            payload = node.payload
+            if node.kind == MODEL_CALL:
+                payload = id(payload)
+            elif node.kind == LITERAL:
+                # 0.0 == -0.0 as keys, but 1/0.0 != 1/-0.0
+                payload = (payload, math.copysign(1.0, payload))
             key = (node.kind, payload, tuple(map(id, kids)))
         rep = by_key.get(key)
         if rep is None:

@@ -18,6 +18,7 @@ from jno.errors import (
     NonDifferentiablePath,
     NonlinearTerm,
     TargetMismatch,
+    TimeDependentMass,
     UnknownBcTag,
 )
 
@@ -347,6 +348,15 @@ class TestFemTime:
         traj = [b.integrate(0.01, 5) for b in blocks]
         assert np.abs(traj[0][-1] - v).max() > 1e-2
         np.testing.assert_allclose(traj[1], traj[0], rtol=0, atol=1e-12)
+
+    def test_time_dependent_mass_is_refused(self):
+        # M is assembled once, so c(t) in c(t) u_t phi would be frozen
+        dom = dm.structured_rect(6, 6)
+        u, phi, (x, y) = setup_fem(dom, [dom.dirichlet("boundary", 0.0)])
+        t = dom.variable(fem.GAUSS_VOLUME)[-1]
+        weak = (1 + 10 * t) * u.d(t) * phi + laplace(u, phi, (x, y))
+        with pytest.raises(TimeDependentMass):
+            weak.assemble("fem_time")
 
     def test_time_dependent_stiffness_is_not_frozen(self):
         # reference: (M + dt (1 + 10 t_(k+1)) A0) u_(k+1) = M u_k

@@ -106,7 +106,7 @@ def _coefficients(f, s0, order):
     with T.Jet() as jet:
         jet.watch(s)
         out = f(s)
-    coeffs = jet.push(s, order)
+    (coeffs,) = jet.push([(s, order, None)])
     return [c.get(out.uid, T.zeros(out.shape)).data for c in coeffs]
 
 
@@ -135,9 +135,9 @@ def test_push_needs_a_watched_tensor_and_order_one_or_two():
         jet.watch(s)
         T.sin(s)
     with pytest.raises(UnknownNode):
-        jet.push(T.Tensor(np.ones(3)))
+        jet.push([(T.Tensor(np.ones(3)), 2, None)])
     with pytest.raises(ArityMismatch):
-        jet.push(s, 3)
+        jet.push([(s, 3, None)])
 
 
 def test_parameter_tape_records_the_push():
@@ -150,7 +150,7 @@ def test_parameter_tape_records_the_push():
         with T.Jet() as jet:
             jet.watch(s)
             out = T.sin(T.mul(w, s))
-        return T.reduce_sum(jet.push(s, 2)[1][out.uid])
+        return T.reduce_sum(jet.push([(s, 2, None)])[0][1][out.uid])
 
     w = T.Tensor(1.3)
     with T.Tape() as tape:
@@ -251,11 +251,12 @@ def test_push_along_a_direction():
     with T.Jet() as jet:
         jet.watch(s)
         out = T.sin(s)
-    t1, t2 = (c[out.uid].data for c in jet.push(s, 2, T.full((4,), 2.0)))
+    (coeffs,) = jet.push([(s, 2, T.full((4,), 2.0))])
+    t1, t2 = (c[out.uid].data for c in coeffs)
     np.testing.assert_allclose(t1, 2 * np.cos(s.data), rtol=1e-15)
     np.testing.assert_allclose(t2, -4 * np.sin(s.data), rtol=1e-15)
     with pytest.raises(ShapeMismatch):
-        jet.push(s, 1, T.ones((4, 1)))
+        jet.push([(s, 1, T.ones((4, 1)))])
 
 
 def test_variable_with_several_columns():
@@ -320,3 +321,74 @@ def test_field_with_as_many_columns_as_the_variable():
         fd = (net.forward([T.Tensor(pts + h * e)]).data
               - net.forward([T.Tensor(pts - h * e)]).data) / (2 * h)
         np.testing.assert_allclose(div[..., j], fd[..., j], atol=1e-8)
+
+
+def _count_pushes(monkeypatch):
+    pushes = []
+    push = T.Jet.push
+    monkeypatch.setattr(T.Jet, "push", lambda jet, seeds: pushes.append(
+        len(seeds)) or push(jet, seeds))
+    return pushes
+
+
+def test_requests_on_one_expression_share_one_push(monkeypatch):
+    # u reads a 2-column X and a 1-column s; d(u, X), d(u, s) and dd(u, s)
+    # come from one push of three directions, and each equals its own
+    # single-request context and central differences
+    d = dm.rect(mesh_size=0.25)
+    X = d.variable("interior", split=False)
+    s = tr.variable("s")
+    pts = d.context["interior"]
+    s0 = np.random.default_rng(4).uniform(-1.0, 1.0, pts[..., :1].shape)
+    net = nn.mlp(3, [16, 16], 1).initialize(2)
+    u = net(tr.concat_nodes([X, s * s], axis=-1))
+    dX, ds, dds = u.d(X), u.d(s), u.dd(s)
+
+    def context():
+        return ev.EvalContext(bindings={s: s0}, domain=d)
+
+    pushes = _count_pushes(monkeypatch)
+    ctx = context()
+    ev.evaluate(dX * dds + ds, ctx)
+    assert pushes == [3]
+    for node in (dX, ds, dds):
+        np.testing.assert_allclose(ctx.cache[node].data,
+                                   ev.evaluate(node, context()).data,
+                                   rtol=1e-12, atol=1e-12)
+
+    def at(dp, ds0):
+        inputs = np.concatenate([pts + dp, (s0 + ds0) ** 2], axis=-1)
+        return net.forward([T.Tensor(inputs)]).data
+
+    h1, h2 = 1e-6, 1e-4
+    for j, e in enumerate(np.eye(2)):
+        np.testing.assert_allclose(
+            ctx.cache[dX].data[..., j:j + 1],
+            (at(h1 * e, 0.0) - at(-h1 * e, 0.0)) / (2 * h1), atol=1e-6)
+    np.testing.assert_allclose(
+        ctx.cache[ds].data, (at(0.0, h1) - at(0.0, -h1)) / (2 * h1),
+        atol=1e-6)
+    np.testing.assert_allclose(
+        ctx.cache[dds].data,
+        (at(0.0, h2) - 2 * at(0.0, 0.0) + at(0.0, -h2)) / h2 ** 2, atol=1e-6)
+
+
+def test_laplacian_residual_pushes_once_per_expression(monkeypatch):
+    d, x, y, net, u = _mlp_rect()
+    xb, yb, _ = d.variable("boundary")
+    residual = u.dd(x) + u.dd(y) + 2.0 * x
+    loss = residual.mse + net(tr.concat_nodes([xb, yb], axis=-1)).mse
+    pushes = _count_pushes(monkeypatch)
+    ctx = ev.EvalContext(domain=d)
+    params = net.trainable_params()
+    with T.Tape() as tape:
+        tape.watch(*params.values())
+        ev.evaluate(loss, ctx)
+    assert pushes == [2]
+    # requests the push already covers reuse it
+    ev.evaluate(u.d(x) + u.dd(y), ctx)
+    assert pushes == [2]
+    # a mixed partial: one push for u inside d(u, x), one for d(u, x)
+    pushes.clear()
+    ev.evaluate(tr.d(tr.d(u, x), y), ev.EvalContext(domain=d))
+    assert pushes == [1, 1]

@@ -29,6 +29,14 @@ class TestArchitectures:
         with pytest.raises(BadDimension):
             nn.deeponet(1, 2, 0, 4)
 
+    @pytest.mark.parametrize("make", [
+        lambda: nn.MLP(2, [4], 1, activation="bogus"),
+        lambda: nn.DeepONet(3, 2, 4, 8, activation="bogus"),
+    ], ids=["mlp", "deeponet"])
+    def test_unknown_activation(self, make):
+        with pytest.raises(BadDimension, match="bogus"):
+            make()
+
     @pytest.mark.parametrize("seed", ["ckpt.npz", 1.5, None])
     def test_initialize_needs_an_integer_seed(self, seed):
         net = nn.mlp(2, [4], 1)

@@ -1,6 +1,8 @@
 """Sparse finite-difference operators: `T.sparse_matmul`, the CSR MLS
 gradients and the CSR point location, each against a dense oracle."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,7 +13,11 @@ from jno import mesh as meshmod
 from jno import nn
 from jno import tensor as T
 from jno import trace as tr
-from jno.errors import PointOutsideMesh, ShapeMismatch
+from jno.errors import (
+    DegenerateNeighborhood,
+    PointOutsideMesh,
+    ShapeMismatch,
+)
 
 
 def _random_csr(rows, cols, seed, density=0.3):
@@ -21,6 +27,21 @@ def _random_csr(rows, cols, seed, density=0.3):
 
 def _sin(node):
     return tr.build(tr.ARITH, "sin", (node,))
+
+
+def _mls_one_vertex_at_a_time(d):
+    """Dense MLS gradient operators from one least-squares fit per vertex."""
+    verts = d.mesh.vertices
+    ptr = d.connectivity.neighbor_indptr
+    nbr = d.connectivity.neighbor_indices
+    ops = np.zeros((d.mesh.dim, len(verts), len(verts)))
+    for i in range(len(verts)):
+        support = np.concatenate([[i], nbr[ptr[i]:ptr[i + 1]]])
+        M = np.concatenate([np.ones((len(support), 1)),
+                            verts[support] - verts[i]], axis=1)
+        pinv = np.linalg.lstsq(M, np.eye(len(support)), rcond=None)[0]
+        ops[:, i, support] = pinv[1:]
+    return ops
 
 
 class TestSparseMatmul:
@@ -224,6 +245,35 @@ class TestFdDerivatives:
             u = 3.0 * verts[:, 0] - 2.0 * verts[:, 1] + 0.5
             np.testing.assert_allclose(G @ u, [3.0, -2.0][direction],
                                        atol=1e-10)
+
+    @pytest.mark.parametrize("make", [
+        lambda: dm.structured_rect(6, 6),
+        lambda: dm.disk(mesh_size=0.2),
+        lambda: dm.lshape(mesh_size=0.2),
+    ], ids=["structured_rect", "disk", "lshape"])
+    def test_mls_operators_match_one_lstsq_per_vertex(self, make):
+        d = make()
+        got = [G.toarray()
+               for G in ev.mls_gradient_operators(d.mesh, d.connectivity)]
+        np.testing.assert_allclose(got, _mls_one_vertex_at_a_time(d),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("verts, neighbors, message", [
+        ([[0, 0], [1, 0], [0, 1]], [[1], [0, 2], [1]],
+         "vertex 0 has only 1 neighbors"),
+        ([[0, 0], [1, 0], [2, 0]], [[1, 2], [0, 2], [0, 1]],
+         "vertex 0: neighborhood is affinely degenerate"),
+        ([[0, 0], [1, 0], [2, 0], [0, 1]], [[1, 2], [0], [0, 1], [0, 1]],
+         "vertex 0: neighborhood is affinely degenerate"),
+    ], ids=["few", "collinear", "lowest_index_first"])
+    def test_degenerate_neighborhoods(self, verts, neighbors, message):
+        mesh = SimpleNamespace(vertices=np.asarray(verts, dtype=np.float64),
+                               num_vertices=len(verts), dim=2)
+        conn = SimpleNamespace(
+            neighbor_indptr=np.cumsum([0] + [len(n) for n in neighbors]),
+            neighbor_indices=np.concatenate(neighbors).astype(np.int64))
+        with pytest.raises(DegenerateNeighborhood, match=message):
+            ev.mls_gradient_operators(mesh, conn)
 
     def test_sibling_derivatives_share_one_vertex_pass(self, monkeypatch):
         d = dm.rect(mesh_size=0.25)

@@ -160,6 +160,23 @@ class TestGrad:
         np.testing.assert_array_equal(grads[b.uid].data, [[4.0, 4.0]])
         np.testing.assert_array_equal(grads[w.uid].data, np.full((3, 2), 4.0))
 
+    def test_matmul_gradient_through_a_transposed_view(self):
+        rng = np.random.default_rng(3)
+        a = T.Tensor(rng.standard_normal((1, 1, 64, 8)))
+        b = T.Tensor(rng.standard_normal((1, 1, 64, 5)))
+        w = rng.standard_normal((8, 5))
+        assert np.shares_memory(T.transpose(a, (0, 1, 3, 2)).data, a.data)
+        with T.Tape() as tape:
+            tape.watch(a, b)
+            prod = T.matmul(T.transpose(a, (0, 1, 3, 2)), b)
+            total = T.reduce_sum(T.mul(prod, T.Tensor(w)))
+        g = tape.gradient(total, [a, b])
+        # d/da sum(w * a^T b) = b w^T and d/db = a w
+        np.testing.assert_allclose(g[a.uid].data, b.data @ w.T,
+                                   rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(g[b.uid].data, a.data @ w,
+                                   rtol=1e-14, atol=1e-14)
+
     def test_unknown_node(self):
         x = T.Tensor(1.0)
         with T.Tape() as t:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from jno import evaluator as ev
 from jno import trace as tr
 from jno.errors import (
     ArityMismatch,
@@ -199,6 +200,15 @@ class TestCse:
         _, stats = tr.cse(root)
         # before: x, 1.0, 1.0, add, add, mul; after: x, 1.0, add, mul
         assert stats == {"nodes_before": 6, "nodes_after": 4}
+
+    def test_signed_zero_literals_stay_apart(self):
+        # 0.0 == -0.0, but 1/(x*0.0) is +inf and 1/(x*-0.0) is -inf
+        x = tr.variable("x")
+        roots = [1.0 / (x * 0.0), 1.0 / (x * -0.0)]
+        merged, _ = tr.cse(roots)
+        ctx = ev.EvalContext(bindings={x: np.ones((1, 1, 2, 1))})
+        assert [ev.evaluate(r, ctx).data.flat[0] for r in merged] \
+            == [np.inf, -np.inf]
 
     def test_model_calls_share(self):
         net = FakeModel()
