@@ -39,7 +39,8 @@ from collections import namedtuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+# scipy.sparse.linalg, and scipy.linalg with it (about 0.1 s), is imported by
+# the solvers that use it, so that importing jno does not pay for it
 
 from . import evaluator as ev
 from . import tensor as T
@@ -567,6 +568,8 @@ class LinearSystem:
         self.b = b_full[setup.free] - lift
 
     def solve(self):
+        import scipy.sparse.linalg as spla
+
         u_free = spla.spsolve(self.A.tocsc(), self.b)
         return self.setup.lift(u_free)
 
@@ -700,6 +703,8 @@ def assemble_fem_residual(setup, terms):
 
 def newton_solve(op, u0, tol=1e-10, max_iter=10):
     """Newton iteration on R(u) = 0; returns (u, residual_norms)."""
+    import scipy.sparse.linalg as spla
+
     u = np.asarray(u0, dtype=np.float64).copy()
     norms = []
     for _ in range(max_iter):
@@ -866,6 +871,8 @@ def assemble_fem_time(setup, temporal, steady, state0=None):
 def step_backward_euler(block, dt, steps, t0=0.0, newton_tol=1e-10,
                         newton_max_iter=25):
     """Implicit Euler; returns the trajectory (steps+1, n_free) incl. u0."""
+    import scipy.sparse.linalg as spla
+
     if dt <= 0:
         raise SingularStepMatrix("dt must be positive")
     u = np.asarray(block.u0, dtype=np.float64).copy()
@@ -908,6 +915,8 @@ def step_backward_euler(block, dt, steps, t0=0.0, newton_tol=1e-10,
 
 def export_explicit_ode(block):
     """RHS callback u' = -M^{-1} R(u, t); M factorized once."""
+    import scipy.sparse.linalg as spla
+
     try:
         lu = spla.splu(block.M.tocsc())
     except RuntimeError as exc:

@@ -54,15 +54,17 @@ class Mesh:
     def boundary_facets(self):
         """Facets owned by exactly one element, as an (F, k) array of sorted
         vertex rows in lexicographic order, and the index of each facet's
-        owner element."""
+        owner element.  One stable lexsort groups equal rows into runs; a
+        run of length one is a boundary facet."""
         local = LOCAL_FACETS[self.kind]
-        rows = np.sort(self.elements[:, local], axis=2)
-        facets, first, counts = np.unique(
-            rows.reshape(-1, local.shape[1]), axis=0,
-            return_index=True, return_counts=True,
-        )
-        once = counts == 1
-        return facets[once], first[once] // len(local)
+        rows = np.sort(self.elements[:, local], axis=2).reshape(
+            -1, local.shape[1])
+        order = np.lexsort(rows.T[::-1])
+        rows = rows[order]
+        starts = np.flatnonzero(np.concatenate(
+            ([True], (rows[1:] != rows[:-1]).any(axis=1))))
+        once = starts[np.diff(starts, append=len(rows)) == 1]
+        return rows[once], order[once] // len(local)
 
     def _infer_interior_boundary(self):
         boundary = np.unique(self.boundary_facets[0])

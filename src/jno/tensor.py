@@ -473,9 +473,28 @@ def neg(a):
     return _linear_map(Tensor(-a.data), a, neg, neg)
 
 
+def _small_integer(b):
+    """n if `b` is a 0-d tensor that no active recorder watches, holding an
+    integer 1 <= n <= 8; else 0."""
+    if b.ndim or any(b.uid in r._live for r in _ACTIVE.recorders):
+        return 0
+    v = float(b.data)
+    return int(v) if v.is_integer() and 1 <= v <= 8 else 0
+
+
 def power(a, b):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a, b, out = _binary(operator.pow, a, b, "power")
+    a, b = _as_tensor(a), _as_tensor(b)
+    n = _small_integer(b)
+    if n:
+        # a * a * ... * a: numpy's pow is about 100 times slower on large
+        # arrays, and the product is within n - 1 roundings of it
+        data = a.data
+        for _ in range(n - 1):
+            data = data * a.data
+        out = Tensor(data)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a, b, out = _binary(operator.pow, a, b, "power")
 
     @_QUIET
     def rule(live):

@@ -1,14 +1,18 @@
 """Deferred expression graphs.
 
 User-facing symbols build :class:`ExprNode` graphs instead of executing.
-Nodes compare and hash by identity, never by structure; structural sharing
-is introduced explicitly by :func:`cse`.  Every graph walk here is a loop
+Nodes compare and hash by identity, never by structure.  Structural sharing
+is made when a node is built: :func:`build` hash-conses, returning the live
+node equal to the one asked for if there is one (Filliatre & Conchon,
+"Type-safe modular hash-consing", 2006), so graphs are canonical as built
+and :func:`cse` has nothing left to merge.  Every graph walk here is a loop
 over an explicit stack, so graph depth is bounded by memory, not by the
 interpreter's recursion limit.
 """
 
 import io
 import math
+import weakref
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,8 +54,8 @@ ALL_KINDS = (
 
 LEAF_KINDS = (VARIABLE, LITERAL, CONSTANT, TENSOR_TAG, TRIAL, TEST)
 
-# CSE keys these by identity: leaves that stand for distinct inputs, and
-# trackers, which are monitoring sinks and never merge.
+# Never shared by `build`: leaves that stand for distinct inputs, and
+# trackers, which are monitoring sinks.
 _IDENTITY_KINDS = frozenset(
     (VARIABLE, CONSTANT, TENSOR_TAG, TRIAL, TEST, TRACKER)
 )
@@ -81,11 +85,13 @@ class ExprNode:
     """One node of the deferred graph.
 
     Equality and hashing are identity-based (Python object identity), so
-    nodes are safe keys in sets and dicts and two structurally equal nodes
-    stay distinct until CSE canonicalizes them.
+    nodes are safe keys in sets and dicts.  Build nodes with :func:`build`
+    (or the operators and constructors below), which shares structurally
+    equal nodes; calling ``ExprNode`` directly always makes a fresh node.
     """
 
-    __slots__ = ("kind", "payload", "children", "name", "shape_hint")
+    __slots__ = ("kind", "payload", "children", "name", "shape_hint",
+                 "__weakref__")
 
     def __init__(self, kind, payload=None, children=(), name=None):
         self.kind = kind
@@ -249,16 +255,62 @@ def thaw_slice(payload):
     return tuple(out)
 
 
+class _Entry(weakref.ref):
+    """The table's weak reference to an interned node; its callback,
+    `_forget`, removes the entry when the node dies."""
+
+    __slots__ = ("key",)
+
+
+def _forget(entry):
+    if _INTERNED.get(entry.key) is entry:
+        _INTERNED.pop(entry.key, None)
+
+
+# key -> _Entry of every live node that `build` made, identity kinds aside.
+# No lock: two threads racing on a key can only leave two equal nodes, which
+# evaluate alike, where one would do.
+_INTERNED = {}
+
+
 def build(kind, payload=None, children=(), name=None):
-    """Construct a fresh node; no evaluation happens."""
-    return ExprNode(kind, payload, children, name)
+    """The node of `kind` with `payload`, `children` and `name`; no
+    evaluation happens.
+
+    Hash-consed: while a node with the same kind, payload, children and
+    name is alive, that node is returned instead of a new one.  Children
+    compare by identity, a model call by its model's identity and a Literal
+    by value and sign (0.0 == -0.0, but 1/0.0 != 1/-0.0); a NaN Literal is
+    never shared, and identity kinds (inputs and trackers) are always new.
+    """
+    if kind in _IDENTITY_KINDS:
+        return ExprNode(kind, payload, children, name)
+    children = tuple(children)
+    if kind == MODEL_CALL:
+        key = (kind, id(payload), children, name)
+    elif kind == LITERAL:
+        if payload != payload:
+            return ExprNode(kind, payload, children, name)
+        key = (kind, payload, math.copysign(1.0, payload), children, name)
+    else:
+        key = (kind, payload, children, name)
+    try:
+        entry = _INTERNED.get(key)
+    except TypeError:  # an unhashable payload or child: never shared
+        return ExprNode(kind, payload, children, name)
+    node = None if entry is None else entry()
+    if node is None:
+        node = ExprNode(kind, payload, children, name)
+        entry = _INTERNED[key] = _Entry(node, _forget)
+        entry.key = key
+    return node
 
 
 def as_node(value):
     if isinstance(value, ExprNode):
         return value
     if isinstance(value, (int, float)):
-        return ExprNode(LITERAL, float(value))
+        return build(LITERAL, float(value))
     if isinstance(value, (np.ndarray, T.Tensor, list)):
         return constant(value)
     raise TypeError(f"cannot lift {type(value).__name__} into the trace")
@@ -271,7 +323,7 @@ def variable(name, shape=None):
 
 
 def literal(value):
-    return ExprNode(LITERAL, float(value))
+    return build(LITERAL, float(value))
 
 
 def constant(value, name=None):
@@ -337,8 +389,8 @@ class OperationDef:
     """A reusable equation fragment: formal placeholder params plus a body.
 
     A call inlines the body with the params replaced by the arguments, so
-    the result is an ordinary graph that CSE, shape tracing, evaluation and
-    FEM lowering see through.
+    the result is an ordinary graph that shape tracing, evaluation and FEM
+    lowering see through, and two calls on the same arguments are one node.
     """
 
     def __init__(self, params, body, name=None):
@@ -367,7 +419,7 @@ def define_operation(params, body, name=None):
 def call_operation(op_def, bindings):
     """The body of `op_def` with each formal replaced by its binding.  Body
     nodes that depend on no formal are shared with the body, the rest are
-    copied; CSE merges identical calls."""
+    built anew, so identical calls give the same node."""
     missing = [p for p in op_def.params if p not in bindings]
     if missing:
         raise MissingBinding(
@@ -431,13 +483,14 @@ def count_nodes(roots):
 
 def substitute(root, mapping):
     """`root` with the nodes in `mapping` (identity keys) replaced by their
-    values.  Nodes with no replaced node below them are kept, not copied."""
+    values.  Nodes with no replaced node below them are kept, the others
+    rebuilt through `build`."""
     out = dict(mapping)
     for node in toposort(root):
         if node not in out:
             kids = tuple(out[c] for c in node.children)
             out[node] = node if kids == node.children \
-                else ExprNode(node.kind, node.payload, kids, node.name)
+                else build(node.kind, node.payload, kids, node.name)
     return out[root]
 
 
@@ -446,42 +499,19 @@ def substitute(root, mapping):
 # ---------------------------------------------------------------------------
 
 def cse(roots):
-    """Canonicalize structurally identical subgraphs to shared nodes.
+    """Structurally identical subgraphs as shared nodes.
 
-    One children-first pass keys each node on its kind, its payload and the
-    ids of its children's representatives, so a key costs O(children), not
-    O(subtree).  Identity kinds (distinct inputs and trackers) are keyed by
-    their own id and a model call by its model's id; Literals merge by
-    value and sign, so 0.0 and -0.0 stay apart.  Returns (new_roots,
-    stats) where stats carries nodes_before/nodes_after.  Semantics are
-    unchanged for every root.
+    `build` already returns the live node equal to the one asked for, so a
+    graph is canonical as built and this returns its roots unchanged, with
+    stats carrying nodes_before == nodes_after, the number of reachable
+    nodes.  Identity kinds (distinct inputs and trackers), different names,
+    different models and signed zeros are never shared.
     """
     single = isinstance(roots, ExprNode)
     root_list = [roots] if single else list(roots)
-    order = toposort(root_list)
-    by_key = {}
-    replacement = {}
-    for node in order:
-        kids = tuple(replacement[c] for c in node.children)
-        if node.kind in _IDENTITY_KINDS:
-            key = id(node)
-        else:
-            payload = node.payload
-            if node.kind == MODEL_CALL:
-                payload = id(payload)
-            elif node.kind == LITERAL:
-                # 0.0 == -0.0 as keys, but 1/0.0 != 1/-0.0
-                payload = (payload, math.copysign(1.0, payload))
-            key = (node.kind, payload, tuple(map(id, kids)))
-        rep = by_key.get(key)
-        if rep is None:
-            rep = by_key[key] = node if kids == node.children \
-                else ExprNode(node.kind, node.payload, kids, node.name)
-        replacement[node] = rep
-
-    new_roots = [replacement[r] for r in root_list]
-    stats = {"nodes_before": len(order), "nodes_after": len(by_key)}
-    return (new_roots[0] if single else new_roots), stats
+    n = count_nodes(root_list)
+    stats = {"nodes_before": n, "nodes_after": n}
+    return (roots if single else root_list), stats
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +529,11 @@ class ShapeReport:
 
 
 def _broadcast(node, *shapes):
+    """The broadcast of `shapes`.  When the shapes other than () are all
+    equal, that is the answer, and numpy is not asked."""
+    shaped = {tuple(s) for s in shapes if len(s)}
+    if len(shaped) <= 1:
+        return shaped.pop() if shaped else ()
     try:
         return tuple(np.broadcast_shapes(*shapes))
     except ValueError:

@@ -1,7 +1,11 @@
 """Every relative import in the package names a module that exists and,
-for `from .mod import name`, a name that module defines at top level."""
+for `from .mod import name`, a name that module defines at top level; and
+importing the package stays cheap."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +45,30 @@ def test_relative_imports_resolve(path):
             missing += [f"{path.name}:{node.lineno} {node.module}.{a.name}"
                         for a in node.names if a.name not in defined[node.module]]
     assert not missing
+
+
+def test_importing_jno_loads_no_scipy_solvers():
+    """scipy.sparse.linalg, and scipy.linalg with it, cost about 0.1 s to
+    import; jno imports them only when it solves.  A fresh interpreter
+    imports every module, checks, then solves a Poisson problem."""
+    modules = ", ".join(f"jno.{p.stem}" for p in MODULES)
+    script = f"""
+import importlib, sys
+for name in "{modules}".split(", "):
+    importlib.import_module(name)
+loaded = [m for m in ("scipy.sparse.linalg", "scipy.linalg") if m in sys.modules]
+assert not loaded, loaded
+import numpy as np
+from jno import domain as dm, fem
+dom = dm.structured_rect(4, 4)
+dom.init_fem(bcs=[dom.dirichlet("boundary", 0.0)])
+u, phi = dom.fem_symbols()
+x, y = dom.variable(fem.GAUSS_VOLUME)[:-1]
+weak = u.d(x) * phi.d(x) + u.d(y) * phi.d(y) - 1.0 * phi
+nodal = weak.assemble("fem_system").solve()
+assert nodal.shape == (dom.mesh.num_vertices,) and nodal.max() > 0, nodal
+"""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

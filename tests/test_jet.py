@@ -71,6 +71,10 @@ CASES = {
 # More inputs for the branches that the cases above leave out.
 MORE = {
     "power_const_exponent": lambda s: T.power(A(s), T.Tensor(3.0)),
+    # signed bases, each exponent that is computed by multiplication
+    "power_integral_exponents": lambda s: T.concat(
+        [T.power(T.sub(A(s), T.Tensor(2.0)), T.Tensor(float(n)))
+         for n in range(1, 9)], axis=0),
     "power_const_base": lambda s: T.power(T.Tensor(1.7), A(s)),
     "mul_const": lambda s: T.mul(A(s), T.Tensor(-2.5)),
     "div_const_numerator": lambda s: T.div(T.Tensor(2.0), A(s)),

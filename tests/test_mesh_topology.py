@@ -1,6 +1,8 @@
 """The vectorized facet table, connectivity and constructors against the
 per-element loops they replace, inlined here as the reference."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,33 @@ def test_topology_matches_per_element_loops(name, tmp_path):
     for idx in mesh.tags.values():
         assert idx.dtype == np.int64
         assert np.array_equal(idx, np.unique(idx))
+
+
+def _unique_facets(mesh):
+    """Boundary facets and owners by one `np.unique(axis=0)` over the
+    sorted facet rows, as computed before the lexsort grouping."""
+    local = meshmod.LOCAL_FACETS[mesh.kind]
+    rows = np.sort(mesh.elements[:, local], axis=2)
+    facets, first, counts = np.unique(
+        rows.reshape(-1, local.shape[1]), axis=0,
+        return_index=True, return_counts=True)
+    once = counts == 1
+    return facets[once], first[once] // len(local)
+
+
+@pytest.mark.parametrize("name", sorted(MESHES))
+def test_facets_match_np_unique(name, tmp_path):
+    mesh = MESHES[name](tmp_path)
+    facets, owners = mesh.boundary_facets
+    want = _unique_facets(mesh)
+    assert facets.dtype == want[0].dtype and owners.dtype == want[1].dtype
+    assert np.array_equal(facets, want[0])
+    assert np.array_equal(owners, want[1])
+    reference = copy.copy(mesh)
+    reference.boundary_facets = want
+    got = meshmod.Connectivity(mesh).vertex_normals
+    assert got.tobytes() == \
+        meshmod.Connectivity(reference).vertex_normals.tobytes()
 
 
 def test_rect_elements_and_side_tags():

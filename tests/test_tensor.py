@@ -338,6 +338,63 @@ class TestGradOracle:
         np.testing.assert_allclose(g.data, fd, atol=1e-8)
 
 
+class TestIntegralPower:
+    """A constant 0-d exponent n in 1..8 is computed by repeated
+    multiplication; any other exponent takes numpy's power."""
+
+    BASES = np.concatenate([
+        np.random.default_rng(4).uniform(-3.0, 3.0, 200),
+        [0.0, -0.0, 1.0, -1.0, 1e-30, -1e-30, 1e30, -1e30, 5e-324,
+         np.inf, -np.inf, np.nan],
+    ])
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_numpy_power_to_4_ulp(self, n):
+        got = T.power(T.Tensor(self.BASES), T.Tensor(float(n))).data
+        want = np.power(self.BASES, float(n))
+        finite = np.isfinite(want) & (want != 0)
+        np.testing.assert_array_max_ulp(got[finite], want[finite], maxulp=4)
+        # zeros keep their sign; infinities and NaNs are numpy's
+        assert got[~finite].tobytes() == want[~finite].tobytes()
+
+    @pytest.mark.parametrize("exponent, watched, general", [
+        (3.0, False, False), (8.0, False, False), (1.0, False, False),
+        (3.0, True, True), (2.5, False, True), (9.0, False, True),
+        (0.0, False, True), (-2.0, False, True), ((3.0,), False, True),
+    ])
+    def test_only_a_constant_small_integer_skips_numpy(
+            self, monkeypatch, exponent, watched, general):
+        calls = []
+        binary = T._binary
+
+        def spy(fn, a, b, name):
+            calls.append(name)
+            return binary(fn, a, b, name)
+
+        monkeypatch.setattr(T, "_binary", spy)
+        a, b = T.Tensor(np.linspace(0.5, 2.0, 4)), T.Tensor(exponent)
+        with T.Tape() as tape:
+            tape.watch(a, *([b] if watched else []))
+            out = T.power(a, b)
+        assert calls == (["power"] if general else [])
+        np.testing.assert_allclose(out.data, a.data ** b.data, rtol=1e-15)
+
+    def test_tape_gradient_matches_central_differences(self):
+        a0 = np.random.default_rng(6).uniform(-2.0, 2.0, 6)
+        for n in range(1, 9):
+            g = T.grad(lambda a: T.reduce_sum(T.power(a, T.Tensor(float(n)))),
+                       T.Tensor(a0))
+            fd = central_diff(lambda a: float(np.sum(np.power(a, n))), a0)
+            np.testing.assert_allclose(g.data, fd, rtol=1e-8, atol=1e-8)
+
+    def test_watched_exponent_gradient_matches_central_differences(self):
+        a0 = np.linspace(0.5, 2.0, 4)
+        g = T.grad(lambda b: T.reduce_sum(T.power(T.Tensor(a0), b)),
+                   T.Tensor(3.0))
+        fd = central_diff(lambda b: float(np.sum(np.power(a0, b))), 3.0)
+        assert g.item() == pytest.approx(float(fd), rel=1e-8)
+
+
 class TestProperties:
     @given(
         st.tuples(st.integers(1, 4), st.integers(1, 4)),

@@ -1,5 +1,11 @@
+import gc
+import math
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jno import evaluator as ev
 from jno import trace as tr
@@ -128,26 +134,30 @@ class TestOperationDef:
             tr.call_operation(op, {a: tr.variable("x"), tr.variable("z"): a})
 
     def test_rebinding_consistent_cse_keys(self):
-        # Oracle: canonical keys of two rebindings to the same args match,
-        # so CSE collapses the two calls into one node.
+        # Oracle: the keys of two rebindings to the same args match, so the
+        # two calls are one node as built.
         a = tr.variable("a")
         square = tr.define_operation([a], a * a, name="square")
         x = tr.variable("x")
         c1, c2 = square(x), square(x)
+        assert c1 is c2
         root = c1 + c2
         new_root, stats = tr.cse(root)
-        assert stats["nodes_after"] < stats["nodes_before"]
+        # x, x*x and the add; the second call adds no node
+        assert stats == {"nodes_before": 3, "nodes_after": 3}
+        assert new_root is root
         assert new_root.children[0] is new_root.children[1]
 
     def test_identical_calls_merge_to_one_subgraph(self):
         a, b = tr.variable("a"), tr.variable("b")
         op = tr.define_operation([a, b], (a * b + 1.0).mean)
         x, y = tr.variable("x"), tr.variable("y")
+        assert op(x, y) is op(x, y)
         root = op(x, y) + op(x, y)
+        # x, y, the body's literal, and one mul, add and mean for both calls
+        assert tr.count_nodes(root) == 7
         new_root, stats = tr.cse(root)
-        # x, y and the body's literal are shared; mul, add and mean are
-        # copied per call and merge again
-        assert stats == {"nodes_before": 10, "nodes_after": 7}
+        assert stats == {"nodes_before": 7, "nodes_after": 7}
         assert new_root.children[0] is new_root.children[1]
 
     def test_call_expands_like_inline_body(self):
@@ -157,19 +167,21 @@ class TestOperationDef:
         x = tr.variable("x")
         inline = x * x
         call = square(x)
+        assert call is inline
         root = inline + call
         _, stats = tr.cse(root)
-        assert stats["nodes_after"] == stats["nodes_before"] - 1
+        # x, x*x and the add: the call is the inline body's node
+        assert stats == {"nodes_before": 3, "nodes_after": 3}
 
 
 class TestCse:
     def test_shared_add(self):
         x, y = tr.variable("x"), tr.variable("y")
-        prod = (x + y) * (x + y)  # two distinct add nodes
-        assert prod.children[0] is not prod.children[1]
+        prod = (x + y) * (x + y)  # one add node, built twice
+        assert prod.children[0] is prod.children[1]
         new_root, stats = tr.cse(prod)
-        assert stats == {"nodes_before": 5, "nodes_after": 4}
-        assert new_root.children[0] is new_root.children[1]
+        assert stats == {"nodes_before": 4, "nodes_after": 4}
+        assert new_root is prod
 
     def test_no_duplicates_untouched(self):
         x, y = tr.variable("x"), tr.variable("y")
@@ -188,18 +200,22 @@ class TestCse:
     def test_distinct_variables_not_merged(self):
         x, y = tr.variable("v"), tr.variable("v")
         root = (x + 1.0) * (y + 1.0)
-        new_root, stats = tr.cse(root)
-        # the literals merge by value, but x+1 and y+1 hold different
+        # the literals are shared by value, but x+1 and y+1 hold different
         # Variables and must stay distinct
-        assert stats == {"nodes_before": 7, "nodes_after": 6}
+        left, right = root.children
+        assert left.children[1] is right.children[1]
+        assert left is not right
+        new_root, stats = tr.cse(root)
+        assert stats == {"nodes_before": 6, "nodes_after": 6}
         assert new_root.children[0] is not new_root.children[1]
 
     def test_literals_merge_by_value(self):
         x = tr.variable("x")
+        assert tr.as_node(1.0) is tr.literal(1) is tr.as_node(1)
         root = (x + 1.0) * (x + 1.0)
         _, stats = tr.cse(root)
-        # before: x, 1.0, 1.0, add, add, mul; after: x, 1.0, add, mul
-        assert stats == {"nodes_before": 6, "nodes_after": 4}
+        # x, 1.0, add, mul
+        assert stats == {"nodes_before": 4, "nodes_after": 4}
 
     def test_signed_zero_literals_stay_apart(self):
         # 0.0 == -0.0, but 1/(x*0.0) is +inf and 1/(x*-0.0) is -inf
@@ -220,6 +236,67 @@ class TestCse:
         (r1, r2), stats = tr.cse([c1, c2])
         calls = [n for n in tr.walk([r1, r2]) if n.kind == tr.MODEL_CALL]
         assert len(calls) == 1
+
+
+class TestInterning:
+    """`build` shares a node equal to a live one, and nothing else."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: tr.variable("v"),
+        lambda: tr.constant(np.ones(2)),
+        lambda: tr.tensor_tag("t", np.ones(2)),
+        lambda: tr.build(tr.TRIAL, None, (), "u"),
+        lambda: tr.build(tr.TEST, None, (), "phi"),
+    ], ids=["variable", "constant", "tensor_tag", "trial", "test"])
+    def test_identity_leaves_stay_apart(self, make):
+        a, b = make(), make()
+        assert a is not b
+        assert (a + 1.0) is not (b + 1.0)
+
+    def test_trackers_stay_apart(self):
+        x = tr.variable("x")
+        assert tr.tracker(x.mean, 1) is not tr.tracker(x.mean, 1)
+        assert tr.tracker(x.mean, 1).children[0] is x.mean
+
+    def test_names_keep_nodes_apart(self):
+        x, y = tr.variable("x"), tr.variable("y")
+        named = [tr.build(tr.ARITH, "add", (x, y), name) for name in
+                 (None, "a", "b", "a")]
+        assert named[1] is named[3]
+        assert len({id(n) for n in named}) == 3
+
+    def test_signed_zeros_and_nans(self):
+        assert tr.literal(0.0) is tr.literal(0.0)
+        assert tr.literal(0.0) is not tr.literal(-0.0)
+        nan = math.nan
+        assert tr.literal(nan) is not tr.literal(nan)
+        x = tr.variable("x")
+        assert (x + nan) is not (x + nan)
+
+    def test_models_keep_calls_apart(self):
+        x = tr.variable("x")
+        a, b = FakeModel(), FakeModel()
+        assert tr.model_call(a, [x]) is tr.model_call(a, [x])
+        assert tr.model_call(a, [x]) is not tr.model_call(b, [x])
+
+    def test_unhashable_derivative_target_is_refused(self):
+        with pytest.raises(NotAVariable):
+            tr.derivative(tr.variable("x"), np.ones(2))
+
+    def test_dropped_graph_leaves_the_table(self):
+        gc.collect()
+        before = len(tr._INTERNED)
+        root = tr.variable("x")
+        for _ in range(50):
+            root = root + 1234.5
+        root = root.mse
+        # 1234.5, the 50 adds and the mse
+        assert len(tr._INTERNED) == before + 52
+        probe = weakref.ref(root)
+        del root
+        gc.collect()
+        assert probe() is None
+        assert len(tr._INTERNED) == before
 
 
 class TestGraphUtils:
@@ -291,6 +368,24 @@ class TestShapes:
             assert val.shape == rep[node]
 
 
+_SHAPES = st.lists(st.integers(0, 3), max_size=4).map(tuple)
+
+
+class TestBroadcast:
+    @given(st.lists(_SHAPES, min_size=1, max_size=3))
+    @settings(max_examples=300)
+    def test_matches_numpy(self, shapes):
+        node = tr.variable("x")
+        try:
+            want = np.broadcast_shapes(*shapes)
+        except ValueError:
+            with pytest.raises(ShapeInferenceFailure) as exc:
+                tr._broadcast(node, *shapes)
+            assert exc.value.node is node
+        else:
+            assert tr._broadcast(node, *shapes) == want
+
+
 class TestDump:
     def test_single_variable(self):
         x = tr.variable("x")
@@ -312,8 +407,8 @@ class TestDump:
 
 
 def chain(x, n):
-    """The left-deep chain x + 1 + 1 + ... with `n` additions, each of a
-    fresh Literal."""
+    """The left-deep chain x + 1 + 1 + ... with `n` additions, each built
+    with the Literal 1.0, which `build` shares."""
     node = x
     for _ in range(n):
         node = node + 1.0
@@ -331,9 +426,12 @@ class TestDeepGraphs:
         x = tr.variable("x", shape=(2, 1))
         root = chain(x, n)
         order = tr.toposort(root)
-        assert len(order) == 2 * n + 1 and order[-1] is root
+        # x, the one Literal 1.0 and the n adds
+        assert len(order) == n + 2 and order[-1] is root
+        assert sum(node.kind == tr.LITERAL for node in order) == 1
         shared, stats = tr.cse(root)
-        assert stats == {"nodes_before": 2 * n + 1, "nodes_after": n + 2}
+        assert stats == {"nodes_before": n + 2, "nodes_after": n + 2}
+        assert shared is root
         assert tr.trace_shapes(shared)[shared] == (2, 1)
         ctx = ev.EvalContext(bindings={x: np.zeros((2, 1))})
         assert ev.evaluate(shared, ctx).tolist() == [[n], [n]]
@@ -343,7 +441,7 @@ class TestDeepGraphs:
         n = 3000
         x = tr.variable("x", shape=(1,))
         root, _ = tr.cse(chain(x, n))
-        # pre-order: the n adds down the chain, x, the one merged literal at
+        # pre-order: the n adds down the chain, x, the one shared literal at
         # the deepest add, then a back-reference to it for every other add
         lines = tr.dump_tree(root).splitlines()
         assert len(lines) == 2 * n + 1
