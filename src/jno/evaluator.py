@@ -5,8 +5,10 @@ dispatches each node kind through a handler table; a handler reads its
 children's values from the context's cache.  Derivative nodes resolve
 either through Taylor-mode AD (pointwise over the point axis, one
 :class:`jno.tensor.Jet` push per expression for every direction its
-derivatives need) or through mesh-driven finite differences built from
-moving-least-squares gradient reconstruction on vertex neighborhoods.
+derivatives need, and one summed second coefficient for a sum of pure
+second derivatives such as a Laplacian) or through mesh-driven finite
+differences built from moving-least-squares gradient reconstruction on
+vertex neighborhoods.
 The finite-difference operators (MLS gradients and barycentric
 interpolation) are CSR matrices applied with
 :func:`jno.tensor.sparse_matmul`.
@@ -52,6 +54,7 @@ class EvalContext:
         self._vertex_contexts = {}
         self._jet_passes = {}
         self._ad_requests = {}
+        self._ad_sums = {}
 
     def reset_cache(self):
         self.cache = {}
@@ -59,6 +62,7 @@ class EvalContext:
         self._vertex_contexts = {}
         self._jet_passes = {}
         self._ad_requests = {}
+        self._ad_sums = {}
 
     def child(self, extra_bindings):
         sub = EvalContext(domain=self.domain,
@@ -114,11 +118,14 @@ def _schedule(root, ctx):
     a None marker, below its children, and is listed when the marker comes
     off.  A node met again was listed already, since a graph has no
     cycles.  The walk does not enter Derivative nodes, whose handlers
-    evaluate the expression in a child context; it records the AD
-    derivatives it meets in `ctx`, so that the first of them on an
-    expression pushes the directions of all of them in one replay.
+    evaluate the expression in a child context, nor a sum of AD
+    Laplacian terms (`_ad_sum`), which its handler reads from one summed
+    coefficient.  It records the AD derivatives of both in `ctx`, so that
+    the first of them on an expression pushes the directions of all of
+    them in one replay.
     """
     cache, stats = ctx.cache, ctx.stats
+    derivative, arith = tr.DERIVATIVE, tr.ARITH
     expanded, order = set(), []
     stack = [root]
     while stack:
@@ -130,13 +137,51 @@ def _schedule(root, ctx):
         else:
             expanded.add(node)
             stack += (node, None)
-            if node.kind != tr.DERIVATIVE:
+            kind = node.kind
+            if kind == derivative:
+                if _derivative_mode(node, ctx) != "finite-difference":
+                    expr, wrt = node.children
+                    _request(ctx, expr, (wrt,), node.payload[0])
+            elif kind == arith and node.payload == "add" \
+                    and (terms := _ad_sum(node, ctx)) is not None:
+                ctx._ad_sums[node] = terms
+                _request(ctx, *terms, 2)
+            else:
                 stack.extend(reversed(node.children))
-            elif _derivative_mode(node, ctx) != "finite-difference":
-                expr, wrt = node.children
-                wanted = ctx._ad_requests.setdefault(expr, {})
-                wanted[wrt] = max(wanted.get(wrt, 0), node.payload[0])
     return order
+
+
+def _request(ctx, expr, wrts, order):
+    wanted = ctx._ad_requests.setdefault(expr, {})
+    wanted[wrts] = max(wanted.get(wrts, 0), order)
+
+
+def _ad_sum(node, ctx):
+    """(expr, variables) if the addition `node` is a sum, its additions
+    nested in any way, of second AD derivatives of one expression along
+    distinct variables; else None.  Only an addition with a derivative
+    among its two terms is looked into, so that the walk pays little for
+    other sums; a sum of sums of such derivatives, each with a derivative
+    term, is then served by one group per inner sum."""
+    if tr.DERIVATIVE not in (node.children[0].kind, node.children[1].kind):
+        return None
+    expr, wrts, stack = None, [], [node]
+    while stack:
+        # an addition's terms are checked before the additions below it,
+        # so that a long chain of sums fails at its first term
+        for n in stack.pop().children:
+            if n.kind == tr.ARITH and n.payload == "add":
+                stack.append(n)
+                continue
+            if n.kind != tr.DERIVATIVE or n.payload[0] != 2 \
+                    or _derivative_mode(n, ctx) == "finite-difference":
+                return None
+            e, wrt = n.children
+            if expr not in (None, e) or wrt in wrts:
+                return None
+            expr = e
+            wrts.append(wrt)
+    return expr, tuple(wrts)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +201,8 @@ def _eval_constant(node, ctx):
 
 
 def _eval_arith(node, ctx):
+    if node.payload == "add" and node in ctx._ad_sums:
+        return _derivative_ad(ctx, *ctx._ad_sums[node], 2)
     return T.ELEMENTWISE[node.payload](*[ctx.cache[c] for c in node.children])
 
 
@@ -221,7 +268,8 @@ def _eval_derivative(node, ctx):
     order = node.payload[0]
     if _derivative_mode(node, ctx) == "finite-difference":
         return _derivative_fd(node, ctx, order)
-    return _derivative_ad(node, ctx, order)
+    expr, wrt = node.children
+    return _derivative_ad(ctx, expr, (wrt,), order)
 
 
 HANDLERS = {
@@ -265,50 +313,83 @@ assert_handler_totality()
 # diagonal over the columns too.  Expressions that mix points are rejected.
 #
 # `evaluate` records every AD derivative request on an expression before the
-# first of them runs, so one Jet push serves all of them.
+# first of them runs, so one Jet push serves all of them.  A request is a
+# tuple of variables and an order: one variable for a Derivative node, and
+# several for a sum of second derivatives along distinct variables, such as
+# `u.dd(x) + u.dd(y)`, which the push serves with one group whose second
+# coefficient is summed over the variables' directions.
 # ---------------------------------------------------------------------------
 
-def _derivative_ad(node, ctx, order):
-    expr, wrt = node.children
+def _derivative_ad(ctx, expr, wrts, order):
+    """The order-`order` AD derivative of `expr` along the one variable in
+    `wrts`, or its second derivatives along `wrts` summed."""
     wanted = ctx._ad_requests[expr]
-    if not wanted.keys() <= ctx._jet_passes.get(expr, ({},))[0].keys():
-        ctx._jet_passes[expr] = _jet_pass(expr, wanted, ctx)
-    seeds, sub, jet, u, pushes = ctx._jet_passes[expr]
-    _check_pointwise(expr, wrt, sub)
-    missing = [w for w, k in wanted.items() if len(pushes.get(w, ())) < k]
+    jet_pass = ctx._jet_passes.get(expr)
+    if jet_pass is None or not all(w in jet_pass[0]
+                                   for key in wanted for w in key):
+        jet_pass = ctx._jet_passes[expr] = _jet_pass(expr, wanted, ctx)
+    seeds, sub, jet, u, pushes = jet_pass
+    for wrt in wrts:
+        _check_pointwise(expr, wrt, sub)
+    missing = [key for key, k in wanted.items()
+               if len(pushes.get(key, ())) < k]
     if missing:
         pushes.update(zip(missing, _column_derivatives(
-            jet, u, [(seeds[w], wanted[w]) for w in missing])))
-    return pushes[wrt][order - 1]
+            jet, u, [([seeds[w] for w in key], wanted[key])
+                     for key in missing])))
+    return pushes[wrts][order - 1]
 
 
 def _column_derivatives(jet, u, wanted):
-    """Derivatives of `u` up to order k along each (x, k) in `wanted`, from
-    one push of every column of every x: one list per x, each derivative in
-    the shape of x broadcast with u.  Column j is the derivative along
-    column j of `x`: of all of `u` if it has one column, of its column j if
-    it has as many as `x`."""
-    targets, seeds = [], []
-    for x, order in wanted:
+    """Derivatives of `u` for each (xs, k) in `wanted`, from one push: up
+    to order k along x if `xs` is one variable x, and [None, the second
+    derivatives along every x summed] if it has several.  Each derivative
+    is in the shape of `u` broadcast with `xs`.  Column j is the derivative
+    along column j of each x, or along its only column: of all of `u` if
+    it has one column, of its column j if it has as many as the
+    derivative."""
+    plan, groups = [], []
+    for xs, order in wanted:
         try:
-            targets.append(np.broadcast_shapes(x.shape, u.shape))
+            target = np.broadcast_shapes(u.shape, *(x.shape for x in xs))
         except ValueError:
             raise NonDifferentiablePath(
-                f"derivative target shape {x.shape} does not broadcast with "
-                f"expression shape {u.shape}"
+                f"derivative target shapes {[x.shape for x in xs]} do not "
+                f"broadcast with expression shape {u.shape}"
             ) from None
-        seeds += [(x, order, T.Tensor(np.broadcast_to(e, x.shape)))
-                  for e in np.eye(x.shape[-1])]
-    coeffs = iter(jet.push(seeds))
+        columns = np.eye(max(x.shape[-1] for x in xs))
+        plan.append((len(xs), order, target, columns))
+        for e in columns:
+            groups.append((order, [(x, T.Tensor(_row(x, e))) for x in xs]))
+    coeffs = iter(jet.push(groups))
     out = []
-    for (x, order), target in zip(wanted, targets):
-        ds = [T.zeros(target)] * order
-        for e in np.eye(x.shape[-1]):
-            for k, c in enumerate(next(coeffs)):
+    for size, order, target, columns in plan:
+        ds = [None] * order
+        for e in columns:
+            firsts, second = next(coeffs)
+            for k, c in enumerate([firsts[0] if size == 1 else {},
+                                   second][:order]):
                 if u.uid in c:
-                    ds[k] = T.add(ds[k], T.mul(c[u.uid], T.Tensor(e)))
-        out.append(ds)
+                    t = c[u.uid] if len(columns) == 1 \
+                        else T.mul(c[u.uid], T.Tensor(e))
+                    ds[k] = t if ds[k] is None else T.add(ds[k], t)
+        out.append([_in_shape(t, target) for t in ds] if size == 1
+                   else [None, _in_shape(ds[1], target)])
     return out
+
+
+def _in_shape(t, target):
+    """The derivative `t` (None for zero) in the shape `target`."""
+    if t is None:
+        return T.zeros(target)
+    return t if t.shape == target else T.broadcast_to(t, target)
+
+
+def _row(x, e):
+    """The direction of column e (a row of the identity) at `x`, or of its
+    only column, as a row of `x`'s rank."""
+    e = e if x.shape[-1] == len(e) else np.ones(1)
+    return e.reshape((1,) * (x.ndim - 1) + e.shape)
 
 
 def _jet_pass(expr, wanted, ctx):
@@ -318,7 +399,7 @@ def _jet_pass(expr, wanted, ctx):
     through it.  Returns (identities, child context, jet, value, pushes)."""
     seeds = {}
     for var in {n for n in tr.walk(expr) if n.kind == tr.VARIABLE} \
-            | wanted.keys():
+            | {w for key in wanted for w in key}:
         value = ctx.lookup(var)
         seeds[var] = T.reshape(value, value.shape)
     sub = ctx.child(seeds)

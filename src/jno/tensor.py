@@ -4,8 +4,9 @@ Every runtime value in the library is a :class:`Tensor`.  Primitive ops are
 recorded on the active recorders that track one of their inputs: a
 :class:`Tape` replays them backward for reverse-mode gradients, and a
 :class:`Jet` replays them forward for second-order Taylor coefficients
-along given directions (Griewank & Walther, *Evaluating Derivatives*,
-ch. 13).
+along groups of directions, keeping one second coefficient summed over each
+group, which is all a Laplacian reads (Griewank & Walther, *Evaluating
+Derivatives*, ch. 13; Dangel et al., arXiv:2505.13644).
 Each primitive states its derivative once and both rules derive from it:
 an elementwise op gives its partials, diagonal maps that are their own
 transposes, and its second-order term; a linear op gives the map and its
@@ -13,6 +14,10 @@ transpose (Frostig et al., arXiv:2105.09469).  The rules are themselves
 written with the public primitives, so an active Tape or an outer Jet
 records what they compute and higher-order derivatives fall out of
 repeated application.
+A Taylor coefficient keeps the broadcast shape it is born with, such as a
+row for a direction that is the same at every point; only the ops that read
+across elements (reductions, reshapes, slices, sparse products and matmul's
+contracted axis) expand it, along the axes they read across.
 """
 
 import functools
@@ -223,60 +228,82 @@ class Tape(_Recorder):
 
 
 class Jet(_Recorder):
-    """Taylor mode: replays the records forward along given directions.
+    """Taylor mode: replays the records forward along groups of directions.
 
     A tensor's coefficients along a direction are its first and second
-    derivatives t1, t2 along it.  Each record's Taylor rule maps the
-    coefficients of the op's inputs to those of its output, for example
-    ``t1 = f'(a) a1`` and ``t2 = f'(a) a2 + f''(a) a1**2`` for a unary map,
-    so one forward replay gives every recorded tensor's derivatives, where
-    reverse mode needs one sweep per output and nested sweeps for t2.  One
-    replay serves every direction: a record's rule computes what the
-    directions share, such as f'(a) and f''(a), once.
+    derivatives t1, t2 along it.  A group keeps the first coefficient of
+    each of its directions but only the sum of their second ones, so a
+    Laplacian costs one second coefficient per record, not one per
+    direction.  Each record's Taylor rule maps the coefficients of the op's
+    inputs to those of its output; the rules are linear in the second
+    coefficients, so they map the sum and add their second-order term
+    summed over the group, for example ``t1 = f'(a) a1`` per direction and
+    ``t2 = f'(a) a2 + f''(a) sum_j a1_j**2`` for a unary map.  One forward
+    replay gives every recorded tensor's derivatives, where reverse mode
+    needs one sweep per output and nested sweeps for t2, and serves every
+    group: a record's rule computes what the groups share, such as f'(a)
+    and f''(a), once.
     """
 
-    def push(self, seeds):
-        """Coefficients along each seed ``(x, order, direction)``: up to
-        `order` (1 or 2) along `direction` (a tensor of `x`'s shape, or None
-        for ones) at the watched tensor `x`.  Returns, per seed, a list with
-        one dict uid -> Tensor per order.  A tensor missing from a dict has
-        a zero coefficient.
+    def push(self, groups):
+        """Coefficients along each group ``(order, directions)``, where
+        `directions` lists pairs ``(x, v)`` of a watched tensor `x` and a
+        direction `v` that broadcasts to `x`'s shape (None for ones), up to
+        `order` (1 or 2).  A direction of one variable is a group of one.
+
+        Returns, per group, ``(firsts, second)``: one dict uid -> Tensor of
+        first coefficients per direction and, for order 2, one dict of the
+        second coefficients summed over the directions (None for order 1).
+        A tensor missing from a dict has a zero coefficient; a coefficient
+        has its tensor's rank and broadcasts to its shape.
         """
-        coeffs = []
-        for x, order, direction in seeds:
+        state = []
+        for order, directions in groups:
             if order not in (1, 2):
                 raise ArityMismatch(
                     f"Taylor order must be 1 or 2, got {order}")
-            self._require([x])
-            if direction is None:
-                direction = ones(x.shape)
-            elif direction.shape != x.shape:
-                raise ShapeMismatch(
-                    f"direction {direction.shape} does not match {x.shape}")
-            coeffs.append([{x.uid: direction}]
-                          + [{} for _ in range(order - 1)])
+            firsts = []
+            for x, v in directions:
+                self._require([x])
+                firsts.append({x.uid: _seed(x, v)})
+            state.append((firsts, {} if order == 2 else None))
         for rec in self.records:
-            moving = [cs for cs in coeffs
-                      if any(uid in cs[0] for uid in rec.in_uids)]
+            moving = [(firsts, second) for firsts, second in state
+                      if any(uid in d for d in firsts for uid in rec.in_uids)]
             if not moving:
                 continue
-            dss = [[tuple(ck.get(uid) for uid in rec.in_uids) for ck in cs]
-                   for cs in moving]
-            for cs, ts in zip(moving, rec.taylor(dss)):
-                for ck, t in zip(cs, ts):
+            ins = [([tuple(d.get(uid) for uid in rec.in_uids) for d in firsts],
+                    None if second is None
+                    else tuple(second.get(uid) for uid in rec.in_uids))
+                   for firsts, second in moving]
+            for (firsts, second), (t1s, t2) in zip(moving, rec.taylor(ins)):
+                for d, t in zip(firsts, t1s):
                     if t is not None:
-                        ck[rec.out_uid] = t
-        return coeffs
+                        d[rec.out_uid] = t
+                if t2 is not None:
+                    second[rec.out_uid] = t2
+        return state
+
+
+def _seed(x, v):
+    """The direction `v` at `x`, in `x`'s rank; None is a row of ones."""
+    if v is None:
+        return ones((1,) * x.ndim)
+    if v.ndim > x.ndim or any(m not in (1, n) for m, n in
+                              zip(reversed(v.shape), reversed(x.shape))):
+        raise ShapeMismatch(f"direction {v.shape} does not match {x.shape}")
+    return _lift(v, x.ndim)
 
 
 def _record(out, inputs, backward, taylor):
     """Record `out` = op(`inputs`) on every active recorder that tracks an
     input.  `backward(adj, want)` returns the adjoints of the inputs flagged
-    in `want`; `taylor(dss)` maps, for each direction's ``ds`` in `dss`,
-    ``ds[k]``, the order-(k+1) coefficients of the inputs (None for zero),
-    to the output's coefficients up to that order.  Elementwise ops get
-    both rules from `_pointwise`, linear ones from `_linear_map`; only
-    matmul and concat write their own.
+    in `want`.  `taylor(groups)` maps each Jet group's ``(d1s, d2)`` to the
+    output's ``(t1s, t2)``: `d1s` holds, per direction, the inputs' first
+    coefficients, and `d2` the inputs' second coefficients summed over the
+    group, or None for order 1; a coefficient of None is zero.  Elementwise
+    ops get both rules from `_pointwise`, linear ones from `_linear_map`;
+    only matmul and concat write their own.
 
     The rules bind the values they read and, where they read no more than
     an input's shape, the shape, so that a recorder does not keep the
@@ -301,19 +328,41 @@ def _plus(a, b):
     return a if b is None else add(a, b)
 
 
+def _sum(terms):
+    return functools.reduce(_plus, terms, None)
+
+
 def _twice(c):
     return _plus(c, c)
 
 
-def _on(f, a, b):
-    """f(a, b), or zero if either is zero (f bilinear)."""
-    return None if a is None or b is None else f(a, b)
+def _on(f, *args):
+    """f(*args), or zero if an argument is zero (f linear in each)."""
+    return None if any(c is None for c in args) else f(*args)
 
 
-def _fit(c, shape):
-    """A coefficient in the full shape of its tensor, so that reductions,
-    slices and reshapes of it see every element."""
-    return c if c is None or c.shape == shape else broadcast_to(c, shape)
+def _lift(c, ndim):
+    """The coefficient `c` with leading axes of one up to rank `ndim`."""
+    if c is None or c.ndim == ndim:
+        return c
+    return reshape(c, (1,) * (ndim - c.ndim) + c.shape)
+
+
+def _fit(c, shape, axes=None):
+    """The coefficient `c` broadcast up to `shape` along `axes` (every axis
+    by default), for an op that reads across the elements on those axes."""
+    if axes is not None:
+        axes = {ax % len(shape) for ax in axes}
+        shape = tuple(n if i in axes else m
+                      for i, (m, n) in enumerate(zip(c.shape, shape)))
+    return c if c.shape == shape else broadcast_to(c, shape)
+
+
+def _map_groups(f, groups):
+    """The output's coefficients for a rule that maps the inputs'
+    coefficients of each direction and order by `f`."""
+    return [([f(d) for d in d1s], None if d2 is None else f(d2))
+            for d1s, d2 in groups]
 
 
 def _same(t):
@@ -341,41 +390,46 @@ def _unbroadcast(grad, shape):
 def _pointwise(out, inputs, rule):
     """Record the elementwise `out` = f(`inputs`) from one statement of its
     derivative.  `rule(live)` returns, for the inputs flagged in `live`,
-    ``partials[i](t)`` = t df/dx_i and ``curvature(d1, t1)``, the term
-    sum_ij f_ij a1_i a1_j of the inputs' first coefficients `d1` (`t1` is
-    the output's), or None where that term is zero.
+    ``partials[i](t)`` = t df/dx_i and ``curvature(d1s, t1s)``, the term
+    sum_j sum_ik f_ik a1_ij a1_kj of a group's first coefficients `d1s`
+    (`t1s` are the output's), summed over its directions j, or None where
+    that term is zero.
 
     A partial of an elementwise map is diagonal, hence its own transpose,
     so it serves both modes: the Tape's adjoint of input i is
     ``partials[i](adj)`` summed back to the input's shape, and the Jet's
-    coefficients along each direction are t_k = sum_i partials[i](a_k_i),
-    plus the curvature for k = 2.  A replay calls `rule` once, for the
-    inputs live along any of its directions."""
+    coefficients of a group are t1_j = sum_i partials[i](a1_ij) per
+    direction and t2 = sum_i partials[i](a2_i) plus the curvature, each in
+    the broadcast shape of its terms.  A replay calls `rule` once, for the
+    inputs live in any of its groups."""
     if not _ACTIVE.recorders:
         return out
     shapes = tuple(t.shape for t in inputs)
-    shape = out.shape
+    ndim = out.ndim
 
     def backward(adj, want):
         partials, _ = rule(want)
         return tuple(_unbroadcast(p(adj), s) if w else None
                      for p, s, w in zip(partials, shapes, want))
 
-    def taylor(dss):
-        # an input whose first coefficient is zero has a zero second one
+    def taylor(groups):
+        # an input whose first coefficients are zero has a zero second one
         partials, curvature = rule(tuple(
-            any(c is not None for c in col)
-            for col in zip(*(ds[0] for ds in dss))))
+            any(d[i] is not None for d1s, _ in groups for d in d1s)
+            for i in range(len(shapes))))
+
+        def apply(d):
+            return _sum(p(c) for p, c in zip(partials, d) if c is not None)
+
         out = []
-        for ds in dss:
-            ts = [None] * len(ds)
-            for k, d in enumerate(ds):
-                for p, c in zip(partials, d):
-                    if c is not None:
-                        ts[k] = _plus(ts[k], p(c))
-            if len(ds) > 1 and curvature is not None:
-                ts[1] = _plus(ts[1], curvature(ds[0], ts[0]))
-            out.append([_fit(t, shape) for t in ts])
+        for d1s, d2 in groups:
+            t1s = [apply(d) for d in d1s]
+            t2 = None
+            if d2 is not None:
+                t2 = apply(d2)
+                if curvature is not None:
+                    t2 = _plus(t2, curvature(d1s, t1s))
+            out.append(([_lift(t, ndim) for t in t1s], _lift(t2, ndim)))
         return out
 
     _record(out, inputs, backward, taylor)
@@ -384,14 +438,19 @@ def _pointwise(out, inputs, rule):
 
 def _unary(out, a, first, second):
     """Record the smooth map `out` = f(`a`), with f'(a) = first() and
-    f''(a) = second(f'(a)): t1 = f'(a) a1, t2 = f'(a) a2 + f''(a) a1**2.
-    f''(a) is computed once per replay, for the first direction that needs
+    f''(a) = second(f'(a)): t1 = f'(a) a1 per direction and
+    t2 = f'(a) a2 + f''(a) sum_j a1_j**2 over a group's directions j.
+    f''(a) is computed once per replay, for the first group that needs
     it."""
     def rule(live):
         fp = first()
         fpp = functools.cache(lambda: second(fp))
-        return ((lambda t: mul(t, fp),),
-                lambda d1, t1: mul(fpp(), mul(d1[0], d1[0])))
+
+        def curvature(d1s, t1s):
+            squares = _sum(_on(mul, a1, a1) for (a1,) in d1s)
+            return None if squares is None else mul(fpp(), squares)
+
+        return (lambda t: mul(t, fp),), curvature
 
     return _pointwise(out, (a,), rule)
 
@@ -401,21 +460,21 @@ def _linear_map(out, a, apply, transpose):
     of `a` by `apply` (L itself) and the Tape maps the adjoint by
     `transpose`, L's transpose."""
     _record(out, (a,), lambda adj, want: (transpose(adj),),
-            lambda dss: [[None if c is None else apply(c) for (c,) in ds]
-                         for ds in dss])
+            lambda groups: _map_groups(lambda d: _on(apply, *d), groups))
     return out
 
 
-def _bilinear(ds, f, a, b, shape):
-    """Rule of matmul, linear in each of its two inputs:
-    t1 = f(a1, b) + f(a, b1), t2 = f(a2, b) + 2 f(a1, b1) + f(a, b2)."""
-    (a1, b1) = ds[0]
-    out = [_plus(_on(f, a1, b), _on(f, a, b1))]
-    if len(ds) > 1:
-        (a2, b2) = ds[1]
-        out.append(_plus(_plus(_on(f, a2, b), _on(f, a, b2)),
-                         _twice(_on(f, a1, b1))))
-    return [_fit(c, shape) for c in out]
+def _bilinear(group, f, a, b):
+    """Rule of matmul, linear in each of its two inputs: t1 = f(a1, b) +
+    f(a, b1) per direction, t2 = f(a2, b) + f(a, b2) + 2 sum_j f(a1_j, b1_j)
+    over the group's directions j."""
+    d1s, d2 = group
+    t1s = [_plus(_on(f, a1, b), _on(f, a, b1)) for a1, b1 in d1s]
+    if d2 is None:
+        return t1s, None
+    (a2, b2) = d2
+    return t1s, _plus(_plus(_on(f, a2, b), _on(f, a, b2)),
+                      _twice(_sum(_on(f, *d) for d in d1s)))
 
 
 def _binary(fn, a, b, name):
@@ -448,7 +507,7 @@ def mul(a, b):
     a, b, out = _binary(operator.mul, a, b, "mul")
     return _pointwise(out, (a, b), lambda live: (
         (lambda t: mul(t, b), lambda t: mul(t, a)),
-        lambda d1, t1: _twice(_on(mul, *d1))))
+        lambda d1s, t1s: _twice(_sum(_on(mul, *d) for d in d1s))))
 
 
 def div(a, b):
@@ -458,9 +517,9 @@ def div(a, b):
     def rule(live):
         # f_a = 1/b, f_b = -a/b**2; the second-order term
         # 2 f_ab a1 b1 + f_bb b1**2 is -2 t1 b1 / b
-        def curvature(d1, t1):
-            b1 = d1[1]
-            return None if b1 is None else neg(div(_twice(mul(t1, b1)), b))
+        def curvature(d1s, t1s):
+            s = _sum(_on(mul, t1, b1) for t1, (_, b1) in zip(t1s, d1s))
+            return None if s is None else neg(div(_twice(s), b))
 
         return ((lambda t: div(t, b),
                  lambda t: neg(div(mul(t, a), mul(b, b)))), curvature)
@@ -507,17 +566,19 @@ def power(a, b):
         f_b = mul(out, log_a) if live[1] else None
 
         @_QUIET
-        def curvature(d1, t1):
-            (a1, b1) = d1
+        def curvature(d1s, t1s):
+            aa = _sum(_on(mul, a1, a1) for a1, _ in d1s)
+            bb = _sum(_on(mul, b1, b1) for _, b1 in d1s)
+            ab = _sum(_on(mul, a1, b1) for a1, b1 in d1s)
             t2 = None
-            if a1 is not None:
+            if aa is not None:
                 f_aa = mul(mul(b, b_1), power(a, sub(b, Tensor(2.0))))
-                t2 = mul(f_aa, mul(a1, a1))
-            if b1 is not None:
-                t2 = _plus(t2, mul(mul(f_b, log_a), mul(b1, b1)))
-            if a1 is not None and b1 is not None:
+                t2 = mul(f_aa, aa)
+            if bb is not None:
+                t2 = _plus(t2, mul(mul(f_b, log_a), bb))
+            if ab is not None:
                 f_ab = mul(power(a, b_1), add(Tensor(1.0), mul(b, log_a)))
-                t2 = add(t2, _twice(mul(f_ab, mul(a1, b1))))
+                t2 = _plus(t2, _twice(mul(f_ab, ab)))
             return t2
 
         return ((_QUIET(lambda t: mul(t, f_a)),
@@ -622,10 +683,22 @@ def _norm_axes(a, axes):
     return axes
 
 
+# numpy's reduction loop over a short contiguous axis is slow: summing the
+# last axis of a (32768, 3) array takes 0.63 ms, a product with ones 0.03 ms
+_SHORT_AXIS = 32
+
+
+def _sum_data(data, axes, keepdims):
+    if axes == (data.ndim - 1,) and data.shape[-1] <= _SHORT_AXIS:
+        total = data @ np.ones(data.shape[-1])
+        return total[..., None] if keepdims else total
+    return np.sum(data, axis=axes or None, keepdims=keepdims)
+
+
 def reduce_sum(a, axes=None, keepdims=False):
     a = _as_tensor(a)
     axes = _norm_axes(a, axes)
-    out = Tensor(np.sum(a.data, axis=axes or None, keepdims=keepdims))
+    out = Tensor(_sum_data(a.data, axes, keepdims))
     shape = a.shape
 
     def spread(adj):
@@ -633,8 +706,9 @@ def reduce_sum(a, axes=None, keepdims=False):
             adj = reshape(adj, _restore_shape(shape, axes))
         return broadcast_to(adj, shape)
 
-    return _linear_map(out, a, lambda c: reduce_sum(c, axes, keepdims),
-                       spread)
+    return _linear_map(
+        out, a, lambda c: reduce_sum(_fit(c, shape, axes or None), axes,
+                                     keepdims), spread)
 
 
 def _restore_shape(shape, axes):
@@ -673,7 +747,7 @@ def reshape(a, shape):
         out = Tensor(a.data.reshape(shape))
     except ValueError:
         raise ShapeMismatch(f"cannot reshape {a.shape} to {shape}") from None
-    return _linear_map(out, a, lambda c: reshape(c, shape),
+    return _linear_map(out, a, lambda c, s=a.shape: reshape(_fit(c, s), shape),
                        lambda adj, s=a.shape: reshape(adj, s))
 
 
@@ -693,7 +767,7 @@ def broadcast_to(a, shape):
         out = Tensor(np.broadcast_to(a.data, shape).copy())
     except ValueError:
         raise ShapeMismatch(f"cannot broadcast {a.shape} to {shape}") from None
-    return _linear_map(out, a, lambda c: broadcast_to(c, shape),
+    return _linear_map(out, a, lambda c: _lift(c, len(shape)),
                        lambda adj, s=a.shape: _unbroadcast(adj, s))
 
 
@@ -721,9 +795,12 @@ def matmul(a, b):
             gb = _unbroadcast(matmul(_swap_last(a), adj), b.shape)
         return ga, gb
 
+    def product(x, y):
+        # a coefficient is expanded along the contracted axis only
+        return matmul(_fit(x, a.shape, (-1,)), _fit(y, b.shape, (-2,)))
+
     _record(out, (a, b), backward,
-            lambda dss, shape=out.shape: [_bilinear(ds, matmul, a, b, shape)
-                                          for ds in dss])
+            lambda groups: [_bilinear(g, product, a, b) for g in groups])
     return out
 
 
@@ -743,8 +820,9 @@ def sparse_matmul(S, x):
     cols = np.moveaxis(x.data, -2, 0).reshape(S.shape[1], -1)
     moved = (S @ cols).reshape((S.shape[0],) + x.shape[:-2] + x.shape[-1:])
     out = Tensor(np.moveaxis(moved, 0, -2))
-    return _linear_map(out, x, lambda c: sparse_matmul(S, c),
-                       lambda adj: sparse_matmul(S.T, adj))
+    return _linear_map(
+        out, x, lambda c, s=x.shape: sparse_matmul(S, _fit(c, s, (-2,))),
+        lambda adj: sparse_matmul(S.T, adj))
 
 
 def _swap_last(a):
@@ -780,12 +858,22 @@ def concat(parts, axis=-1):
             grads.append(take_slice(adj, tuple(spec)) if w else None)
         return tuple(grads)
 
-    def taylor(dss):
-        return [[None if all(c is None for c in d) else concat(
-            [zeros(s) if c is None else c for s, c in zip(shapes, d)],
-            axis=ax) for d in ds] for ds in dss]
+    def join(d):
+        # the parts' coefficients in one broadcast shape off the axis
+        live = [c.shape[:ax] + (1,) + c.shape[ax + 1:]
+                for c in d if c is not None]
+        if not live:
+            return None
+        common = list(np.broadcast_shapes(*live))
+        parts = []
+        for s, c in zip(shapes, d):
+            common[ax] = s[ax]
+            parts.append(zeros(common) if c is None
+                         else _fit(c, tuple(common)))
+        return concat(parts, axis=ax)
 
-    _record(out, tuple(parts), backward, taylor)
+    _record(out, tuple(parts), backward,
+            lambda groups: _map_groups(join, groups))
     return out
 
 
@@ -799,8 +887,12 @@ def take_slice(a, spec):
     for i, s in enumerate(spec):
         if isinstance(s, int) and not -a.shape[i] <= s < a.shape[i]:
             raise IndexOutOfRange(f"index {s} out of range for axis {i} of {a.shape}")
-    return _linear_map(Tensor(a.data[spec]), a, lambda c: take_slice(c, spec),
-                       lambda adj, s=a.shape: scatter_slice(adj, spec, s))
+    # a coefficient is expanded along the axes that the spec indexes
+    read = tuple(i for i, s in enumerate(spec) if s != slice(None))
+    return _linear_map(
+        Tensor(a.data[spec]), a,
+        lambda c, s=a.shape: take_slice(_fit(c, s, read), spec),
+        lambda adj, s=a.shape: scatter_slice(adj, spec, s))
 
 
 def scatter_slice(adj, spec, shape):
@@ -809,7 +901,8 @@ def scatter_slice(adj, spec, shape):
     buf = np.zeros(shape, dtype=np.float64)
     buf[spec] = adj.data
     return _linear_map(Tensor(buf), adj,
-                       lambda c: scatter_slice(c, spec, shape),
+                       lambda c, s=adj.shape: scatter_slice(_fit(c, s), spec,
+                                                           shape),
                        lambda a: take_slice(a, spec))
 
 

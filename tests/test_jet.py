@@ -105,13 +105,19 @@ def test_every_recorded_primitive_has_a_taylor_rule():
         assert callable(jet.records[-1].taylor)
 
 
+def _full(coeffs, out):
+    """Each coefficient dict's entry for `out` in `out`'s full shape."""
+    return [np.broadcast_to(c[out.uid].data, out.shape) if out.uid in c
+            else np.zeros(out.shape) for c in coeffs]
+
+
 def _coefficients(f, s0, order):
     s = T.Tensor(s0)
     with T.Jet() as jet:
         jet.watch(s)
         out = f(s)
-    (coeffs,) = jet.push([(s, order, None)])
-    return [c.get(out.uid, T.zeros(out.shape)).data for c in coeffs]
+    ((firsts, second),) = jet.push([(order, [(s, None)])])
+    return _full(firsts + ([second] if order == 2 else []), out)
 
 
 @pytest.mark.parametrize("name", sorted(CASES) + sorted(MORE))
@@ -139,9 +145,13 @@ def test_push_needs_a_watched_tensor_and_order_one_or_two():
         jet.watch(s)
         T.sin(s)
     with pytest.raises(UnknownNode):
-        jet.push([(T.Tensor(np.ones(3)), 2, None)])
+        jet.push([(2, [(T.Tensor(np.ones(3)), None)])])
+    with pytest.raises(UnknownNode):
+        jet.push([(2, [(s, None), (T.Tensor(np.ones(3)), None)])])
     with pytest.raises(ArityMismatch):
-        jet.push([(s, 3, None)])
+        jet.push([(3, [(s, None)])])
+    with pytest.raises(ArityMismatch):
+        jet.push([(1, [(s, None)]), (0, [(s, None)])])
 
 
 def test_parameter_tape_records_the_push():
@@ -154,7 +164,7 @@ def test_parameter_tape_records_the_push():
         with T.Jet() as jet:
             jet.watch(s)
             out = T.sin(T.mul(w, s))
-        return T.reduce_sum(jet.push([(s, 2, None)])[0][1][out.uid])
+        return T.reduce_sum(jet.push([(2, [(s, None)])])[0][1][out.uid])
 
     w = T.Tensor(1.3)
     with T.Tape() as tape:
@@ -255,12 +265,17 @@ def test_push_along_a_direction():
     with T.Jet() as jet:
         jet.watch(s)
         out = T.sin(s)
-    (coeffs,) = jet.push([(s, 2, T.full((4,), 2.0))])
-    t1, t2 = (c[out.uid].data for c in coeffs)
+    (([first], second),) = jet.push([(2, [(s, T.full((4,), 2.0))])])
+    t1, t2 = first[out.uid].data, second[out.uid].data
     np.testing.assert_allclose(t1, 2 * np.cos(s.data), rtol=1e-15)
     np.testing.assert_allclose(t2, -4 * np.sin(s.data), rtol=1e-15)
     with pytest.raises(ShapeMismatch):
-        jet.push([(s, 1, T.ones((4, 1)))])
+        jet.push([(1, [(s, T.ones((4, 1)))])])
+    # a direction that broadcasts up to the tensor's shape is accepted
+    for v in (T.Tensor(2.0), T.full((1,), 2.0)):
+        (([first], second),) = jet.push([(2, [(s, v)])])
+        np.testing.assert_array_equal(first[out.uid].data, t1)
+        np.testing.assert_array_equal(second[out.uid].data, t2)
 
 
 def test_variable_with_several_columns():
@@ -328,10 +343,12 @@ def test_field_with_as_many_columns_as_the_variable():
 
 
 def _count_pushes(monkeypatch):
+    """The pushes made, each as the list of its groups' (order, number of
+    directions)."""
     pushes = []
     push = T.Jet.push
-    monkeypatch.setattr(T.Jet, "push", lambda jet, seeds: pushes.append(
-        len(seeds)) or push(jet, seeds))
+    monkeypatch.setattr(T.Jet, "push", lambda jet, groups: pushes.append(
+        [(order, len(dirs)) for order, dirs in groups]) or push(jet, groups))
     return pushes
 
 
@@ -354,7 +371,8 @@ def test_requests_on_one_expression_share_one_push(monkeypatch):
     pushes = _count_pushes(monkeypatch)
     ctx = context()
     ev.evaluate(dX * dds + ds, ctx)
-    assert pushes == [3]
+    # a group per column of X, and one for s up to order 2
+    assert pushes == [[(1, 1), (1, 1), (2, 1)]]
     for node in (dX, ds, dds):
         np.testing.assert_allclose(ctx.cache[node].data,
                                    ev.evaluate(node, context()).data,
@@ -388,11 +406,231 @@ def test_laplacian_residual_pushes_once_per_expression(monkeypatch):
     with T.Tape() as tape:
         tape.watch(*params.values())
         ev.evaluate(loss, ctx)
-    assert pushes == [2]
-    # requests the push already covers reuse it
+    # one group of two directions with one summed second coefficient
+    assert pushes == [[(2, 2)]]
+    assert tr.DERIVATIVE not in ctx.stats["by_kind"]
+    # the summed coefficient serves only the sum: other requests on u push
+    # what is missing, once, and requests a push covers reuse it
     ev.evaluate(u.d(x) + u.dd(y), ctx)
-    assert pushes == [2]
+    assert pushes == [[(2, 2)], [(1, 1), (2, 1)]]
+    ev.evaluate(u.d(y), ctx)
+    assert len(pushes) == 2
     # a mixed partial: one push for u inside d(u, x), one for d(u, x)
     pushes.clear()
     ev.evaluate(tr.d(tr.d(u, x), y), ev.EvalContext(domain=d))
-    assert pushes == [1, 1]
+    assert pushes == [[(1, 1)], [(1, 1)]]
+
+
+# ---------------------------------------------------------------------------
+# Collapsed Taylor mode: one second coefficient summed over a group
+# ---------------------------------------------------------------------------
+
+def _directions(s0):
+    """Three directions at s0: two full-shape ones and a row."""
+    rng = np.random.default_rng(3)
+    return [T.Tensor(rng.uniform(-1.0, 1.0, s0.shape)),
+            T.Tensor(rng.uniform(-1.0, 1.0, s0.shape)),
+            T.Tensor(rng.uniform(-1.0, 1.0, (1, s0.shape[1])))]
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + sorted(MORE))
+def test_collapsed_push_is_the_sum_of_per_direction_pushes(name):
+    f = {**CASES, **MORE}[name]
+    s = T.Tensor(np.random.default_rng(0).uniform(0.2, 0.8, (3, 4)))
+    with T.Jet() as jet:
+        jet.watch(s)
+        out = f(s)
+    vs = _directions(s.data)
+    ((firsts, second),) = jet.push([(2, [(s, v) for v in vs])])
+    alone = [jet.push([(2, [(s, v)])])[0] for v in vs]
+    want = sum(_full([c], out)[0] for _, c in alone)
+    scale = 1.0 + np.abs(want).max()
+    np.testing.assert_allclose(_full([second], out)[0], want,
+                               rtol=1e-12, atol=1e-12 * scale)
+    for first, ([first_alone], _) in zip(firsts, alone):
+        np.testing.assert_allclose(_full([first], out)[0],
+                                   _full([first_alone], out)[0],
+                                   rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_three_term_laplacian_against_differences(monkeypatch):
+    # u(x, y, s): however the additions nest, the sum of the three pure
+    # second derivatives is one group of three directions in one push
+    d = dm.rect(mesh_size=0.25)
+    x, y, _ = d.variable("interior")
+    s = tr.variable("s")
+    pts = d.context["interior"]
+    s0 = np.random.default_rng(6).uniform(-1.0, 1.0, pts[..., :1].shape)
+    net = nn.mlp(3, [16, 16], 1).initialize(4)
+    u = net(tr.concat_nodes([x, y, s], axis=-1))
+    pushes = _count_pushes(monkeypatch)
+    laplacians = []
+    for lap in (u.dd(x) + u.dd(y) + u.dd(s), u.dd(x) + (u.dd(y) + u.dd(s))):
+        ctx = ev.EvalContext(bindings={s: s0}, domain=d)
+        laplacians.append(ev.evaluate(lap, ctx).data)
+        assert tr.DERIVATIVE not in ctx.stats["by_kind"]
+    assert pushes == [[(2, 3)], [(2, 3)]]
+
+    def at(dx, dy, ds):
+        inputs = np.concatenate([pts[..., :1] + dx, pts[..., 1:2] + dy,
+                                 s0 + ds], axis=-1)
+        return net.forward([T.Tensor(inputs)]).data
+
+    h = 1e-4
+    fd = (at(h, 0, 0) + at(-h, 0, 0) + at(0, h, 0) + at(0, -h, 0)
+          + at(0, 0, h) + at(0, 0, -h) - 6 * at(0, 0, 0)) / h ** 2
+    ctx = ev.EvalContext(bindings={s: s0}, domain=d)
+    terms = sum(ev.evaluate(u.dd(c), ctx).data for c in (x, y, s))
+    for got in laplacians:
+        assert got.shape == fd.shape
+        np.testing.assert_allclose(got, fd, atol=1e-6)
+        np.testing.assert_allclose(got, terms, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("outputs", [1, 2])
+def test_collapsed_sum_over_a_variable_with_several_columns(monkeypatch,
+                                                            outputs):
+    # column j of u.dd(X) + u.dd(s) sums along column j of X and along s:
+    # one group per column of X, each with a direction of X and one of s
+    d = dm.rect(mesh_size=0.25)
+    X = d.variable("interior", split=False)
+    s = tr.variable("s")
+    pts = d.context["interior"]
+    s0 = np.random.default_rng(4).uniform(-1.0, 1.0, pts[..., :1].shape)
+    net = nn.mlp(3, [16], outputs).initialize(2)
+    u = net(tr.concat_nodes([X, s * s], axis=-1))
+    pushes = _count_pushes(monkeypatch)
+    got = ev.evaluate(u.dd(X) + u.dd(s),
+                      ev.EvalContext(bindings={s: s0}, domain=d)).data
+    assert pushes == [[(2, 2), (2, 2)]]
+    ctx = ev.EvalContext(bindings={s: s0}, domain=d)
+    want = ev.evaluate(u.dd(X), ctx).data + ev.evaluate(u.dd(s), ctx).data
+    assert got.shape == want.shape == pts.shape
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_derivatives_of_a_collapsed_laplacian():
+    # u = x sin(x) sin(y): d(lap u, x) reads the inner sum's pass through
+    # an outer Jet, and the bilaplacian is a collapsed sum of collapsed sums
+    d = dm.rect(mesh_size=0.25)
+    x, y, _ = d.variable("interior")
+    u = x * tr.build(tr.ARITH, "sin", (x,)) * tr.build(tr.ARITH, "sin", (y,))
+    lap = u.dd(x) + u.dd(y)
+    pts = d.context["interior"]
+    px, py = pts[..., :1], pts[..., 1:2]
+    got = ev.evaluate(tr.d(lap, x), ev.EvalContext(domain=d)).data
+    np.testing.assert_allclose(
+        got, -4 * np.sin(px) * np.sin(py) - 2 * px * np.cos(px) * np.sin(py),
+        rtol=1e-13, atol=1e-13)
+    got = ev.evaluate(lap.dd(x) + lap.dd(y), ev.EvalContext(domain=d)).data
+    np.testing.assert_allclose(
+        got, 4 * px * np.sin(px) * np.sin(py) - 8 * np.cos(px) * np.sin(py),
+        rtol=1e-12, atol=1e-12)
+
+
+def test_sum_with_other_terms_or_repeated_variables_is_not_collapsed(
+        monkeypatch):
+    d, x, y, net, u = _mlp_rect()
+    pushes = _count_pushes(monkeypatch)
+    for expr in (u.dd(x) + u.d(y), u.dd(x) + u.dd(x), x + u.dd(x),
+                 u.dd(x) + net(tr.concat_nodes([y, x], axis=-1)).dd(y)):
+        ctx = ev.EvalContext(domain=d)
+        ev.evaluate(expr, ctx)
+        assert ctx.stats["by_kind"][tr.DERIVATIVE] >= 1
+    assert [(2, 2)] not in pushes
+
+
+_S5 = sp.csr_matrix(np.arange(20.0).reshape(4, 5) % 3 - 1.0)
+
+# Consumers that read across elements, applied to a (2, 1, 5, 3) tensor
+# whose coefficients are rows of shape (1, 1, 1, 3).
+EXPANDING = {
+    "reduce_over_batch": lambda t: T.reduce_sum(t, axes=0),
+    "reduce_over_points": lambda t: T.reduce_sum(t, axes=(1, 2),
+                                                 keepdims=True),
+    "reshape": lambda t: T.reshape(t, (10, 3)),
+    "take_slice_int": lambda t: T.take_slice(t, (1, 0, 2)),
+    "take_slice_range": lambda t: T.take_slice(t, (slice(None), 0,
+                                                   slice(1, 4))),
+    "scatter_slice": lambda t: T.scatter_slice(
+        t, (slice(None), slice(None), slice(1, 6)), (2, 1, 7, 3)),
+    "concat_points": lambda t: T.concat([t, T.ones((2, 1, 2, 3))], axis=2),
+    "concat_columns": lambda t: T.concat(
+        [t, T.mul(t, T.Tensor(np.linspace(1.0, 2.0, 5).reshape(5, 1)))],
+        axis=-1),
+    "sparse_matmul": lambda t: T.sparse_matmul(_S5, t),
+    # a coefficient of shape (1, 1, 1, 1) on the contracted axis of 3
+    "matmul_contracted": lambda t: T.matmul(
+        T.add(T.reduce_sum(t, axes=-1, keepdims=True), T.zeros((2, 1, 5, 3))),
+        T.Tensor(np.arange(6.0).reshape(3, 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPANDING))
+def test_row_coefficient_through_an_expanding_consumer(name):
+    # t1 of x * w and t2 of (x * w) * (x * v) are rows: the consumer's
+    # coefficients, and a Tape's gradient of them w.r.t. w, equal those
+    # of a push along a full-shape direction
+    rng = np.random.default_rng(1)
+    w = T.Tensor(np.array([[[[1.0, -2.0, 0.5]]]]))
+    v = T.Tensor(np.array([[[[0.3, 1.0, -1.0]]]]))
+    x = T.Tensor(rng.uniform(-1.0, 1.0, (2, 1, 5, 1)))
+    with T.Tape() as tape:
+        tape.watch(w)
+        with T.Jet() as jet:
+            jet.watch(x)
+            lin = T.mul(x, w)
+            quad = T.mul(lin, T.mul(x, v))
+            outs = [EXPANDING[name](lin), EXPANDING[name](quad)]
+        pushes = [jet.push([(2, [(x, d)])])[0] for d in (None, T.ones(x.shape))]
+        weights = [T.Tensor(rng.uniform(-1.0, 1.0, out.shape)) for out in outs]
+        totals = []
+        for firsts, second in pushes:
+            total = T.Tensor(0.0)
+            for out, weight in zip(outs, weights):
+                for c in (firsts[0], second):
+                    if out.uid in c:
+                        total = T.add(total, T.reduce_sum(T.mul(
+                            T.broadcast_to(c[out.uid], out.shape), weight)))
+            totals.append(total)
+    (rows, row2), (full, full2) = pushes
+    assert rows[0][lin.uid].shape == (1, 1, 1, 3)
+    assert row2[quad.uid].shape == (1, 1, 1, 3)
+    for out in outs:
+        for got, want in zip(_full([rows[0], row2], out),
+                             _full([full[0], full2], out)):
+            np.testing.assert_array_equal(got, want)
+    np.testing.assert_allclose(
+        *(tape.gradient(t, [w])[w.uid].data for t in totals),
+        rtol=1e-13)
+
+
+def test_laplacian_loss_allocates_few_full_size_arrays(monkeypatch):
+    # owned (..., N, 32) arrays made by one AD-Laplacian loss of an MLP
+    # 2-32-32-1 under a parameter Tape, and by its parameter gradient;
+    # per-direction second coefficients took 36 and 66
+    n = 200
+    x, y = tr.variable("x"), tr.variable("y")
+    rng = np.random.default_rng(2)
+    px, py = (rng.uniform(0.0, 1.0, (1, 1, n, 1)) for _ in range(2))
+    net = nn.mlp(2, [32, 32], 1).initialize(1)
+    u = net(tr.concat_nodes([x, y], axis=-1))
+    loss = (u.dd(x) + u.dd(y) + x * y).mse
+    counts = []
+    init = T.Tensor.__init__
+
+    def counted(tensor, data):
+        init(tensor, data)
+        if tensor.data.shape[-2:] == (n, 32) and tensor.data.base is None:
+            counts[-1] += 1
+
+    monkeypatch.setattr(T.Tensor, "__init__", counted)
+    params = net.trainable_params()
+    counts.append(0)
+    with T.Tape() as tape:
+        tape.watch(*params.values())
+        value = ev.evaluate(loss, ev.EvalContext(bindings={x: px, y: py}))
+    counts.append(0)
+    tape.gradient(value, list(params.values()))
+    assert counts[0] <= 28
+    assert counts[1] <= 47

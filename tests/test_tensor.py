@@ -98,6 +98,47 @@ class TestReduce:
         assert lhs == rhs
 
 
+class TestShortAxisSum:
+    """A sum over a short last axis is taken as a product with ones: the
+    same sums as numpy's to a few ulp of the summed magnitudes, and the
+    same adjoint."""
+
+    @pytest.mark.parametrize("shape", [(32768, 3), (4, 100, 5), (7,),
+                                       (6, 32), (6, 33), (5, 0), (2, 1)])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_matches_numpy(self, shape, keepdims):
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+        got = T.reduce_sum(T.Tensor(a), axes=-1, keepdims=keepdims).data
+        want = np.sum(a, axis=-1, keepdims=keepdims)
+        assert got.shape == want.shape
+        magnitude = np.sum(np.abs(a), axis=-1, keepdims=keepdims)
+        assert np.all(np.abs(got - want)
+                      <= 4 * np.finfo(np.float64).eps * magnitude)
+
+    def test_transposed_view_and_special_values(self):
+        b = np.random.default_rng(1).standard_normal((3, 1000))
+        b[:, 0] = [np.inf, 1.0, 2.0]
+        b[:, 1] = [np.inf, -np.inf, 0.0]
+        b[:, 2] = [np.nan, 1.0, 0.0]
+        a = T.transpose(T.Tensor(b))
+        assert not a.data.flags.c_contiguous
+        # inf - inf warns in numpy's sum and in the product alike
+        with np.errstate(invalid="ignore"):
+            got = T.reduce_sum(a, axes=1).data
+            want = np.sum(b, axis=0)
+        np.testing.assert_array_equal(got[:3], want[:3])
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+
+    def test_adjoint_spreads_along_the_axis(self):
+        a = T.Tensor(np.random.default_rng(2).standard_normal((50, 3)))
+        w = np.linspace(-1.0, 1.0, 50)
+        g = T.grad(lambda t: T.reduce_sum(
+            T.mul(T.reduce_sum(t, axes=-1), T.Tensor(w))), a)
+        np.testing.assert_array_equal(g.data,
+                                      np.broadcast_to(w[:, None], (50, 3)))
+
+
 class TestLinalg:
     def test_matmul_shape(self):
         out = T.matmul(T.ones((2, 3)), T.ones((3, 4)))
