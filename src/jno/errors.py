@@ -159,6 +159,10 @@ class MultipleTemporalTerms(JnoError):
     pass
 
 
+class SingularSystem(JnoError):
+    pass
+
+
 class SingularStepMatrix(JnoError):
     pass
 

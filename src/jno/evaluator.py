@@ -437,7 +437,7 @@ def _check_pointwise(expr, wrt, ctx):
         r = arg.ndim
         if n.kind == tr.REDUCE:
             axes = n.payload[1]
-            mixes = not axes or any(a % r >= r - 2 for a in axes)
+            mixes = axes is None or any(a % r >= r - 2 for a in axes)
         elif n.kind == tr.MATMUL:
             mixes = n.children[1] in depends
         elif n.kind == tr.CONCAT:

@@ -32,6 +32,15 @@ sum_q wv Qa[q, a] Qb[q, b] * Ga[e, a] Gb[e, b] of a test and a trial part.
 * ``vpinn``         -> traced residual against the nodal hat test set: each
                        term's test integrals are one constant (n_free, E*nq)
                        CSR operator, applied with ``T.sparse_matmul``
+
+Every sparse solve is one SuperLU factorization made by :func:`_factor`.
+P1 matrices have a symmetric sparsity pattern, so it orders the columns by
+minimum degree on the pattern of A^T + A.  A singular matrix raises the
+error its caller names: ``SingularSystem`` for a linear system or a Newton
+Jacobian, ``SingularStepMatrix`` for a backward-Euler step matrix and
+``SingularMass`` for the mass matrix of :func:`export_explicit_ode`.
+:func:`newton_solve` and the nonlinear backward-Euler steps share one
+Newton loop, :func:`_newton`.
 """
 
 import functools
@@ -39,8 +48,6 @@ from collections import namedtuple
 
 import numpy as np
 import scipy.sparse as sp
-# scipy.sparse.linalg, and scipy.linalg with it (about 0.1 s), is imported by
-# the solvers that use it, so that importing jno does not pay for it
 
 from . import evaluator as ev
 from . import tensor as T
@@ -52,6 +59,7 @@ from .errors import (
     NonlinearTerm,
     SingularMass,
     SingularStepMatrix,
+    SingularSystem,
     TargetMismatch,
     TimeDependentMass,
     TrialSymbolRemaining,
@@ -555,6 +563,35 @@ def _fields(region, u_full):
     return u_q, [T.Tensor(np.repeat(gd, nq).reshape(flat)) for gd in g]
 
 
+def _factor(A, error):
+    """The `solve` of a SuperLU factorization of the square sparse `A`,
+    with its columns ordered by minimum degree on the pattern of A^T + A;
+    `error` if A is singular."""
+    # imported here: scipy.sparse.linalg, and scipy.linalg with it, take
+    # about 0.1 s to import, which importing jno does not pay
+    import scipy.sparse.linalg as spla
+
+    try:
+        return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
+    except RuntimeError as exc:
+        raise error(str(exc)) from None
+
+
+def _newton(F, jacobian, u, tol, max_iter, singular):
+    """Newton iteration on F(u) = 0 from `u`, each step a solve with
+    jacobian(u) (`singular` if it is singular); returns (u, residual_norms).
+    NewtonDivergence if the norm is not below `tol` after max_iter steps."""
+    norms = []
+    for k in range(max_iter + 1):
+        r = F(u)
+        norms.append(float(np.linalg.norm(r)))
+        if norms[-1] < tol:
+            return u, norms
+        if k < max_iter:
+            u = u + _factor(jacobian(u), singular)(-r)
+    raise NewtonDivergence(max_iter, norms[-1])
+
+
 class LinearSystem:
     """The system A u = b over the free dofs, with the Dirichlet values
     eliminated, and the full matrix and right-hand side it came from."""
@@ -563,15 +600,11 @@ class LinearSystem:
         self.setup = setup
         self.full_matrix = A_full.tocsr()
         self.full_rhs = b_full
-        A, lift = _reduce(setup, self.full_matrix)
-        self.A = A.tocoo()
+        self.A, lift = _reduce(setup, self.full_matrix)
         self.b = b_full[setup.free] - lift
 
     def solve(self):
-        import scipy.sparse.linalg as spla
-
-        u_free = spla.spsolve(self.A.tocsc(), self.b)
-        return self.setup.lift(u_free)
+        return self.setup.lift(_factor(self.A, SingularSystem)(self.b))
 
 
 # ---------------------------------------------------------------------------
@@ -702,24 +735,15 @@ def assemble_fem_residual(setup, terms):
 
 
 def newton_solve(op, u0, tol=1e-10, max_iter=10):
-    """Newton iteration on R(u) = 0; returns (u, residual_norms)."""
-    import scipy.sparse.linalg as spla
-
-    u = np.asarray(u0, dtype=np.float64).copy()
-    norms = []
-    for _ in range(max_iter):
-        r = op(u)
-        norms.append(float(np.linalg.norm(r)))
-        if norms[-1] < tol:
-            return u, norms
-        J = op.jacobian(u)
-        du = spla.spsolve(J.tocsc(), -r)
-        u = u + du
-    r = op(u)
-    norms.append(float(np.linalg.norm(r)))
-    if norms[-1] < tol:
-        return u, norms
-    raise NewtonDivergence(max_iter, norms[-1])
+    """Newton iteration on R(u) = 0 from the free-dof values `u0`; returns
+    (u, residual_norms)."""
+    u = np.array(u0, dtype=np.float64).reshape(-1)
+    if len(u) != len(op.setup.free):
+        raise TargetMismatch(
+            f"u0 length {len(u)} does not match the free dof count "
+            f"{len(op.setup.free)}"
+        )
+    return _newton(op, op.jacobian, u, tol, max_iter, SingularSystem)
 
 
 # ---------------------------------------------------------------------------
@@ -870,56 +894,28 @@ def assemble_fem_time(setup, temporal, steady, state0=None):
 
 def step_backward_euler(block, dt, steps, t0=0.0, newton_tol=1e-10,
                         newton_max_iter=25):
-    """Implicit Euler; returns the trajectory (steps+1, n_free) incl. u0."""
-    import scipy.sparse.linalg as spla
-
+    """Implicit Euler; returns the trajectory (steps+1, n_free) incl. u0.
+    A linear block factors M + dt A once; otherwise each step solves
+    M (w - u_n) / dt + R(w, t_(n+1)) = 0 for w by Newton from u_n."""
     if dt <= 0:
         raise SingularStepMatrix("dt must be positive")
-    u = np.asarray(block.u0, dtype=np.float64).copy()
-    out = [u.copy()]
+    out = [np.asarray(block.u0, dtype=np.float64)]
     if block.linear:
-        system = (block.M + dt * block.A).tocsc()
-        try:
-            lu = spla.splu(system)
-        except RuntimeError as exc:
-            raise SingularStepMatrix(str(exc)) from None
-        for k in range(int(steps)):
-            t_next = t0 + dt * (k + 1)
-            rhs = block.M @ u + dt * block.b(t_next)
-            u = lu.solve(rhs)
-            out.append(u.copy())
-        return np.asarray(out)
+        solve = _factor(block.M + dt * block.A, SingularStepMatrix)
     for k in range(int(steps)):
-        t_next = t0 + dt * (k + 1)
-        u_prev = u.copy()
-
-        def F(w):
-            return block.M @ (w - u_prev) / dt + block.residual(w, t_next)
-
-        w = u.copy()
-        converged = False
-        for _ in range(newton_max_iter):
-            r = F(w)
-            if np.linalg.norm(r) < newton_tol:
-                converged = True
-                break
-            J = (block.M / dt + block.jacobian(w, t_next)).tocsc()
-            w = w + spla.spsolve(J, -r)
-        if not converged and np.linalg.norm(F(w)) >= newton_tol:
-            raise NewtonDivergence(newton_max_iter,
-                                   float(np.linalg.norm(F(w))))
-        u = w
-        out.append(u.copy())
+        t, u = t0 + dt * (k + 1), out[-1]
+        if block.linear:
+            w = solve(block.M @ u + dt * block.b(t))
+        else:
+            w = _newton(
+                lambda w: block.M @ (w - u) / dt + block.residual(w, t),
+                lambda w: block.M / dt + block.jacobian(w, t),
+                u, newton_tol, newton_max_iter, SingularStepMatrix)[0]
+        out.append(w)
     return np.asarray(out)
 
 
 def export_explicit_ode(block):
     """RHS callback u' = -M^{-1} R(u, t); M factorized once."""
-    import scipy.sparse.linalg as spla
-
-    try:
-        lu = spla.splu(block.M.tocsc())
-    except RuntimeError as exc:
-        raise SingularMass(str(exc)) from None
-
-    return lambda t, u: lu.solve(-block.residual(u, t))
+    solve = _factor(block.M, SingularMass)
+    return lambda t, u: solve(-block.residual(u, t))

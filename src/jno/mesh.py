@@ -375,17 +375,27 @@ def load_mesh_text(path):
         pos += 1
         return item
 
+    def count(text, ln):
+        """The non-negative integer count `text` of a header on line `ln`."""
+        try:
+            n = int(text)
+        except ValueError:
+            raise ParseError(f"bad count {text!r}", ln) from None
+        if n < 0:
+            raise ParseError(f"negative count {n}", ln)
+        return n
+
     ln, header = take()
     parts = header.split()
     if len(parts) != 2 or parts[0] != "mesh":
         raise ParseError("expected 'mesh <dim>'", ln)
-    dim = int(parts[1])
+    dim = count(parts[1], ln)
 
     ln, vh = take()
     parts = vh.split()
     if len(parts) != 2 or parts[0] != "vertices":
         raise ParseError("expected 'vertices <V>'", ln)
-    V = int(parts[1])
+    V = count(parts[1], ln)
     vertices = np.zeros((V, dim))
     for i in range(V):
         ln, row = take()
@@ -404,7 +414,7 @@ def load_mesh_text(path):
     kind = parts[1]
     if kind not in ELEMENT_KINDS:
         raise UnsupportedElement(f"unsupported element kind {kind!r}")
-    E = int(parts[2])
+    E = count(parts[2], ln)
     width = ELEMENT_KINDS[kind]
     elements = np.zeros((E, width), dtype=np.int64)
     for i in range(E):
@@ -426,7 +436,7 @@ def load_mesh_text(path):
         parts = th.split()
         if len(parts) != 3 or parts[0] != "tag":
             raise ParseError("expected 'tag <name> <K>'", ln)
-        name, K = parts[1], int(parts[2])
+        name, K = parts[1], count(parts[2], ln)
         idx = []
         for _ in range(K):
             ln, row = take()

@@ -692,7 +692,7 @@ def _sum_data(data, axes, keepdims):
     if axes == (data.ndim - 1,) and data.shape[-1] <= _SHORT_AXIS:
         total = data @ np.ones(data.shape[-1])
         return total[..., None] if keepdims else total
-    return np.sum(data, axis=axes or None, keepdims=keepdims)
+    return np.sum(data, axis=axes, keepdims=keepdims)
 
 
 def reduce_sum(a, axes=None, keepdims=False):
@@ -707,8 +707,8 @@ def reduce_sum(a, axes=None, keepdims=False):
         return broadcast_to(adj, shape)
 
     return _linear_map(
-        out, a, lambda c: reduce_sum(_fit(c, shape, axes or None), axes,
-                                     keepdims), spread)
+        out, a, lambda c: reduce_sum(_fit(c, shape, axes), axes, keepdims),
+        spread)
 
 
 def _restore_shape(shape, axes):

@@ -263,6 +263,21 @@ class TestMeshIO:
         with pytest.raises(ParseError):
             dm.load_mesh(path)
 
+    @pytest.mark.parametrize("line", [1, 2, 6, 8])
+    @pytest.mark.parametrize("bad", ["x", "2.5", "-1"])
+    def test_bad_header_count(self, tmp_path, line, bad):
+        # the count of the mesh, vertices, elements and tag header (on
+        # lines 1, 2, 6 and 8) is a non-negative integer
+        rows = ["mesh 2", "vertices 3", "0 0", "1 0", "0 1",
+                "elements TRI3 1", "0 1 2", "tag left 1", "0"]
+        words = rows[line - 1].split()
+        rows[line - 1] = " ".join(words[:-1] + [bad])
+        path = tmp_path / "bad.mesh"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ParseError) as exc:
+            dm.load_mesh(path)
+        assert exc.value.line == line
+
     def test_boundary_inferred_from_single_owner_edges(self, tmp_path):
         # brute-force oracle: count edge ownership on a 2-triangle square
         path = tmp_path / "nt.mesh"

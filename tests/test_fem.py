@@ -15,8 +15,12 @@ from jno import evaluator as ev
 from jno import fem
 from jno import trace as tr
 from jno.errors import (
+    NewtonDivergence,
     NonDifferentiablePath,
     NonlinearTerm,
+    SingularMass,
+    SingularStepMatrix,
+    SingularSystem,
     TargetMismatch,
     TimeDependentMass,
     UnknownBcTag,
@@ -79,6 +83,20 @@ def neumann_problem(n=4):
     )
     xr = dom.variable("gauss_right")[0]             # x = 1 on the right
     return dom, laplace(u, phi, (x, y)) - xr * phi
+
+
+def pure_neumann_line(time=False, stiffness="1"):
+    """-u'' = 1 on [0, 1] with no Dirichlet value, and with `time` a mass
+    term 0 * u_t: u is fixed only up to a constant, so the stiffness matrix
+    is exactly singular (and the mass matrix is zero).  Stiffness "1+0t"
+    reads the time, which takes fem_time's Newton path."""
+    dom = dm.line(0.25)
+    u, phi, (x,) = setup_fem(dom, [], element_type="LINE2")
+    weak = laplace(u, phi, (x,)) - 1.0 * phi
+    t = dom.variable(fem.GAUSS_VOLUME)[-1]
+    if stiffness != "1":
+        weak = (1 + 0 * t) * weak
+    return 0.0 * u.d(t) * phi + weak if time else weak
 
 
 def central_differences(op, u, h=1e-6):
@@ -265,6 +283,23 @@ class TestNewton:
             # quadratic until the residual reaches round-off
             assert nxt < max(10.0 * prev ** 2, 1e-13), norms
 
+    def test_divergence_names_iterations_and_norm(self):
+        # one step leaves the residual at the second norm of the full solve
+        op = self._op()
+        u0 = np.zeros(len(op.setup.free))
+        _, norms = fem.newton_solve(op, u0)
+        with pytest.raises(NewtonDivergence) as exc:
+            fem.newton_solve(op, u0, max_iter=1)
+        assert exc.value.iterations == 1
+        assert exc.value.residual_norm == norms[1] > 1e-10
+
+    def test_u0_of_the_wrong_length(self):
+        op = self._op(4)
+        n, V = len(op.setup.free), op.setup.num_vertices
+        for wrong in (n + 1, V):
+            with pytest.raises(TargetMismatch, match=f"{wrong} .* {n}$"):
+                fem.newton_solve(op, np.zeros(wrong))
+
     def test_jacobian_matches_central_differences(self):
         op = self._op(4)
         rng = np.random.default_rng(0)
@@ -349,6 +384,12 @@ class TestFemTime:
         assert np.abs(traj[0][-1] - v).max() > 1e-2
         np.testing.assert_allclose(traj[1], traj[0], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.01])
+    def test_step_needs_a_positive_dt(self, dt):
+        block = self._heat().assemble("fem_time")
+        with pytest.raises(SingularStepMatrix):
+            block.integrate(dt, 1)
+
     def test_time_dependent_mass_is_refused(self):
         # M is assembled once, so c(t) in c(t) u_t phi would be frozen
         dom = dm.structured_rect(6, 6)
@@ -418,6 +459,24 @@ class TestErrors:
         xr = dom.variable("gauss_right")[0]
         with pytest.raises(TargetMismatch):
             (xr * u.d(x) * phi).assemble("fem_system")
+
+    def test_singular_system_and_jacobian(self):
+        weak = pure_neumann_line()
+        with pytest.raises(SingularSystem):
+            weak.assemble("fem_system").solve()
+        op = weak.assemble("fem_residual")
+        with pytest.raises(SingularSystem):
+            fem.newton_solve(op, np.zeros(len(op.setup.free)))
+
+    @pytest.mark.parametrize("stiffness", ["1", "1+0t"])
+    def test_singular_step_matrix_and_mass(self, stiffness):
+        block = pure_neumann_line(time=True,
+                                  stiffness=stiffness).assemble("fem_time")
+        assert block.linear == (stiffness == "1")
+        with pytest.raises(SingularStepMatrix):
+            block.integrate(0.01, 1)
+        with pytest.raises(SingularMass):
+            fem.export_explicit_ode(block)
 
     def test_second_derivative_of_trial(self):
         dom = dm.structured_rect(2, 2)

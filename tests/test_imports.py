@@ -72,3 +72,37 @@ assert nodal.shape == (dom.mesh.num_vertices,) and nodal.max() > 0, nodal
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def _imports_sparse_solvers(node):
+    if isinstance(node, ast.Import):
+        return any(a.name.startswith("scipy.sparse.linalg") for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return module.startswith("scipy.sparse.linalg") or (
+            module == "scipy.sparse"
+            and any(a.name == "linalg" for a in node.names))
+    return False
+
+
+def test_one_function_imports_and_calls_the_sparse_solvers():
+    """scipy.sparse.linalg is imported in one function, fem._factor, which
+    makes the package's only SuperLU factorization; nothing calls spsolve."""
+    importers, solver_names = [], []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        # the innermost function around each node: ast.walk is breadth
+        # first, so an inner function overwrites its outer one
+        scope = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope.update((node, fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            where = f"{path.stem}.{scope.get(node, '<module>')}"
+            if _imports_sparse_solvers(node):
+                importers.append(where)
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            if name in ("splu", "spsolve"):
+                solver_names.append((where, name))
+    assert importers == ["fem._factor"]
+    assert solver_names == [("fem._factor", "splu")]

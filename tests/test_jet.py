@@ -250,6 +250,41 @@ def test_derivative_of_a_derivative_sees_the_inner_path():
     np.testing.assert_allclose(val.data, 6 * pts, rtol=1e-14)
 
 
+def test_reduce_over_no_axes_is_the_identity():
+    # axes=() reduces nothing: the value, its traced shape, the Tape's
+    # adjoint and the Jet's coefficients pass through unchanged
+    a0 = np.arange(6.0).reshape(2, 3)
+    for reduce in (T.reduce_sum, T.reduce_mean):
+        np.testing.assert_array_equal(reduce(T.Tensor(a0), axes=()).data, a0)
+    x = tr.variable("x", shape=(2, 3))
+    root = x.reduce("sum", axes=())
+    value = ev.evaluate(root, ev.EvalContext(bindings={x: a0}))
+    np.testing.assert_array_equal(value.data, a0)
+    assert tr.trace_shapes(root)[root] == value.shape
+
+    s, w = T.Tensor(a0), T.Tensor(np.linspace(-1.0, 1.0, 6).reshape(2, 3))
+    with T.Tape() as tape:
+        tape.watch(s)
+        total = T.reduce_sum(T.mul(T.reduce_sum(s, axes=()), w))
+    np.testing.assert_array_equal(tape.gradient(total, [s])[s.uid].data,
+                                  w.data)
+    with T.Jet() as jet:
+        jet.watch(s)
+        out = T.reduce_sum(s, axes=())
+    (([first], second),) = jet.push([(2, [(s, w)])])
+    t1, t2 = _full([first, second], out)
+    np.testing.assert_array_equal(t1, w.data)
+    np.testing.assert_array_equal(t2, np.zeros((2, 3)))
+
+    # and it does not mix points, so an AD derivative through it is defined
+    d = dm.line(mesh_size=0.25)
+    x, _ = d.variable("interior")
+    val = ev.evaluate(tr.d(x.reduce("sum", axes=()) * x, x),
+                      ev.EvalContext(domain=d))
+    pts = d.context["interior"][..., 0:1]
+    np.testing.assert_allclose(val.data, 2 * pts, rtol=1e-14)
+
+
 def test_pointwise_map_with_several_output_columns():
     d = dm.line(mesh_size=0.25)
     x, _ = d.variable("interior")
