@@ -60,19 +60,20 @@ class Domain:
         self.fem = None          # set by init_fem
         self._rng = np.random.default_rng(0)
 
-        T = self.num_times
         for tag, idx in mesh.tags.items():
-            coords = mesh.vertices[idx]                     # (N, D)
-            pool = np.broadcast_to(coords[None, None], (1, T) + coords.shape)
-            self.mesh_pool[tag] = np.ascontiguousarray(pool)
-            ctx = np.broadcast_to(coords[None, None],
-                                  (self.batch, T) + coords.shape)
-            self.context[tag] = np.ascontiguousarray(ctx)
+            self.add_points(tag, mesh.vertices[idx])
         if self.time is not None:
-            tarr = self.time_grid.reshape(1, T, 1, 1)
+            tarr = self.time_grid.reshape(1, self.num_times, 1, 1)
             self.context[TIME_KEY] = np.ascontiguousarray(
-                np.broadcast_to(tarr, (self.batch, T, 1, 1))
+                np.broadcast_to(tarr, (self.batch, self.num_times, 1, 1))
             )
+
+    def add_points(self, tag, points):
+        """Register the points (N, D) under `tag`: in the mesh pool as
+        (1, T, N, D) and in the runtime context as (B, T, N, D)."""
+        for store, lead in ((self.mesh_pool, 1), (self.context, self.batch)):
+            store[tag] = np.ascontiguousarray(np.broadcast_to(
+                points, (lead, self.num_times) + points.shape))
 
     # -- inspection ----------------------------------------------------------
 
@@ -135,6 +136,15 @@ class Domain:
 
     def binding_spec(self, var):
         return self._vars.get(var)
+
+    def point_bindings(self, tag, points):
+        """{Variable: Tensor} binding `tag`'s coordinate variables to the
+        columns of `points` (..., N, D) and its unsplit variables to all of
+        them."""
+        return {var: Tensor(points if spec[0] == "full"
+                            else points[..., spec[2]:spec[2] + 1])
+                for var, spec in self._vars.items()
+                if spec[0] in ("coord", "full") and spec[1] == tag}
 
     def bindings(self, batch_idx=None):
         """Resolve every registered Variable against the current context.
@@ -265,11 +275,10 @@ class Domain:
 
     # -- fem hooks (implemented in jno.fem) ------------------------------------
 
-    def init_fem(self, element_type="TRI3", quad_degree=2, bcs=()):
+    def init_fem(self, quad_degree=2, bcs=()):
         from . import fem
 
-        fem.init_fem(self, element_type=element_type,
-                     quad_degree=quad_degree, bcs=bcs)
+        fem.init_fem(self, quad_degree=quad_degree, bcs=bcs)
         return self
 
     def dirichlet(self, tags, value):

@@ -510,53 +510,32 @@ def mls_gradient_operators(mesh, connectivity):
             for v in vals]
 
 
-def _centroid_tree(mesh):
-    """k-d tree of the element centroids, for `_locate_barycentric`."""
-    from scipy.spatial import cKDTree
-
-    return cKDTree(mesh.vertices[mesh.elements].mean(axis=1))
-
-
-def _locate_barycentric(mesh, points, tree):
+def _locate_barycentric(mesh, points):
     """(N, V) CSR interpolation matrix: row n holds the barycentric weights
     of point n inside the lowest-index element that contains it.
 
-    Candidates are the elements with the nearest centroids in `tree` (from
-    `_centroid_tree(mesh)`); a point that no candidate contains is tested
-    against every element.
+    The weights of p in element e are lambda_a = delta_a0 +
+    G[a, :, e] . (p - x_0[e]), with G the P1 basis gradients that
+    `mesh.locator` caches beside a k-d tree of the element centroids; one
+    path serves every element kind.  Candidates are the elements with the
+    nearest centroids; a point that no candidate contains is tested against
+    every element.
     """
+    tree, origin, G = mesh.locator
     pts = np.asarray(points, dtype=np.float64)
     elems = mesh.elements
-    verts = mesh.vertices
     E = len(elems)
     tol = 1e-9
-    if mesh.kind == "LINE2":
-        x0 = verts[elems[:, 0], 0]
-        x1 = verts[elems[:, 1], 0]
-        pts = pts[:, :1]
 
-        def weights(n, e):
-            x = pts[n, 0]
-            inside = (x >= np.minimum(x0[e], x1[e]) - tol) \
-                & (x <= np.maximum(x0[e], x1[e]) + tol)
-            s = (x - x0[e]) / (x1[e] - x0[e])
-            return inside, np.stack([1 - s, s], axis=-1)
-    elif mesh.kind == "TRI3":
-        p0 = verts[elems[:, 0]]
-        d1 = verts[elems[:, 1]] - p0
-        d2 = verts[elems[:, 2]] - p0
-        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        pts = pts[:, :2]
-
-        def weights(n, e):
-            r = pts[n] - p0[e]
-            l1 = (r[..., 0] * d2[e, 1] - r[..., 1] * d2[e, 0]) / det[e]
-            l2 = (d1[e, 0] * r[..., 1] - d1[e, 1] * r[..., 0]) / det[e]
-            l0 = 1.0 - l1 - l2
-            inside = (l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol)
-            return inside, np.stack([l0, l1, l2], axis=-1)
-    else:
-        raise PointOutsideMesh(f"interpolation unsupported for {mesh.kind}")
+    def weights(n, e):
+        # lam (k+1, ...) over the broadcast shape of the indices n and e
+        r = pts.T[:, n] - np.take(origin, e, axis=1)
+        Ge = np.take(G, e, axis=2)
+        lam = Ge[:, 0] * r[0]
+        for d in range(1, len(r)):
+            lam += Ge[:, d] * r[d]
+        lam[0] += 1.0
+        return (lam >= -tol).all(axis=0), lam
 
     N = len(pts)
     k = min(8, E)
@@ -565,25 +544,24 @@ def _locate_barycentric(mesh, points, tree):
     inside, _ = weights(np.arange(N)[:, None], cand)
     chosen = np.where(inside, cand, E).min(axis=1)
     for n in np.nonzero(chosen == E)[0]:
-        hits = np.nonzero(weights(n, np.arange(E))[0])[0]
+        hits = np.nonzero(weights([n], np.arange(E))[0])[0]
         if len(hits) == 0:
             raise PointOutsideMesh(f"point {pts[n]} outside mesh")
         chosen[n] = hits[0]
     _, lam = weights(np.arange(N), chosen)
     rows = np.repeat(np.arange(N), elems.shape[1])
-    return sp.csr_matrix((lam.ravel(), (rows, elems[chosen].ravel())),
+    return sp.csr_matrix((lam.T.ravel(), (rows, elems[chosen].ravel())),
                          shape=(N, mesh.num_vertices))
 
 
 def _fd_operators(ctx):
-    """The MLS gradient operators and the centroid tree of the domain's
-    mesh, built once per domain."""
+    """The MLS gradient operators of the domain's mesh, built once per
+    domain."""
     domain = ctx.domain
     cached = getattr(domain, "_fd_ops", None)
     if cached is None:
-        cached = (mls_gradient_operators(domain.mesh, domain.connectivity),
-                  _centroid_tree(domain.mesh))
-        domain._fd_ops = cached
+        cached = domain._fd_ops = mls_gradient_operators(domain.mesh,
+                                                         domain.connectivity)
     return cached
 
 
@@ -615,8 +593,7 @@ def _derivative_fd(node, ctx, order):
         u_vertex = T.broadcast_to(u_vertex,
                                   (domain.batch, domain.num_times, Vn, 1))
 
-    gradients, tree = _fd_operators(ctx)
-    G = gradients[direction]
+    G = _fd_operators(ctx)[direction]
     g = T.sparse_matmul(G, u_vertex)
     if order == 2:
         g = T.sparse_matmul(G, g)
@@ -625,7 +602,7 @@ def _derivative_fd(node, ctx, order):
     key = (tag, id(domain.context[tag]))
     P = ctx._interp_cache.get(key)
     if P is None:
-        P = _locate_barycentric(domain.mesh, domain.context[tag][0, 0], tree)
+        P = _locate_barycentric(domain.mesh, domain.context[tag][0, 0])
         ctx._interp_cache[key] = P
     return T.sparse_matmul(P, g)
 
@@ -638,19 +615,8 @@ def _vertex_context(ctx, tag):
         return sub
     domain = ctx.domain
     verts = domain.mesh.vertices
-    Vn = len(verts)
-    lead = (domain.batch, domain.num_times)
-    overlay = {}
-    for var, vspec in domain._vars.items():
-        if vspec[0] == "coord" and vspec[1] == tag:
-            col = verts[:, vspec[2]].reshape(1, 1, Vn, 1)
-            overlay[var] = T.Tensor(
-                np.broadcast_to(col, lead + (Vn, 1)).copy()
-            )
-        elif vspec[0] == "full" and vspec[1] == tag:
-            full = verts.reshape(1, 1, Vn, -1)
-            overlay[var] = T.Tensor(
-                np.broadcast_to(full, lead + verts.shape).copy()
-            )
-    sub = ctx._vertex_contexts[tag] = ctx.child(overlay)
+    points = np.broadcast_to(verts, (domain.batch, domain.num_times)
+                             + verts.shape)
+    sub = ctx._vertex_contexts[tag] = ctx.child(
+        domain.point_bindings(tag, points))
     return sub

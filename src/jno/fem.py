@@ -1,11 +1,14 @@
-"""Weak-form lowering on P1 simplices (TRI3, and LINE2 in 1D).
+"""Weak-form lowering on P1 simplices: segments, triangles and tetrahedra,
+on any mesh whose cells are full-dimensional.
 
 Every integral runs over one *quadrature region*: the volume, or the
 boundary facets of one mesh tag.  :func:`_simplex_region` builds each
 region from its simplices and a reference rule into one record: the
 element->dof map, the quadrature points and weights, the P1 basis values
-at the reference points and, on full-dimensional cells, the physical basis
-gradients.  The element type only chooses the reference rule.
+at the reference points and, on the volume, the physical basis gradients.
+The measures and gradients come from each simplex's edge matrix
+(:mod:`jno.mesh`), and :func:`_reference_rule` is closed form in the
+simplex dimension, so no code branches on the element kind.
 
 :func:`init_fem` registers each region's points in the mesh pool, under
 ``fem_gauss`` for the volume and ``gauss_<tag>`` for a boundary tag.  A
@@ -44,12 +47,15 @@ Newton loop, :func:`_newton`.
 """
 
 import functools
+import itertools
+import math
 from collections import namedtuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import evaluator as ev
+from . import mesh as meshmod
 from . import tensor as T
 from . import trace as tr
 from .errors import (
@@ -70,35 +76,38 @@ from .errors import (
 
 GAUSS_VOLUME = "fem_gauss"
 
-# Reference-triangle rules, (points in (xi, eta), weights summing to 1/2).
-_TRI_RULES = {
-    1: (np.array([[1 / 3, 1 / 3]]), np.array([0.5])),
-    2: (
-        np.array([[1 / 6, 1 / 6], [2 / 3, 1 / 6], [1 / 6, 2 / 3]]),
-        np.array([1 / 6, 1 / 6, 1 / 6]),
-    ),
-    3: (
-        np.array([[1 / 3, 1 / 3], [1 / 5, 1 / 5], [3 / 5, 1 / 5],
-                  [1 / 5, 3 / 5]]),
-        np.array([-27 / 96, 25 / 96, 25 / 96, 25 / 96]),
-    ),
-}
-
-
 def _reference_rule(k, degree):
     """Points (nq, k) and weights (summing to 1/k!) on the reference
-    k-simplex: one unit point for k = 0, Gauss-Legendre on [0, 1] for k = 1,
-    the tabulated triangle rules for k = 2."""
-    if k == 0:
-        return np.zeros((1, 0)), np.ones(1)
-    if k == 1:
-        x, w = np.polynomial.legendre.leggauss(max(1, (int(degree) + 2) // 2))
-        return (x[:, None] + 1.0) / 2.0, w / 2.0
-    if degree not in _TRI_RULES:
+    k-simplex, exact to `degree` 1, 2 or 3, in closed form for every k.
+    Degree 2 is the k + 1 points with barycentric coordinates beta, and
+    1 - k beta at one vertex, beta = (1 - 1/sqrt(k+2)) / (k+1); on a
+    segment it is two-point Gauss-Legendre, exact to degree 3 too.
+    Degrees 1 and 3 are Grundmann & Moller's rules."""
+    if degree not in (1, 2, 3):
         raise UnsupportedElement(
-            f"TRI3 quadrature degree {degree} unsupported (have 1..3)"
-        )
-    return _TRI_RULES[degree]
+            f"quadrature degree {degree} on the {k}-simplex unsupported "
+            f"(have 1..3)")
+    if degree == 2 or (degree == 3 and k <= 1):
+        beta = (1 - 1 / np.sqrt(k + 2)) / (k + 1)
+        alpha = (1 + k / np.sqrt(k + 2)) / (k + 1)
+        bary = np.where(np.eye(k + 1, dtype=bool), alpha, beta)
+        weights = np.full(k + 1, 1 / (math.factorial(k) * (k + 1)))
+        return bary[:, 1:], weights
+    # Grundmann & Moller (SIAM J. Numer. Anal. 15, 1978), degree d = 2s + 1:
+    # weight (-1)^i 2^-2s m^d / (i! (d + k - i)!) at the points with
+    # barycentric coordinates (2 b + 1) / m, m = d + k - 2i, for every
+    # b in N^(k+1) with |b| = s - i; the centroid (i = s) first
+    d, s = degree, (degree - 1) // 2
+    bary, weights = [], []
+    for i in range(s, -1, -1):
+        m = d + k - 2 * i
+        # an exact integer quotient, rounded once
+        w = (-1) ** i * m ** d \
+            / (4 ** s * math.factorial(i) * math.factorial(d + k - i))
+        for b in itertools.combinations_with_replacement(range(k + 1), s - i):
+            bary.append((2 * np.bincount(b, minlength=k + 1) + 1) / m)
+            weights.append(w)
+    return np.array(bary)[:, 1:], np.array(weights)
 
 
 # One quadrature region: dofs (E, n) element->vertex map, coords (E, nq, D),
@@ -109,28 +118,20 @@ _Region = namedtuple("_Region", "tag dofs coords weights values grads")
 
 def _simplex_region(tag, verts, cells, ref_pts, ref_w):
     """The quadrature record of P1 simplices `cells` (E, k+1) under the
-    reference rule (ref_pts, ref_w) of the k-simplex."""
-    p0 = verts[cells[:, 0]]
-    J = verts[cells[:, 1:]] - p0[:, None, :]          # (E, k, D), rows = edges
-    k, D = J.shape[1:]
-    if k == D:
-        measure = np.abs(np.linalg.det(J))
-        ref_grads = np.vstack([-np.ones(k), np.eye(k)])   # (k+1, k)
-        # grads[e] = ref_grads @ inv(J[e]).T, as one product over all e
-        grads = np.tensordot(np.linalg.inv(J), ref_grads, axes=(2, 1)) \
-            .transpose(0, 2, 1)
-    else:
-        # facet: Gram determinant; a 0-simplex gets det of a 0x0 matrix = 1
-        measure = np.sqrt(np.linalg.det(J @ J.transpose(0, 2, 1)))
-        grads = None
+    reference rule (ref_pts, ref_w) of the k-simplex.  Only the volume
+    carries basis gradients, which need full-dimensional cells."""
+    J = verts[cells[:, 1:]] - verts[cells[:, :1]]      # (E, k, D)
+    k = J.shape[1]
     return _Region(
         tag=tag,
         dofs=cells,
-        coords=p0[:, None, :]
+        coords=verts[cells[:, :1]]
         + np.tensordot(ref_pts, J, axes=(1, 1)).transpose(1, 0, 2),
-        weights=measure[:, None] * ref_w[None, :],
+        weights=meshmod.simplex_measures(verts, cells)[:, None]
+        * (ref_w * math.factorial(k))[None, :],
         values=np.column_stack([1.0 - ref_pts.sum(axis=1), ref_pts]),
-        grads=grads,
+        grads=meshmod.basis_gradients(verts, cells).transpose(2, 0, 1)
+        if tag == GAUSS_VOLUME else None,
     )
 
 
@@ -148,16 +149,9 @@ class Neumann:
 class FemSetup:
     """Quadrature regions, bc metadata and the dof map."""
 
-    def __init__(self, domain, element_type, quad_degree, bcs):
+    def __init__(self, domain, quad_degree, bcs):
         mesh = domain.mesh
-        if element_type not in ("TRI3", "LINE2"):
-            raise UnsupportedElement(f"element type {element_type!r}")
-        if mesh.kind != element_type:
-            raise UnsupportedElement(
-                f"mesh carries {mesh.kind} elements, requested {element_type}"
-            )
         self.domain = domain
-        self.element_type = element_type
         self.quad_degree = int(quad_degree)
         self.trial = tr.build(tr.TRIAL, self, (), name="u")
         self.test = tr.build(tr.TEST, self, (), name="phi")
@@ -227,20 +221,11 @@ class FemSetup:
         return np.asarray(u_full, dtype=np.float64).reshape(-1)[self.free]
 
 
-def init_fem(domain, element_type="TRI3", quad_degree=2, bcs=()):
-    setup = FemSetup(domain, element_type, quad_degree, bcs)
+def init_fem(domain, quad_degree=2, bcs=()):
+    setup = FemSetup(domain, quad_degree, bcs)
     domain.fem = setup
-
-    Tn = domain.num_times
-    B = domain.batch
     for tag, region in setup.regions.items():
-        coords_flat = region.coords.reshape(-1, domain.mesh.dim)
-        pool = np.broadcast_to(coords_flat[None, None],
-                               (1, Tn) + coords_flat.shape)
-        domain.mesh_pool[tag] = np.ascontiguousarray(pool)
-        ctx = np.broadcast_to(coords_flat[None, None],
-                              (B, Tn) + coords_flat.shape)
-        domain.context[tag] = np.ascontiguousarray(ctx)
+        domain.add_points(tag, region.coords.reshape(-1, domain.mesh.dim))
     return setup
 
 
@@ -461,13 +446,9 @@ def _coefficient_values(setup, term, time_value=None):
     if time_value is None:
         time_value = domain.time_grid[0] if domain.time_grid is not None \
             else 0.0
-    ctx = ev.EvalContext(domain=domain)
+    ctx = ev.EvalContext(domain.point_bindings(region.tag, coords), domain)
     for var, spec in domain._vars.items():
-        if spec[0] == "coord" and spec[1] == region.tag:
-            ctx.bindings[var] = T.Tensor(coords[..., spec[2]:spec[2] + 1])
-        elif spec[0] == "full" and spec[1] == region.tag:
-            ctx.bindings[var] = T.Tensor(coords)
-        elif spec[0] == "time":
+        if spec[0] == "time":
             ctx.bindings[var] = T.Tensor(np.full((1, 1, 1, 1),
                                                  float(time_value)))
     value = T.Tensor(np.ones(()))

@@ -1,4 +1,6 @@
-"""Meshes, tags, connectivity metadata and the native mesh text format.
+"""Meshes, tags, connectivity metadata, simplex geometry and the native mesh
+text format.  Measures and P1 basis gradients come from each simplex's
+edge matrix, the same code for every element kind.
 
 Built-in constructors cover lines, rectangles, disks, L-shapes, cubes and a
 rectangle with one circular hole.  Rectangles use a structured triangulation
@@ -6,6 +8,8 @@ with a fixed diagonal so meshes (and everything derived from them) are
 bitwise reproducible.
 """
 
+import itertools
+import math
 from functools import cached_property
 
 import numpy as np
@@ -56,7 +60,7 @@ class Mesh:
         vertex rows in lexicographic order, and the index of each facet's
         owner element.  One stable lexsort groups equal rows into runs; a
         run of length one is a boundary facet."""
-        local = LOCAL_FACETS[self.kind]
+        local = local_facets(self.elements.shape[1] - 1)
         rows = np.sort(self.elements[:, local], axis=2).reshape(
             -1, local.shape[1])
         order = np.lexsort(rows.T[::-1])
@@ -66,20 +70,25 @@ class Mesh:
         once = starts[np.diff(starts, append=len(rows)) == 1]
         return rows[once], order[once] // len(local)
 
+    @cached_property
+    def locator(self):
+        """The point-location data of `evaluator._locate_barycentric`: a
+        k-d tree of the element centroids, the first vertex of each element
+        as (D, E) and the basis gradients (k+1, D, E) of
+        :func:`basis_gradients`."""
+        from scipy.spatial import cKDTree
+
+        corners = self.vertices[self.elements]
+        return (cKDTree(corners.mean(axis=1)),
+                np.ascontiguousarray(corners[:, 0].T),
+                basis_gradients(self.vertices, self.elements))
+
     def _infer_interior_boundary(self):
         boundary = np.unique(self.boundary_facets[0])
         mask = np.ones(self.num_vertices, dtype=bool)
         mask[boundary] = False
         self.tags.setdefault("boundary", boundary)
         self.tags.setdefault("interior", np.nonzero(mask)[0])
-
-
-# local vertex indices of each facet of one element, per element kind
-LOCAL_FACETS = {
-    "LINE2": np.array([[0], [1]]),
-    "TRI3": np.array([[0, 1], [1, 2], [2, 0]]),
-    "TET4": np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]),
-}
 
 
 class Connectivity:
@@ -149,20 +158,54 @@ class Connectivity:
         return normals
 
 
+def local_facets(k):
+    """The local vertex indices (k+1, k) of the facets of a k-simplex."""
+    return np.array(list(itertools.combinations(range(k + 1), k)))
+
+
 def element_measures(mesh):
-    pts = mesh.vertices[mesh.elements]
-    if mesh.kind == "LINE2":
-        return np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)
-    if mesh.kind == "TRI3":
-        a = pts[:, 1] - pts[:, 0]
-        b = pts[:, 2] - pts[:, 0]
-        return 0.5 * np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
-    if mesh.kind == "TET4":
-        a = pts[:, 1] - pts[:, 0]
-        b = pts[:, 2] - pts[:, 0]
-        c = pts[:, 3] - pts[:, 0]
-        return np.abs(np.einsum("ij,ij->i", a, np.cross(b, c))) / 6.0
-    raise UnsupportedElement(mesh.kind)
+    return simplex_measures(mesh.vertices, mesh.elements)
+
+
+def _det(M):
+    """Determinants of the (k, k) matrices M (E, k, k), k <= 3, as the
+    Leibniz sum over permutations: fewer operations than an LU on such
+    small matrices, and the closed forms of a length and a 2-D area."""
+    k = M.shape[1]
+    det = 0.0
+    for perm in itertools.permutations(range(k)):
+        term = np.ones(len(M))
+        for i, j in enumerate(perm):
+            term = term * M[:, i, j]
+        odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+        det = det - term if odd else det + term
+    return det
+
+
+def simplex_measures(vertices, cells):
+    """The k-dimensional measure of each simplex of `cells` (E, k+1) in
+    `vertices` (V, D), from its edge matrix J (k, D), rows x_i - x_0:
+    |det J| / k! when the cells are full-dimensional (k = D),
+    sqrt(det(J J^T)) / k! on lower-dimensional ones."""
+    J = vertices[cells[:, 1:]] - vertices[cells[:, :1]]
+    k, D = J.shape[1:]
+    if k == D:
+        return np.abs(_det(J)) / math.factorial(k)
+    return np.sqrt(_det(J @ J.transpose(0, 2, 1))) / math.factorial(k)
+
+
+def basis_gradients(vertices, cells):
+    """The P1 basis gradients of full-dimensional simplices `cells`
+    (E, k+1), as G (k+1, D, E): the barycentric weights of a point p in
+    cell e are lambda_a = delta_a0 + G[a, :, e] . (p - x_0[e])."""
+    J = vertices[cells[:, 1:]] - vertices[cells[:, :1]]
+    k, D = J.shape[1:]
+    if k != D:
+        raise UnsupportedElement(
+            f"{k}-simplices in {D} dimensions are not full-dimensional")
+    # column j of inv(J) is the gradient of lambda_j+1
+    grads = np.linalg.inv(J).transpose(2, 1, 0)
+    return np.concatenate([-grads.sum(axis=0, keepdims=True), grads])
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +289,7 @@ def disk_mesh(radius=1.0, center=(0.0, 0.0), mesh_size=0.1):
     tri = Delaunay(vertices)
     elements = np.asarray(tri.simplices, dtype=np.int64)
     # drop degenerate slivers (collinear points on the rim)
-    keep = element_measures(Mesh(vertices, elements, "TRI3", {"interior": [],
-                                                              "boundary": []})) > 1e-14
-    elements = elements[keep]
+    elements = elements[simplex_measures(vertices, elements) > 1e-14]
     return Mesh(vertices, elements, "TRI3")
 
 
@@ -269,7 +310,7 @@ def lshape_mesh(mesh_size=0.1, size=1.0):
 
 def cube_mesh(x_range=(0.0, 1.0), y_range=(0.0, 1.0), z_range=(0.0, 1.0),
               mesh_size=0.25):
-    """Structured box split into tetrahedra; used for sampling only."""
+    """Structured box split into six tetrahedra per grid cell."""
     x0, x1 = map(float, x_range)
     y0, y1 = map(float, y_range)
     z0, z1 = map(float, z_range)

@@ -170,6 +170,18 @@ class TestAdDerivatives:
         val = ev.evaluate(ddu, ev.EvalContext(bindings={x: pts}))
         assert np.abs(val.data + np.sin(pts)).max() <= 1e-9
 
+    def test_laplacian_on_tetrahedra(self):
+        # u = sin(2x) sin(y) exp(z) has the Laplacian (-4 - 1 + 1) u
+        d = dm.cube(mesh_size=0.5)
+        x, y, z, _ = d.variable("interior")
+        exp = tr.build(tr.ARITH, "exp", (z,))
+        u = tr.build(tr.ARITH, "sin", (2.0 * x,)) \
+            * tr.build(tr.ARITH, "sin", (y,)) * exp
+        ctx = ev.EvalContext(domain=d)
+        lap = ev.evaluate(u.dd(x) + u.dd(y) + u.dd(z), ctx).data
+        np.testing.assert_allclose(lap, -4.0 * ev.evaluate(u, ctx).data,
+                                   rtol=0, atol=1e-13)
+
     def test_envelope_vanishes_on_boundary(self):
         d = dm.rect(mesh_size=0.25)
         net = nn.mlp(2, [8], 1).initialize(0)
@@ -283,16 +295,14 @@ class TestFiniteDifferences:
         d = dm.rect(mesh_size=0.5)
         e0 = d.mesh.elements[0]
         centroid = d.mesh.vertices[e0].mean(axis=0, keepdims=True)
-        P = ev._locate_barycentric(d.mesh, centroid,
-                                   ev._centroid_tree(d.mesh)).toarray()
+        P = ev._locate_barycentric(d.mesh, centroid).toarray()
         np.testing.assert_allclose(P[0, e0], 1 / 3, atol=1e-12)
         assert P[0].sum() == pytest.approx(1.0)
 
     def test_point_outside(self):
         d = dm.rect(mesh_size=0.5)
         with pytest.raises(PointOutsideMesh):
-            ev._locate_barycentric(d.mesh, np.array([[5.0, 5.0]]),
-                                   ev._centroid_tree(d.mesh))
+            ev._locate_barycentric(d.mesh, np.array([[5.0, 5.0]]))
 
     def test_temporal_fd_unsupported(self):
         d = dm.rect(mesh_size=0.5, time=(0.0, 1.0, 1))

@@ -4,6 +4,9 @@ vanishing at the Galerkin solution, solutions that P1 holds exactly (u = x
 from a Neumann or Robin flux), quadratic Newton convergence, and the exact
 backward-Euler decay of one generalized eigenmode."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,6 +16,7 @@ import scipy.sparse.linalg
 from jno import domain as dm
 from jno import evaluator as ev
 from jno import fem
+from jno import mesh as meshmod
 from jno import trace as tr
 from jno.errors import (
     NewtonDivergence,
@@ -24,6 +28,7 @@ from jno.errors import (
     TargetMismatch,
     TimeDependentMass,
     UnknownBcTag,
+    UnsupportedElement,
 )
 
 
@@ -38,19 +43,25 @@ def laplace(u, phi, coords):
     return out
 
 
-def setup_fem(dom, bcs, element_type="TRI3"):
-    dom.init_fem(element_type=element_type, bcs=bcs)
+def setup_fem(dom, bcs):
+    dom.init_fem(bcs=bcs)
     u, phi = dom.fem_symbols()
     return u, phi, dom.variable(fem.GAUSS_VOLUME)[:-1]
 
 
 def l2_error(mesh, u_nodal, exact):
     """L2 norm of (P1 interpolant - exact), by a rule written here: the
-    edge-midpoint rule on triangles, 3-point Gauss-Legendre on segments."""
+    edge-midpoint rule on triangles, 3-point Gauss-Legendre on segments and
+    the 4-point degree-2 rule on tetrahedra."""
     cells = mesh.elements
     p = mesh.vertices[cells]                        # (E, n, D)
     u = u_nodal[cells]                              # (E, n)
-    if mesh.kind == "TRI3":
+    if mesh.kind == "TET4":
+        a, b = 0.5854101966249685, 0.1381966011250105
+        bary = np.full((4, 4), b) + (a - b) * np.eye(4)
+        w = np.full(4, 1 / 4)
+        size = np.abs(np.linalg.det(p[:, 1:] - p[:, :1])) / 6
+    elif mesh.kind == "TRI3":
         d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
         area = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
         bary = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
@@ -75,6 +86,21 @@ def manufactured(n):
     return dom, weak, weak.assemble("fem_system").solve()
 
 
+def manufactured_3d(h):
+    """-lap u = 3 pi^2 sin(pi x) sin(pi y) sin(pi z), u = 0 on the boundary
+    of the unit cube."""
+    dom = dm.cube(h)
+    u, phi, (x, y, z) = setup_fem(dom, [dom.dirichlet("boundary", 0.0)])
+    f = 3 * np.pi ** 2 * sin(np.pi * x) * sin(np.pi * y) * sin(np.pi * z)
+    weak = laplace(u, phi, (x, y, z)) - f * phi
+    return dom, weak, weak.assemble("fem_system").solve()
+
+
+# the manufactured problems the VPINN residual is checked at
+MANUFACTURED = {"TRI3": lambda: manufactured(8),
+                "TET4": lambda: manufactured_3d(0.25)}
+
+
 def neumann_problem(n=4):
     """-lap u = 0, u = 0 on the left, du/dn = 1 on the right: u = x."""
     dom = dm.structured_rect(n, n)
@@ -91,7 +117,7 @@ def pure_neumann_line(time=False, stiffness="1"):
     is exactly singular (and the mass matrix is zero).  Stiffness "1+0t"
     reads the time, which takes fem_time's Newton path."""
     dom = dm.line(0.25)
-    u, phi, (x,) = setup_fem(dom, [], element_type="LINE2")
+    u, phi, (x,) = setup_fem(dom, [])
     weak = laplace(u, phi, (x,)) - 1.0 * phi
     t = dom.variable(fem.GAUSS_VOLUME)[-1]
     if stiffness != "1":
@@ -120,6 +146,24 @@ class TestFemSystem:
         rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(rates > 1.9), (errs, rates)
 
+    def test_tet4_poisson_rate(self):
+        exact = lambda x, y, z: (np.sin(np.pi * x) * np.sin(np.pi * y)  # noqa: E731
+                                 * np.sin(np.pi * z))
+        errs = []
+        for h in (1 / 4, 1 / 8, 1 / 16):
+            dom, _, uh = manufactured_3d(h)
+            errs.append(l2_error(dom.mesh, uh, exact))
+        rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert rates[0] > 1.8 and rates[1] > 1.9, (errs, rates)
+
+    def test_tet4_dirichlet_gives_u_equals_x(self):
+        dom = dm.cube(0.25)
+        u, phi, coords = setup_fem(
+            dom, [dom.dirichlet("boundary", lambda x, y, z: x)])
+        uh = laplace(u, phi, coords).assemble("fem_system").solve()
+        np.testing.assert_allclose(uh, dom.mesh.vertices[:, 0], rtol=0,
+                                   atol=1e-12)
+
     def test_neumann_flux_gives_u_equals_x(self):
         dom, weak = neumann_problem()
         uh = weak.assemble("fem_system").solve()
@@ -130,8 +174,7 @@ class TestFemSystem:
         errs = []
         for n in (8, 16, 32):
             dom = dm.line(1.0 / n)
-            u, phi, (x,) = setup_fem(dom, [dom.dirichlet("boundary", 0.0)],
-                                     element_type="LINE2")
+            u, phi, (x,) = setup_fem(dom, [dom.dirichlet("boundary", 0.0)])
             weak = laplace(u, phi, (x,)) - np.pi ** 2 * sin(np.pi * x) * phi
             uh = weak.assemble("fem_system").solve()
             errs.append(l2_error(dom.mesh, uh, exact))
@@ -187,8 +230,9 @@ class TestFemSystem:
 
 
 class TestVpinn:
-    def test_vanishes_at_galerkin_solution(self):
-        dom, weak, uh = manufactured(8)
+    @pytest.mark.parametrize("kind", sorted(MANUFACTURED))
+    def test_vanishes_at_galerkin_solution(self, kind):
+        dom, weak, uh = MANUFACTURED[kind]()
         assert vpinn_value(dom, weak, uh) < 1e-20
         assert vpinn_value(dom, weak, 1.1 * uh) > 1e-8
 
@@ -478,6 +522,19 @@ class TestErrors:
         with pytest.raises(SingularMass):
             fem.export_explicit_ode(block)
 
+    def test_cells_that_are_not_full_dimensional(self):
+        # triangles in 3-D: a surface mesh has no volume region
+        flat = meshmod.rect_mesh(nx=3, ny=3)
+        tilted = np.column_stack([flat.vertices, 0.3 * flat.vertices[:, 0]])
+        dom = dm.Domain(meshmod.Mesh(tilted, flat.elements, "TRI3"))
+        with pytest.raises(UnsupportedElement, match="full-dimensional"):
+            dom.init_fem()
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_quadrature_degree_out_of_range(self, k):
+        with pytest.raises(UnsupportedElement, match=f"{k}-simplex"):
+            fem._reference_rule(k, 4)
+
     def test_second_derivative_of_trial(self):
         dom = dm.structured_rect(2, 2)
         u, phi, (x, y) = setup_fem(dom, [])
@@ -531,9 +588,47 @@ class TestRegions:
 
     def test_line_boundary_points(self):
         dom = dm.line(0.25)
-        dom.init_fem(element_type="LINE2")
+        dom.init_fem()
         left, vol = dom.fem.regions["gauss_left"], dom.fem.regions["fem_gauss"]
         assert left.grads is None and vol.grads.shape == (4, 2, 1)
         np.testing.assert_array_equal(left.weights, [[1.0]])
         np.testing.assert_array_equal(left.coords, [[[0.0]]])
         assert vol.weights.sum() == pytest.approx(1.0, abs=1e-14)
+
+    def test_cube_weights_sum_to_volume_and_surface(self):
+        dom = dm.cube(0.25)
+        dom.init_fem()
+        regions = dom.fem.regions
+        assert regions["fem_gauss"].weights.sum() == pytest.approx(1.0,
+                                                                   abs=1e-14)
+        assert regions["gauss_boundary"].weights.sum() == pytest.approx(
+            6.0, abs=1e-13)
+
+
+class TestReferenceRules:
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_monomials_up_to_the_degree_are_exact(self, k, degree):
+        # the integral of x^a y^b z^c over the reference k-simplex is
+        # a! b! c! / (a + b + c + k)!
+        pts, w = fem._reference_rule(k, degree)
+        for powers in itertools.product(range(degree + 1), repeat=k):
+            if sum(powers) > degree:
+                continue
+            want = np.prod([math.factorial(a) for a in powers]) \
+                / math.factorial(sum(powers) + k)
+            got = w @ np.prod(pts ** np.array(powers), axis=1)
+            assert abs(got - want) <= 1e-16, (powers, got, want)
+
+    def test_triangle_rules_are_the_tabulated_ones(self):
+        table = {
+            1: ([[1 / 3, 1 / 3]], [0.5]),
+            2: ([[1 / 6, 1 / 6], [2 / 3, 1 / 6], [1 / 6, 2 / 3]],
+                [1 / 6, 1 / 6, 1 / 6]),
+            3: ([[1 / 3, 1 / 3], [1 / 5, 1 / 5], [3 / 5, 1 / 5],
+                 [1 / 5, 3 / 5]], [-27 / 96, 25 / 96, 25 / 96, 25 / 96]),
+        }
+        for degree, (pts, w) in table.items():
+            got_pts, got_w = fem._reference_rule(2, degree)
+            np.testing.assert_array_equal(got_pts, pts)
+            np.testing.assert_array_equal(got_w, w)

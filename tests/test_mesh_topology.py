@@ -151,7 +151,7 @@ def test_topology_matches_per_element_loops(name, tmp_path):
 def _unique_facets(mesh):
     """Boundary facets and owners by one `np.unique(axis=0)` over the
     sorted facet rows, as computed before the lexsort grouping."""
-    local = meshmod.LOCAL_FACETS[mesh.kind]
+    local = meshmod.local_facets(mesh.elements.shape[1] - 1)
     rows = np.sort(mesh.elements[:, local], axis=2)
     facets, first, counts = np.unique(
         rows.reshape(-1, local.shape[1]), axis=0,
@@ -203,6 +203,17 @@ def test_lshape_elements():
                 vertices.append((xs[i], xs[j]))
     assert np.array_equal(mesh.vertices, np.asarray(vertices))
     assert np.array_equal(mesh.elements, _ref_grid_triangles(grid))
+
+
+def test_measures_of_a_tilted_surface():
+    # the unit square lifted onto the plane z = 0.3 x has area sqrt(1.09)
+    flat = meshmod.rect_mesh(nx=3, ny=3)
+    tilted = np.column_stack([flat.vertices, 0.3 * flat.vertices[:, 0]])
+    mesh = meshmod.Mesh(tilted, flat.elements, "TRI3")
+    np.testing.assert_allclose(meshmod.element_measures(mesh),
+                               np.sqrt(1.09) / 18, rtol=1e-15)
+    assert dm.Domain(mesh).total_measure() == pytest.approx(np.sqrt(1.09),
+                                                            abs=1e-14)
 
 
 def test_cube_elements():

@@ -105,11 +105,22 @@ class TestSparseMatmul:
 def _dense_locate(mesh, points):
     """Exhaustive reference: barycentric weights in the lowest-index element
     that contains each point, tested against every element.  Returns the
-    dense (N, V) matrix and the chosen element of each point."""
+    dense (N, V) matrix and the chosen element of each point.  Segments and
+    triangles use their closed forms; other simplices solve for the weights
+    (1, p) = sum_a lambda_a (1, x_a) in every element."""
     pts = np.asarray(points, dtype=np.float64)
     P = np.zeros((len(pts), mesh.num_vertices))
     chosen = np.zeros(len(pts), dtype=np.int64)
     elems, verts, tol = mesh.elements, mesh.vertices, 1e-9
+    if mesh.kind not in ("LINE2", "TRI3"):
+        corners = np.concatenate([np.ones(elems.shape + (1,)),
+                                  verts[elems]], axis=2)     # (E, k+1, D+1)
+        for n, p in enumerate(pts):
+            lam = np.stack([np.linalg.solve(c.T, np.concatenate([[1.0], p]))
+                            for c in corners])
+            e = chosen[n] = int(np.nonzero((lam >= -tol).all(axis=1))[0][0])
+            P[n, elems[e]] = lam[e]
+        return P, chosen
     if mesh.kind == "LINE2":
         x0, x1 = verts[elems[:, 0], 0], verts[elems[:, 1], 0]
         for n, p in enumerate(pts):
@@ -142,6 +153,8 @@ MESHES = {
     "rect_with_hole": lambda: meshmod.rect_with_hole_mesh(
         (0.0, 1.0), (0.0, 1.0), (0.5, 0.5), 0.2, 0.1),
     "line": lambda: meshmod.line_mesh((0.0, 1.0), 0.05),
+    "cube": lambda: meshmod.cube_mesh((0.0, 1.0), (0.0, 0.5), (0.0, 0.75),
+                                      mesh_size=0.25),
 }
 
 
@@ -164,7 +177,7 @@ class TestLocateBarycentric:
     def test_matches_exhaustive_reference(self, name):
         mesh = MESHES[name]()
         pts = _probe_points(mesh, seed=7)
-        P = ev._locate_barycentric(mesh, pts, ev._centroid_tree(mesh))
+        P = ev._locate_barycentric(mesh, pts)
         assert sp.issparse(P) and P.format == "csr"
         assert P.shape == (len(pts), mesh.num_vertices)
         want, chosen = _dense_locate(mesh, pts)
@@ -192,7 +205,7 @@ class TestLocateBarycentric:
             elems.append([base, base + 1, base + 2])
         mesh = meshmod.Mesh(verts, elems, "TRI3")
         pts = np.array([[0.1, 9.8]])
-        P = ev._locate_barycentric(mesh, pts, ev._centroid_tree(mesh))
+        P = ev._locate_barycentric(mesh, pts)
         want, chosen = _dense_locate(mesh, pts)
         np.testing.assert_allclose(P.toarray(), want, rtol=0, atol=1e-12)
         assert chosen[0] == 0 and set(P.indices) == {0, 1, 2}
@@ -200,12 +213,12 @@ class TestLocateBarycentric:
     @pytest.mark.parametrize("name,point", [("rect", [5.0, 5.0]),
                                             ("lshape", [0.75, 0.75]),
                                             ("rect_with_hole", [0.5, 0.5]),
-                                            ("line", [1.5])])
+                                            ("line", [1.5]),
+                                            ("cube", [0.5, 0.6, 0.2])])
     def test_outside_point_raises(self, name, point):
         with pytest.raises(PointOutsideMesh):
             mesh = MESHES[name]()
-            ev._locate_barycentric(mesh, np.array([point]),
-                                   ev._centroid_tree(mesh))
+            ev._locate_barycentric(mesh, np.array([point]))
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +239,22 @@ class TestFdDerivatives:
         verts = d.mesh.vertices
         u_v = (np.sin(np.pi * verts[:, 0]) * verts[:, 1] ** 2
                + verts[:, 0] * verts[:, 1])[:, None]
-        gradients, tree = ev._fd_operators(ctx)
-        Gx, Gy = (G.toarray() for G in gradients)
-        P = ev._locate_barycentric(d.mesh, d.context["interior"][0, 0], tree)
+        Gx, Gy = (G.toarray() for G in ev._fd_operators(ctx))
+        P = ev._locate_barycentric(d.mesh, d.context["interior"][0, 0])
         P = P.toarray()
         np.testing.assert_allclose(du_dx[0, 0], P @ (Gx @ u_v),
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(ddu_dy[0, 0], P @ (Gy @ (Gy @ u_v)),
                                    rtol=0, atol=1e-12)
+
+    def test_affine_field_on_tetrahedra(self):
+        d = dm.cube(mesh_size=0.25)
+        x, y, z, _ = d.variable("interior")
+        u = 3.0 * x - 2.0 * y + 0.5 * z
+        ctx = ev.EvalContext(domain=d, derivative_mode="finite-difference")
+        for var, want in ((x, 3.0), (y, -2.0), (z, 0.5)):
+            np.testing.assert_allclose(ev.evaluate(tr.d(u, var), ctx).data,
+                                       want, rtol=0, atol=1e-12)
 
     def test_mls_operators_are_csr_and_exact_on_affine(self):
         d = dm.disk(mesh_size=0.2)
