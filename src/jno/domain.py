@@ -31,6 +31,8 @@ class ResampleStrategy:
     def __init__(self, tag, kind, count, weights=None, seed=None):
         if kind not in self.KINDS:
             raise UnsupportedGeometry(f"unknown resample kind {kind!r}")
+        if int(count) < 1:
+            raise BadShape(f"resample count must be >= 1, got {count}")
         self.tag = tag
         self.kind = kind
         self.count = int(count)
@@ -137,14 +139,19 @@ class Domain:
     def binding_spec(self, var):
         return self._vars.get(var)
 
-    def point_bindings(self, tag, points):
+    def point_bindings(self, tag, points, time=None):
         """{Variable: Tensor} binding `tag`'s coordinate variables to the
-        columns of `points` (..., N, D) and its unsplit variables to all of
-        them."""
-        return {var: Tensor(points if spec[0] == "full"
-                            else points[..., spec[2]:spec[2] + 1])
-                for var, spec in self._vars.items()
-                if spec[0] in ("coord", "full") and spec[1] == tag}
+        columns of `points` (..., N, D), its unsplit variables to all of
+        them and, if `time` is given, every time variable to that value."""
+        out = {var: Tensor(points if spec[0] == "full"
+                           else points[..., spec[2]:spec[2] + 1])
+               for var, spec in self._vars.items()
+               if spec[0] in ("coord", "full") and spec[1] == tag}
+        if time is not None:
+            out.update((var, Tensor(np.full((1, 1, 1, 1), float(time))))
+                       for var, spec in self._vars.items()
+                       if spec[0] == "time")
+        return out
 
     def bindings(self, batch_idx=None):
         """Resolve every registered Variable against the current context.

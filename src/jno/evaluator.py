@@ -65,14 +65,9 @@ class EvalContext:
         self._ad_sums = {}
 
     def child(self, extra_bindings):
-        sub = EvalContext(domain=self.domain,
-                          derivative_mode=self.derivative_mode,
-                          nan_check=self.nan_check)
+        sub = EvalContext({**self.bindings, **extra_bindings}, self.domain,
+                          self.derivative_mode, self.nan_check)
         sub.stats = self.stats
-        sub.bindings = dict(self.bindings)
-        for node, value in extra_bindings.items():
-            sub.bindings[node] = value if isinstance(value, T.Tensor) \
-                else T.Tensor(value)
         return sub
 
     def lookup(self, var):
@@ -89,15 +84,19 @@ class EvalContext:
 
 
 def evaluate(root, ctx):
-    """Value of `root` under `ctx`; shared nodes evaluate once per context.
+    """Value of `root` under `ctx`, or the tuple of values of a tuple of
+    roots, which are scheduled together, so that their AD derivatives of
+    one expression share one Jet push; shared nodes evaluate once per
+    context.
 
     First `_schedule` lists the nodes to evaluate, then the handlers
     evaluate them in that order.  `ctx.stats` counts each evaluated node
     and each visit that found its node cached or already walked.
     """
+    roots = root if isinstance(root, tuple) else (root,)
     cache, stats = ctx.cache, ctx.stats
     by_kind = stats["by_kind"]
-    for node in _schedule(root, ctx):
+    for node in _schedule(roots, ctx):
         handler = HANDLERS.get(node.kind)
         if handler is None:
             raise UnassembledSymbol(f"no handler for node kind {node.kind}")
@@ -107,11 +106,11 @@ def evaluate(root, ctx):
         if ctx.nan_check and T.has_nan(value):
             raise NaNDetected(node, f"non-finite value at {node!r}")
         cache[node] = value
-    return cache[root]
+    return tuple(cache[r] for r in roots) if root is roots else cache[root]
 
 
-def _schedule(root, ctx):
-    """The part of the graph below `root` that is not in `ctx.cache`,
+def _schedule(roots, ctx):
+    """The part of the graphs below `roots` that is not in `ctx.cache`,
     children first and left to right.
 
     The walk uses an explicit stack: a node goes on the stack again, under
@@ -127,7 +126,7 @@ def _schedule(root, ctx):
     cache, stats = ctx.cache, ctx.stats
     derivative, arith = tr.DERIVATIVE, tr.ARITH
     expanded, order = set(), []
-    stack = [root]
+    stack = list(reversed(roots))
     while stack:
         node = stack.pop()
         if node is None:

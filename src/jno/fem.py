@@ -22,11 +22,10 @@ part, :func:`_matrix` scatters the element blocks
 sum_q wv Qa[q, a] Qb[q, b] * Ga[e, a] Gb[e, b] of a test and a trial part.
 
 * ``fem_system``    -> linear system (A, b) with Dirichlet elimination
-* ``fem_residual``  -> residual operator R(u), wv times the trial factors'
-                       values at the interpolated u and d(u, x_d).  Those
-                       are pointwise, so the Jacobian is the bilinear form
-                       of their partials df/du and df/d(d_d u) at each
-                       point, from one Tape pass per term, assembled
+* ``fem_residual``  -> residual operator R(u), wv times the trial factors
+                       lowered to a graph over field Variables u and
+                       d(u, x_d).  The Jacobian is the bilinear form of its
+                       partials, d(product, field) by the evaluator's AD,
                        against the trial parts ("value",) and ("grad", d)
 * ``fem_time``      -> semi-discrete block M u' + R(u, t) = 0 for
                        backward-Euler stepping: R = A u - b(t) with A
@@ -49,6 +48,7 @@ Newton loop, :func:`_newton`.
 import functools
 import itertools
 import math
+import operator
 from collections import namedtuple
 
 import numpy as np
@@ -125,8 +125,9 @@ def _simplex_region(tag, verts, cells, ref_pts, ref_w):
     return _Region(
         tag=tag,
         dofs=cells,
-        coords=verts[cells[:, :1]]
-        + np.tensordot(ref_pts, J, axes=(1, 1)).transpose(1, 0, 2),
+        # C order, so that the point bindings of a region are views
+        coords=np.ascontiguousarray(verts[cells[:, :1]] + np.tensordot(
+            ref_pts, J, axes=(1, 1)).transpose(1, 0, 2)),
         weights=meshmod.simplex_measures(verts, cells)[:, None]
         * (ref_w * math.factorial(k))[None, :],
         values=np.column_stack([1.0 - ref_pts.sum(axis=1), ref_pts]),
@@ -147,7 +148,8 @@ class Neumann:
 
 
 class FemSetup:
-    """Quadrature regions, bc metadata and the dof map."""
+    """Quadrature regions, bc metadata, the dof map and the field
+    Variables u, d(u, x_0), ... that trial factors are lowered to."""
 
     def __init__(self, domain, quad_degree, bcs):
         mesh = domain.mesh
@@ -155,6 +157,8 @@ class FemSetup:
         self.quad_degree = int(quad_degree)
         self.trial = tr.build(tr.TRIAL, self, (), name="u")
         self.test = tr.build(tr.TEST, self, (), name="phi")
+        self.fields = [tr.variable("u_h")] + [
+            tr.variable(f"du_h_{d}") for d in range(mesh.dim)]
 
         verts = mesh.vertices
         V = mesh.num_vertices
@@ -357,10 +361,10 @@ def _symbol_part(setup, factor, symbol_kind):
         order = factor.payload[0]
         if child.kind == symbol_kind:
             spec = setup.domain.binding_spec(wrt)
-            if spec is None:
+            if spec is None or spec[0] not in ("coord", "time"):
                 raise UnassembledSymbol(
-                    f"derivative of {child.kind} w.r.t. an unregistered "
-                    f"variable {wrt.name!r}"
+                    f"derivative of {child.kind} w.r.t. {wrt.name!r}, "
+                    "which is neither a coordinate nor the time"
                 )
             if spec[0] == "time":
                 if order != 1:
@@ -385,9 +389,27 @@ def _trial_derivatives(setup, roots):
     """(node, d) for each node d(u, x_d) under `roots`."""
     for node in tr.walk(roots):
         if node.kind == tr.DERIVATIVE and node.children[0] is setup.trial:
-            spec = setup.domain.binding_spec(node.children[1])
-            if spec and spec[0] == "coord":
-                yield node, spec[2]
+            part = _symbol_part(setup, node, tr.TRIAL)
+            if part[0] == "grad":
+                yield node, part[1]
+
+
+def _lower(setup, factors, fields):
+    """The trial `factors` with u replaced by fields[0] and each d(u, x_d)
+    by fields[1 + d].  Any other derivative that reads u raises a typed
+    error: a P1 field carries only u and its first derivatives in space."""
+    mapping = {setup.trial: fields[0]}
+    for node, d in _trial_derivatives(setup, factors):
+        mapping[node] = fields[1 + d]
+    lowered = [tr.substitute(f, mapping) for f in factors]
+    reads = set(fields)
+    for node in tr.toposort(lowered):
+        if any(c in reads for c in node.children):
+            reads.add(node)
+            if node.kind == tr.DERIVATIVE:
+                raise NonlinearTerm("a P1 field carries only u and its "
+                                    "first derivatives in space")
+    return lowered
 
 
 def _term_region(setup, factors):
@@ -435,27 +457,16 @@ def _split_linear(terms):
 # Numeric helpers
 # ---------------------------------------------------------------------------
 
-def _coefficient_values(setup, term, time_value=None):
-    """Product of the coefficient factors at the term's region points,
-    shaped (E, nq)."""
-    region = term.region
-    if not term.coeff:
-        return np.ones(region.weights.shape)
+def _region_context(setup, region, time_value=None):
+    """A context that binds the region's coordinate variables to its points
+    and the time variables to `time_value` (by default the first time of
+    the domain's grid, or 0)."""
     domain = setup.domain
-    coords = region.coords.reshape(1, 1, -1, region.coords.shape[-1])
     if time_value is None:
-        time_value = domain.time_grid[0] if domain.time_grid is not None \
-            else 0.0
-    ctx = ev.EvalContext(domain.point_bindings(region.tag, coords), domain)
-    for var, spec in domain._vars.items():
-        if spec[0] == "time":
-            ctx.bindings[var] = T.Tensor(np.full((1, 1, 1, 1),
-                                                 float(time_value)))
-    value = T.Tensor(np.ones(()))
-    for f in term.coeff:
-        value = T.mul(value, ev.evaluate(f, ctx))
-    return np.broadcast_to(value.data, (1, 1, coords.shape[2], 1)) \
-        .reshape(region.weights.shape)
+        time_value = 0.0 if domain.time_grid is None else domain.time_grid[0]
+    coords = region.coords.reshape(1, 1, -1, region.coords.shape[-1])
+    return ev.EvalContext(
+        domain.point_bindings(region.tag, coords, time=time_value), domain)
 
 
 def _basis(region, part):
@@ -468,10 +479,14 @@ def _basis(region, part):
 
 
 def _weights(setup, term, time_value=None):
-    """sign * quadrature weight * coefficient of `term` at its region's
-    points, (E, nq)."""
-    c = _coefficient_values(setup, term, time_value)
-    return term.sign * (term.region.weights * c)
+    """sign * quadrature weight * the product of the coefficient factors
+    of `term` at its region's points, (E, nq)."""
+    ctx = _region_context(setup, term.region, time_value)
+    weights = term.region.weights
+    c = T.ones((1, 1, weights.size, 1))
+    for f in term.coeff:
+        c = T.mul(c, ev.evaluate(f, ctx))
+    return term.sign * (weights * c.data.reshape(weights.shape))
 
 
 def _linear_pieces(setup, terms, time_value=None):
@@ -530,18 +545,18 @@ def _reduce(setup, A_full):
         rows[:, setup.constrained] @ setup.constrained_values
 
 
-def _fields(region, u_full):
-    """u and its gradient components d(u, x_d) at the region's quadrature
-    points, as (1, 1, E*nq, 1) tensors of the nodal values `u_full` (no
-    gradients on facets)."""
+def _fields(setup, region, u_full):
+    """{field Variable: its value at the region's quadrature points}, as
+    (1, 1, E*nq, 1) tensors of the nodal values `u_full` (only u on
+    facets)."""
     E, nq = region.weights.shape
     flat = (1, 1, E * nq, 1)
     u_loc = u_full[region.dofs]
-    u_q = T.Tensor((u_loc @ region.values.T).reshape(flat))
-    if region.grads is None:
-        return u_q, []
-    g = np.einsum("ea,ead->de", u_loc, region.grads)            # (D, E)
-    return u_q, [T.Tensor(np.repeat(gd, nq).reshape(flat)) for gd in g]
+    out = [T.Tensor((u_loc @ region.values.T).reshape(flat))]
+    if region.grads is not None:
+        g = np.einsum("ea,ead->de", u_loc, region.grads)        # (D, E)
+        out += [T.Tensor(np.repeat(gd, nq).reshape(flat)) for gd in g]
+    return dict(zip(setup.fields, out))
 
 
 def _factor(A, error):
@@ -638,76 +653,64 @@ def assemble_fem_system(setup, terms):
 
 
 class ResidualOperator:
-    """R(u) over free dofs, and the Jacobian of its pointwise linearization.
+    """R(u) over free dofs, and its Jacobian.
 
-    The coefficients are evaluated at assembly, at `time_value`, as
-    fem_system's matrix is: each term's sign * weight * coefficient is
-    computed here once, not at every residual or Jacobian."""
+    Each term's trial factors are lowered here, once, to a product over
+    the setup's fields; `partials` maps the trial part of each field it
+    reads to the node d(product, field).  The Jacobian is their bilinear
+    form, evaluated by AD in one Jet push per term (NonDifferentiablePath
+    if the product mixes points).  Coefficients and products see the
+    region's own points and `time_value`; the coefficients are evaluated
+    here, once."""
 
     def __init__(self, setup, terms, time_value=None):
         self.setup = setup
         self.terms = terms
-        self.weights = [_weights(setup, t, time_value) for t in terms]
+        self.contexts = {tag: _region_context(setup, setup.regions[tag],
+                                              time_value)
+                         for tag in {t.region.tag for t in terms}}
+        # as (1, 1, E*nq, 1) columns, which broadcast with point values
+        self.weights = [_weights(setup, t, time_value).reshape(1, 1, -1, 1)
+                        for t in terms]
+        self.products, self.partials = [], []
+        for term in terms:
+            factors = _lower(setup, [p[-1] for p in term.trial_parts],
+                             setup.fields)
+            product = functools.reduce(operator.mul, factors) if factors \
+                else tr.literal(1.0)
+            reads = set(tr.walk(product))
+            self.products.append(product)
+            self.partials.append({
+                ("grad", i - 1) if i else ("value",): tr.d(product, f)
+                for i, f in enumerate(setup.fields) if f in reads})
 
-    def _point_values(self, term, fields):
-        """The product of the term's trial factors at its region's points,
-        (1, 1, E*nq, 1), with u and d(u, x_d) read from `fields`; and the
-        context that evaluated it."""
+    def _contexts(self, u_full):
+        """{region tag: its context, with the fields of `u_full` bound}."""
         setup = self.setup
-        u_q, grads = fields
-        factors = [part[-1] for part in term.trial_parts]
-        ctx = ev.EvalContext(domain=setup.domain)
-        ctx.cache[setup.trial] = u_q
-        for node, d in _trial_derivatives(setup, factors):
-            ctx.cache[node] = grads[d]
-        value = T.ones(u_q.shape)
-        for f in factors:
-            value = T.mul(value, ev.evaluate(f, ctx))
-        return value, ctx
-
-    def _region_fields(self, u_full):
-        """{region tag: (u_q, grads)} of each region the terms use."""
-        regions = {t.region.tag: t.region for t in self.terms}
-        return {tag: _fields(r, u_full) for tag, r in regions.items()}
+        return {tag: ctx.child(_fields(setup, setup.regions[tag], u_full))
+                for tag, ctx in self.contexts.items()}
 
     def residual_full(self, u_full):
-        fields, pieces = self._region_fields(u_full), []
-        for term, w in zip(self.terms, self.weights):
-            value, _ = self._point_values(term, fields[term.region.tag])
-            pieces.append((term.region, term.test_part,
-                           w * value.data.reshape(w.shape)))
-        return _vector(self.setup, pieces)
+        ctxs = self._contexts(u_full)
+        return _vector(self.setup, [
+            (t.region, t.test_part, (w * ev.evaluate(
+                p, ctxs[t.region.tag]).data).reshape(t.region.weights.shape))
+            for t, w, p in zip(self.terms, self.weights, self.products)])
 
     def __call__(self, u_free):
         u_full = self.setup.lift(u_free)
         return self.residual_full(u_full)[self.setup.free]
 
     def jacobian(self, u_free):
-        """The bilinear assembly of df/du and df/d(d_d u), the partials of
-        each term's point values f at every point.  They come from one Tape
-        pass per term, which is exact only because f is pointwise:
-        NonDifferentiablePath for a trial factor that mixes points."""
         setup = self.setup
-        fields, pieces = self._region_fields(setup.lift(u_free)), []
-        for term, w in zip(self.terms, self.weights):
-            if not term.trial_parts:
-                continue
-            u_q, grads = fields[term.region.tag]
-            inputs = [u_q, *grads]
-            with T.Tape() as tape:
-                tape.watch(*inputs)
-                value, ctx = self._point_values(term, (u_q, grads))
-                total = T.reduce_sum(value)
-            for part in term.trial_parts:
-                ev._check_pointwise(part[-1], setup.trial, ctx)
-            partials = tape.gradient(total, inputs)
-            # a field that no recorded op reads has a zero partial
-            read = {uid for rec in tape.records for uid in rec.in_uids}
-            parts = [("value",)] + [("grad", d) for d in range(len(grads))]
-            for field, part in zip(inputs, parts):
-                if field.uid in read:
-                    df = partials[field.uid].data.reshape(w.shape)
-                    pieces.append((term.region, term.test_part, part, w * df))
+        ctxs, pieces = self._contexts(setup.lift(u_free)), []
+        for term, w, partials in zip(self.terms, self.weights,
+                                     self.partials):
+            values = ev.evaluate(tuple(partials.values()),
+                                 ctxs[term.region.tag])
+            pieces += [(term.region, term.test_part, part,
+                        (w * df.data).reshape(term.region.weights.shape))
+                       for part, df in zip(partials, values)]
         return _reduce(setup, _matrix(setup, pieces))[0]
 
 
@@ -748,16 +751,6 @@ def _test_weights(setup, term):
                          shape=(len(setup.free), E * nq))
 
 
-def _nodal_mapping(setup, region, u_full, factors):
-    """Constants for u and each d(u, x_d) under `factors`: the P1
-    interpolant of the nodal values at the region's quadrature points."""
-    u_q, grads = _fields(region, u_full)
-    mapping = {setup.trial: tr.constant(u_q, name="u_h")}
-    for node, d in _trial_derivatives(setup, factors):
-        mapping[node] = tr.constant(grads[d], name=f"du_h_{d}")
-    return mapping
-
-
 def assemble_vpinn(setup, terms, trial):
     """Traced residual: sum over hat-function tests of the squared
     quadrature-weighted weak residual."""
@@ -770,13 +763,19 @@ def assemble_vpinn(setup, terms, trial):
     r = None
     for term in terms:
         factors = [part[-1] for part in term.trial_parts]
-        mapping = {setup.trial: trial} if symbolic else \
-            _nodal_mapping(setup, term.region, u_full, factors)
+        if symbolic:
+            factors = [tr.substitute(f, {setup.trial: trial})
+                       for f in factors]
+        else:
+            # the P1 interpolant of the nodal values at the region's points
+            factors = _lower(setup, factors, [
+                tr.constant(v, name=f.name) for f, v in
+                _fields(setup, term.region, u_full).items()])
         W = _test_weights(setup, term)
         # start from the signed ones, so that every piece, a constant one
         # too, spans the whole point axis of W
         s_expr = tr.constant(np.full((1, 1, W.shape[1], 1), term.sign))
-        for f in term.coeff + [tr.substitute(f, mapping) for f in factors]:
+        for f in term.coeff + factors:
             s_expr = s_expr * f
 
         for node in tr.walk(s_expr):

@@ -197,12 +197,20 @@ def simplex_measures(vertices, cells):
 def basis_gradients(vertices, cells):
     """The P1 basis gradients of full-dimensional simplices `cells`
     (E, k+1), as G (k+1, D, E): the barycentric weights of a point p in
-    cell e are lambda_a = delta_a0 + G[a, :, e] . (p - x_0[e])."""
+    cell e are lambda_a = delta_a0 + G[a, :, e] . (p - x_0[e]).
+    DegenerateGeometry names the first cell of zero measure, to rounding:
+    |det J| at most 1e-12 of the largest |det J|."""
     J = vertices[cells[:, 1:]] - vertices[cells[:, :1]]
     k, D = J.shape[1:]
     if k != D:
         raise UnsupportedElement(
             f"{k}-simplices in {D} dimensions are not full-dimensional")
+    det = np.abs(_det(J))
+    flat = det <= 1e-12 * det.max(initial=0.0)
+    if flat.any():
+        e = int(np.argmax(flat))
+        raise DegenerateGeometry(
+            f"cell {e} {cells[e].tolist()} has zero measure")
     # column j of inv(J) is the gradient of lambda_j+1
     grads = np.linalg.inv(J).transpose(2, 1, 0)
     return np.concatenate([-grads.sum(axis=0, keepdims=True), grads])
@@ -243,6 +251,9 @@ def rect_mesh(x_range=(0.0, 1.0), y_range=(0.0, 1.0), mesh_size=0.1,
         nx = _steps(x0, x1, mesh_size)
     if ny is None:
         ny = _steps(y0, y1, mesh_size)
+    if nx < 1 or ny < 1:
+        raise DegenerateGeometry(
+            f"a rectangle needs at least one cell a side, got {nx} x {ny}")
     xs = np.linspace(x0, x1, nx + 1)
     ys = np.linspace(y0, y1, ny + 1)
     X, Y = np.meshgrid(xs, ys, indexing="ij")

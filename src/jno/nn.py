@@ -44,6 +44,8 @@ class CosineDecay(Schedule):
     """lr(s) = init * (alpha + (1-alpha) * (1+cos(pi*min(s,D)/D)) / 2)."""
 
     def __init__(self, init_value, decay_steps, alpha=0.0):
+        if int(decay_steps) < 1:
+            raise BadDimension(f"decay_steps must be >= 1, got {decay_steps}")
         self.init_value = float(init_value)
         self.decay_steps = int(decay_steps)
         self.alpha = float(alpha)

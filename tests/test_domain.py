@@ -162,6 +162,16 @@ class TestSampling:
         with pytest.raises(CountExceedsPool):
             d.sample("interior", 100)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one(self, count):
+        d = dm.rect(mesh_size=0.5)
+        before = d.context["interior"]
+        with pytest.raises(BadShape, match="count must be >= 1"):
+            d.sample("interior", count)
+        with pytest.raises(BadShape, match="count must be >= 1"):
+            d.register_resampler("interior", count=count)
+        assert d.context["interior"] is before and not d.resamplers
+
     def test_resample_keeps_b_t_d(self):
         d = 3 * dm.rect(mesh_size=0.25)
         d.sample("interior", 5, seed=1)

@@ -27,6 +27,7 @@ from jno.errors import (
     SingularSystem,
     TargetMismatch,
     TimeDependentMass,
+    UnassembledSymbol,
     UnknownBcTag,
     UnsupportedElement,
 )
@@ -250,6 +251,18 @@ class TestVpinn:
         assert vpinn_value(dom, weak, uh) < 1e-20
         assert vpinn_value(dom, weak, np.zeros_like(uh)) > 1e-8
 
+    def test_trial_expression_matches_its_nodal_values(self):
+        # P1 holds an affine u exactly, so the residual of the expression
+        # 3x - 2y + 1 equals that of its nodal values, a nonlinear term too
+        dom = dm.structured_rect(4, 4)
+        u, phi, (x, y) = setup_fem(dom, [dom.dirichlet("left", 0.0)])
+        weak = laplace(u, phi, (x, y)) + u * u * phi - (1 + x) * phi
+        xy = dom.mesh.vertices
+        nodal = vpinn_value(dom, weak, 3 * xy[:, 0] - 2 * xy[:, 1] + 1)
+        assert nodal > 1e-8
+        assert vpinn_value(dom, weak, 3 * x - 2 * y + 1) == pytest.approx(
+            nodal, rel=1e-12, abs=0)
+
     def test_matches_dense_test_weights(self):
         # reference: each term's point values times its dense (n_free, E*nq)
         # matrix of quadrature-weighted test values, summed over the terms
@@ -312,11 +325,16 @@ class TestOperations:
 
 
 class TestNewton:
-    def _op(self, n=8):
+    # reaction terms r(u, x) of -lap u + r(u, x) = f; sin(x u) reads the
+    # coordinates in a trial factor
+    REACTION = {"u^3": lambda u, x: u ** 3, "sin(xu)": lambda u, x: sin(x * u)}
+
+    def _op(self, n=8, reaction="u^3"):
         dom = dm.structured_rect(n, n)
         u, phi, (x, y) = setup_fem(dom, [dom.dirichlet("boundary", 0.0)])
         f = 20.0 * sin(np.pi * x) * sin(np.pi * y)
-        weak = laplace(u, phi, (x, y)) + u ** 3 * phi - f * phi
+        weak = laplace(u, phi, (x, y)) + self.REACTION[reaction](u, x) * phi \
+            - f * phi
         return weak.assemble("fem_residual")
 
     def test_cubic_converges_quadratically(self):
@@ -345,11 +363,23 @@ class TestNewton:
                 fem.newton_solve(op, np.zeros(wrong))
 
     def test_jacobian_matches_central_differences(self):
-        op = self._op(4)
-        rng = np.random.default_rng(0)
-        u = rng.normal(size=len(op.setup.free))
-        np.testing.assert_allclose(op.jacobian(u).toarray(),
-                                   central_differences(op, u), atol=1e-7)
+        for reaction in self.REACTION:
+            op = self._op(4, reaction)
+            rng = np.random.default_rng(0)
+            u = rng.normal(size=len(op.setup.free))
+            np.testing.assert_allclose(op.jacobian(u).toarray(),
+                                       central_differences(op, u), atol=1e-7,
+                                       err_msg=reaction)
+
+    def test_trial_factor_reads_the_region_points(self):
+        # resampling the volume tag changes the runtime context, not the
+        # quadrature points that R and its Jacobian integrate over
+        op = self._op(4, "sin(xu)")
+        u = np.random.default_rng(3).normal(size=len(op.setup.free))
+        before = op(u), op.jacobian(u).toarray()
+        op.setup.domain.sample(fem.GAUSS_VOLUME, 20)
+        np.testing.assert_array_equal(op(u), before[0])
+        np.testing.assert_array_equal(op.jacobian(u).toarray(), before[1])
 
     def test_quasilinear_jacobian_with_boundary_term(self):
         # (1 + u^2) grad u . grad phi + u^2 x_r phi: partials in d(u, x_d)
@@ -427,6 +457,21 @@ class TestFemTime:
         traj = [b.integrate(0.01, 5) for b in blocks]
         assert np.abs(traj[0][-1] - v).max() > 1e-2
         np.testing.assert_allclose(traj[1], traj[0], rtol=0, atol=1e-12)
+
+    def test_trial_factor_reading_the_time(self):
+        # (u + t)^3 phi reads the time in a trial factor; its expansion
+        # reads it only in coefficients
+        dom = dm.structured_rect(4, 4, time=(0, 1, 10))
+        u, phi, (x, y) = setup_fem(dom, [dom.dirichlet("boundary", 0.0)])
+        t = dom.variable(fem.GAUSS_VOLUME)[-1]
+        heat = u.d(t) * phi + laplace(u, phi, (x, y))
+        forms = [(u + t) ** 3 * phi,
+                 (u ** 3 + 3 * t * u ** 2 + 3 * t ** 2 * u + t ** 3) * phi]
+        v = np.sin(np.arange(len(dom.fem.free)))
+        traj = [(heat + r).assemble("fem_time", state0=v).integrate(0.1, 5)
+                for r in forms]
+        assert np.abs(traj[0][-1] - v).max() > 1e-2
+        np.testing.assert_allclose(traj[0], traj[1], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("dt", [0.0, -0.01])
     def test_step_needs_a_positive_dt(self, dt):
@@ -534,6 +579,29 @@ class TestErrors:
     def test_quadrature_degree_out_of_range(self, k):
         with pytest.raises(UnsupportedElement, match=f"{k}-simplex"):
             fem._reference_rule(k, 4)
+
+    @pytest.mark.parametrize("target", ["fem_residual", "vpinn"])
+    @pytest.mark.parametrize("factor, error", [
+        ("d(u^2, x)", NonlinearTerm), ("exp(d2(u, x))", NonlinearTerm),
+        ("exp(d(u, t))", NonlinearTerm), ("d(u, xy)", UnassembledSymbol),
+        ("exp(d(u, xy))", UnassembledSymbol),
+    ])
+    def test_derivative_of_a_trial_expression(self, target, factor, error):
+        # a P1 field carries only u and d(u, x_d): any other derivative of
+        # an expression in u would evaluate to zero, and an unsplit
+        # variable xy names no direction
+        dom = dm.structured_rect(2, 2)
+        u, phi, (x, y) = setup_fem(dom, [])
+        t = dom.variable(fem.GAUSS_VOLUME)[-1]
+        xy = dom.variable(fem.GAUSS_VOLUME, split=False)
+        exp = lambda node: tr.build(tr.ARITH, "exp", (node,))  # noqa: E731
+        f = {"d(u^2, x)": (u * u).d(x), "exp(d2(u, x))": exp(u.dd(x)),
+             "exp(d(u, t))": exp(u.d(t)), "d(u, xy)": u.d(xy),
+             "exp(d(u, xy))": exp(u.d(xy))}[factor]
+        options = {"trial": np.zeros(dom.mesh.num_vertices)} \
+            if target == "vpinn" else {}
+        with pytest.raises(error):
+            (f * phi).assemble(target, **options)
 
     def test_second_derivative_of_trial(self):
         dom = dm.structured_rect(2, 2)

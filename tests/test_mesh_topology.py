@@ -252,3 +252,22 @@ def test_coincident_boundary_vertices_raise(tmp_path):
     )
     with pytest.raises(DegenerateGeometry):
         dm.load_mesh(path)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda dom: dom.init_fem(), lambda dom: dom.mesh.locator,
+], ids=["init_fem", "locator"])
+def test_zero_measure_cell_is_named(entry):
+    # cell 2 has three collinear vertices; the mesh builds a Domain, whose
+    # boundary is the outline of the other three cells
+    mesh = meshmod.Mesh([[0, 0], [2, 0], [1, 0], [1, 1], [1, -1]],
+                        [[0, 2, 3], [2, 1, 3], [0, 1, 2], [0, 1, 4]], "TRI3")
+    dom = dm.Domain(mesh)
+    with pytest.raises(DegenerateGeometry, match=r"cell 2 \[0, 1, 2\]"):
+        entry(dom)
+
+
+@pytest.mark.parametrize("nx, ny", [(0, 4), (4, 0), (-1, 2)])
+def test_rect_needs_a_cell_a_side(nx, ny):
+    with pytest.raises(DegenerateGeometry, match="one cell a side"):
+        dm.structured_rect(nx, ny)

@@ -233,6 +233,11 @@ class TestSchedules:
         values = [sched.value(s) for s in range(101)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("steps", [0, -5])
+    def test_cosine_needs_a_decay_step(self, steps):
+        with pytest.raises(BadDimension, match="decay_steps"):
+            nn.cosine_decay_schedule(1e-3, steps)
+
     def test_clamps_after_decay(self):
         sched = nn.cosine_decay_schedule(1e-3, 100, alpha=0.1)
         assert sched.value(1000) == sched.value(100)
