@@ -20,6 +20,7 @@ import scipy.sparse as sp
 from . import tensor as T
 from . import trace as tr
 from .errors import (
+    ArityMismatch,
     DegenerateNeighborhood,
     ModelNotInitialized,
     NaNDetected,
@@ -41,6 +42,8 @@ class EvalContext:
 
     def __init__(self, bindings=None, domain=None, derivative_mode="auto",
                  nan_check=False):
+        if derivative_mode not in ("auto", "finite-difference"):
+            raise ArityMismatch(f"unknown derivative mode {derivative_mode!r}")
         self.bindings = {}
         for node, value in (bindings or {}).items():
             self.bindings[node] = value if isinstance(value, T.Tensor) \

@@ -13,31 +13,34 @@ simplex dimension, so no code branches on the element kind.
 :func:`init_fem` registers each region's points in the mesh pool, under
 ``fem_gauss`` for the volume and ``gauss_<tag>`` for a boundary tag.  A
 weak-form term belongs to the region whose pool variables it uses (the
-volume when it uses none).  Every target turns a term into weighted point
-values wv (E, nq) on its region, sign * weight * coefficient times what
-the target needs, and integrates them on the factored basis
+volume when it uses none).
+
+:class:`ResidualOperator` is the one place where terms are integrated.  It
+turns each term into weighted point values wv (E, nq) on its region, sign *
+weight * coefficient times what it integrates, on the factored basis
 value[e, q, a] = Q[q, a] * G[e, a] of :func:`_basis` with one of two
 kernels: :func:`_vector` sums the element vectors (wv @ Q) * G of a test
 part, :func:`_matrix` scatters the element blocks
 sum_q wv Qa[q, a] Qb[q, b] * Ga[e, a] Gb[e, b] of a test and a trial part.
+Every target reads from such an operator:
 
-* ``fem_system``    -> linear system (A, b) with Dirichlet elimination
-* ``fem_residual``  -> residual operator R(u), wv times the trial factors
-                       lowered to a graph over field Variables u and
-                       d(u, x_d).  The Jacobian is the bilinear form of its
-                       partials, d(product, field) by the evaluator's AD,
-                       against the trial parts ("value",) and ("grad", d)
+* ``fem_residual``  -> the operator: R(u) = matrix u + load + N(u), N the
+                       nonlinear terms, and its Jacobian matrix + N'(u)
+* ``fem_system``    -> its linear system, with Dirichlet elimination
 * ``fem_time``      -> semi-discrete block M u' + R(u, t) = 0 for
-                       backward-Euler stepping: R = A u - b(t) with A
-                       factored once if the form is linear in u with
-                       time-independent coefficients, else Newton per step
-* ``vpinn``         -> traced residual against the nodal hat test set: each
-                       term's test integrals are one constant (n_free, E*nq)
-                       CSR operator, applied with ``T.sparse_matmul``
+                       backward-Euler stepping, M the temporal term's
+                       matrix: R = A u - b(t) factored once if the form is
+                       linear in u with time-independent coefficients, else
+                       Newton per step
+* ``vpinn``         -> ||R_free(u)||^2 for nodal values; for a trial
+                       expression, a traced residual whose test integrals
+                       are one constant (n_free, E*nq) CSR operator a term,
+                       applied with ``T.sparse_matmul``
 
 Every sparse solve is one SuperLU factorization made by :func:`_factor`.
 P1 matrices have a symmetric sparsity pattern, so it orders the columns by
-minimum degree on the pattern of A^T + A.  A singular matrix raises the
+minimum degree on the pattern of A^T + A.  A matrix that is singular, or
+singular to rounding (a pivot at most 1e-9 times the largest), raises the
 error its caller names: ``SingularSystem`` for a linear system or a Newton
 Jacobian, ``SingularStepMatrix`` for a backward-Euler step matrix and
 ``SingularMass`` for the mass matrix of :func:`export_explicit_ode`.
@@ -149,7 +152,8 @@ class Neumann:
 
 class FemSetup:
     """Quadrature regions, bc metadata, the dof map and the field
-    Variables u, d(u, x_0), ... that trial factors are lowered to."""
+    Variables u_h, du_h_0, ... that trial factors are lowered to, each
+    mapped to the basis part it is the coefficient of."""
 
     def __init__(self, domain, quad_degree, bcs):
         mesh = domain.mesh
@@ -157,8 +161,9 @@ class FemSetup:
         self.quad_degree = int(quad_degree)
         self.trial = tr.build(tr.TRIAL, self, (), name="u")
         self.test = tr.build(tr.TEST, self, (), name="phi")
-        self.fields = [tr.variable("u_h")] + [
-            tr.variable(f"du_h_{d}") for d in range(mesh.dim)]
+        self.fields = {tr.variable("u_h"): ("value",)}
+        self.fields.update((tr.variable(f"du_h_{d}"), ("grad", d))
+                           for d in range(mesh.dim))
 
         verts = mesh.vertices
         V = mesh.num_vertices
@@ -300,18 +305,15 @@ def _expand(weak):
 
 
 class _Term:
-    __slots__ = ("sign", "coeff", "trial_parts", "test_part", "region",
-                 "temporal")
+    __slots__ = ("sign", "coeff", "trial", "dt", "test_part", "region")
 
     def __init__(self, sign):
         self.sign = sign
         self.coeff = []        # coefficient factor nodes
-        # parts end with their factor node:
-        # ("value", f) | ("grad", d, f) | ("expr", f)
-        self.trial_parts = []
-        self.test_part = None  # ("value", f) | ("grad", d, f)
+        self.trial = []        # trial factor nodes
+        self.dt = None         # the factor d(u, t) of a temporal term
+        self.test_part = None  # ("value",) | ("grad", d)
         self.region = None     # the _Region the term integrates over
-        self.temporal = False  # d(u, t) is kept as its ("value", f) part
 
 
 def _classify_term(setup, sign, factors, symbols):
@@ -327,14 +329,12 @@ def _classify_term(setup, sign, factors, symbols):
             if term.test_part is not None:
                 raise TargetMismatch("term is nonlinear in the test symbol")
             term.test_part = _symbol_part(setup, f, tr.TEST)
-            if term.test_part[0] == "dt":
+            if term.test_part == ("dt",):
                 raise TargetMismatch("temporal derivative of the test symbol")
         elif has_trial:
-            part = _symbol_part(setup, f, tr.TRIAL)
-            if part[0] == "dt":
-                term.temporal = True
-                part = ("value", f)
-            term.trial_parts.append(part)
+            if _symbol_part(setup, f, tr.TRIAL) == ("dt",):
+                term.dt = f
+            term.trial.append(f)
         else:
             term.coeff.append(f)
     if term.test_part is None:
@@ -353,9 +353,10 @@ def _classify_term(setup, sign, factors, symbols):
 
 
 def _symbol_part(setup, factor, symbol_kind):
-    """Recognize u, d(u, x_i), d(u, t) (and arbitrary trial expressions)."""
+    """The part ("value",), ("grad", i) or ("dt",) that `factor` is of the
+    symbol: u, d(u, x_i) or d(u, t); None for another trial expression."""
     if factor.kind == symbol_kind:
-        return ("value", factor)
+        return ("value",)
     if factor.kind == tr.DERIVATIVE:
         child, wrt = factor.children
         order = factor.payload[0]
@@ -371,18 +372,18 @@ def _symbol_part(setup, factor, symbol_kind):
                     raise TargetMismatch(
                         "only first-order temporal derivatives assemble"
                     )
-                return ("dt", factor)
+                return ("dt",)
             if order != 1:
                 raise NonlinearTerm(
                     "P1 elements carry no second derivatives; integrate by "
                     "parts before assembling"
                 )
-            return ("grad", spec[2], factor)
+            return ("grad", spec[2])
     if symbol_kind == tr.TEST:
         raise TargetMismatch(
             "test symbol may only appear as phi or d(phi, x_i)"
         )
-    return ("expr", factor)
+    return None
 
 
 def _trial_derivatives(setup, roots):
@@ -394,22 +395,28 @@ def _trial_derivatives(setup, roots):
                 yield node, part[1]
 
 
-def _lower(setup, factors, fields):
-    """The trial `factors` with u replaced by fields[0] and each d(u, x_d)
-    by fields[1 + d].  Any other derivative that reads u raises a typed
-    error: a P1 field carries only u and its first derivatives in space."""
-    mapping = {setup.trial: fields[0]}
-    for node, d in _trial_derivatives(setup, factors):
-        mapping[node] = fields[1 + d]
-    lowered = [tr.substitute(f, mapping) for f in factors]
-    reads = set(fields)
+def _lower(setup, term):
+    """The product of the trial factors of `term` with u replaced by the
+    field u_h, each d(u, x_d) by du_h_d and the term's own factor d(u, t),
+    if it is temporal, by u_h; the literal 1 if it has no trial factor.
+    Any other derivative that reads u raises a typed error: a P1 field
+    carries only u and its first derivatives in space."""
+    u_h, *grads = setup.fields
+    mapping = {setup.trial: u_h}
+    if term.dt is not None:
+        mapping[term.dt] = u_h
+    for node, d in _trial_derivatives(setup, term.trial):
+        mapping[node] = grads[d]
+    lowered = [tr.substitute(f, mapping) for f in term.trial]
+    reads = set(setup.fields)
     for node in tr.toposort(lowered):
         if any(c in reads for c in node.children):
             reads.add(node)
             if node.kind == tr.DERIVATIVE:
                 raise NonlinearTerm("a P1 field carries only u and its "
                                     "first derivatives in space")
-    return lowered
+    return functools.reduce(operator.mul, lowered) if lowered \
+        else tr.literal(1.0)
 
 
 def _term_region(setup, factors):
@@ -432,25 +439,6 @@ def _group(weak):
     """(setup, the classified terms of `weak`)."""
     setup, symbols, raw = _expand(weak)
     return setup, [_classify_term(setup, s, f, symbols) for s, f in raw]
-
-
-def _trial_degree(term):
-    deg = 0
-    for part in term.trial_parts:
-        if part[0] in ("value", "grad"):
-            deg += 1
-        else:
-            return None  # nonlinear / unknown degree
-    return deg
-
-
-def _split_linear(terms):
-    """(bilinear terms, trial-free terms); None if a term is neither."""
-    degrees = [_trial_degree(t) for t in terms]
-    if any(d not in (0, 1) for d in degrees):
-        return None
-    return ([t for t, d in zip(terms, degrees) if d == 1],
-            [t for t, d in zip(terms, degrees) if d == 0])
 
 
 # ---------------------------------------------------------------------------
@@ -487,13 +475,6 @@ def _weights(setup, term, time_value=None):
     for f in term.coeff:
         c = T.mul(c, ev.evaluate(f, ctx))
     return term.sign * (weights * c.data.reshape(weights.shape))
-
-
-def _linear_pieces(setup, terms, time_value=None):
-    """The kernel pieces of terms at most linear in the trial symbol:
-    (region, test part, [trial part,] weighted point values)."""
-    return [(t.region, t.test_part, *t.trial_parts[:1],
-             _weights(setup, t, time_value)) for t in terms]
 
 
 def _matrix(setup, pieces):
@@ -562,15 +543,21 @@ def _fields(setup, region, u_full):
 def _factor(A, error):
     """The `solve` of a SuperLU factorization of the square sparse `A`,
     with its columns ordered by minimum degree on the pattern of A^T + A;
-    `error` if A is singular."""
+    `error` if A is singular, or its smallest pivot |U_ii| is at most 1e-9
+    times the largest."""
     # imported here: scipy.sparse.linalg, and scipy.linalg with it, take
     # about 0.1 s to import, which importing jno does not pay
     import scipy.sparse.linalg as spla
 
     try:
-        return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
+        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise error(str(exc)) from None
+    pivots = np.abs(lu.U.diagonal())
+    if pivots.size and pivots.min() <= 1e-9 * pivots.max():
+        raise error(f"matrix is singular to rounding: smallest/largest "
+                    f"pivot {pivots.min() / pivots.max():.1e}")
+    return lu.solve
 
 
 def _newton(F, jacobian, u, tol, max_iter, singular):
@@ -589,15 +576,20 @@ def _newton(F, jacobian, u, tol, max_iter, singular):
 
 
 class LinearSystem:
-    """The system A u = b over the free dofs, with the Dirichlet values
-    eliminated, and the full matrix and right-hand side it came from."""
+    """The system A u = b of a residual operator with no nonlinear term,
+    R(u) = matrix u + load = 0: `full_matrix` and `full_rhs` = -load over
+    every vertex, and A and b over the free dofs, with the Dirichlet values
+    eliminated."""
 
-    def __init__(self, setup, A_full, b_full):
-        self.setup = setup
-        self.full_matrix = A_full.tocsr()
-        self.full_rhs = b_full
-        self.A, lift = _reduce(setup, self.full_matrix)
-        self.b = b_full[setup.free] - lift
+    def __init__(self, op):
+        if op.nonlinear:
+            raise NonlinearTerm(
+                "fem_system needs terms at most linear in the trial symbol")
+        self.setup = op.setup
+        self.full_matrix = op.matrix
+        self.full_rhs = -op.load
+        self.A, lift = _reduce(op.setup, op.matrix)
+        self.b = self.full_rhs[op.setup.free] - lift
 
     def solve(self):
         return self.setup.lift(_factor(self.A, SingularSystem)(self.b))
@@ -621,8 +613,8 @@ def assemble(weak, target, **options):
         if name not in _OPTIONS[target]:
             raise TargetMismatch(f"{target} takes no option {name!r}")
     setup, terms = _group(weak)
-    temporal = [t for t in terms if t.temporal]
-    steady = [t for t in terms if not t.temporal]
+    temporal = [t for t in terms if t.dt is not None]
+    steady = [t for t in terms if t.dt is None]
 
     if target == "fem_time":
         return assemble_fem_time(setup, temporal, steady,
@@ -632,57 +624,57 @@ def assemble(weak, target, **options):
             f"{target} expects a steady form; use target='fem_time'"
         )
     if target == "fem_system":
-        return assemble_fem_system(setup, steady)
+        return LinearSystem(ResidualOperator(setup, steady))
     if target == "fem_residual":
-        return assemble_fem_residual(setup, steady)
+        return ResidualOperator(setup, steady)
     trial = options.get("trial")
     if trial is None:
         raise TargetMismatch("vpinn needs trial=<expression or nodal values>")
     return assemble_vpinn(setup, steady, trial)
 
 
-def assemble_fem_system(setup, terms):
-    split = _split_linear(terms)
-    if split is None:
-        raise NonlinearTerm(
-            "fem_system needs terms at most linear in the trial symbol")
-    bilinear, loads = split
-    # weak = a(u, phi) + load = 0  =>  A u = -load
-    return LinearSystem(setup, _matrix(setup, _linear_pieces(setup, bilinear)),
-                        -_vector(setup, _linear_pieces(setup, loads)))
-
-
 class ResidualOperator:
-    """R(u) over free dofs, and its Jacobian.
+    """R(u) over free dofs, and its Jacobian: the one place where weak-form
+    terms are integrated.
 
     Each term's trial factors are lowered here, once, to a product over
-    the setup's fields; `partials` maps the trial part of each field it
-    reads to the node d(product, field).  The Jacobian is their bilinear
-    form, evaluated by AD in one Jet push per term (NonDifferentiablePath
-    if the product mixes points).  Coefficients and products see the
-    region's own points and `time_value`; the coefficients are evaluated
-    here, once."""
+    the setup's fields (:func:`_lower`), which decides the term's kind.
+    Loads (the product is the literal 1) are integrated here into the full
+    vector `load`, and terms linear in one field (the product is that
+    field) into the full V x V `matrix` against the field's basis part.  A nonlinear term is evaluated at each call:
+    its product for R, and for the Jacobian the nodes d(product, field) of
+    the fields it reads, by AD in one Jet push (NonDifferentiablePath if
+    the product mixes points).  So R(u) = matrix u + load + N(u) and
+    J(u) = matrix + N'(u).  Coefficients and products see the region's own
+    points and `time_value`."""
 
     def __init__(self, setup, terms, time_value=None):
         self.setup = setup
-        self.terms = terms
-        self.contexts = {tag: _region_context(setup, setup.regions[tag],
-                                              time_value)
-                         for tag in {t.region.tag for t in terms}}
-        # as (1, 1, E*nq, 1) columns, which broadcast with point values
-        self.weights = [_weights(setup, t, time_value).reshape(1, 1, -1, 1)
-                        for t in terms]
-        self.products, self.partials = [], []
+        linear, loads = [], []
+        # (term, wv as a (1, 1, E*nq, 1) column, which broadcasts with point
+        # values, product, {trial part: partial node})
+        self.nonlinear = []
         for term in terms:
-            factors = _lower(setup, [p[-1] for p in term.trial_parts],
-                             setup.fields)
-            product = functools.reduce(operator.mul, factors) if factors \
-                else tr.literal(1.0)
-            reads = set(tr.walk(product))
-            self.products.append(product)
-            self.partials.append({
-                ("grad", i - 1) if i else ("value",): tr.d(product, f)
-                for i, f in enumerate(setup.fields) if f in reads})
+            product = _lower(setup, term)
+            if product is tr.literal(1.0):
+                loads.append(term)
+            elif product in setup.fields:
+                linear.append((term, setup.fields[product]))
+            else:
+                reads = set(tr.walk(product))
+                wv = _weights(setup, term, time_value).reshape(1, 1, -1, 1)
+                self.nonlinear.append((term, wv, product, {
+                    part: tr.d(product, f)
+                    for f, part in setup.fields.items() if f in reads}))
+        self.matrix = _matrix(setup, [
+            (t.region, t.test_part, part, _weights(setup, t, time_value))
+            for t, part in linear])
+        self.load = _vector(setup, [
+            (t.region, t.test_part, _weights(setup, t, time_value))
+            for t in loads])
+        self.contexts = {
+            tag: _region_context(setup, setup.regions[tag], time_value)
+            for tag in {t.region.tag for t, *_ in self.nonlinear}}
 
     def _contexts(self, u_full):
         """{region tag: its context, with the fields of `u_full` bound}."""
@@ -692,10 +684,10 @@ class ResidualOperator:
 
     def residual_full(self, u_full):
         ctxs = self._contexts(u_full)
-        return _vector(self.setup, [
+        return self.matrix @ u_full + self.load + _vector(self.setup, [
             (t.region, t.test_part, (w * ev.evaluate(
                 p, ctxs[t.region.tag]).data).reshape(t.region.weights.shape))
-            for t, w, p in zip(self.terms, self.weights, self.products)])
+            for t, w, p, _ in self.nonlinear])
 
     def __call__(self, u_free):
         u_full = self.setup.lift(u_free)
@@ -704,18 +696,13 @@ class ResidualOperator:
     def jacobian(self, u_free):
         setup = self.setup
         ctxs, pieces = self._contexts(setup.lift(u_free)), []
-        for term, w, partials in zip(self.terms, self.weights,
-                                     self.partials):
+        for term, w, _, partials in self.nonlinear:
             values = ev.evaluate(tuple(partials.values()),
                                  ctxs[term.region.tag])
             pieces += [(term.region, term.test_part, part,
                         (w * df.data).reshape(term.region.weights.shape))
                        for part, df in zip(partials, values)]
-        return _reduce(setup, _matrix(setup, pieces))[0]
-
-
-def assemble_fem_residual(setup, terms):
-    return ResidualOperator(setup, terms)
+        return _reduce(setup, self.matrix + _matrix(setup, pieces))[0]
 
 
 def newton_solve(op, u0, tol=1e-10, max_iter=10):
@@ -752,29 +739,24 @@ def _test_weights(setup, term):
 
 
 def assemble_vpinn(setup, terms, trial):
-    """Traced residual: sum over hat-function tests of the squared
-    quadrature-weighted weak residual."""
-    symbolic = isinstance(trial, tr.ExprNode)
-    if not symbolic:
+    """Sum over the free dofs' hat-function tests of the squared weak
+    residual: for nodal values (free or full), the constant
+    ||R_free(u)||^2 of the residual operator; for a trial expression, a
+    traced residual, quadrature-weighted by :func:`_test_weights`."""
+    if not isinstance(trial, tr.ExprNode):
         nodal = np.asarray(trial, dtype=np.float64)
         u_full = nodal if len(nodal) == setup.num_vertices \
             else setup.lift(nodal)
+        r = ResidualOperator(setup, terms).residual_full(u_full)[setup.free]
+        return tr.constant(np.full((1, 1), r @ r))
 
     r = None
     for term in terms:
-        factors = [part[-1] for part in term.trial_parts]
-        if symbolic:
-            factors = [tr.substitute(f, {setup.trial: trial})
-                       for f in factors]
-        else:
-            # the P1 interpolant of the nodal values at the region's points
-            factors = _lower(setup, factors, [
-                tr.constant(v, name=f.name) for f, v in
-                _fields(setup, term.region, u_full).items()])
         W = _test_weights(setup, term)
         # start from the signed ones, so that every piece, a constant one
         # too, spans the whole point axis of W
         s_expr = tr.constant(np.full((1, 1, W.shape[1], 1), term.sign))
+        factors = [tr.substitute(f, {setup.trial: trial}) for f in term.trial]
         for f in term.coeff + factors:
             s_expr = s_expr * f
 
@@ -817,9 +799,11 @@ def _reads_time(setup, nodes):
 
 
 def assemble_fem_time(setup, temporal, steady, state0=None):
-    """The block of M u' + R(u, t) = 0.  R is factored once as A u - b(t)
-    when every steady term is at most linear in u and no coefficient of a
-    term in u reads the time; otherwise each step solves by Newton."""
+    """The block of M u' + R(u, t) = 0, M the matrix of the temporal
+    term's operator, where d(u, t) is lowered to u.  R is A u - b(t), A
+    from the steady operator and b(t) from the operator of the loads at t,
+    when that operator has no nonlinear term and no coefficient of a term
+    in u reads the time; otherwise each step solves by Newton."""
     if not temporal:
         raise NoTemporalTerm(
             "fem_time needs exactly one temporal-derivative term"
@@ -828,7 +812,8 @@ def assemble_fem_time(setup, temporal, steady, state0=None):
         raise MultipleTemporalTerms(
             f"found {len(temporal)} temporal terms; expected one"
         )
-    if _trial_degree(temporal[0]) != 1:
+    mass = ResidualOperator(setup, temporal)
+    if mass.nonlinear:
         raise NonlinearTerm("the temporal term must be linear: c * u_t * phi")
     if _reads_time(setup, temporal[0].coeff):
         # M is assembled once; c(t) would be frozen at the first time value
@@ -836,7 +821,7 @@ def assemble_fem_time(setup, temporal, steady, state0=None):
             "the coefficient c of the temporal term c * u_t * phi must not "
             "read the time")
 
-    M = _reduce(setup, _matrix(setup, _linear_pieces(setup, temporal)))[0]
+    M = _reduce(setup, mass.matrix)[0]
     free = setup.free
 
     if state0 is None:
@@ -851,19 +836,17 @@ def assemble_fem_time(setup, temporal, steady, state0=None):
                 f"count {len(free)} nor vertex count {setup.num_vertices}"
             )
 
-    split = _split_linear(steady)
-    if split is not None and not any(_reads_time(setup, t.coeff)
-                                     for t in split[0]):
-        bilinear, loads = split
-        A, lift = _reduce(setup,
-                          _matrix(setup, _linear_pieces(setup, bilinear)))
+    if not any(t.trial and _reads_time(setup, t.coeff) for t in steady):
+        op = ResidualOperator(setup, steady)
+        if not op.nonlinear:
+            A, lift = _reduce(setup, op.matrix)
+            loads = [t for t in steady if not t.trial]
 
-        def b(t):
-            loads_t = _linear_pieces(setup, loads, t)
-            return -_vector(setup, loads_t)[free] - lift
+            def b(t):
+                return -ResidualOperator(setup, loads, t).load[free] - lift
 
-        return TimeBlock(setup, M, u0, lambda u, t: A @ u - b(t),
-                         lambda u, t: A, A=A, b=b)
+            return TimeBlock(setup, M, u0, lambda u, t: A @ u - b(t),
+                             lambda u, t: A, A=A, b=b)
 
     # one operator per time value: a step's Newton iterations share it
     at = functools.lru_cache(maxsize=1)(

@@ -251,9 +251,11 @@ def rect_mesh(x_range=(0.0, 1.0), y_range=(0.0, 1.0), mesh_size=0.1,
         nx = _steps(x0, x1, mesh_size)
     if ny is None:
         ny = _steps(y0, y1, mesh_size)
-    if nx < 1 or ny < 1:
+    if not all(n >= 1 and float(n).is_integer() for n in (nx, ny)):
         raise DegenerateGeometry(
-            f"a rectangle needs at least one cell a side, got {nx} x {ny}")
+            f"a rectangle needs a whole number of cells, at least one cell "
+            f"a side, got {nx} x {ny}")
+    nx, ny = int(nx), int(ny)
     xs = np.linspace(x0, x1, nx + 1)
     ys = np.linspace(y0, y1, ny + 1)
     X, Y = np.meshgrid(xs, ys, indexing="ij")

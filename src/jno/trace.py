@@ -340,9 +340,12 @@ def tensor_tag(name, tensor):
 
 
 def derivative(expr, wrt, order=1, mode="default"):
-    """Deferred d/d(wrt) of `expr`; `wrt` must be a Variable node."""
+    """Deferred d/d(wrt) of `expr`; `wrt` must be a Variable node.  The
+    mode "default" takes the context's derivative mode."""
     if order not in (1, 2):
         raise ArityMismatch("derivative order must be 1 or 2")
+    if mode not in ("default", "auto", "finite-difference"):
+        raise ArityMismatch(f"unknown derivative mode {mode!r}")
     return build(DERIVATIVE, (order, mode), (as_node(expr), wrt))
 
 

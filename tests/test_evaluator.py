@@ -7,6 +7,7 @@ from jno import nn
 from jno import tensor as T
 from jno import trace as tr
 from jno.errors import (
+    ArityMismatch,
     ModelNotInitialized,
     NaNDetected,
     NonDifferentiablePath,
@@ -303,6 +304,19 @@ class TestFiniteDifferences:
         d = dm.rect(mesh_size=0.5)
         with pytest.raises(PointOutsideMesh):
             ev._locate_barycentric(d.mesh, np.array([[5.0, 5.0]]))
+
+    @pytest.mark.parametrize("mode", ["finite_difference", "fd", "bogus",
+                                      "default"])
+    def test_unknown_context_mode(self, mode):
+        # a misspelled mode would otherwise evaluate by AD
+        with pytest.raises(ArityMismatch, match=repr(mode)):
+            ev.EvalContext(derivative_mode=mode)
+
+    @pytest.mark.parametrize("mode", ["finite_difference", "fd", "ad"])
+    def test_unknown_derivative_hint(self, mode):
+        x = tr.variable("x")
+        with pytest.raises(ArityMismatch, match=repr(mode)):
+            tr.derivative(x * x, x, mode=mode)
 
     def test_temporal_fd_unsupported(self):
         d = dm.rect(mesh_size=0.5, time=(0.0, 1.0, 1))

@@ -295,7 +295,10 @@ class TestVpinn:
         res = weak.assemble("vpinn", trial=nodal)
         got = float(ev.evaluate(res, ev.EvalContext(domain=dom)).data.sum())
         assert got == pytest.approx(want, rel=1e-12, abs=0)
-        # one (n_free, E*nq) operator per term, at most n = 3 entries a column
+        # a trial expression is traced: one (n_free, E*nq) operator per
+        # term, at most n = 3 entries a column
+        y = dom.variable(fem.GAUSS_VOLUME)[1]
+        res = weak.assemble("vpinn", trial=3 * x - 2 * y + 1)
         ops = [n.payload for n in tr.walk(res) if n.name == "test_weights"]
         assert len(ops) == 4
         for op in ops:
@@ -370,6 +373,16 @@ class TestNewton:
             np.testing.assert_allclose(op.jacobian(u).toarray(),
                                        central_differences(op, u), atol=1e-7,
                                        err_msg=reaction)
+
+    def test_linear_jacobian_does_not_depend_on_u(self):
+        dom, weak = neumann_problem()
+        op = weak.assemble("fem_residual")
+        rng = np.random.default_rng(4)
+        J = [op.jacobian(rng.normal(size=len(op.setup.free))).toarray()
+             for _ in range(2)]
+        np.testing.assert_array_equal(J[0], J[1])
+        np.testing.assert_array_equal(
+            J[0], weak.assemble("fem_system").A.toarray())
 
     def test_trial_factor_reads_the_region_points(self):
         # resampling the volume tag changes the runtime context, not the
@@ -557,6 +570,21 @@ class TestErrors:
         with pytest.raises(SingularSystem):
             fem.newton_solve(op, np.zeros(len(op.setup.free)))
 
+    @pytest.mark.parametrize("make", [lambda: dm.structured_rect(8, 8),
+                                      lambda: dm.cube(0.1)],
+                             ids=["rect8", "cube0.1"])
+    def test_system_singular_to_rounding(self, make):
+        # pure Neumann: the stiffness matrix is singular, but its LU factor
+        # only has a pivot at rounding level, with no exact zero
+        dom = make()
+        u, phi, coords = setup_fem(dom, [])
+        weak = laplace(u, phi, coords) - 1.0 * phi
+        with pytest.raises(SingularSystem, match="singular to rounding"):
+            weak.assemble("fem_system").solve()
+        op = weak.assemble("fem_residual")
+        with pytest.raises(SingularSystem, match="singular to rounding"):
+            fem.newton_solve(op, np.zeros(len(op.setup.free)))
+
     @pytest.mark.parametrize("stiffness", ["1", "1+0t"])
     def test_singular_step_matrix_and_mass(self, stiffness):
         block = pure_neumann_line(time=True,
@@ -602,6 +630,32 @@ class TestErrors:
             if target == "vpinn" else {}
         with pytest.raises(error):
             (f * phi).assemble(target, **options)
+
+    @pytest.mark.parametrize("term", ["u u phi", "exp(u) phi",
+                                      "u d(u, x) phi", "d(u + x, x) phi"])
+    def test_fem_system_refuses_a_nonlinear_term(self, term):
+        dom = dm.structured_rect(2, 2)
+        u, phi, (x, y) = setup_fem(dom, [])
+        exp = tr.build(tr.ARITH, "exp", (u,))
+        form = {"u u phi": u * u * phi, "exp(u) phi": exp * phi,
+                "u d(u, x) phi": u * u.d(x) * phi,
+                "d(u + x, x) phi": (u + x).d(x) * phi}[term]
+        with pytest.raises(NonlinearTerm):
+            (laplace(u, phi, (x, y)) + form - phi).assemble("fem_system")
+
+    @pytest.mark.parametrize("term", ["u u_t phi", "u_t u phi",
+                                      "u_t u_t phi", "exp(u) u_t phi"])
+    def test_fem_time_refuses_a_nonlinear_mass(self, term):
+        # the mass term's own d(u, t) becomes u, wherever it stands
+        dom = dm.structured_rect(2, 2)
+        u, phi, (x, y) = setup_fem(dom, [])
+        u_t = u.d(dom.variable(fem.GAUSS_VOLUME)[-1])
+        exp = tr.build(tr.ARITH, "exp", (u,))
+        form = {"u u_t phi": u * u_t * phi, "u_t u phi": u_t * u * phi,
+                "u_t u_t phi": u_t * u_t * phi,
+                "exp(u) u_t phi": exp * u_t * phi}[term]
+        with pytest.raises(NonlinearTerm, match="temporal term"):
+            (form + laplace(u, phi, (x, y))).assemble("fem_time")
 
     def test_second_derivative_of_trial(self):
         dom = dm.structured_rect(2, 2)

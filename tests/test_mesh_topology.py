@@ -267,7 +267,16 @@ def test_zero_measure_cell_is_named(entry):
         entry(dom)
 
 
-@pytest.mark.parametrize("nx, ny", [(0, 4), (4, 0), (-1, 2)])
+@pytest.mark.parametrize("nx, ny", [(0, 4), (4, 0), (-1, 2), (2.5, 2),
+                                    (2, 0.5), (float("inf"), 2)])
 def test_rect_needs_a_cell_a_side(nx, ny):
     with pytest.raises(DegenerateGeometry, match="one cell a side"):
         dm.structured_rect(nx, ny)
+
+
+def test_rect_takes_an_integral_float_cell_count():
+    got, want = meshmod.rect_mesh(nx=4.0, ny=2), meshmod.rect_mesh(nx=4, ny=2)
+    np.testing.assert_array_equal(got.vertices, want.vertices)
+    np.testing.assert_array_equal(got.elements, want.elements)
+    with pytest.raises(DegenerateGeometry, match="got 2.5 x 2"):
+        dm.structured_rect(2.5, 2)

@@ -233,7 +233,7 @@ class TestSchedules:
         values = [sched.value(s) for s in range(101)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
-    @pytest.mark.parametrize("steps", [0, -5])
+    @pytest.mark.parametrize("steps", [0, -5, 2.5, float("inf")])
     def test_cosine_needs_a_decay_step(self, steps):
         with pytest.raises(BadDimension, match="decay_steps"):
             nn.cosine_decay_schedule(1e-3, steps)
