@@ -18,10 +18,11 @@ volume when it uses none).
 :class:`ResidualOperator` is the one place where terms are integrated.  It
 turns each term into weighted point values wv (E, nq) on its region, sign *
 weight * coefficient times what it integrates, on the factored basis
-value[e, q, a] = Q[q, a] * G[e, a] of :func:`_basis` with one of two
-kernels: :func:`_vector` sums the element vectors (wv @ Q) * G of a test
-part, :func:`_matrix` scatters the element blocks
-sum_q wv Qa[q, a] Qb[q, b] * Ga[e, a] Gb[e, b] of a test and a trial part.
+value[e, q, a] = Q[q, a] * G[e, a] of :func:`_basis`.  Its two kernels
+read the setup's one element-to-global map: :func:`_vector` applies a test
+part's (V, E*nq) ``FemSetup.test_operator`` to wv, and :func:`_matrix`
+sums the element blocks sum_q wv Qa[q, a] Qb[q, b] * Ga[e, a] Gb[e, b] into
+the data of the fixed CSR ``FemSetup.pattern`` with one bincount.
 Every target reads from such an operator:
 
 * ``fem_residual``  -> the operator: R(u) = matrix u + load + N(u), N the
@@ -33,9 +34,9 @@ Every target reads from such an operator:
                        linear in u with time-independent coefficients, else
                        Newton per step
 * ``vpinn``         -> ||R_free(u)||^2 for nodal values; for a trial
-                       expression, a traced residual whose test integrals
-                       are one constant (n_free, E*nq) CSR operator a term,
-                       applied with ``T.sparse_matmul``
+                       expression, a traced residual: the free rows of
+                       each term's test operator, applied with
+                       ``T.sparse_matmul`` to its weighted point values
 
 Every sparse solve is one SuperLU factorization made by :func:`_factor`.
 P1 matrices have a symmetric sparsity pattern, so it orders the columns by
@@ -151,9 +152,10 @@ class Neumann:
 
 
 class FemSetup:
-    """Quadrature regions, bc metadata, the dof map and the field
-    Variables u_h, du_h_0, ... that trial factors are lowered to, each
-    mapped to the basis part it is the coefficient of."""
+    """Quadrature regions, bc metadata, the field Variables u_h, du_h_0, ...
+    that trial factors are lowered to, each mapped to its basis part, and
+    the element-to-global map, built on first use: :attr:`pattern` for
+    every matrix, :meth:`test_operator` for every vector and field value."""
 
     def __init__(self, domain, quad_degree, bcs):
         mesh = domain.mesh
@@ -218,6 +220,36 @@ class FemSetup:
         mask[self.constrained] = False
         self.free = np.nonzero(mask)[0]
         self.num_vertices = V
+        self._test_operators = {}
+
+    @functools.cached_property
+    def pattern(self):
+        """(indptr, indices) of the V x V CSR union of every region's
+        element blocks, and {tag: each block entry's (E, n, n) position}."""
+        V = self.num_vertices
+        keys = [r.dofs[:, :, None] * V + r.dofs[:, None, :]
+                for r in self.regions.values()]
+        flat, where = np.unique(np.concatenate([k.ravel() for k in keys]),
+                                return_inverse=True)
+        ends = np.cumsum([k.size for k in keys])
+        return (np.searchsorted(flat, np.arange(V + 1) * V), flat % V,
+                {tag: where[end - k.size:end].reshape(k.shape)
+                 for tag, k, end in zip(self.regions, keys, ends)})
+
+    def test_operator(self, region, part):
+        """The (V, E*nq) CSR matrix of the basis values Q[q, a] G[e, a] of a
+        ("value",) or ("grad", d) part at the region's points: row i is
+        vertex i's hat function, or its gradient component, at each point."""
+        key = region.tag, part
+        if key not in self._test_operators:
+            (E, nq), n = region.weights.shape, region.dofs.shape[1]
+            Q, G = _basis(region, part)
+            values = np.broadcast_to(Q[None] * G[:, None, :], (E, nq, n))
+            self._test_operators[key] = sp.csc_matrix(
+                (values.ravel(), np.repeat(region.dofs, nq, axis=0).ravel(),
+                 np.arange(0, values.size + 1, n)),
+                shape=(self.num_vertices, E * nq)).tocsr()
+        return self._test_operators[key]
 
     def lift(self, u_free):
         """Expand free-dof values to the full vertex vector."""
@@ -478,50 +510,34 @@ def _weights(setup, term, time_value=None):
 
 
 def _matrix(setup, pieces):
-    """One full V x V CSR matrix from the bilinear pieces (region, test
-    part, trial part, wv (E, nq)): the element blocks
-    sum_q wv[e, q] Qa[q, a] Qb[q, b] * Ga[e, a] Gb[e, b], scattered."""
-    local = {}
+    """One full V x V CSR matrix on the setup's pattern from the bilinear
+    pieces (region, test part, trial part, wv (E, nq)): the element blocks
+    sum_q wv[e, q] Qa[q, a] Qb[q, b] * Ga[e, a] Gb[e, b], summed at their
+    positions."""
+    indptr, indices, positions = setup.pattern
+    data = np.zeros(len(indices))
     for region, test_part, trial_part, wv in pieces:
         Qa, Ga = _basis(region, test_part)
         Qb, Gb = _basis(region, trial_part)
         QQ = Qa[:, :, None] * Qb[:, None, :]
         m = (wv @ QQ.reshape(len(QQ), -1)).reshape((-1,) + QQ.shape[1:]) \
-            * Ga[:, :, None] * Gb[:, None, :]
-        local[region.tag] = local.get(region.tag, 0.0) + m
-    return _scatter(setup, local)
+            * (Ga[:, :, None] * Gb[:, None, :])
+        data += np.bincount(positions[region.tag].ravel(), m.ravel(),
+                            minlength=len(data))
+    V = setup.num_vertices
+    return sp.csr_matrix((data, indices, indptr), shape=(V, V))
 
 
 def _vector(setup, pieces):
-    """One full-length vector from the pieces (region, test part,
-    wv (E, nq)): the element vectors (wv @ Q) * G, summed at their dofs."""
-    out = np.zeros(setup.num_vertices)
-    for region, test_part, wv in pieces:
-        Q, G = _basis(region, test_part)
-        out += np.bincount(region.dofs.ravel(), ((wv @ Q) * G).ravel(),
-                           minlength=setup.num_vertices)
-    return out
-
-
-def _scatter(setup, local):
-    """Sum element matrices {region tag: (E, n, n)} into a full V x V CSR
-    matrix."""
-    V = setup.num_vertices
-    if not local:
-        return sp.csr_matrix((V, V))
-    dofs = [setup.regions[tag].dofs for tag in local]
-    rows = [np.repeat(d, d.shape[1], axis=1).ravel() for d in dofs]
-    cols = [np.tile(d, d.shape[1]).ravel() for d in dofs]
-    vals = [m.ravel() for m in local.values()]
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(V, V),
-    ).tocsr()
+    """One full-length vector from the pieces (region, test part, wv): the
+    part's test operator applied to the weighted point values wv."""
+    return sum((setup.test_operator(region, part) @ wv.ravel()
+                for region, part, wv in pieces), np.zeros(setup.num_vertices))
 
 
 def _reduce(setup, A_full):
     """Free-dof block of a full matrix and its Dirichlet lift A_fc g."""
-    rows = A_full.tocsr()[setup.free]
+    rows = A_full[setup.free]
     return rows[:, setup.free], \
         rows[:, setup.constrained] @ setup.constrained_values
 
@@ -529,15 +545,11 @@ def _reduce(setup, A_full):
 def _fields(setup, region, u_full):
     """{field Variable: its value at the region's quadrature points}, as
     (1, 1, E*nq, 1) tensors of the nodal values `u_full` (only u on
-    facets)."""
-    E, nq = region.weights.shape
-    flat = (1, 1, E * nq, 1)
-    u_loc = u_full[region.dofs]
-    out = [T.Tensor((u_loc @ region.values.T).reshape(flat))]
-    if region.grads is not None:
-        g = np.einsum("ea,ead->de", u_loc, region.grads)        # (D, E)
-        out += [T.Tensor(np.repeat(gd, nq).reshape(flat)) for gd in g]
-    return dict(zip(setup.fields, out))
+    facets): the transposed test operator of the field's part."""
+    return {f: T.Tensor((setup.test_operator(region, part).T @ u_full)
+                        .reshape(1, 1, -1, 1))
+            for f, part in setup.fields.items()
+            if region.grads is not None or part == ("value",)}
 
 
 def _factor(A, error):
@@ -685,8 +697,8 @@ class ResidualOperator:
     def residual_full(self, u_full):
         ctxs = self._contexts(u_full)
         return self.matrix @ u_full + self.load + _vector(self.setup, [
-            (t.region, t.test_part, (w * ev.evaluate(
-                p, ctxs[t.region.tag]).data).reshape(t.region.weights.shape))
+            (t.region, t.test_part,
+             w * ev.evaluate(p, ctxs[t.region.tag]).data)
             for t, w, p, _ in self.nonlinear])
 
     def __call__(self, u_free):
@@ -721,28 +733,12 @@ def newton_solve(op, u0, tol=1e-10, max_iter=10):
 # vpinn
 # ---------------------------------------------------------------------------
 
-def _test_weights(setup, term):
-    """(n_free, E*nq) CSR operator of the quadrature-weighted test values
-    w[e, q] Q[q, a] G[e, a]: row i holds the integrals of free dof i's hat
-    function (or its gradient component) against the point values."""
-    region = term.region
-    E, nq = region.weights.shape
-    Q, G = _basis(region, term.test_part)
-    local = region.weights[:, :, None] * Q[None] * G[:, None, :]
-    free_index = np.full(setup.num_vertices, -1, dtype=np.int64)
-    free_index[setup.free] = np.arange(len(setup.free))
-    rows = np.broadcast_to(free_index[region.dofs][:, None, :], local.shape)
-    cols = np.broadcast_to(np.arange(E * nq).reshape(E, nq, 1), local.shape)
-    keep = rows >= 0
-    return sp.csr_matrix((local[keep], (rows[keep], cols[keep])),
-                         shape=(len(setup.free), E * nq))
-
-
 def assemble_vpinn(setup, terms, trial):
     """Sum over the free dofs' hat-function tests of the squared weak
     residual: for nodal values (free or full), the constant
     ||R_free(u)||^2 of the residual operator; for a trial expression, a
-    traced residual, quadrature-weighted by :func:`_test_weights`."""
+    traced residual, tested by the free rows of each term's test
+    operator."""
     if not isinstance(trial, tr.ExprNode):
         nodal = np.asarray(trial, dtype=np.float64)
         u_full = nodal if len(nodal) == setup.num_vertices \
@@ -752,10 +748,11 @@ def assemble_vpinn(setup, terms, trial):
 
     r = None
     for term in terms:
-        W = _test_weights(setup, term)
-        # start from the signed ones, so that every piece, a constant one
-        # too, spans the whole point axis of W
-        s_expr = tr.constant(np.full((1, 1, W.shape[1], 1), term.sign))
+        W = setup.test_operator(term.region, term.test_part)[setup.free]
+        # start from the signed quadrature weights, so that every piece, a
+        # constant one too, spans the whole point axis of W
+        s_expr = tr.constant(
+            term.sign * term.region.weights.reshape(1, 1, -1, 1))
         factors = [tr.substitute(f, {setup.trial: trial}) for f in term.trial]
         for f in term.coeff + factors:
             s_expr = s_expr * f
@@ -801,8 +798,8 @@ def _reads_time(setup, nodes):
 def assemble_fem_time(setup, temporal, steady, state0=None):
     """The block of M u' + R(u, t) = 0, M the matrix of the temporal
     term's operator, where d(u, t) is lowered to u.  R is A u - b(t), A
-    from the steady operator and b(t) from the operator of the loads at t,
-    when that operator has no nonlinear term and no coefficient of a term
+    from the steady operator and b(t) the loads' vector at t, when that
+    operator has no nonlinear term and no coefficient of a term
     in u reads the time; otherwise each step solves by Newton."""
     if not temporal:
         raise NoTemporalTerm(
@@ -843,7 +840,9 @@ def assemble_fem_time(setup, temporal, steady, state0=None):
             loads = [t for t in steady if not t.trial]
 
             def b(t):
-                return -ResidualOperator(setup, loads, t).load[free] - lift
+                return -_vector(setup, [(lt.region, lt.test_part,
+                                         _weights(setup, lt, t))
+                                        for lt in loads])[free] - lift
 
             return TimeBlock(setup, M, u0, lambda u, t: A @ u - b(t),
                              lambda u, t: A, A=A, b=b)

@@ -205,14 +205,17 @@ def basis_gradients(vertices, cells):
     if k != D:
         raise UnsupportedElement(
             f"{k}-simplices in {D} dimensions are not full-dimensional")
-    det = np.abs(_det(J))
-    flat = det <= 1e-12 * det.max(initial=0.0)
+    det = _det(J)
+    flat = np.abs(det) <= 1e-12 * np.abs(det).max(initial=0.0)
     if flat.any():
         e = int(np.argmax(flat))
         raise DegenerateGeometry(
             f"cell {e} {cells[e].tolist()} has zero measure")
-    # column j of inv(J) is the gradient of lambda_j+1
-    grads = np.linalg.inv(J).transpose(2, 1, 0)
+    # column j of inv(J), the gradient of lambda_j+1, is the cofactors of
+    # row j of J over det J: no LAPACK call per small matrix
+    rest = [np.delete(np.arange(k), i) for i in range(k)]
+    grads = np.array([[(-1) ** (i + j) * _det(J[:, rest[j]][:, :, rest[i]])
+                       for i in range(k)] for j in range(k)]) / det
     return np.concatenate([-grads.sum(axis=0, keepdims=True), grads])
 
 
@@ -323,7 +326,8 @@ def lshape_mesh(mesh_size=0.1, size=1.0):
 
 def cube_mesh(x_range=(0.0, 1.0), y_range=(0.0, 1.0), z_range=(0.0, 1.0),
               mesh_size=0.25):
-    """Structured box split into six tetrahedra per grid cell."""
+    """Structured box split into six tetrahedra per grid cell, with the
+    faces tagged left/right (x0/x1), bottom/top (y0/y1), front/back (z0/z1)."""
     x0, x1 = map(float, x_range)
     y0, y1 = map(float, y_range)
     z0, z1 = map(float, z_range)
@@ -334,6 +338,8 @@ def cube_mesh(x_range=(0.0, 1.0), y_range=(0.0, 1.0), z_range=(0.0, 1.0),
     X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
     vertices = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
     vid = np.arange(len(vertices)).reshape(nx + 1, ny + 1, nz + 1)
+    tags = {"left": vid[0], "right": vid[nx], "bottom": vid[:, 0],
+            "top": vid[:, ny], "front": vid[:, :, 0], "back": vid[:, :, nz]}
 
     # corners of every hexahedron, indexed as binary abc
     corners = np.stack([
@@ -345,7 +351,8 @@ def cube_mesh(x_range=(0.0, 1.0), y_range=(0.0, 1.0), z_range=(0.0, 1.0),
         (0, 1, 3, 7), (0, 1, 5, 7), (0, 4, 5, 7),
         (0, 2, 3, 7), (0, 2, 6, 7), (0, 4, 6, 7),
     ]
-    return Mesh(vertices, corners[:, corner_tets].reshape(-1, 4), "TET4")
+    return Mesh(vertices, corners[:, corner_tets].reshape(-1, 4), "TET4",
+                tags)
 
 
 def rect_with_hole_mesh(x_range=(0.0, 1.0), y_range=(0.0, 1.0),

@@ -170,6 +170,74 @@ class TestFemSystem:
         uh = weak.assemble("fem_system").solve()
         np.testing.assert_allclose(uh, dom.mesh.vertices[:, 0], atol=1e-12)
 
+    def test_tet4_neumann_flux_gives_u_equals_x(self):
+        # u = 0 on the cube's left face, du/dn = 1 on its right face
+        dom = dm.cube(0.25)
+        u, phi, coords = setup_fem(
+            dom, [dom.dirichlet("left", 0.0), dom.neumann("right")])
+        xr = dom.variable("gauss_right")[0]         # x = 1 on the right
+        weak = laplace(u, phi, coords) - xr * phi
+        uh = weak.assemble("fem_system").solve()
+        np.testing.assert_allclose(uh, dom.mesh.vertices[:, 0], rtol=0,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("make", [
+        lambda: dm.line(0.125), lambda: dm.structured_rect(5, 4),
+        lambda: dm.cube(0.25),
+    ], ids=["LINE2", "TRI3", "TET4"])
+    def test_matches_dense_element_sums(self, make):
+        # reference: the element blocks and vectors summed into dense arrays
+        # with np.add.at, then the free and constrained blocks sliced by hand
+        dom = make()
+        u, phi, coords = setup_fem(
+            dom, [dom.dirichlet("left", lambda *p: 1.0 + p[-1])])
+        x, r = coords[0], dom.variable("gauss_right")[-2]
+        weak = (2 + x) * laplace(u, phi, coords) + (u + u.d(x)) * phi \
+            + (1 + r) * u * phi - (1 + x) * phi
+        got = weak.assemble("fem_system")
+
+        setup = dom.fem
+        V = setup.num_vertices
+        K, F = np.zeros((V, V)), np.zeros(V)
+        vol, right = setup.regions["fem_gauss"], setup.regions["gauss_right"]
+
+        def add(region, w, test, trial):
+            B = np.einsum("eq,eqa,eqb->eab", region.weights * w, test, trial)
+            np.add.at(K, (region.dofs[:, :, None], region.dofs[:, None, :]), B)
+
+        def values(region):
+            return np.broadcast_to(region.values, region.weights.shape
+                                   + region.values.shape[1:])
+
+        xq = vol.coords[..., 0]
+        grads = [np.broadcast_to(vol.grads[:, None, :, d], values(vol).shape)
+                 for d in range(dom.mesh.dim)]
+        for grad in grads:
+            add(vol, 2 + xq, grad, grad)
+        add(vol, 1.0, values(vol), values(vol) + grads[0])
+        add(right, 1 + right.coords[..., -1], values(right), values(right))
+        np.add.at(F, vol.dofs, np.einsum("eq,eqa->ea",
+                                         vol.weights * (1 + xq), values(vol)))
+
+        free, fixed = setup.free, setup.constrained
+        g = 1.0 + dom.mesh.vertices[fixed, -1]
+        np.testing.assert_allclose(got.full_matrix.toarray(), K, rtol=0,
+                                   atol=1e-13)
+        np.testing.assert_allclose(got.full_rhs, F, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(got.A.toarray(), K[free][:, free], rtol=0,
+                                   atol=1e-13)
+        np.testing.assert_allclose(got.b, F[free] - K[free][:, fixed] @ g,
+                                   rtol=0, atol=1e-13)
+
+    def test_init_fem_builds_no_map(self):
+        # the pattern and the test operators are built on first use
+        dom = dm.structured_rect(4, 4)
+        u, phi, (x, y) = setup_fem(dom, [dom.dirichlet("boundary", 0.0)])
+        setup = dom.fem
+        assert "pattern" not in vars(setup) and not setup._test_operators
+        (laplace(u, phi, (x, y)) - phi).assemble("fem_system")
+        assert "pattern" in vars(setup) and setup._test_operators
+
     def test_line2_poisson_rate(self):
         exact = lambda x: np.sin(np.pi * x)  # noqa: E731
         errs = []
@@ -725,6 +793,9 @@ class TestRegions:
                                                                    abs=1e-14)
         assert regions["gauss_boundary"].weights.sum() == pytest.approx(
             6.0, abs=1e-13)
+        for face in ("left", "right", "bottom", "top", "front", "back"):
+            assert regions[f"gauss_{face}"].weights.sum() == pytest.approx(
+                1.0, abs=1e-14)
 
 
 class TestReferenceRules:

@@ -231,6 +231,34 @@ def test_cube_elements():
     assert np.array_equal(mesh.elements, np.asarray(elements))
 
 
+def test_cube_face_tags():
+    lo, hi = (0.0, -1.0, 0.5), (1.0, 0.5, 1.25)
+    mesh = meshmod.cube_mesh(*zip(lo, hi), mesh_size=0.25)
+    on_face = {}
+    for axis, (low, high) in enumerate((("left", "right"), ("bottom", "top"),
+                                        ("front", "back"))):
+        on_face[low] = mesh.vertices[:, axis] == lo[axis]
+        on_face[high] = mesh.vertices[:, axis] == hi[axis]
+    for tag, on in on_face.items():
+        assert np.array_equal(mesh.tags[tag], np.nonzero(on)[0])
+    rim = np.logical_or.reduce(list(on_face.values()))
+    assert np.array_equal(mesh.tags["boundary"], np.nonzero(rim)[0])
+
+
+@pytest.mark.parametrize("name", ["line", "rect", "disk", "cube"])
+def test_basis_gradients_are_the_inverse_edge_matrix(name):
+    # column j of inv(J), J the edge matrix, is the gradient of lambda_j+1;
+    # lambda_0's gradient is minus their sum
+    mesh = MESHES[name](None)
+    J = mesh.vertices[mesh.elements[:, 1:]] \
+        - mesh.vertices[mesh.elements[:, :1]]
+    want = np.linalg.inv(J).transpose(2, 1, 0)
+    got = meshmod.basis_gradients(mesh.vertices, mesh.elements)
+    scale = np.abs(want).max(axis=(0, 1))
+    assert np.all(np.abs(got[1:] - want).max(axis=(0, 1)) <= 1e-14 * scale)
+    np.testing.assert_array_equal(got[0], -got[1:].sum(axis=0))
+
+
 def test_rect_with_hole_tags():
     mesh = meshmod.rect_with_hole_mesh((0.0, 2.0), (0.0, 1.0), (0.7, 0.4),
                                        0.25, 0.1)
