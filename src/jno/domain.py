@@ -59,6 +59,8 @@ class Domain:
         self.tensor_tags = {}
         self.resamplers = {}
         self._vars = {}          # ExprNode -> binding spec
+        # coordinate Variable -> the coordinate Variables of its call
+        self.coordinates = {}
         self.fem = None          # set by init_fem
         self._rng = np.random.default_rng(0)
 
@@ -131,6 +133,7 @@ class Domain:
             var = tr.variable(f"{name}:{label}")
             self._vars[var] = ("coord", name, c)
             out.append(var)
+        self.coordinates.update((var, tuple(out)) for var in out)
         tvar = tr.variable(f"{name}:t")
         self._vars[tvar] = ("time",)
         out.append(tvar)
@@ -347,9 +350,10 @@ def _combine(parts):
         for name in first.tensor_tags
     }
     out.resamplers = dict(first.resamplers)
-    out._vars = {}
+    out._vars, out.coordinates = {}, {}
     for d in parts:
         out._vars.update(d._vars)
+        out.coordinates.update(d.coordinates)
     out.fem = first.fem
     out._rng = np.random.default_rng(0)
     return out

@@ -35,7 +35,8 @@ class EvalContext:
     """Bindings, cache and derivative-mode for one evaluation pass.
 
     One context per thread; the cache is only valid for one batch, so build
-    a fresh context (or call :meth:`reset_cache`) whenever bindings change.
+    a fresh context whenever bindings change: a context keeps the values
+    that :meth:`lookup` read from the domain.
     Child contexts (AD derivative passes, FD vertex overlays) add to their
     parent's `stats`.
     """
@@ -53,14 +54,6 @@ class EvalContext:
         self.nan_check = nan_check
         self.cache = {}
         self.stats = {"evaluations": 0, "cache_hits": 0, "by_kind": {}}
-        self._interp_cache = {}
-        self._vertex_contexts = {}
-        self._jet_passes = {}
-        self._ad_requests = {}
-        self._ad_sums = {}
-
-    def reset_cache(self):
-        self.cache = {}
         self._interp_cache = {}
         self._vertex_contexts = {}
         self._jet_passes = {}
@@ -278,7 +271,6 @@ HANDLERS = {
     tr.VARIABLE: _eval_variable,
     tr.LITERAL: _eval_literal,
     tr.CONSTANT: _eval_constant,
-    tr.TENSOR_TAG: _eval_constant,
     tr.ARITH: _eval_arith,
     tr.COMPARE: _eval_compare,
     tr.REDUCE: _eval_reduce,
@@ -600,12 +592,15 @@ def _derivative_fd(node, ctx, order):
     if order == 2:
         g = T.sparse_matmul(G, g)
 
-    # map vertex values onto the sampled context points of this tag
-    key = (tag, id(domain.context[tag]))
-    P = ctx._interp_cache.get(key)
+    # map vertex values onto the points that `ctx` binds to the coordinate
+    # variables made with `wrt`, one interpolation per set of bound values
+    cols = tuple(ctx.lookup(v) for v in domain.coordinates[wrt])
+    P = ctx._interp_cache.get(cols)
     if P is None:
-        P = _locate_barycentric(domain.mesh, domain.context[tag][0, 0])
-        ctx._interp_cache[key] = P
+        pts = np.concatenate(np.broadcast_arrays(*(c.data for c in cols)),
+                             axis=-1)
+        P = ctx._interp_cache[cols] = _locate_barycentric(
+            domain.mesh, pts.reshape((-1,) + pts.shape[-2:])[0])
     return T.sparse_matmul(P, g)
 
 

@@ -15,24 +15,25 @@ simplex dimension, so no code branches on the element kind.
 weak-form term belongs to the region whose pool variables it uses (the
 volume when it uses none).
 
-:class:`ResidualOperator` is the one place where terms are integrated.  It
-turns each term into weighted point values wv (E, nq) on its region, sign *
+:class:`ResidualOperator` is the one place where terms are integrated, into
+one steady operator R(u, t) that binds the time at each call.  It turns
+each term into weighted point values wv (E, nq) on its region, sign *
 weight * coefficient times what it integrates, on the factored basis
 value[e, q, a] = Q[q, a] * G[e, a] of :func:`_basis`.  Its two kernels
 read the setup's one element-to-global map: :func:`_vector` applies a test
 part's (V, E*nq) ``FemSetup.test_operator`` to wv, and :func:`_matrix`
 sums the element blocks sum_q wv Qa[q, a] Qb[q, b] * Ga[e, a] Gb[e, b] into
 the data of the fixed CSR ``FemSetup.pattern`` with one bincount.
-Every target reads from such an operator:
+Every target reads from such an operator, and every right-hand side is
+-R(0, t), which carries the Dirichlet lift:
 
-* ``fem_residual``  -> the operator: R(u) = matrix u + load + N(u), N the
-                       nonlinear terms, and its Jacobian matrix + N'(u)
-* ``fem_system``    -> its linear system, with Dirichlet elimination
-* ``fem_time``      -> semi-discrete block M u' + R(u, t) = 0 for
-                       backward-Euler stepping, M the temporal term's
-                       matrix: R = A u - b(t) factored once if the form is
-                       linear in u with time-independent coefficients, else
-                       Newton per step
+* ``fem_residual``  -> the operator: R(u, t) = matrix u + load + N(u, t),
+                       N the terms that are nonlinear or read the time
+* ``fem_system``    -> A u = b: A the free block of the matrix, b = -R(0)
+* ``fem_time``      -> semi-discrete block M u' + R(u, t) = 0, M the
+                       temporal term's matrix: backward Euler factors
+                       M + dt A once if R is affine (R = A u - b(t)),
+                       else runs Newton per step
 * ``vpinn``         -> ||R_free(u)||^2 for nodal values; for a trial
                        expression, a traced residual: the free rows of
                        each term's test operator, applied with
@@ -337,11 +338,13 @@ def _expand(weak):
 
 
 class _Term:
-    __slots__ = ("sign", "coeff", "trial", "dt", "test_part", "region")
+    __slots__ = ("sign", "coeff", "timed", "trial", "dt", "test_part",
+                 "region")
 
     def __init__(self, sign):
         self.sign = sign
-        self.coeff = []        # coefficient factor nodes
+        self.coeff = []        # coefficient factor nodes that omit the time
+        self.timed = []        # coefficient factor nodes that read the time
         self.trial = []        # trial factor nodes
         self.dt = None         # the factor d(u, t) of a temporal term
         self.test_part = None  # ("value",) | ("grad", d)
@@ -368,7 +371,7 @@ def _classify_term(setup, sign, factors, symbols):
                 term.dt = f
             term.trial.append(f)
         else:
-            term.coeff.append(f)
+            (term.timed if _reads_time(setup, f) else term.coeff).append(f)
     if term.test_part is None:
         raise TargetMismatch(
             "every weak-form term needs exactly one test factor"
@@ -418,6 +421,12 @@ def _symbol_part(setup, factor, symbol_kind):
     return None
 
 
+def _reads_time(setup, node):
+    """Whether a time variable appears under `node`."""
+    return any(setup.domain.binding_spec(n) == ("time",)
+               for n in tr.walk(node))
+
+
 def _trial_derivatives(setup, roots):
     """(node, d) for each node d(u, x_d) under `roots`."""
     for node in tr.walk(roots):
@@ -428,11 +437,12 @@ def _trial_derivatives(setup, roots):
 
 
 def _lower(setup, term):
-    """The product of the trial factors of `term` with u replaced by the
-    field u_h, each d(u, x_d) by du_h_d and the term's own factor d(u, t),
-    if it is temporal, by u_h; the literal 1 if it has no trial factor.
-    Any other derivative that reads u raises a typed error: a P1 field
-    carries only u and its first derivatives in space."""
+    """The product of the coefficient factors of `term` that read the time
+    and of its trial factors, with u replaced by the field u_h, each
+    d(u, x_d) by du_h_d and the term's own factor d(u, t), if it is
+    temporal, by u_h; the literal 1 if it has neither.  Any other
+    derivative that reads u raises a typed error: a P1 field carries only
+    u and its first derivatives in space."""
     u_h, *grads = setup.fields
     mapping = {setup.trial: u_h}
     if term.dt is not None:
@@ -447,7 +457,8 @@ def _lower(setup, term):
             if node.kind == tr.DERIVATIVE:
                 raise NonlinearTerm("a P1 field carries only u and its "
                                     "first derivatives in space")
-    return functools.reduce(operator.mul, lowered) if lowered \
+    factors = term.timed + lowered
+    return functools.reduce(operator.mul, factors) if factors \
         else tr.literal(1.0)
 
 
@@ -477,16 +488,16 @@ def _group(weak):
 # Numeric helpers
 # ---------------------------------------------------------------------------
 
-def _region_context(setup, region, time_value=None):
-    """A context that binds the region's coordinate variables to its points
-    and the time variables to `time_value` (by default the first time of
-    the domain's grid, or 0)."""
+def _region_context(setup, region, t=None, fields=None):
+    """A context that binds the region's coordinate variables to its points,
+    the time variables to `t` (by default the first time of the domain's
+    grid, or 0) and the field Variables to their values `fields`."""
     domain = setup.domain
-    if time_value is None:
-        time_value = 0.0 if domain.time_grid is None else domain.time_grid[0]
+    if t is None:
+        t = 0.0 if domain.time_grid is None else domain.time_grid[0]
     coords = region.coords.reshape(1, 1, -1, region.coords.shape[-1])
-    return ev.EvalContext(
-        domain.point_bindings(region.tag, coords, time=time_value), domain)
+    return ev.EvalContext({**domain.point_bindings(region.tag, coords, time=t),
+                           **(fields or {})}, domain)
 
 
 def _basis(region, part):
@@ -498,10 +509,10 @@ def _basis(region, part):
     return np.ones((region.values.shape[0], 1)), region.grads[:, :, part[1]]
 
 
-def _weights(setup, term, time_value=None):
+def _weights(setup, term):
     """sign * quadrature weight * the product of the coefficient factors
-    of `term` at its region's points, (E, nq)."""
-    ctx = _region_context(setup, term.region, time_value)
+    of `term` that omit the time, at its region's points, (E, nq)."""
+    ctx = _region_context(setup, term.region)
     weights = term.region.weights
     c = T.ones((1, 1, weights.size, 1))
     for f in term.coeff:
@@ -509,13 +520,14 @@ def _weights(setup, term, time_value=None):
     return term.sign * (weights * c.data.reshape(weights.shape))
 
 
-def _matrix(setup, pieces):
+def _matrix(setup, pieces, base=None):
     """One full V x V CSR matrix on the setup's pattern from the bilinear
     pieces (region, test part, trial part, wv (E, nq)): the element blocks
     sum_q wv[e, q] Qa[q, a] Qb[q, b] * Ga[e, a] Gb[e, b], summed at their
-    positions."""
+    positions, onto a copy of the data `base` of a matrix on that pattern
+    if it is given."""
     indptr, indices, positions = setup.pattern
-    data = np.zeros(len(indices))
+    data = np.zeros(len(indices)) if base is None else base.copy()
     for region, test_part, trial_part, wv in pieces:
         Qa, Ga = _basis(region, test_part)
         Qb, Gb = _basis(region, trial_part)
@@ -536,20 +548,18 @@ def _vector(setup, pieces):
 
 
 def _reduce(setup, A_full):
-    """Free-dof block of a full matrix and its Dirichlet lift A_fc g."""
-    rows = A_full[setup.free]
-    return rows[:, setup.free], \
-        rows[:, setup.constrained] @ setup.constrained_values
+    """The free x free block of a full matrix.  No Dirichlet lift is formed
+    here: -R(0, t) carries it, since u = 0 lifts to the Dirichlet values."""
+    return A_full[setup.free][:, setup.free]
 
 
-def _fields(setup, region, u_full):
-    """{field Variable: its value at the region's quadrature points}, as
-    (1, 1, E*nq, 1) tensors of the nodal values `u_full` (only u on
-    facets): the transposed test operator of the field's part."""
-    return {f: T.Tensor((setup.test_operator(region, part).T @ u_full)
-                        .reshape(1, 1, -1, 1))
-            for f, part in setup.fields.items()
-            if region.grads is not None or part == ("value",)}
+def _fields(setup, region, u_full, fields):
+    """{field Variable: its value at the region's quadrature points} for
+    the Variables `fields`, as (1, 1, E*nq, 1) tensors of the nodal values
+    `u_full`: the transposed test operator of the field's part."""
+    return {f: T.Tensor((setup.test_operator(region, setup.fields[f]).T
+                         @ u_full).reshape(1, 1, -1, 1))
+            for f in fields}
 
 
 def _factor(A, error):
@@ -588,20 +598,22 @@ def _newton(F, jacobian, u, tol, max_iter, singular):
 
 
 class LinearSystem:
-    """The system A u = b of a residual operator with no nonlinear term,
-    R(u) = matrix u + load = 0: `full_matrix` and `full_rhs` = -load over
-    every vertex, and A and b over the free dofs, with the Dirichlet values
-    eliminated."""
+    """The system A u = b of an affine residual operator at the default
+    time, R(u) = A u - b over the free dofs: `full_matrix`, the operator's
+    matrix, and `full_rhs` = -R(0) over every vertex, and A, the free block
+    of that matrix, and b = -R(0) over the free dofs.  There u = 0 lifts to
+    the Dirichlet values, so b carries the lift."""
 
     def __init__(self, op):
-        if op.nonlinear:
+        if not op.affine:
             raise NonlinearTerm(
-                "fem_system needs terms at most linear in the trial symbol")
+                "fem_system needs terms at most linear in the trial symbol, "
+                "whose coefficients do not read the time")
         self.setup = op.setup
         self.full_matrix = op.matrix
-        self.full_rhs = -op.load
-        self.A, lift = _reduce(op.setup, op.matrix)
-        self.b = self.full_rhs[op.setup.free] - lift
+        self.full_rhs = -op.residual_full(np.zeros(op.setup.num_vertices))
+        self.A = _reduce(op.setup, op.matrix)
+        self.b = -op(0)
 
     def solve(self):
         return self.setup.lift(_factor(self.A, SingularSystem)(self.b))
@@ -646,26 +658,31 @@ def assemble(weak, target, **options):
 
 
 class ResidualOperator:
-    """R(u) over free dofs, and its Jacobian: the one place where weak-form
-    terms are integrated.
+    """R(u, t) over free dofs, and its Jacobian: the one place where
+    weak-form terms are integrated.  The time t is bound at each call; None
+    means the first time of the domain's grid, or 0.
 
-    Each term's trial factors are lowered here, once, to a product over
-    the setup's fields (:func:`_lower`), which decides the term's kind.
-    Loads (the product is the literal 1) are integrated here into the full
-    vector `load`, and terms linear in one field (the product is that
-    field) into the full V x V `matrix` against the field's basis part.  A nonlinear term is evaluated at each call:
-    its product for R, and for the Jacobian the nodes d(product, field) of
-    the fields it reads, by AD in one Jet push (NonDifferentiablePath if
-    the product mixes points).  So R(u) = matrix u + load + N(u) and
-    J(u) = matrix + N'(u).  Coefficients and products see the region's own
-    points and `time_value`."""
+    Each term's trial factors and the coefficient factors that read the
+    time are lowered here, once, to a product over the setup's fields
+    (:func:`_lower`), which decides the term's kind.  Loads (the product is
+    the literal 1) are integrated here into the full vector `load`, and
+    terms linear in one field (the product is that field) into the full
+    V x V `matrix` against the field's basis part.  Any other term is
+    evaluated at each call: its product for R, and for the Jacobian the
+    nodes d(product, field) of the fields it reads, by AD in one Jet push
+    (NonDifferentiablePath if the product mixes points).  So R(u, t) =
+    matrix u + load + N(u, t) and J(u, t) = matrix + N'(u, t).  The
+    operator is `affine` when no per-call term reads a field: then J is
+    the matrix and R(u, t) = matrix u + R(0, t).  Coefficients and
+    products see the region's own points."""
 
-    def __init__(self, setup, terms, time_value=None):
+    def __init__(self, setup, terms):
         self.setup = setup
         linear, loads = [], []
         # (term, wv as a (1, 1, E*nq, 1) column, which broadcasts with point
-        # values, product, {trial part: partial node})
-        self.nonlinear = []
+        # values, product, {field read: partial node}), and {region tag: the
+        # fields that its per-call terms read}
+        self.per_call, self.reads = [], {}
         for term in terms:
             product = _lower(setup, term)
             if product is tr.literal(1.0):
@@ -674,47 +691,48 @@ class ResidualOperator:
                 linear.append((term, setup.fields[product]))
             else:
                 reads = set(tr.walk(product))
-                wv = _weights(setup, term, time_value).reshape(1, 1, -1, 1)
-                self.nonlinear.append((term, wv, product, {
-                    part: tr.d(product, f)
-                    for f, part in setup.fields.items() if f in reads}))
+                wv = _weights(setup, term).reshape(1, 1, -1, 1)
+                partials = {f: tr.d(product, f)
+                            for f in setup.fields if f in reads}
+                self.per_call.append((term, wv, product, partials))
+                self.reads.setdefault(term.region.tag, set()).update(partials)
         self.matrix = _matrix(setup, [
-            (t.region, t.test_part, part, _weights(setup, t, time_value))
+            (t.region, t.test_part, part, _weights(setup, t))
             for t, part in linear])
         self.load = _vector(setup, [
-            (t.region, t.test_part, _weights(setup, t, time_value))
-            for t in loads])
-        self.contexts = {
-            tag: _region_context(setup, setup.regions[tag], time_value)
-            for tag in {t.region.tag for t, *_ in self.nonlinear}}
+            (t.region, t.test_part, _weights(setup, t)) for t in loads])
+        self.affine = not any(self.reads.values())
 
-    def _contexts(self, u_full):
-        """{region tag: its context, with the fields of `u_full` bound}."""
+    def _contexts(self, u_full, t):
+        """{region tag: its context at `t`, with the fields of `u_full`
+        that its per-call terms read}."""
         setup = self.setup
-        return {tag: ctx.child(_fields(setup, setup.regions[tag], u_full))
-                for tag, ctx in self.contexts.items()}
+        return {tag: _region_context(
+                    setup, setup.regions[tag], t,
+                    _fields(setup, setup.regions[tag], u_full, fields))
+                for tag, fields in self.reads.items()}
 
-    def residual_full(self, u_full):
-        ctxs = self._contexts(u_full)
+    def residual_full(self, u_full, t=None):
+        ctxs = self._contexts(u_full, t)
         return self.matrix @ u_full + self.load + _vector(self.setup, [
-            (t.region, t.test_part,
-             w * ev.evaluate(p, ctxs[t.region.tag]).data)
-            for t, w, p, _ in self.nonlinear])
+            (term.region, term.test_part,
+             w * ev.evaluate(p, ctxs[term.region.tag]).data)
+            for term, w, p, _ in self.per_call])
 
-    def __call__(self, u_free):
+    def __call__(self, u_free, t=None):
         u_full = self.setup.lift(u_free)
-        return self.residual_full(u_full)[self.setup.free]
+        return self.residual_full(u_full, t)[self.setup.free]
 
-    def jacobian(self, u_free):
+    def jacobian(self, u_free, t=None):
         setup = self.setup
-        ctxs, pieces = self._contexts(setup.lift(u_free)), []
-        for term, w, _, partials in self.nonlinear:
+        ctxs, pieces = self._contexts(setup.lift(u_free), t), []
+        for term, w, _, partials in self.per_call:
             values = ev.evaluate(tuple(partials.values()),
                                  ctxs[term.region.tag])
-            pieces += [(term.region, term.test_part, part,
+            pieces += [(term.region, term.test_part, setup.fields[f],
                         (w * df.data).reshape(term.region.weights.shape))
-                       for part, df in zip(partials, values)]
-        return _reduce(setup, self.matrix + _matrix(setup, pieces))[0]
+                       for f, df in zip(partials, values)]
+        return _reduce(setup, _matrix(setup, pieces, base=self.matrix.data))
 
 
 def newton_solve(op, u0, tol=1e-10, max_iter=10):
@@ -754,7 +772,7 @@ def assemble_vpinn(setup, terms, trial):
         s_expr = tr.constant(
             term.sign * term.region.weights.reshape(1, 1, -1, 1))
         factors = [tr.substitute(f, {setup.trial: trial}) for f in term.trial]
-        for f in term.coeff + factors:
+        for f in term.coeff + term.timed + factors:
             s_expr = s_expr * f
 
         for node in tr.walk(s_expr):
@@ -773,34 +791,31 @@ def assemble_vpinn(setup, terms, trial):
 # ---------------------------------------------------------------------------
 
 class TimeBlock:
-    """Semi-discrete block over free dofs, M u' + R(u, t) = 0, with R as
-    `residual(u, t)` and its Jacobian as `jacobian(u, t)`.  A linear block
-    has R = A u - b(t) and carries A and b(t) too."""
+    """Semi-discrete block over free dofs, M u' + R(u, t) = 0, with R the
+    steady operator `residual` and its Jacobian `jacobian`.  A block is
+    `linear` when that operator is affine: then R(u, t) = A u - b(t), with
+    A the free block of the operator's matrix and b(t) = -R(0, t)."""
 
-    def __init__(self, setup, M, u0, residual, jacobian, A=None, b=None):
+    def __init__(self, setup, M, u0, op):
         self.setup, self.M, self.u0 = setup, M, u0
-        self.residual, self.jacobian = residual, jacobian
-        self.A, self.b = A, b
-        self.linear = A is not None
+        self.residual, self.jacobian = op, op.jacobian
+        self.linear = op.affine
+        self.A = _reduce(setup, op.matrix) if self.linear else None
+
+    def b(self, t):
+        """-R(0, t) over the free dofs, the right-hand side of a linear
+        block at time t."""
+        return -self.residual(0, t)
 
     def integrate(self, dt, steps):
         """Backward-Euler trajectory, see :func:`step_backward_euler`."""
         return step_backward_euler(self, dt, steps)
 
 
-def _reads_time(setup, nodes):
-    """Whether the time variable appears under `nodes`."""
-    return any(node.kind == tr.VARIABLE
-               and (setup.domain.binding_spec(node) or ("",))[0] == "time"
-               for node in tr.walk(nodes))
-
-
 def assemble_fem_time(setup, temporal, steady, state0=None):
-    """The block of M u' + R(u, t) = 0, M the matrix of the temporal
-    term's operator, where d(u, t) is lowered to u.  R is A u - b(t), A
-    from the steady operator and b(t) the loads' vector at t, when that
-    operator has no nonlinear term and no coefficient of a term
-    in u reads the time; otherwise each step solves by Newton."""
+    """The block of M u' + R(u, t) = 0: M the matrix of the temporal
+    term's operator, where d(u, t) is lowered to u, and R the operator of
+    the steady terms, which binds t at each call."""
     if not temporal:
         raise NoTemporalTerm(
             "fem_time needs exactly one temporal-derivative term"
@@ -809,18 +824,16 @@ def assemble_fem_time(setup, temporal, steady, state0=None):
         raise MultipleTemporalTerms(
             f"found {len(temporal)} temporal terms; expected one"
         )
-    mass = ResidualOperator(setup, temporal)
-    if mass.nonlinear:
-        raise NonlinearTerm("the temporal term must be linear: c * u_t * phi")
-    if _reads_time(setup, temporal[0].coeff):
+    if temporal[0].timed:
         # M is assembled once; c(t) would be frozen at the first time value
         raise TimeDependentMass(
             "the coefficient c of the temporal term c * u_t * phi must not "
             "read the time")
+    mass = ResidualOperator(setup, temporal)
+    if not mass.affine:
+        raise NonlinearTerm("the temporal term must be linear: c * u_t * phi")
 
-    M = _reduce(setup, mass.matrix)[0]
     free = setup.free
-
     if state0 is None:
         u0 = np.zeros(len(free))
     else:
@@ -832,26 +845,8 @@ def assemble_fem_time(setup, temporal, steady, state0=None):
                 f"state0 length {len(state0)} matches neither free dof "
                 f"count {len(free)} nor vertex count {setup.num_vertices}"
             )
-
-    if not any(t.trial and _reads_time(setup, t.coeff) for t in steady):
-        op = ResidualOperator(setup, steady)
-        if not op.nonlinear:
-            A, lift = _reduce(setup, op.matrix)
-            loads = [t for t in steady if not t.trial]
-
-            def b(t):
-                return -_vector(setup, [(lt.region, lt.test_part,
-                                         _weights(setup, lt, t))
-                                        for lt in loads])[free] - lift
-
-            return TimeBlock(setup, M, u0, lambda u, t: A @ u - b(t),
-                             lambda u, t: A, A=A, b=b)
-
-    # one operator per time value: a step's Newton iterations share it
-    at = functools.lru_cache(maxsize=1)(
-        lambda t: ResidualOperator(setup, steady, t))
-    return TimeBlock(setup, M, u0, lambda u, t: at(t)(u),
-                     lambda u, t: at(t).jacobian(u))
+    return TimeBlock(setup, _reduce(setup, mass.matrix), u0,
+                     ResidualOperator(setup, steady))
 
 
 def step_backward_euler(block, dt, steps, t0=0.0, newton_tol=1e-10,

@@ -183,7 +183,6 @@ class Model:
         self.params = {}
         self.frozen = False
         self._mask = {}
-        self._saved_mask = None
         self.lora_cfg = None
         self.opt_spec = None
         self.opt_state = None
@@ -218,16 +217,11 @@ class Model:
         return self
 
     def freeze(self):
-        if not self.frozen:
-            self._saved_mask = dict(self._mask)
         self.frozen = True
         return self
 
     def unfreeze(self):
         self.frozen = False
-        if self._saved_mask is not None:
-            self._mask = dict(self._saved_mask)
-            self._saved_mask = None
         return self
 
     def mask(self, path_mask):

@@ -31,7 +31,6 @@ from .errors import (
 VARIABLE = "Variable"
 LITERAL = "Literal"
 CONSTANT = "Constant"
-TENSOR_TAG = "TensorTag"
 ARITH = "Arith"
 COMPARE = "Compare"
 REDUCE = "Reduce"
@@ -47,18 +46,15 @@ TRIAL = "TrialSymbol"
 TEST = "TestSymbol"
 
 ALL_KINDS = (
-    VARIABLE, LITERAL, CONSTANT, TENSOR_TAG, ARITH, COMPARE, REDUCE, SLICE,
-    CONCAT, RESHAPE, TRANSPOSE, MATMUL, DERIVATIVE, MODEL_CALL, TRACKER,
-    TRIAL, TEST,
+    VARIABLE, LITERAL, CONSTANT, ARITH, COMPARE, REDUCE, SLICE, CONCAT,
+    RESHAPE, TRANSPOSE, MATMUL, DERIVATIVE, MODEL_CALL, TRACKER, TRIAL, TEST,
 )
 
-LEAF_KINDS = (VARIABLE, LITERAL, CONSTANT, TENSOR_TAG, TRIAL, TEST)
+LEAF_KINDS = (VARIABLE, LITERAL, CONSTANT, TRIAL, TEST)
 
 # Never shared by `build`: leaves that stand for distinct inputs, and
 # trackers, which are monitoring sinks.
-_IDENTITY_KINDS = frozenset(
-    (VARIABLE, CONSTANT, TENSOR_TAG, TRIAL, TEST, TRACKER)
-)
+_IDENTITY_KINDS = frozenset((VARIABLE, CONSTANT, TRIAL, TEST, TRACKER))
 
 _UNARY_ARITH = {"neg", "exp", "log", "sin", "cos", "tanh", "relu"}
 _BINARY_ARITH = {"add", "sub", "mul", "div", "pow", "maximum", "minimum"}
@@ -67,7 +63,6 @@ _ARITY = {
     VARIABLE: 0,
     LITERAL: 0,
     CONSTANT: 0,
-    TENSOR_TAG: 0,
     TRIAL: 0,
     TEST: 0,
     COMPARE: 2,
@@ -335,8 +330,8 @@ def constant(value, name=None):
 
 
 def tensor_tag(name, tensor):
-    t = tensor if isinstance(tensor, T.Tensor) else T.Tensor(tensor)
-    return ExprNode(TENSOR_TAG, t, (), name)
+    """A named constant leaf."""
+    return constant(tensor, name)
 
 
 def derivative(expr, wrt, order=1, mode="default"):
@@ -555,7 +550,7 @@ def _infer_shape(node, shapes, context_shapes):
         raise ShapeInferenceFailure(node, f"no shape known for Variable {node.name!r}")
     if kind == LITERAL:
         return ()
-    if kind in (CONSTANT, TENSOR_TAG):
+    if kind == CONSTANT:
         return node.payload.shape
     if kind in (TRIAL, TEST):
         raise ShapeInferenceFailure(

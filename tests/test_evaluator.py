@@ -92,6 +92,16 @@ class TestBasics:
         # the Laplacian is one node, read from one summed coefficient
         assert tr.DERIVATIVE not in ctx.stats["by_kind"]
 
+    def test_fresh_context_reads_resampled_points(self):
+        # a context keeps the points it read; a new one sees the resample
+        d = dm.structured_rect(8, 8)
+        x, y, _ = d.variable("interior")
+        assert ev.evaluate(x.sum, ev.EvalContext(domain=d)).item() == 24.5
+        d.sample("interior", 5, seed=3)
+        want = d.context["interior"][0, 0, :, 0].sum()
+        assert ev.evaluate(x.sum, ev.EvalContext(domain=d)).item() == want
+        assert want != 24.5
+
     def test_temporal_separation(self):
         d = dm.rect(mesh_size=0.5, time=(0.0, 1.0, 1))
         x, y, t = d.variable("interior")

@@ -283,6 +283,31 @@ class TestFemSystem:
         np.testing.assert_allclose(op.setup.lift(u_free), exact, atol=1e-12)
         assert len(norms) == 2                      # linear: one step
 
+    def test_load_reading_the_time_takes_the_first_grid_time(self):
+        dom = dm.structured_rect(6, 6, time=(0.5, 1.0, 4))
+        u, phi, (x, y) = setup_fem(dom, [dom.dirichlet("left", 1.0)])
+        t = dom.variable(fem.GAUSS_VOLUME)[-1]
+        a = laplace(u, phi, (x, y))
+        got, want = ((a - c * sin(np.pi * x) * phi).assemble("fem_system")
+                     for c in (1 + t, tr.literal(1.5)))
+        np.testing.assert_allclose(got.full_rhs, want.full_rhs, rtol=0,
+                                   atol=1e-15)
+        np.testing.assert_allclose(got.b, want.b, rtol=0, atol=1e-15)
+        assert abs(got.A - want.A).max() == 0.0
+
+    def test_fd_coefficient_reads_the_region_points(self):
+        # the FD derivative is interpolated at the quadrature points the
+        # region binds, before and after the volume tag is resampled
+        dom = dm.structured_rect(8, 8)
+        u, phi, (x, y) = setup_fem(dom, [dom.dirichlet("boundary", 0.0)])
+        c = 1 + tr.derivative(3 * x - 2 * y, x, 1, "finite-difference")
+        want = (4.0 * laplace(u, phi, (x, y)) - phi).assemble("fem_system")
+        for resample in (False, True):
+            if resample:
+                dom.sample(fem.GAUSS_VOLUME, 20)
+            got = (c * laplace(u, phi, (x, y)) - phi).assemble("fem_system")
+            assert abs(got.full_matrix - want.full_matrix).max() < 1e-13
+
     def test_long_sum_at_default_recursion_limit(self):
         # 1500 summed load terms nest 1500 deep; the term walkers must not
         # recurse (checked at the interpreter's default limit of 1000)
@@ -553,6 +578,49 @@ class TestFemTime:
                 for r in forms]
         assert np.abs(traj[0][-1] - v).max() > 1e-2
         np.testing.assert_allclose(traj[0], traj[1], rtol=0, atol=1e-12)
+
+    def test_operator_binds_the_time_per_call(self):
+        # (1 + 10t) grad u . grad phi - f phi: R(u, t) = (1 + 10t) A0 u - b
+        # and J(u, t) = (1 + 10t) A0, A0 and b from the steady system
+        dom = dm.structured_rect(6, 6)
+        u, phi, (x, y) = setup_fem(dom, [dom.dirichlet("boundary", 0.0)])
+        t = dom.variable(fem.GAUSS_VOLUME)[-1]
+        f = sin(np.pi * x) * sin(np.pi * y)
+        a = laplace(u, phi, (x, y))
+        ref = (a - f * phi).assemble("fem_system")
+        op = ((1 + 10 * t) * a - f * phi).assemble("fem_residual")
+        assert not op.affine
+        v = np.sin(np.arange(len(op.setup.free)))
+        for tv in (0.3, 0.7):
+            np.testing.assert_allclose(op(v, tv),
+                                       (1 + 10 * tv) * (ref.A @ v) - ref.b,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(op.jacobian(v, tv).toarray(),
+                                       (1 + 10 * tv) * ref.A.toarray(),
+                                       rtol=0, atol=1e-12)
+
+    def test_fem_time_builds_one_steady_operator(self, monkeypatch):
+        # one operator for the mass term and one for the steady terms,
+        # whatever the number of (Newton) steps
+        built = []
+
+        class Counted(fem.ResidualOperator):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(fem, "ResidualOperator", Counted)
+        dom = dm.structured_rect(6, 6)
+        u, phi, (x, y) = setup_fem(dom, [dom.dirichlet("boundary", 0.0)])
+        t = dom.variable(fem.GAUSS_VOLUME)[-1]
+        weak = u.d(t) * phi + laplace(u, phi, (x, y)) + u ** 3 * phi \
+            - (1 + t) * sin(np.pi * x) * phi
+        for steps in (1, 4):
+            built.clear()
+            block = weak.assemble("fem_time")
+            assert not block.linear
+            block.integrate(0.01, steps)
+            assert len(built) == 2
 
     @pytest.mark.parametrize("dt", [0.0, -0.01])
     def test_step_needs_a_positive_dt(self, dt):

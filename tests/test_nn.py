@@ -114,6 +114,14 @@ class TestControls:
         assert "layers/0/bias" not in net.trainable_paths()
         assert "layers/0/weight" in net.trainable_paths()
 
+    def test_mask_edits_while_frozen_are_kept(self):
+        net = nn.mlp(2, [8], 1).initialize(0)
+        net.freeze()
+        net.mask({"layers/0/bias": False})
+        net.unfreeze()
+        assert "layers/0/bias" not in net.trainable_paths()
+        assert "layers/0/weight" in net.trainable_paths()
+
     def test_unknown_mask_path(self):
         net = nn.mlp(2, [8], 1).initialize(0)
         with pytest.raises(UnknownPath):

@@ -247,6 +247,17 @@ class TestFdDerivatives:
         np.testing.assert_allclose(ddu_dy[0, 0], P @ (Gy @ (Gy @ u_v)),
                                    rtol=0, atol=1e-12)
 
+    def test_interpolates_at_the_bound_points(self):
+        # x and y bound to the interior points in reverse order: the
+        # derivative is interpolated at those points, not at the domain's
+        d = dm.structured_rect(16, 16)
+        x, y, _ = d.variable("interior")
+        pts = d.context["interior"][..., ::-1, :]
+        ctx = ev.EvalContext({x: pts[..., :1], y: pts[..., 1:]}, d,
+                             derivative_mode="finite-difference")
+        np.testing.assert_allclose(ev.evaluate(tr.d(x * y, x), ctx).data,
+                                   pts[..., 1:], rtol=0, atol=1e-14)
+
     def test_affine_field_on_tetrahedra(self):
         d = dm.cube(mesh_size=0.25)
         x, y, z, _ = d.variable("interior")
@@ -309,7 +320,6 @@ class TestFdDerivatives:
         ctx = ev.EvalContext(domain=d, derivative_mode="finite-difference")
         ev.evaluate(lap, ctx)
         assert len(calls) == 1
-        ctx.reset_cache()
-        assert ctx._vertex_contexts == {}
-        ev.evaluate(lap, ctx)
+        ev.evaluate(lap, ev.EvalContext(domain=d,
+                                        derivative_mode="finite-difference"))
         assert len(calls) == 2
