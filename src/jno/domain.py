@@ -31,8 +31,8 @@ class ResampleStrategy:
     def __init__(self, tag, kind, count, weights=None, seed=None):
         if kind not in self.KINDS:
             raise UnsupportedGeometry(f"unknown resample kind {kind!r}")
-        if int(count) < 1:
-            raise BadShape(f"resample count must be >= 1, got {count}")
+        if not (count >= 1 and float(count).is_integer()):
+            raise BadShape(f"resample count must be >= 1 and whole: {count}")
         self.tag = tag
         self.kind = kind
         self.count = int(count)
@@ -41,6 +41,10 @@ class ResampleStrategy:
 
 
 class Domain:
+    """The mesh's own tags, and samples of them, carry the vertex id of each
+    context point (`vertex_ids`: (N,), or (B, T, N) after a merge), so that
+    FD derivatives read their vertex rows; `add_points` tags carry none."""
+
     def __init__(self, mesh, time=None, batch=1):
         self.mesh = mesh
         self.connectivity = meshmod.Connectivity(mesh)
@@ -56,6 +60,7 @@ class Domain:
 
         self.mesh_pool = {}
         self.context = {}
+        self.pool_ids, self.vertex_ids = {}, {}  # tag -> vertex ids or None
         self.tensor_tags = {}
         self.resamplers = {}
         self._vars = {}          # ExprNode -> binding spec
@@ -65,19 +70,21 @@ class Domain:
         self._rng = np.random.default_rng(0)
 
         for tag, idx in mesh.tags.items():
-            self.add_points(tag, mesh.vertices[idx])
+            self.add_points(tag, mesh.vertices[idx], idx)
         if self.time is not None:
             tarr = self.time_grid.reshape(1, self.num_times, 1, 1)
             self.context[TIME_KEY] = np.ascontiguousarray(
                 np.broadcast_to(tarr, (self.batch, self.num_times, 1, 1))
             )
 
-    def add_points(self, tag, points):
+    def add_points(self, tag, points, ids=None):
         """Register the points (N, D) under `tag`: in the mesh pool as
-        (1, T, N, D) and in the runtime context as (B, T, N, D)."""
+        (1, T, N, D) and in the runtime context as (B, T, N, D).  `ids` (N,)
+        are the mesh vertices that the points are, if they are vertices."""
         for store, lead in ((self.mesh_pool, 1), (self.context, self.batch)):
             store[tag] = np.ascontiguousarray(np.broadcast_to(
                 points, (lead, self.num_times) + points.shape))
+        self.pool_ids[tag] = self.vertex_ids[tag] = ids
 
     # -- inspection ----------------------------------------------------------
 
@@ -194,8 +201,8 @@ class Domain:
     # -- algebra -----------------------------------------------------------
 
     def scale(self, n):
-        if int(n) < 1:
-            raise BadShape("scale factor must be >= 1")
+        if not (n >= 1 and float(n).is_integer()):
+            raise BadShape(f"scale factor must be >= 1 and whole: {n}")
         return _combine([self] * int(n))
 
     def __rmul__(self, n):
@@ -257,15 +264,17 @@ class Domain:
                 raise BadShape(
                     f"weights length {len(w)} != pool size {N} for {strat.tag!r}"
                 )
+            if not np.isfinite(w).all():
+                raise BadShape(f"weights for {strat.tag!r} are not finite")
             p = np.abs(w)
             total = p.sum()
             p = np.full(N, 1.0 / N) if total <= 0 else p / total
             idx = rng.choice(N, size=strat.count, replace=True, p=p)
         sampled = pool[:, :, idx, :]
         self.context[strat.tag] = np.ascontiguousarray(
-            np.broadcast_to(sampled,
-                            (self.batch,) + sampled.shape[1:])
-        )
+            np.broadcast_to(sampled, (self.batch,) + sampled.shape[1:]))
+        ids = self.pool_ids[strat.tag]
+        self.vertex_ids[strat.tag] = None if ids is None else ids[idx]
 
     # -- geometry queries -----------------------------------------------------
 
@@ -337,12 +346,22 @@ def _combine(parts):
     out.num_times = first.num_times
     out.time_grid = first.time_grid
     out.mesh_pool = dict(first.mesh_pool)
+    out.pool_ids = dict(first.pool_ids)
     out.context = {
         tag: np.ascontiguousarray(
             np.concatenate([d.context[tag] for d in parts], axis=0)
         )
         for tag in first.context
     }
+    # ids hold where every part has them for a mesh with the same vertices
+    same = all(np.array_equal(d.mesh.vertices, out.mesh.vertices)
+               for d in parts)
+    out.vertex_ids = {
+        t: None if not same or any(d.vertex_ids.get(t) is None for d in parts)
+        else np.concatenate([np.broadcast_to(d.vertex_ids[t],
+                                             d.context[t].shape[:-1])
+                             for d in parts])
+        for t in first.context}
     out.tensor_tags = {
         name: np.ascontiguousarray(
             np.concatenate([d.tensor_tags[name] for d in parts], axis=0)

@@ -9,8 +9,8 @@ derivatives need, and one summed second coefficient for a sum of pure
 second derivatives such as a Laplacian) or through mesh-driven finite
 differences built from moving-least-squares gradient reconstruction on
 vertex neighborhoods.
-The finite-difference operators (MLS gradients and barycentric
-interpolation) are CSR matrices applied with
+The finite-difference operators (MLS gradients, then vertex row selection
+or barycentric interpolation at the points) are CSR matrices applied with
 :func:`jno.tensor.sparse_matmul`.
 """
 
@@ -36,7 +36,7 @@ class EvalContext:
 
     One context per thread; the cache is only valid for one batch, so build
     a fresh context whenever bindings change: a context keeps the values
-    that :meth:`lookup` read from the domain.
+    that :meth:`lookup` read from the domain (and their vertex ids).
     Child contexts (AD derivative passes, FD vertex overlays) add to their
     parent's `stats`.
     """
@@ -55,6 +55,7 @@ class EvalContext:
         self.cache = {}
         self.stats = {"evaluations": 0, "cache_hits": 0, "by_kind": {}}
         self._interp_cache = {}
+        self._vertex_ids = {}
         self._vertex_contexts = {}
         self._jet_passes = {}
         self._ad_requests = {}
@@ -75,6 +76,8 @@ class EvalContext:
             if spec is not None:
                 val = T.Tensor(self.domain._resolve(spec, None))
                 self.bindings[var] = val
+                if spec[0] == "coord":
+                    self._vertex_ids[var] = self.domain.vertex_ids.get(spec[1])
                 return val
         raise UnboundVariable(f"no binding for Variable {var.name!r}")
 
@@ -455,9 +458,10 @@ def _check_pointwise(expr, wrt, ctx):
 #
 # First derivatives come from a least-squares affine fit over each vertex's
 # 1-ring (exact on affine fields); second derivatives iterate the same
-# reconstruction.  Vertex values map to the sampled context points by
-# barycentric interpolation inside the containing element.  The gradient
-# and interpolation operators have a few nonzeros per row and are kept in CSR.
+# reconstruction.  Vertex values map to the points a context read from the
+# domain by those points' vertex rows, and to other points by barycentric
+# interpolation inside the containing element.  The gradient and
+# interpolation operators have a few nonzeros per row and are kept in CSR.
 # ---------------------------------------------------------------------------
 
 def mls_gradient_operators(mesh, connectivity):
@@ -592,16 +596,33 @@ def _derivative_fd(node, ctx, order):
     if order == 2:
         g = T.sparse_matmul(G, g)
 
-    # map vertex values onto the points that `ctx` binds to the coordinate
-    # variables made with `wrt`, one interpolation per set of bound values
-    cols = tuple(ctx.lookup(v) for v in domain.coordinates[wrt])
-    P = ctx._interp_cache.get(cols)
-    if P is None:
-        pts = np.concatenate(np.broadcast_arrays(*(c.data for c in cols)),
-                             axis=-1)
-        P = ctx._interp_cache[cols] = _locate_barycentric(
-            domain.mesh, pts.reshape((-1,) + pts.shape[-2:])[0])
-    return T.sparse_matmul(P, g)
+    # map vertex values onto the points `ctx` binds to `wrt`'s coordinate
+    # variables: one operator per set of bound values, per slice if they differ
+    coords = domain.coordinates[wrt]
+    cols = tuple(ctx.lookup(v) for v in coords)
+    P, lead = ctx._interp_cache.get(cols) or ctx._interp_cache.setdefault(
+        cols, _interpolation(ctx, coords, cols))
+    if lead is None:
+        return T.sparse_matmul(P, g)
+    g = T.reshape(T.broadcast_to(g, lead + g.shape[-2:]), (-1, g.shape[-1]))
+    return T.reshape(T.sparse_matmul(P, g), lead + (-1, g.shape[-1]))
+
+
+def _interpolation(ctx, coords, cols):
+    """(P, lead) for `_derivative_fd`: P selects the vertex rows of points
+    that `ctx` read from the domain with one id array, and locates others;
+    each distinct (batch, time) slice of the points takes its own block."""
+    mesh, ids = ctx.domain.mesh, [ctx._vertex_ids.get(v) for v in coords]
+    select = ids[0] is not None and all(i is ids[0] for i in ids)
+    keys = ids[0][..., None] if select else np.concatenate(
+        np.broadcast_arrays(*(c.data for c in cols)), axis=-1)
+    slices = keys.reshape((-1,) + keys.shape[-2:])
+    N, V = keys.shape[-2], mesh.num_vertices
+    Ps = [sp.csr_matrix((np.ones(N), k[:, 0], np.arange(N + 1)), (N, V))
+          if select else _locate_barycentric(mesh, k)
+          for k in (slices[:1] if (slices == slices[0]).all() else slices)]
+    return (Ps[0], None) if len(Ps) == 1 \
+        else (sp.block_diag(Ps, format="csr"), keys.shape[:-2])
 
 
 def _vertex_context(ctx, tag):

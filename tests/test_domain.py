@@ -141,6 +141,60 @@ class TestScaleMerge:
         n_int = d.pool_size("interior")
         assert d.context["interior"].shape == (500, 1, n_int, 2)
 
+    def test_scale_not_whole(self):
+        with pytest.raises(BadShape, match="scale factor must be >= 1"):
+            dm.rect(mesh_size=0.5).scale(2.5)
+
+
+class TestVertexIds:
+    @staticmethod
+    def _at_vertices(d, tag):
+        pts = d.context[tag]
+        np.testing.assert_array_equal(
+            np.broadcast_to(d.mesh.vertices[d.vertex_ids[tag]], pts.shape),
+            pts)
+
+    def test_mesh_tags_and_samples_carry_ids(self):
+        d = dm.rect(mesh_size=0.25, time=(0.0, 1.0, 3))
+        for tag in d.tags():
+            np.testing.assert_array_equal(d.vertex_ids[tag], d.mesh.tags[tag])
+            self._at_vertices(d, tag)
+        d.sample("interior", 5, seed=1)
+        self._at_vertices(d, "interior")
+        d.sample("boundary", 40, strategy="residual-weighted", seed=2)
+        assert len(np.unique(d.vertex_ids["boundary"])) < 40
+        self._at_vertices(d, "boundary")
+
+    def test_add_points_carry_none(self):
+        d = dm.rect(mesh_size=0.25)
+        d.add_points("interior", np.array([[0.3, 0.4]]))
+        d.add_points("probe", np.array([[0.3, 0.4], [0.5, 0.5]]))
+        assert d.vertex_ids["interior"] is None
+        assert d.vertex_ids["probe"] is None
+        d.sample("probe", 1, seed=0)
+        assert d.vertex_ids["probe"] is None
+
+    def test_merge_keeps_ids_per_batch(self):
+        a, b = dm.structured_rect(6, 6), dm.structured_rect(6, 6)
+        a.sample("interior", 7, seed=1)
+        b.sample("interior", 7, seed=2)
+        m = a.merge(b)
+        assert m.vertex_ids["interior"].shape == (2, 1, 7)
+        self._at_vertices(m, "interior")
+        self._at_vertices(m, "boundary")
+
+    def test_merge_drops_ids_that_do_not_hold(self):
+        # same topology, other vertices: b's ids name b's vertices
+        a = dm.structured_rect(6, 6)
+        b = dm.structured_rect(6, 6, x_range=(0.0, 2.0))
+        assert a.merge(b).vertex_ids["interior"] is None
+        # a part without ids for a tag: the merge has none for it
+        c = 1 * a
+        a.add_points("boundary", a.context["boundary"][0, 0].copy())
+        m = a.merge(c)
+        assert m.vertex_ids["boundary"] is None
+        self._at_vertices(m, "interior")
+
 
 class TestSampling:
     def test_full_sample_is_pool_order(self):
@@ -171,6 +225,28 @@ class TestSampling:
         with pytest.raises(BadShape, match="count must be >= 1"):
             d.register_resampler("interior", count=count)
         assert d.context["interior"] is before and not d.resamplers
+
+    def test_count_not_whole(self):
+        d = dm.rect(mesh_size=0.5)
+        before = d.context["interior"]
+        with pytest.raises(BadShape, match="count must be >= 1 and whole"):
+            d.sample("interior", 2.5)
+        assert d.context["interior"] is before
+
+    def test_resampler_count_not_whole(self):
+        d = dm.rect(mesh_size=0.5)
+        with pytest.raises(BadShape, match="count must be >= 1 and whole"):
+            d.register_resampler("interior", count=3.7)
+        assert not d.resamplers
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_residual_weights_not_finite(self, bad):
+        # raised before the weights are normalized: no RuntimeWarning
+        d = dm.rect(mesh_size=0.5)
+        w = np.ones(d.pool_size("interior"))
+        w[0] = bad
+        with pytest.raises(BadShape, match="not finite"):
+            d.sample("interior", 3, strategy="residual-weighted", weights=w)
 
     def test_resample_keeps_b_t_d(self):
         d = 3 * dm.rect(mesh_size=0.25)

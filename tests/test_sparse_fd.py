@@ -1,5 +1,6 @@
 """Sparse finite-difference operators: `T.sparse_matmul`, the CSR MLS
-gradients and the CSR point location, each against a dense oracle."""
+gradients, the CSR point location and the vertex row selection, each
+against a dense oracle."""
 
 from types import SimpleNamespace
 
@@ -9,6 +10,7 @@ import scipy.sparse as sp
 
 from jno import domain as dm
 from jno import evaluator as ev
+from jno import fem
 from jno import mesh as meshmod
 from jno import nn
 from jno import tensor as T
@@ -225,6 +227,15 @@ class TestLocateBarycentric:
 # FD derivatives
 # ---------------------------------------------------------------------------
 
+def _count_locations(monkeypatch):
+    calls = []
+    locate = ev._locate_barycentric
+    monkeypatch.setattr(ev, "_locate_barycentric",
+                        lambda mesh, pts: calls.append(len(pts))
+                        or locate(mesh, pts))
+    return calls
+
+
 class TestFdDerivatives:
     def test_d_and_dd_match_dense_recomputation(self):
         d = dm.rect(mesh_size=0.1)
@@ -247,16 +258,19 @@ class TestFdDerivatives:
         np.testing.assert_allclose(ddu_dy[0, 0], P @ (Gy @ (Gy @ u_v)),
                                    rtol=0, atol=1e-12)
 
-    def test_interpolates_at_the_bound_points(self):
+    def test_interpolates_at_the_bound_points(self, monkeypatch):
         # x and y bound to the interior points in reverse order: the
-        # derivative is interpolated at those points, not at the domain's
+        # derivative is interpolated at those points, not at the domain's,
+        # which are located in the mesh
         d = dm.structured_rect(16, 16)
         x, y, _ = d.variable("interior")
         pts = d.context["interior"][..., ::-1, :]
+        calls = _count_locations(monkeypatch)
         ctx = ev.EvalContext({x: pts[..., :1], y: pts[..., 1:]}, d,
                              derivative_mode="finite-difference")
         np.testing.assert_allclose(ev.evaluate(tr.d(x * y, x), ctx).data,
                                    pts[..., 1:], rtol=0, atol=1e-14)
+        assert calls == [pts.shape[-2]]
 
     def test_affine_field_on_tetrahedra(self):
         d = dm.cube(mesh_size=0.25)
@@ -323,3 +337,103 @@ class TestFdDerivatives:
         ev.evaluate(lap, ev.EvalContext(domain=d,
                                         derivative_mode="finite-difference"))
         assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# Vertex rows: points a context reads from the domain select their rows
+# ---------------------------------------------------------------------------
+
+def _sample(d, how):
+    N = d.pool_size("interior")
+    if how == "uniform":
+        d.sample("interior", max(1, N // 3), seed=3)
+    elif how == "weighted":
+        w = np.random.default_rng(4).random(N)
+        d.sample("interior", 3 * N, strategy="residual-weighted", seed=5,
+                 weights=w)
+        assert len(np.unique(d.vertex_ids["interior"])) < 3 * N
+
+
+class TestVertexRows:
+    @pytest.mark.parametrize("how", ["full", "uniform", "weighted"])
+    @pytest.mark.parametrize("name", sorted(MESHES))
+    def test_selection_matches_barycentric(self, name, how, monkeypatch):
+        d = dm.Domain(MESHES[name]())
+        _sample(d, how)
+        coords = d.variable("interior")[:-1]
+        ctx = ev.EvalContext(domain=d, derivative_mode="finite-difference")
+        cols = tuple(ctx.lookup(v) for v in coords)
+        calls = _count_locations(monkeypatch)
+        P, lead = ev._interpolation(ctx, coords, cols)
+        assert calls == [] and lead is None
+        assert P.format == "csr" and P.nnz == len(cols[0].data[0, 0])
+        want = ev._locate_barycentric(d.mesh, d.context["interior"][0, 0])
+        np.testing.assert_allclose(P.toarray(), want.toarray(), rtol=0,
+                                   atol=1e-15)
+
+    def test_pinn_fd_step_locates_nothing(self, monkeypatch):
+        d = dm.structured_rect(10, 10)
+        x, y, _ = d.variable("interior")
+        net = nn.mlp(2, [8], 1).initialize(0)
+        u = net(tr.concat_nodes([x, y], axis=-1))
+        lap = u.dd(x) + u.dd(y)
+        d.register_resampler("interior", count=30)
+        calls = _count_locations(monkeypatch)
+        rng = np.random.default_rng(0)
+        for _ in range(2):
+            d.apply_resamplers(rng)
+            ctx = ev.EvalContext(domain=d,
+                                 derivative_mode="finite-difference")
+            params = net.trainable_params()
+            with T.Tape() as tape:
+                tape.watch(*params.values())
+                r = ev.evaluate(lap, ctx)
+                loss = T.reduce_sum(T.mul(r, r))
+            tape.gradient(loss, list(params.values()))
+        assert calls == [] and "locator" not in d.mesh.__dict__
+        # the same points bound from outside are located, to the same values
+        pts = d.context["interior"]
+        bound = ev.EvalContext({x: pts[..., :1], y: pts[..., 1:]}, d,
+                               derivative_mode="finite-difference")
+        np.testing.assert_allclose(ev.evaluate(lap, bound).data,
+                                   ev.evaluate(lap, ctx).data,
+                                   rtol=1e-12, atol=1e-12)
+        assert calls == [30]
+
+    def test_fd_on_a_gauss_tag_locates(self, monkeypatch):
+        d = dm.structured_rect(8, 8).init_fem()
+        x, y, _ = d.variable(fem.GAUSS_VOLUME)
+        pts = d.context[fem.GAUSS_VOLUME][0, 0]
+        verts = d.mesh.vertices
+        P = ev._locate_barycentric(d.mesh, pts).toarray()
+        calls = _count_locations(monkeypatch)
+        ctx = ev.EvalContext(domain=d, derivative_mode="finite-difference")
+        Gx = ev._fd_operators(ctx)[0].toarray()
+        np.testing.assert_allclose(
+            ev.evaluate(tr.d(3.0 * x - 2.0 * y, x), ctx).data, 3.0,
+            rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            ev.evaluate(tr.d(x * y, x), ctx).data[0, 0],
+            P @ (Gx @ (verts[:, 0] * verts[:, 1]))[:, None],
+            rtol=0, atol=1e-14)
+        assert calls == [len(pts)]
+
+    @pytest.mark.parametrize("bound", [False, True], ids=["ids", "located"])
+    def test_merged_batches_each_at_their_own_points(self, bound,
+                                                     monkeypatch):
+        a, b = dm.structured_rect(8, 8), dm.structured_rect(8, 8)
+        a.sample("interior", 10, seed=1)
+        b.sample("interior", 10, seed=2)
+        m = a.merge(b)
+        x, y, _ = m.variable("interior")
+        pts = m.context["interior"]
+        assert not np.array_equal(pts[0], pts[1])
+        calls = _count_locations(monkeypatch)
+        ctx = ev.EvalContext({x: pts[..., :1], y: pts[..., 1:]} if bound
+                             else {}, m, derivative_mode="finite-difference")
+        got = ev.evaluate(tr.d(x * y, x), ctx).data
+        assert got.shape == (2, 1, 10, 1)
+        for batch in range(2):
+            np.testing.assert_allclose(got[batch], pts[batch, ..., 1:],
+                                       rtol=0, atol=1e-14)
+        assert calls == ([10, 10] if bound else [])
