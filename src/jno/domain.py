@@ -6,6 +6,8 @@ on, shaped ``(B, T, N, D)`` for spatial tags).  Temporal structure lives in
 a separate ``__time__`` context entry of shape ``(B, T, 1, 1)``.
 """
 
+import copy
+
 import numpy as np
 
 from . import mesh as meshmod
@@ -28,7 +30,7 @@ class ResampleStrategy:
 
     KINDS = ("uniform-vertex-subset", "residual-weighted")
 
-    def __init__(self, tag, kind, count, weights=None, seed=None):
+    def __init__(self, tag, kind, count, weights=None):
         if kind not in self.KINDS:
             raise UnsupportedGeometry(f"unknown resample kind {kind!r}")
         if not (count >= 1 and float(count).is_integer()):
@@ -37,7 +39,6 @@ class ResampleStrategy:
         self.kind = kind
         self.count = int(count)
         self.weights = weights  # array | callable(domain) -> array
-        self.seed = seed
 
 
 class Domain:
@@ -205,17 +206,12 @@ class Domain:
             raise BadShape(f"scale factor must be >= 1 and whole: {n}")
         return _combine([self] * int(n))
 
-    def __rmul__(self, n):
-        return self.scale(n)
-
-    def __mul__(self, n):
-        return self.scale(n)
+    __mul__ = __rmul__ = scale
 
     def merge(self, other):
         return _combine([self, other])
 
-    def __add__(self, other):
-        return self.merge(other)
+    __add__ = merge
 
     # -- sampling ------------------------------------------------------------
 
@@ -223,17 +219,17 @@ class Domain:
         if tag not in self.mesh_pool:
             raise UnknownTag(f"unknown tag {tag!r}")
         kind = strategy or "uniform-vertex-subset"
-        strat = ResampleStrategy(tag, kind, count, weights=weights, seed=seed)
+        strat = ResampleStrategy(tag, kind, count, weights=weights)
         rng = np.random.default_rng(seed) if seed is not None else self._rng
         self._apply_strategy(strat, rng)
 
     def register_resampler(self, tag, kind="uniform-vertex-subset",
-                           count=None, weights=None, seed=None):
+                           count=None, weights=None):
         if tag not in self.mesh_pool:
             raise UnknownTag(f"unknown tag {tag!r}")
         count = count if count is not None else self.context[tag].shape[2]
         self.resamplers[tag] = ResampleStrategy(tag, kind, count,
-                                                weights=weights, seed=seed)
+                                                weights=weights)
 
     def apply_resamplers(self, rng=None):
         rng = rng or self._rng
@@ -317,7 +313,11 @@ class Domain:
 
 
 def _combine(parts):
-    """Concatenate domains along the batch axis with aligned tags."""
+    """Concatenate domains along the batch axis with aligned tags: a shallow
+    copy of the first part that rebuilds the stores that concatenate
+    (`context`, `vertex_ids`, `tensor_tags`) or must not alias (`mesh_pool`,
+    `pool_ids`, `resamplers`, `_vars`, `coordinates`, `_rng`) and shares the
+    rest: the mesh, its connectivity and FD operators, time axis and FEM."""
     first = parts[0]
     for d in parts[1:]:
         if d.mesh is not first.mesh and (
@@ -338,21 +338,10 @@ def _combine(parts):
         if sorted(d.tensor_tags) != sorted(first.tensor_tags):
             raise TagMismatch("merged domains must carry the same tensor tags")
 
-    out = Domain.__new__(Domain)
-    out.mesh = first.mesh
-    out.connectivity = first.connectivity
+    out = copy.copy(first)
     out.batch = sum(d.batch for d in parts)
-    out.time = first.time
-    out.num_times = first.num_times
-    out.time_grid = first.time_grid
-    out.mesh_pool = dict(first.mesh_pool)
-    out.pool_ids = dict(first.pool_ids)
-    out.context = {
-        tag: np.ascontiguousarray(
-            np.concatenate([d.context[tag] for d in parts], axis=0)
-        )
-        for tag in first.context
-    }
+    out.context = {tag: np.concatenate([d.context[tag] for d in parts])
+                   for tag in first.context}
     # ids hold where every part has them for a mesh with the same vertices
     same = all(np.array_equal(d.mesh.vertices, out.mesh.vertices)
                for d in parts)
@@ -362,18 +351,14 @@ def _combine(parts):
                                              d.context[t].shape[:-1])
                              for d in parts])
         for t in first.context}
-    out.tensor_tags = {
-        name: np.ascontiguousarray(
-            np.concatenate([d.tensor_tags[name] for d in parts], axis=0)
-        )
-        for name in first.tensor_tags
-    }
-    out.resamplers = dict(first.resamplers)
+    out.tensor_tags = {n: np.concatenate([d.tensor_tags[n] for d in parts])
+                       for n in first.tensor_tags}
+    out.mesh_pool, out.pool_ids, out.resamplers = (
+        dict(first.mesh_pool), dict(first.pool_ids), dict(first.resamplers))
     out._vars, out.coordinates = {}, {}
     for d in parts:
         out._vars.update(d._vars)
         out.coordinates.update(d.coordinates)
-    out.fem = first.fem
     out._rng = np.random.default_rng(0)
     return out
 

@@ -410,7 +410,8 @@ def _check_pointwise(expr, wrt, ctx):
     """Raise NonDifferentiablePath if the part of `expr` that depends on
     `wrt` mixes points (axis -2): a reduce over all axes, over that axis or
     over an axis after it (which moves it), a matmul whose right operand
-    depends on `wrt`, a concat along that axis, or a reshape or transpose
+    depends on `wrt`, a slice that selects along that axis (any entry there
+    but a whole slice), a concat along that axis, or a reshape or transpose
     that moves it.
 
     Shapes are read from the values `ctx` cached while evaluating `expr`,
@@ -437,6 +438,10 @@ def _check_pointwise(expr, wrt, ctx):
             mixes = axes is None or any(a % r >= r - 2 for a in axes)
         elif n.kind == tr.MATMUL:
             mixes = n.children[1] in depends
+        elif n.kind == tr.SLICE:
+            spec = n.payload
+            mixes = len(spec) > r - 2 >= 0 \
+                and spec[r - 2] != ("slice", None, None, None)
         elif n.kind == tr.CONCAT:
             mixes = n.payload % r == r - 2
         elif n.kind == tr.RESHAPE:

@@ -3,9 +3,11 @@ text format.  Measures and P1 basis gradients come from each simplex's
 edge matrix, the same code for every element kind.
 
 Built-in constructors cover lines, rectangles, disks, L-shapes, cubes and a
-rectangle with one circular hole.  Rectangles use a structured triangulation
-with a fixed diagonal so meshes (and everything derived from them) are
-bitwise reproducible.
+rectangle with one circular hole.  Every one but the disk is one structured
+grid, `_grid_mesh`: the Kuhn (Freudenthal) split of each box cell into k!
+simplices, all with det J > 0, optionally filtered by centroid, so meshes
+(and everything derived from them) are bitwise reproducible.  Their
+`boundary` and `interior` tags are the ones `Mesh` infers from the facets.
 """
 
 import itertools
@@ -177,9 +179,13 @@ def _det(M):
         term = np.ones(len(M))
         for i, j in enumerate(perm):
             term = term * M[:, i, j]
-        odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
-        det = det - term if odd else det + term
+        det = det - term if _odd(perm) else det + term
     return det
+
+
+def _odd(perm):
+    """Whether the permutation `perm` has an odd number of inversions."""
+    return sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 == 1
 
 
 def simplex_measures(vertices, cells):
@@ -223,65 +229,75 @@ def basis_gradients(vertices, cells):
 # Geometry constructors
 # ---------------------------------------------------------------------------
 
-def _steps(lo, hi, mesh_size):
-    if hi <= lo:
-        raise DegenerateGeometry(f"degenerate range ({lo}, {hi})")
+def _steps(ranges, mesh_size):
+    """The cell count of each (lo, hi) of `ranges` at `mesh_size`."""
+    for lo, hi in ranges:
+        if hi <= lo:
+            raise DegenerateGeometry(f"degenerate range ({lo}, {hi})")
     if mesh_size <= 0:
         raise DegenerateGeometry(f"mesh_size must be positive, got {mesh_size}")
-    return max(1, int(round((hi - lo) / mesh_size)))
+    return [max(1, int(round((hi - lo) / mesh_size))) for lo, hi in ranges]
+
+
+_SIDES = (("left", "right"), ("bottom", "top"), ("front", "back"))
+
+
+def _grid_mesh(ranges, counts, keep=None):
+    """The Kuhn split of the box `ranges` ((lo, hi) per axis) into `counts`
+    cells per axis: vertices on the ``indexing="ij"`` tensor grid, and each
+    cell, in row-major order, split into one simplex per order of the axes,
+    the path through its corners along them, with the last two vertices
+    swapped for an odd order so that det J > 0.  The faces are tagged
+    left/right, bottom/top and front/back along axes 0, 1 and 2.  `keep`
+    (centroids (E, D) -> mask) drops simplices; the vertices left in use are
+    renumbered in order.
+    """
+    if not all(n >= 1 and float(n).is_integer() for n in counts):
+        raise DegenerateGeometry(
+            f"a grid needs a whole number of cells, at least one cell a "
+            f"side, got {' x '.join(map(str, counts))}")
+    D, counts = len(counts), [int(n) for n in counts]
+    axes = [np.linspace(lo, hi, n + 1) for (lo, hi), n in zip(ranges, counts)]
+    vertices = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
+                        axis=1)
+    vid = np.arange(len(vertices)).reshape([n + 1 for n in counts])
+    step = np.array(vid.strides) // vid.itemsize  # id step along each axis
+    lower = vid[tuple(slice(0, n) for n in counts)][..., None]
+    simplices = []
+    for perm in itertools.permutations(range(D)):
+        path = np.cumsum([0, *step[list(perm)]])
+        if _odd(perm):
+            path[-2:] = path[[-1, -2]]
+        simplices.append(lower + path)
+    elements = np.stack(simplices, axis=-2).reshape(-1, D + 1)
+    tags = {side: np.take(vid, end, axis=a).ravel()
+            for a, pair in enumerate(_SIDES[:D])
+            for side, end in zip(pair, (0, -1))}
+    if keep is not None:
+        # take and compress: a tenth and a third of the time of the
+        # equivalent fancy and boolean indexing on these small rows
+        centroids = vertices.take(elements.T, axis=0).mean(axis=0)
+        elements = elements.compress(keep(centroids), axis=0)
+        used = np.zeros(len(vertices), dtype=bool)
+        used[elements] = True
+        new = np.cumsum(used) - 1
+        vertices, elements = vertices.compress(used, axis=0), new[elements]
+        tags = {side: new[idx[used[idx]]] for side, idx in tags.items()}
+    return Mesh(vertices, elements, list(ELEMENT_KINDS)[D - 1], tags)
 
 
 def line_mesh(x_range=(0.0, 1.0), mesh_size=0.1):
-    lo, hi = float(x_range[0]), float(x_range[1])
-    n = _steps(lo, hi, mesh_size)
-    xs = np.linspace(lo, hi, n + 1)
-    vertices = xs[:, None]
-    elements = np.stack([np.arange(n), np.arange(1, n + 1)], axis=1)
-    tags = {
-        "left": [0],
-        "right": [n],
-        "boundary": [0, n],
-        "interior": list(range(1, n)),
-    }
-    return Mesh(vertices, elements, "LINE2", tags)
+    return _grid_mesh([x_range], _steps([x_range], mesh_size))
 
 
 def rect_mesh(x_range=(0.0, 1.0), y_range=(0.0, 1.0), mesh_size=0.1,
               nx=None, ny=None):
-    x0, x1 = float(x_range[0]), float(x_range[1])
-    y0, y1 = float(y_range[0]), float(y_range[1])
-    if nx is None:
-        nx = _steps(x0, x1, mesh_size)
-    if ny is None:
-        ny = _steps(y0, y1, mesh_size)
-    if not all(n >= 1 and float(n).is_integer() for n in (nx, ny)):
-        raise DegenerateGeometry(
-            f"a rectangle needs a whole number of cells, at least one cell "
-            f"a side, got {nx} x {ny}")
-    nx, ny = int(nx), int(ny)
-    xs = np.linspace(x0, x1, nx + 1)
-    ys = np.linspace(y0, y1, ny + 1)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    vertices = np.stack([X.ravel(), Y.ravel()], axis=1)
-    vid = np.arange(len(vertices)).reshape(nx + 1, ny + 1)
-    rim = np.ones_like(vid, dtype=bool)
-    rim[1:-1, 1:-1] = False
-    tags = {
-        "left": vid[0], "right": vid[nx],
-        "bottom": vid[:, 0], "top": vid[:, ny],
-        "boundary": vid[rim], "interior": vid[~rim],
-    }
-    return Mesh(vertices, _grid_triangles(vid), "TRI3", tags)
-
-
-def _grid_triangles(vid):
-    """Two triangles per grid cell whose four corner ids all exist (>= 0),
-    split along the fixed diagonal from (i, j) to (i+1, j+1); cells in
-    row-major order."""
-    cells = np.stack([vid[:-1, :-1], vid[1:, :-1], vid[1:, 1:], vid[:-1, 1:]],
-                     axis=-1).reshape(-1, 4)
-    cells = cells[(cells >= 0).all(axis=1)]
-    return cells[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
+    """`nx` x `ny` cells, or as many as `mesh_size` fits where one is None."""
+    ranges = [x_range, y_range]
+    if nx is None or ny is None:
+        steps = _steps(ranges, mesh_size)
+        nx, ny = (s if n is None else n for n, s in zip((nx, ny), steps))
+    return _grid_mesh(ranges, [nx, ny])
 
 
 def disk_mesh(radius=1.0, center=(0.0, 0.0), mesh_size=0.1):
@@ -311,86 +327,44 @@ def disk_mesh(radius=1.0, center=(0.0, 0.0), mesh_size=0.1):
 
 def lshape_mesh(mesh_size=0.1, size=1.0):
     """[0,size]^2 with the upper-right quadrant removed."""
-    s = float(size)
-    n = _steps(0.0, s, mesh_size)
-    if n % 2 == 1:
-        n += 1  # keep the reentrant corner on the grid
-    xs = np.linspace(0.0, s, n + 1)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    keep = (X <= s / 2 + 1e-12) | (Y <= s / 2 + 1e-12)
-    grid_id = np.full(X.shape, -1, dtype=np.int64)
-    grid_id[keep] = np.arange(keep.sum())
-    vertices = np.stack([X[keep], Y[keep]], axis=1)
-    return Mesh(vertices, _grid_triangles(grid_id), "TRI3")
+    n, = _steps([(0.0, size)], mesh_size)
+    n += n % 2  # keep the reentrant corner on the grid
+    half = size / 2
+    return _grid_mesh([(0.0, size)] * 2, [n, n],
+                      keep=lambda c: (c[:, 0] <= half) | (c[:, 1] <= half))
 
 
 def cube_mesh(x_range=(0.0, 1.0), y_range=(0.0, 1.0), z_range=(0.0, 1.0),
               mesh_size=0.25):
     """Structured box split into six tetrahedra per grid cell, with the
     faces tagged left/right (x0/x1), bottom/top (y0/y1), front/back (z0/z1)."""
-    x0, x1 = map(float, x_range)
-    y0, y1 = map(float, y_range)
-    z0, z1 = map(float, z_range)
-    nx, ny, nz = (_steps(x0, x1, mesh_size), _steps(y0, y1, mesh_size),
-                  _steps(z0, z1, mesh_size))
-    xs, ys, zs = (np.linspace(x0, x1, nx + 1), np.linspace(y0, y1, ny + 1),
-                  np.linspace(z0, z1, nz + 1))
-    X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
-    vertices = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
-    vid = np.arange(len(vertices)).reshape(nx + 1, ny + 1, nz + 1)
-    tags = {"left": vid[0], "right": vid[nx], "bottom": vid[:, 0],
-            "top": vid[:, ny], "front": vid[:, :, 0], "back": vid[:, :, nz]}
-
-    # corners of every hexahedron, indexed as binary abc
-    corners = np.stack([
-        vid[a:a + nx, b:b + ny, c:c + nz].ravel()
-        for a in (0, 1) for b in (0, 1) for c in (0, 1)
-    ], axis=1)
-    # six tetrahedra per hexahedron (Kuhn split, fixed orientation)
-    corner_tets = [
-        (0, 1, 3, 7), (0, 1, 5, 7), (0, 4, 5, 7),
-        (0, 2, 3, 7), (0, 2, 6, 7), (0, 4, 6, 7),
-    ]
-    return Mesh(vertices, corners[:, corner_tets].reshape(-1, 4), "TET4",
-                tags)
+    ranges = [x_range, y_range, z_range]
+    return _grid_mesh(ranges, _steps(ranges, mesh_size))
 
 
 def rect_with_hole_mesh(x_range=(0.0, 1.0), y_range=(0.0, 1.0),
                         hole_center=(0.5, 0.5), hole_radius=0.2,
                         mesh_size=0.1):
-    """Structured rectangle with triangles inside the hole removed.
-
-    The hole boundary is the staircase polygon of the retained grid; at
-    desk scale that is accurate to O(mesh_size).
-    """
-    base = rect_mesh(x_range, y_range, mesh_size)
+    """Structured rectangle less the triangles whose centroids lie inside
+    the hole; the inferred boundary splits into `boundary`, on a side of
+    the rectangle, and `hole`, the staircase polygon of the retained grid
+    (accurate to O(mesh_size))."""
     c = np.asarray(hole_center, dtype=np.float64)
     r = float(hole_radius)
     if r <= 0:
         raise DegenerateGeometry("hole radius must be positive")
-    centroids = base.vertices[base.elements].mean(axis=1)
-    keep = np.linalg.norm(centroids - c, axis=1) > r
-    if keep.all():
+    ranges = [x_range, y_range]
+    counts = _steps(ranges, mesh_size)
+    mesh = _grid_mesh(ranges, counts,
+                      keep=lambda cen: np.linalg.norm(cen - c, axis=1) > r)
+    if len(mesh.elements) == 2 * math.prod(counts):
         raise DegenerateGeometry("hole smaller than one element")
-    elements = base.elements[keep]
-    used = np.unique(elements)
-    remap = -np.ones(base.num_vertices, dtype=np.int64)
-    remap[used] = np.arange(len(used))
-    vertices = base.vertices[used]
-    elements = remap[elements]
-
-    mesh = Mesh(vertices, elements, "TRI3")
-    on_boundary = np.zeros(len(vertices), dtype=bool)
-    on_boundary[mesh.tags["boundary"]] = True
-    outer_old = np.zeros(base.num_vertices, dtype=bool)
-    outer_old[base.tags["boundary"]] = True
-    outer = on_boundary & outer_old[used]
-    mesh.tags["boundary"] = np.nonzero(outer)[0]
-    mesh.tags["hole"] = np.nonzero(on_boundary & ~outer)[0]
-    mesh.tags["interior"] = np.nonzero(~on_boundary)[0]
-    for side in ("left", "right", "top", "bottom"):
-        new = remap[base.tags[side]]
-        mesh.tags[side] = new[new >= 0]
+    on_side = np.zeros(mesh.num_vertices, dtype=bool)
+    for side in ("left", "right", "bottom", "top"):
+        on_side[mesh.tags[side]] = True
+    rim = mesh.tags["boundary"]
+    mesh.tags["boundary"], mesh.tags["hole"] = (rim[on_side[rim]],
+                                                rim[~on_side[rim]])
     return mesh
 
 

@@ -408,16 +408,9 @@ class DeepONet(Model):
             )
         self._require_init()
         k, x = args
-        if x.shape[-1] != self.trunk_dims[0]:
-            raise InputRankMismatch(
-                f"trunk expects (..., {self.trunk_dims[0]}), got {x.shape}"
-            )
-        if k.ndim == x.ndim - 1:
-            k = T.reshape(k, k.shape[:-1] + (1,) + k.shape[-1:])
-        if k.shape[-1] != self.branch_dims[0]:
-            raise InputRankMismatch(
-                f"branch expects (..., {self.branch_dims[0]}), got {k.shape}"
-            )
+        ks, _ = self._shapes(k.shape, x.shape)
+        if ks != k.shape:
+            k = T.reshape(k, ks)
         b = _mlp_forward(self, "branch/", self.branch_dims, self.activation, k)
         t = _mlp_forward(self, "trunk/", self.trunk_dims, self.activation, x)
         out = T.reduce_sum(T.mul(b, t), axes=-1, keepdims=True)
@@ -426,11 +419,27 @@ class DeepONet(Model):
     def output_shape(self, arg_shapes):
         if len(arg_shapes) != 2:
             raise InputRankMismatch("DeepONet takes (sensors, coords)")
-        ks, xs = tuple(arg_shapes[0]), tuple(arg_shapes[1])
+        return self._shapes(*arg_shapes)[1]
+
+    def _shapes(self, ks, xs):
+        """The branch input shape of sensors shaped `ks` against coordinates
+        shaped `xs` (sensors one axis short gain a point axis) and the
+        output shape; InputRankMismatch where `forward` cannot run."""
+        ks, xs = tuple(ks), tuple(xs)
+        if xs[-1:] != (self.trunk_dims[0],):
+            raise InputRankMismatch(
+                f"trunk expects (..., {self.trunk_dims[0]}), got {xs}")
         if len(ks) == len(xs) - 1:
             ks = ks[:-1] + (1,) + ks[-1:]
-        lead = np.broadcast_shapes(ks[:-1], xs[:-1])
-        return tuple(lead) + (1,)
+        if ks[-1:] != (self.branch_dims[0],):
+            raise InputRankMismatch(
+                f"branch expects (..., {self.branch_dims[0]}), got {ks}")
+        try:
+            lead = np.broadcast_shapes(ks[:-1], xs[:-1])
+        except ValueError:
+            raise InputRankMismatch(
+                f"sensors {ks} and coords {xs} do not broadcast") from None
+        return ks, lead + (1,)
 
 
 def mlp(in_dim, hidden_dims, out_dim, activation="tanh", name="mlp"):

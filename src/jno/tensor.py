@@ -756,7 +756,12 @@ def transpose(a, axes=None):
     a = _as_tensor(a)
     if axes is None:
         axes = tuple(reversed(range(a.ndim)))
-    out = Tensor(np.transpose(a.data, axes))
+    try:
+        out = Tensor(np.transpose(a.data, axes))
+    except ValueError:
+        raise InvalidAxis(
+            f"axes {axes} do not permute the axes of {a.shape}") from None
+    axes = tuple(ax % a.ndim for ax in axes)
     return _linear_map(out, a, lambda c: transpose(c, axes),
                        lambda adj: transpose(adj, tuple(np.argsort(axes))))
 
@@ -836,6 +841,8 @@ def concat(parts, axis=-1):
     if not parts:
         raise ShapeMismatch("concat of zero tensors")
     nd = parts[0].ndim
+    if not -nd <= axis < nd:
+        raise InvalidAxis(f"axis {axis} invalid for rank {nd}")
     ax = axis % nd
     for p in parts:
         if p.ndim != nd:

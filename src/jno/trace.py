@@ -564,9 +564,9 @@ def _infer_shape(node, shapes, context_shapes):
     if kind == REDUCE:
         _, axes = node.payload
         s = shapes[node.children[0]]
-        if axes is None or not s:
+        if axes is None:
             return ()
-        normalized = {ax % len(s) for ax in axes}
+        normalized = _axes(node, axes, len(s))
         return tuple(d for i, d in enumerate(s) if i not in normalized)
     if kind == SLICE:
         s = shapes[node.children[0]]
@@ -577,7 +577,7 @@ def _infer_shape(node, shapes, context_shapes):
             raise ShapeInferenceFailure(node, f"slice {spec} invalid for {s}") from None
     if kind == CONCAT:
         child_shapes = [shapes[c] for c in node.children]
-        ax = node.payload % len(child_shapes[0])
+        ax, = _axes(node, (node.payload,), len(child_shapes[0]))
         base = list(child_shapes[0])
         for cs in child_shapes[1:]:
             if len(cs) != len(base) or any(
@@ -599,7 +599,11 @@ def _infer_shape(node, shapes, context_shapes):
     if kind == TRANSPOSE:
         s = shapes[node.children[0]]
         axes = node.payload or tuple(reversed(range(len(s))))
-        return tuple(s[a] for a in axes)
+        perm = _axes(node, axes, len(s))
+        if sorted(perm) != list(range(len(s))):
+            raise ShapeInferenceFailure(
+                node, f"{axes} does not permute the axes of {s}")
+        return tuple(s[a] for a in perm)
     if kind == MATMUL:
         sa, sb = shapes[node.children[0]], shapes[node.children[1]]
         if len(sa) < 2 or len(sb) < 2 or sa[-1] != sb[-2]:
@@ -614,6 +618,16 @@ def _infer_shape(node, shapes, context_shapes):
     if kind == TRACKER:
         return shapes[node.children[0]]
     raise ShapeInferenceFailure(node, f"unhandled kind {kind}")
+
+
+def _axes(node, axes, rank):
+    """`axes` taken modulo `rank`; ShapeInferenceFailure if one lies outside
+    [-rank, rank), as evaluation refuses it."""
+    for ax in axes:
+        if not -rank <= ax < rank:
+            raise ShapeInferenceFailure(
+                node, f"axis {ax} invalid for rank {rank}")
+    return [ax % rank for ax in axes]
 
 
 def trace_shapes(roots, context_shapes=None):

@@ -130,6 +130,24 @@ class TestScaleMerge:
             m.context["boundary"], (5 * d0).context["boundary"]
         )
 
+    def test_merge_shares_no_store_with_its_parts(self):
+        a, b = dm.structured_rect(4, 4), dm.structured_rect(4, 4)
+        a.variable("interior")
+        before = {name: dict(getattr(a, name)) for name in (
+            "context", "vertex_ids", "mesh_pool", "pool_ids", "resamplers",
+            "_vars", "coordinates", "tensor_tags")}
+        m = a.merge(b)
+        m.sample("interior", 3, seed=0)
+        m.register_resampler("boundary", count=2)
+        m.variable("boundary")
+        m.variable("k", np.ones((2, 1, 3)))
+        m.add_points("probe", np.zeros((1, 2)))
+        assert a.batch == 1 and m.batch == 2
+        for name, store in before.items():
+            assert getattr(a, name).keys() == store.keys(), name
+            for key, value in store.items():
+                assert getattr(a, name)[key] is value, (name, key)
+
     def test_merge_mismatch(self):
         a = dm.rect(mesh_size=0.5)
         b = dm.rect(mesh_size=0.25)

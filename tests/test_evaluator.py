@@ -162,6 +162,19 @@ class TestAdDerivatives:
         with pytest.raises(NonDifferentiablePath):
             ev.evaluate(tr.d(f(x), x), ev.EvalContext(domain=d))
 
+    def test_point_axis_slice_rejected_column_slice_accepted(self):
+        # the pointwise trick would give d/dx of (x*x)[0] + 0*x as 2 at every
+        # point, where the true diagonal is [2, 0, 0, 0]
+        x = tr.variable("x")
+        ctx = ev.EvalContext(bindings={x: np.arange(1.0, 5.0).reshape(
+            1, 1, 4, 1)})
+        for u in ((x * x)[:, :, 0:1, :] + 0.0 * x, (x * x)[:, :, ::-1, :]):
+            with pytest.raises(NonDifferentiablePath):
+                ev.evaluate(tr.d(u, x), ctx)
+        u = tr.concat_nodes([x, x * x], axis=-1)[:, :, :, 1:2]
+        val = ev.evaluate(tr.d(u, x), ctx)
+        np.testing.assert_array_equal(val.data.ravel(), [2.0, 4.0, 6.0, 8.0])
+
     def test_pointwise_reshapes_and_left_matmul_accepted(self):
         d = dm.line(mesh_size=0.25)
         x, _ = d.variable("interior")

@@ -217,17 +217,30 @@ def test_measures_of_a_tilted_surface():
 
 
 def test_cube_elements():
+    # the Kuhn split: per cell, in row-major order, one tetrahedron per order
+    # of the axes, the path through the cell's corners that steps along them,
+    # with its last two vertices swapped for an odd order
     nx, ny, nz = 2, 3, 1
     mesh = meshmod.cube_mesh((0.0, 1.0), (0.0, 1.5), (0.0, 0.5), mesh_size=0.5)
-    tets = [(0, 1, 3, 7), (0, 1, 5, 7), (0, 4, 5, 7),
-            (0, 2, 3, 7), (0, 2, 6, 7), (0, 4, 6, 7)]
+    orders = [((0, 1, 2), False), ((0, 2, 1), True), ((1, 0, 2), True),
+              ((1, 2, 0), False), ((2, 0, 1), False), ((2, 1, 0), True)]
+
+    def vid(i, j, k):
+        return (i * (ny + 1) + j) * (nz + 1) + k
+
     elements = []
     for i in range(nx):
         for j in range(ny):
             for k in range(nz):
-                corners = [((i + a) * (ny + 1) + j + b) * (nz + 1) + k + c
-                           for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-                elements += [[corners[t] for t in tet] for tet in tets]
+                for order, odd in orders:
+                    corner = [i, j, k]
+                    path = [vid(*corner)]
+                    for axis in order:
+                        corner[axis] += 1
+                        path.append(vid(*corner))
+                    if odd:
+                        path[2], path[3] = path[3], path[2]
+                    elements.append(path)
     assert np.array_equal(mesh.elements, np.asarray(elements))
 
 
@@ -269,6 +282,62 @@ def test_rect_with_hole_tags():
     assert np.array_equal(mesh.tags["top"], np.nonzero(y == 1.0)[0])
     hole = mesh.vertices[mesh.tags["hole"]]
     assert len(hole) and np.all(np.linalg.norm(hole - [0.7, 0.4], axis=1) < 0.4)
+
+
+def test_rect_with_hole_tags_match_a_reference_loop():
+    (x0, x1), (y0, y1), c, r, h = (0.0, 2.0), (0.0, 1.0), (0.7, 0.4), 0.25, 0.1
+    mesh = meshmod.rect_with_hole_mesh((x0, x1), (y0, y1), c, r, h)
+    nx, ny = 20, 10
+    xs, ys = np.linspace(x0, x1, nx + 1), np.linspace(y0, y1, ny + 1)
+    triangles = []
+    for i in range(nx):
+        for j in range(ny):
+            for tri in (((i, j), (i + 1, j), (i + 1, j + 1)),
+                        ((i, j), (i + 1, j + 1), (i, j + 1))):
+                cx = sum(xs[a] for a, _ in tri) / 3
+                cy = sum(ys[b] for _, b in tri) / 3
+                if np.hypot(cx - c[0], cy - c[1]) > r:
+                    triangles.append(tri)
+    used = sorted({v for tri in triangles for v in tri})
+    assert np.array_equal(mesh.vertices, [(xs[a], ys[b]) for a, b in used])
+    ids = {v: n for n, v in enumerate(used)}
+    edges = {}
+    for tri in triangles:
+        for e in range(3):
+            edge = tuple(sorted((tri[e], tri[(e + 1) % 3])))
+            edges[edge] = edges.get(edge, 0) + 1
+    rim = {v for edge, n in edges.items() if n == 1 for v in edge}
+    sides = {"left": lambda a, b: a == 0, "right": lambda a, b: a == nx,
+             "bottom": lambda a, b: b == 0, "top": lambda a, b: b == ny}
+    want = {side: [ids[v] for v in used if on(*v)]
+            for side, on in sides.items()}
+    on_side = {v for v in used if any(on(*v) for on in sides.values())}
+    want["boundary"] = sorted(ids[v] for v in rim & on_side)
+    want["hole"] = sorted(ids[v] for v in rim - on_side)
+    want["interior"] = sorted(ids[v] for v in set(used) - rim)
+    assert len(want["hole"]) > 0
+    assert {tag: idx.tolist() for tag, idx in mesh.tags.items()} == want
+
+
+@pytest.mark.parametrize("name, measure", [
+    ("line", 1.0), ("rect", 3.0), ("lshape", 0.75), ("cube", 0.375),
+    ("rect_with_hole", None)])
+def test_grid_cells_are_positively_oriented(name, measure):
+    mesh = MESHES[name](None)
+    J = mesh.vertices[mesh.elements[:, 1:]] \
+        - mesh.vertices[mesh.elements[:, :1]]
+    assert (np.linalg.det(J) > 0).all()
+    if measure is None:
+        # the unit square less the triangles (area 0.005) whose centroids
+        # lie within 0.2 of its center
+        cells = np.arange(10) * 0.1
+        removed = sum(np.hypot(x + dx - 0.5, y + dy - 0.5) <= 0.2
+                      for x in cells for y in cells
+                      for dx, dy in ((0.2 / 3, 0.1 / 3), (0.1 / 3, 0.2 / 3)))
+        measure = 1.0 - 0.005 * removed
+    total = meshmod.element_measures(mesh).sum()
+    assert total == pytest.approx(measure, rel=1e-13)
+    assert dm.Domain(mesh).total_measure() == pytest.approx(measure, rel=1e-13)
 
 
 def test_coincident_boundary_vertices_raise(tmp_path):

@@ -3,9 +3,11 @@ import pytest
 
 from jno import nn
 from jno import tensor as T
+from jno import trace as tr
 from jno.errors import (
     ArityMismatch,
     BadDimension,
+    InputRankMismatch,
     InvalidSeed,
     NotAMatrix,
     StateShapeMismatch,
@@ -49,6 +51,21 @@ class TestArchitectures:
         net = nn.deeponet(1, 2, 32, 128).initialize(0)
         out = forward_np(net, np.ones((5, 1, 1)), np.zeros((5, 1, 9, 2)))
         assert out.shape == (5, 1, 9, 1)
+
+    @pytest.mark.parametrize("coords", [(3, 1, 5, 2), (2, 1, 5, 7)],
+                             ids=["lead-mismatch", "trunk-width"])
+    def test_deeponet_shapes_and_forward_refuse_alike(self, coords):
+        net = nn.deeponet(3, 2, 4, 8).initialize(0)
+        k, x = tr.variable("k"), tr.variable("x")
+        out = net(k, x)
+        sensors = (2, 1, 1, 3)
+        with pytest.raises(InputRankMismatch):
+            tr.trace_shapes(out, {k: sensors, x: coords})
+        with pytest.raises(InputRankMismatch):
+            forward_np(net, np.ones(sensors), np.ones(coords))
+        good = (2, 1, 5, 2)
+        assert tr.trace_shapes(out, {k: sensors, x: good})[out] == \
+            forward_np(net, np.ones(sensors), np.ones(good)).shape
 
     def test_deeponet_zero_branch_is_bias(self):
         net = nn.deeponet(1, 2, 8, 8).initialize(0)
@@ -230,6 +247,12 @@ class TestOptimizers:
 
 
 class TestSchedules:
+    def test_constant(self):
+        sched = nn.constant_schedule(3e-4)
+        assert [sched.value(s) for s in (0, 1, 10_000)] == [3e-4] * 3
+        spec = nn.adam(sched)
+        assert spec.hyper_for("w", 7)["lr"] == 3e-4
+
     def test_cosine_endpoints_listing_values(self):
         sched = nn.cosine_decay_schedule(init_value=1e-3, decay_steps=10_000,
                                          alpha=1e-5)

@@ -161,6 +161,25 @@ class TestLinalg:
         out = T.transpose(T.Tensor(np.arange(6.0).reshape(2, 3)))
         assert out.shape == (3, 2)
 
+    def test_transpose_gradient_with_negative_axes(self):
+        a = T.Tensor(np.arange(24.0).reshape(1, 2, 3, 4))
+        w = np.arange(24.0).reshape(1, 2, 4, 3)
+        with T.Tape() as tape:
+            tape.watch(a)
+            out = T.reduce_sum(T.mul(T.transpose(a, (0, 1, -1, -2)),
+                                     T.Tensor(w)))
+        grad = tape.gradient(out, [a])[a.uid]
+        np.testing.assert_array_equal(grad.data, w.transpose(0, 1, 3, 2))
+
+    @pytest.mark.parametrize("axes", [(0, 0, 1), (0, 1), (0, 1, 5)])
+    def test_transpose_needs_a_permutation(self, axes):
+        with pytest.raises(InvalidAxis):
+            T.transpose(T.ones((2, 3, 4)), axes)
+
+    def test_concat_axis_out_of_range(self):
+        with pytest.raises(InvalidAxis):
+            T.concat([T.ones((2, 3)), T.ones((2, 3))], axis=2)
+
     def test_slice_and_oob(self):
         x = T.Tensor(np.arange(10.0))
         assert T.take_slice(x, (slice(2, 5),)).tolist() == [2.0, 3.0, 4.0]

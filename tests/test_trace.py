@@ -12,6 +12,7 @@ from jno import trace as tr
 from jno.errors import (
     ArityMismatch,
     ExtraBinding,
+    InvalidAxis,
     MissingBinding,
     NonPositiveInterval,
     NotAVariable,
@@ -50,6 +51,15 @@ class TestIdentity:
         node = x < y
         assert node.kind == tr.COMPARE
         assert node.payload == "lt"
+
+    def test_elementwise_equality_builds_compare(self):
+        x, y = tr.variable("x"), tr.variable("y")
+        ctx = ev.EvalContext(bindings={x: np.array([1.0, 2.0, 3.0]),
+                                       y: np.array([1.0, 0.0, 3.0])})
+        for node, op, want in ((x.eq_elem(y), "eq", [1.0, 0.0, 1.0]),
+                               (x.ne_elem(2.0), "ne", [1.0, 0.0, 1.0])):
+            assert node.kind == tr.COMPARE and node.payload == op
+            assert ev.evaluate(node, ctx).tolist() == want
 
 
 class TestBuild:
@@ -366,6 +376,25 @@ class TestShapes:
         for node in rep.order:
             val = ev.evaluate(node, ctx)
             assert val.shape == rep[node]
+
+    @pytest.mark.parametrize("make", [
+        lambda x: x.reduce("sum", axes=(5,)),
+        lambda x: x.reduce("sum", axes=(-7,)),
+        lambda x: x.reduce("sum").reduce("sum", axes=(0,)),
+        lambda x: tr.transpose_node(x, (0, 0, 1, 2)),
+        lambda x: tr.transpose_node(x, (0, 1, 2)),
+        lambda x: tr.concat_nodes([x, x], axis=9),
+    ], ids=["reduce-5", "reduce-minus-7", "reduce-scalar", "transpose-repeat",
+            "transpose-3-of-4", "concat-9"])
+    def test_shapes_and_evaluation_refuse_a_bad_axis_alike(self, make):
+        x = tr.variable("x")
+        root = make(x)
+        with pytest.raises(ShapeInferenceFailure) as exc:
+            tr.trace_shapes(root, {x: (1, 1, 3, 2)})
+        assert exc.value.node is root
+        ctx = ev.EvalContext(bindings={x: np.ones((1, 1, 3, 2))})
+        with pytest.raises(InvalidAxis):
+            ev.evaluate(root, ctx)
 
 
 _SHAPES = st.lists(st.integers(0, 3), max_size=4).map(tuple)
