@@ -14,6 +14,9 @@ or barycentric interpolation at the points) are CSR matrices applied with
 :func:`jno.tensor.sparse_matmul`.
 """
 
+import operator
+from collections import Counter
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -82,6 +85,9 @@ class EvalContext:
         raise UnboundVariable(f"no binding for Variable {var.name!r}")
 
 
+_KIND = operator.attrgetter("kind")
+
+
 def evaluate(root, ctx):
     """Value of `root` under `ctx`, or the tuple of values of a tuple of
     roots, which are scheduled together, so that their AD derivatives of
@@ -89,22 +95,28 @@ def evaluate(root, ctx):
     context.
 
     First `_schedule` lists the nodes to evaluate, then the handlers
-    evaluate them in that order.  `ctx.stats` counts each evaluated node
-    and each visit that found its node cached or already walked.
+    evaluate them in that order.  `ctx.stats` counts each visit that found
+    its node cached or already walked and, once the pass is done, each
+    evaluated node.
     """
     roots = root if isinstance(root, tuple) else (root,)
-    cache, stats = ctx.cache, ctx.stats
-    by_kind = stats["by_kind"]
-    for node in _schedule(roots, ctx):
-        handler = HANDLERS.get(node.kind)
-        if handler is None:
-            raise UnassembledSymbol(f"no handler for node kind {node.kind}")
+    cache, nan_check = ctx.cache, ctx.nan_check
+    order = _schedule(roots, ctx)
+    for node in order:
+        try:
+            handler = HANDLERS[node.kind]
+        except KeyError:
+            raise UnassembledSymbol(
+                f"no handler for node kind {node.kind}") from None
         value = handler(node, ctx)
-        stats["evaluations"] += 1
-        by_kind[node.kind] = by_kind.get(node.kind, 0) + 1
-        if ctx.nan_check and T.has_nan(value):
+        if nan_check and T.has_nan(value):
             raise NaNDetected(node, f"non-finite value at {node!r}")
         cache[node] = value
+    stats = ctx.stats
+    stats["evaluations"] += len(order)
+    by_kind = stats["by_kind"]
+    for kind, count in Counter(map(_KIND, order)).items():
+        by_kind[kind] = by_kind.get(kind, 0) + count
     return tuple(cache[r] for r in roots) if root is roots else cache[root]
 
 

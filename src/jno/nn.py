@@ -354,22 +354,18 @@ class MLP(Model):
         return _mlp_specs("", self.dims)
 
     def forward(self, args):
-        if len(args) != 1:
-            raise InputRankMismatch(f"MLP takes one input, got {len(args)}")
-        x = args[0]
-        if x.ndim < 2 or x.shape[-1] != self.dims[0]:
-            raise InputRankMismatch(
-                f"MLP expects (..., {self.dims[0]}), got {x.shape}"
-            )
+        self.output_shape([x.shape for x in args])
         self._require_init()
-        return _mlp_forward(self, "", self.dims, self.activation, x)
+        return _mlp_forward(self, "", self.dims, self.activation, args[0])
 
     def output_shape(self, arg_shapes):
-        if len(arg_shapes) != 1 or not arg_shapes[0] \
+        """The output shape for one input shaped (..., in_dim) of rank at
+        least 2, the check `forward` runs too; else InputRankMismatch."""
+        if len(arg_shapes) != 1 or len(arg_shapes[0]) < 2 \
                 or arg_shapes[0][-1] != self.dims[0]:
             raise InputRankMismatch(
-                f"MLP expects (..., {self.dims[0]}), got {arg_shapes}"
-            )
+                f"MLP expects one input (..., {self.dims[0]}) of rank at "
+                f"least 2, got {arg_shapes}")
         return tuple(arg_shapes[0][:-1]) + (self.dims[-1],)
 
 

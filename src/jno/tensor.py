@@ -37,6 +37,7 @@ from .errors import (
 )
 
 _UIDS = itertools.count(1)
+_F64 = np.dtype(np.float64)
 
 
 class _Active(threading.local):
@@ -61,7 +62,11 @@ class Tensor:
     __slots__ = ("data", "uid")
 
     def __init__(self, data):
-        self.data = np.asarray(data, dtype=np.float64)
+        # a primitive's result is mostly a float64 array already, which
+        # np.asarray would return as it is at twice the cost of this check
+        if type(data) is not np.ndarray or data.dtype is not _F64:
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.uid = next(_UIDS)
 
     @property
@@ -401,9 +406,8 @@ def _pointwise(out, inputs, rule):
     coefficients of a group are t1_j = sum_i partials[i](a1_ij) per
     direction and t2 = sum_i partials[i](a2_i) plus the curvature, each in
     the broadcast shape of its terms.  A replay calls `rule` once, for the
-    inputs live in any of its groups."""
-    if not _ACTIVE.recorders:
-        return out
+    inputs live in any of its groups.  Its callers return `out` without
+    building `rule` when no recorder is active."""
     shapes = tuple(t.shape for t in inputs)
     ndim = out.ndim
 
@@ -495,16 +499,22 @@ def _binary(fn, a, b, name):
 
 def add(a, b):
     a, b, out = _binary(operator.add, a, b, "add")
+    if not _ACTIVE.recorders:
+        return out
     return _pointwise(out, (a, b), lambda live: ((_same, _same), None))
 
 
 def sub(a, b):
     a, b, out = _binary(operator.sub, a, b, "sub")
+    if not _ACTIVE.recorders:
+        return out
     return _pointwise(out, (a, b), lambda live: ((_same, neg), None))
 
 
 def mul(a, b):
     a, b, out = _binary(operator.mul, a, b, "mul")
+    if not _ACTIVE.recorders:
+        return out
     return _pointwise(out, (a, b), lambda live: (
         (lambda t: mul(t, b), lambda t: mul(t, a)),
         lambda d1s, t1s: _twice(_sum(_on(mul, *d) for d in d1s))))
@@ -513,6 +523,8 @@ def mul(a, b):
 def div(a, b):
     with np.errstate(divide="ignore", invalid="ignore"):
         a, b, out = _binary(operator.truediv, a, b, "div")
+    if not _ACTIVE.recorders:
+        return out
 
     def rule(live):
         # f_a = 1/b, f_b = -a/b**2; the second-order term
@@ -554,6 +566,8 @@ def power(a, b):
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
             a, b, out = _binary(operator.pow, a, b, "power")
+    if not _ACTIVE.recorders:
+        return out
 
     @_QUIET
     def rule(live):
@@ -590,6 +604,8 @@ def power(a, b):
 def exp(a):
     a = _as_tensor(a)
     out = Tensor(np.exp(a.data))
+    if not _ACTIVE.recorders:
+        return out
     return _unary(out, a, lambda: out, lambda fp: out)
 
 
@@ -597,6 +613,8 @@ def log(a):
     a = _as_tensor(a)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = Tensor(np.log(a.data))
+    if not _ACTIVE.recorders:
+        return out
     return _unary(out, a, lambda: div(Tensor(1.0), a),
                   lambda fp: neg(mul(fp, fp)))
 
@@ -604,18 +622,24 @@ def log(a):
 def sin(a):
     a = _as_tensor(a)
     out = Tensor(np.sin(a.data))
+    if not _ACTIVE.recorders:
+        return out
     return _unary(out, a, lambda: cos(a), lambda fp: neg(out))
 
 
 def cos(a):
     a = _as_tensor(a)
     out = Tensor(np.cos(a.data))
+    if not _ACTIVE.recorders:
+        return out
     return _unary(out, a, lambda: neg(sin(a)), lambda fp: neg(out))
 
 
 def tanh(a):
     a = _as_tensor(a)
     out = Tensor(np.tanh(a.data))
+    if not _ACTIVE.recorders:
+        return out
     # f' = 1 - out**2, f'' = -2 out f'
     return _unary(out, a, lambda: sub(Tensor(1.0), mul(out, out)),
                   lambda fp: mul(Tensor(-2.0), mul(out, fp)))
@@ -625,6 +649,8 @@ def _extremum(fn, wins, a, b, name):
     """maximum or minimum (`fn`) of `a` and `b`: each input's coefficients
     where it wins (``wins(x, y)``); ties get subgradient 0 on both sides."""
     a, b, out = _binary(fn, a, b, name)
+    if not _ACTIVE.recorders:
+        return out
 
     def gated(x, y):
         gate = Tensor(wins(x.data, y.data))
@@ -680,6 +706,8 @@ def _norm_axes(a, axes):
     for ax in axes:
         if not 0 <= ax < a.ndim:
             raise InvalidAxis(f"axis {ax} invalid for shape {a.shape}")
+    if len(set(axes)) != len(axes):
+        raise InvalidAxis(f"axes {axes} repeat an axis")
     return axes
 
 

@@ -542,6 +542,19 @@ def _broadcast(node, *shapes):
 
 def _infer_shape(node, shapes, context_shapes):
     kind = node.kind
+    if kind == ARITH:
+        # most nodes: a shape shared by both sides, or next to a scalar, is
+        # the answer, so broadcasting is only worked out where they differ
+        children = node.children
+        a = shapes[children[0]]
+        if len(children) == 1:
+            return a
+        b = shapes[children[1]]
+        if a == b or not b:
+            return a
+        if not a:
+            return b
+        return _broadcast(node, a, b)
     if kind == VARIABLE:
         if node in context_shapes:
             return tuple(context_shapes[node])
@@ -556,9 +569,6 @@ def _infer_shape(node, shapes, context_shapes):
         raise ShapeInferenceFailure(
             node, f"{kind} is only meaningful inside weak-form assembly"
         )
-    if kind == ARITH:
-        child_shapes = [shapes[c] for c in node.children]
-        return _broadcast(node, *child_shapes)
     if kind == COMPARE:
         return _broadcast(node, shapes[node.children[0]], shapes[node.children[1]])
     if kind == REDUCE:
@@ -600,7 +610,7 @@ def _infer_shape(node, shapes, context_shapes):
         s = shapes[node.children[0]]
         axes = node.payload or tuple(reversed(range(len(s))))
         perm = _axes(node, axes, len(s))
-        if sorted(perm) != list(range(len(s))):
+        if len(perm) != len(s):
             raise ShapeInferenceFailure(
                 node, f"{axes} does not permute the axes of {s}")
         return tuple(s[a] for a in perm)
@@ -622,12 +632,15 @@ def _infer_shape(node, shapes, context_shapes):
 
 def _axes(node, axes, rank):
     """`axes` taken modulo `rank`; ShapeInferenceFailure if one lies outside
-    [-rank, rank), as evaluation refuses it."""
+    [-rank, rank) or two name one axis, as evaluation refuses them."""
     for ax in axes:
         if not -rank <= ax < rank:
             raise ShapeInferenceFailure(
                 node, f"axis {ax} invalid for rank {rank}")
-    return [ax % rank for ax in axes]
+    normalized = [ax % rank for ax in axes]
+    if len(set(normalized)) != len(normalized):
+        raise ShapeInferenceFailure(node, f"axes {axes} repeat an axis")
+    return normalized
 
 
 def trace_shapes(roots, context_shapes=None):

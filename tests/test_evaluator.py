@@ -12,6 +12,7 @@ from jno.errors import (
     NaNDetected,
     NonDifferentiablePath,
     PointOutsideMesh,
+    UnassembledSymbol,
     UnboundVariable,
 )
 
@@ -60,6 +61,10 @@ class TestBasics:
 
     def test_handler_totality(self):
         ev.assert_handler_totality()
+
+    def test_unknown_kind_is_unassembled(self):
+        with pytest.raises(UnassembledSymbol, match="Bogus"):
+            ev.evaluate(tr.ExprNode("Bogus"), ev.EvalContext())
 
     def test_operation_call(self):
         a = tr.variable("a")

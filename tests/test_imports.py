@@ -49,17 +49,24 @@ def test_relative_imports_resolve(path):
 
 def test_importing_jno_loads_no_scipy_solvers():
     """scipy.sparse.linalg, and scipy.linalg with it, cost about 0.1 s to
-    import; jno imports them only when it solves.  A fresh interpreter
-    imports every module, checks, then solves a Poisson problem."""
+    import; jno imports them only when it solves, and scipy.spatial, which
+    loads scipy.linalg too, only when it locates points.  A fresh
+    interpreter imports every module, builds every domain kind and its
+    boundary normals, checks, then solves a Poisson problem."""
     modules = ", ".join(f"jno.{p.stem}" for p in MODULES)
     script = f"""
 import importlib, sys
 for name in "{modules}".split(", "):
     importlib.import_module(name)
-loaded = [m for m in ("scipy.sparse.linalg", "scipy.linalg") if m in sys.modules]
+from jno import domain as dm, fem
+for make in (dm.line, dm.rect, dm.disk, dm.lshape, dm.cube,
+             dm.rect_with_hole, lambda: dm.structured_rect(4, 4),
+             lambda: dm.disk(0.2, 1.0, (0.3, -0.2))):
+    make().normals("boundary")
+loaded = [m for m in ("scipy.sparse.linalg", "scipy.linalg", "scipy.spatial")
+          if m in sys.modules]
 assert not loaded, loaded
 import numpy as np
-from jno import domain as dm, fem
 dom = dm.structured_rect(4, 4)
 dom.init_fem(bcs=[dom.dirichlet("boundary", 0.0)])
 u, phi = dom.fem_symbols()

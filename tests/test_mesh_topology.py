@@ -319,11 +319,20 @@ def test_rect_with_hole_tags_match_a_reference_loop():
     assert {tag: idx.tolist() for tag, idx in mesh.tags.items()} == want
 
 
+def _ring_area(n):
+    """The area of the regular n-gon inscribed in the unit circle."""
+    return n / 2 * np.sin(2 * np.pi / n)
+
+
 @pytest.mark.parametrize("name, measure", [
     ("line", 1.0), ("rect", 3.0), ("lshape", 0.75), ("cube", 0.375),
-    ("rect_with_hole", None)])
+    ("rect_with_hole", None),
+    # 5 and 33 rings, the outer one of 30 and 198 points
+    pytest.param("disk", _ring_area(30), id="disk"),
+    pytest.param("centred_disk", _ring_area(198), id="centred_disk")])
 def test_grid_cells_are_positively_oriented(name, measure):
-    mesh = MESHES[name](None)
+    mesh = MESHES[name](None) if name in MESHES \
+        else meshmod.disk_mesh(mesh_size=0.03)
     J = mesh.vertices[mesh.elements[:, 1:]] \
         - mesh.vertices[mesh.elements[:, :1]]
     assert (np.linalg.det(J) > 0).all()
@@ -338,6 +347,28 @@ def test_grid_cells_are_positively_oriented(name, measure):
     total = meshmod.element_measures(mesh).sum()
     assert total == pytest.approx(measure, rel=1e-13)
     assert dm.Domain(mesh).total_measure() == pytest.approx(measure, rel=1e-13)
+
+
+@pytest.mark.parametrize("h, center", [
+    (0.7, (0.0, 0.0)), (0.2, (0.0, 0.0)), (0.03, (0.0, 0.0)),
+    (0.2, (0.3, -0.2))], ids=["h0.7", "h0.2", "h0.03", "off-centre"])
+def test_disk_is_the_delaunay_triangulation_of_its_rings(h, center):
+    from scipy.spatial import Delaunay
+
+    mesh = meshmod.disk_mesh(1.0, center, h)
+
+    def rows(cells):
+        cells = np.sort(cells, axis=1)
+        return cells[np.lexsort(cells.T[::-1])]
+
+    assert np.array_equal(rows(mesh.elements),
+                          rows(Delaunay(mesh.vertices).simplices))
+    rim = 6 * round(1 / h)
+    outer = np.arange(mesh.num_vertices - rim, mesh.num_vertices)
+    np.testing.assert_allclose(
+        np.linalg.norm(mesh.vertices[outer] - center, axis=1), 1.0,
+        rtol=0, atol=1e-15)
+    assert np.array_equal(mesh.tags["boundary"], outer)
 
 
 def test_coincident_boundary_vertices_raise(tmp_path):

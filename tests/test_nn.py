@@ -67,6 +67,19 @@ class TestArchitectures:
         assert tr.trace_shapes(out, {k: sensors, x: good})[out] == \
             forward_np(net, np.ones(sensors), np.ones(good)).shape
 
+    @pytest.mark.parametrize("shape", [(2,), (5, 3)],
+                             ids=["rank-1", "width"])
+    def test_mlp_shapes_and_forward_refuse_alike(self, shape):
+        net = nn.mlp(2, [4], 1).initialize(0)
+        x = tr.variable("x")
+        out = net(x)
+        with pytest.raises(InputRankMismatch):
+            tr.trace_shapes(out, {x: shape})
+        with pytest.raises(InputRankMismatch):
+            forward_np(net, np.ones(shape))
+        assert tr.trace_shapes(out, {x: (5, 2)})[out] == \
+            forward_np(net, np.ones((5, 2))).shape
+
     def test_deeponet_zero_branch_is_bias(self):
         net = nn.deeponet(1, 2, 8, 8).initialize(0)
         for p in list(net.params):

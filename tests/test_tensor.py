@@ -54,6 +54,25 @@ class TestElementwise:
         with pytest.raises(ShapeMismatch, match=f"^{name}: "):
             getattr(T, name)(*args)
 
+    @pytest.mark.parametrize("name", sorted(T.ELEMENTWISE) + [
+        "lt", "le", "gt", "ge", "eq", "ne"])
+    @pytest.mark.parametrize("shapes", [((), ()), ((), (3,))],
+                             ids=["0d-0d", "0d-n"])
+    def test_results_are_float64_arrays(self, name, shapes):
+        # numpy gives an np.float64 scalar for two 0-d arrays and bools for a
+        # comparison; the Tensor holds a float64 ndarray either way
+        a = T.Tensor(np.full(shapes[0], 1.5))
+        b = T.Tensor(np.full(shapes[1], 2.0))
+        if name in ("neg", "exp", "log", "sin", "cos", "tanh", "relu"):
+            outs = [T.ELEMENTWISE[name](a), T.ELEMENTWISE[name](b)]
+        elif name in T.ELEMENTWISE:
+            outs = [T.ELEMENTWISE[name](a, b), T.ELEMENTWISE[name](b, a)]
+        else:
+            outs = [T.compare(name, a, b), T.compare(name, b, a)]
+        for out in outs:
+            assert type(out.data) is np.ndarray
+            assert out.data.dtype == np.float64
+
     def test_compare_is_binary(self):
         out = T.compare("lt", T.Tensor([1.0, 5.0]), T.Tensor([2.0, 2.0]))
         assert out.tolist() == [1.0, 0.0]

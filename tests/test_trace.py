@@ -384,8 +384,9 @@ class TestShapes:
         lambda x: tr.transpose_node(x, (0, 0, 1, 2)),
         lambda x: tr.transpose_node(x, (0, 1, 2)),
         lambda x: tr.concat_nodes([x, x], axis=9),
+        lambda x: x.reduce("sum", axes=(1, 1)),
     ], ids=["reduce-5", "reduce-minus-7", "reduce-scalar", "transpose-repeat",
-            "transpose-3-of-4", "concat-9"])
+            "transpose-3-of-4", "concat-9", "reduce-repeat"])
     def test_shapes_and_evaluation_refuse_a_bad_axis_alike(self, make):
         x = tr.variable("x")
         root = make(x)
