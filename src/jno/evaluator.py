@@ -86,6 +86,7 @@ class EvalContext:
 
 
 _KIND = operator.attrgetter("kind")
+_SERIAL = operator.attrgetter("serial")
 
 
 def evaluate(root, ctx):
@@ -94,10 +95,10 @@ def evaluate(root, ctx):
     one expression share one Jet push; shared nodes evaluate once per
     context.
 
-    First `_schedule` lists the nodes to evaluate, then the handlers
-    evaluate them in that order.  `ctx.stats` counts each visit that found
-    its node cached or already walked and, once the pass is done, each
-    evaluated node.
+    First `_schedule` lists the nodes to evaluate, children first, then
+    the handlers evaluate them in that order.  `ctx.stats` counts each
+    visit that found its node cached or already walked and, once the pass
+    is done, each evaluated node.
     """
     roots = root if isinstance(root, tuple) else (root,)
     cache, nan_check = ctx.cache, ctx.nan_check
@@ -121,32 +122,27 @@ def evaluate(root, ctx):
 
 
 def _schedule(roots, ctx):
-    """The part of the graphs below `roots` that is not in `ctx.cache`,
-    children first and left to right.
+    """The part of the graphs below `roots` that is not in `ctx.cache`, in
+    creation order, which lists children first (`trace.toposort`).
 
-    The walk uses an explicit stack: a node goes on the stack again, under
-    a None marker, below its children, and is listed when the marker comes
-    off.  A node met again was listed already, since a graph has no
-    cycles.  The walk does not enter Derivative nodes, whose handlers
-    evaluate the expression in a child context, nor a sum of AD
-    Laplacian terms (`_ad_sum`), which its handler reads from one summed
-    coefficient.  It records the AD derivatives of both in `ctx`, so that
-    the first of them on an expression pushes the directions of all of
-    them in one replay.
+    The walk visits each node once, children left to right, with an
+    explicit stack.  It does not enter Derivative nodes, whose handlers
+    evaluate the expression in a child context, nor a sum of AD Laplacian
+    terms (`_ad_sum`), which its handler reads from one summed coefficient.
+    It records the AD derivatives of both in `ctx`, in the order it meets
+    them, so that the first of them on an expression pushes the directions
+    of all of them in one replay.
     """
     cache, stats = ctx.cache, ctx.stats
     derivative, arith = tr.DERIVATIVE, tr.ARITH
-    expanded, order = set(), []
+    seen = set()
     stack = list(reversed(roots))
     while stack:
         node = stack.pop()
-        if node is None:
-            order.append(stack.pop())
-        elif node in cache or node in expanded:
+        if node in cache or node in seen:
             stats["cache_hits"] += 1
         else:
-            expanded.add(node)
-            stack += (node, None)
+            seen.add(node)
             kind = node.kind
             if kind == derivative:
                 if _derivative_mode(node, ctx) != "finite-difference":
@@ -158,7 +154,7 @@ def _schedule(roots, ctx):
                 _request(ctx, *terms, 2)
             else:
                 stack.extend(reversed(node.children))
-    return order
+    return sorted(seen, key=_SERIAL)
 
 
 def _request(ctx, expr, wrts, order):
@@ -644,7 +640,8 @@ def _interpolation(ctx, coords, cols):
 
 def _vertex_context(ctx, tag):
     """Child context that binds `tag`'s coordinate variables to every mesh
-    vertex; shared by all FD derivatives of that tag in `ctx`."""
+    vertex, with the vertex ids, so that an FD derivative inside reads
+    their rows; shared by all FD derivatives of that tag in `ctx`."""
     sub = ctx._vertex_contexts.get(tag)
     if sub is not None:
         return sub
@@ -652,6 +649,7 @@ def _vertex_context(ctx, tag):
     verts = domain.mesh.vertices
     points = np.broadcast_to(verts, (domain.batch, domain.num_times)
                              + verts.shape)
-    sub = ctx._vertex_contexts[tag] = ctx.child(
-        domain.point_bindings(tag, points))
+    bindings = domain.point_bindings(tag, points)
+    sub = ctx._vertex_contexts[tag] = ctx.child(bindings)
+    sub._vertex_ids = dict.fromkeys(bindings, np.arange(len(verts)))
     return sub

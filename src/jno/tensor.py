@@ -694,22 +694,107 @@ def compare(op, a, b):
 
 
 # ---------------------------------------------------------------------------
-# Reductions
+# Shape rules: one pure function of shapes per structural rule.  The
+# primitive validates its inputs through it and `trace.trace_shapes` returns
+# its result, so both give the same shapes and refuse the same inputs.
+# Elementwise ops and reshape leave the rule to numpy on both sides.
 # ---------------------------------------------------------------------------
 
-def _norm_axes(a, axes):
-    if axes is None:
-        return tuple(range(a.ndim))
-    if isinstance(axes, int):
-        axes = (axes,)
-    axes = tuple(ax % a.ndim if -a.ndim <= ax < a.ndim else ax for ax in axes)
+def broadcast_shape(a, b):
+    """The broadcast of shapes `a` and `b`; ShapeMismatch if they do not
+    broadcast.  Two equal shapes, or a shape next to (), are the answer
+    without asking numpy."""
+    if a == b or not b:
+        return a
+    if not a:
+        return b
+    try:
+        return np.broadcast_shapes(a, b)
+    except ValueError:
+        raise ShapeMismatch(f"shapes {a} and {b} do not broadcast") from None
+
+
+def _axes(shape, axes):
+    """`axes` of `shape` taken modulo its rank; InvalidAxis if one lies
+    outside [-rank, rank) or two name one axis."""
+    rank = len(shape)
     for ax in axes:
-        if not 0 <= ax < a.ndim:
-            raise InvalidAxis(f"axis {ax} invalid for shape {a.shape}")
+        if not -rank <= ax < rank:
+            raise InvalidAxis(f"axis {ax} invalid for shape {shape}")
+    axes = tuple([ax % rank for ax in axes])
     if len(set(axes)) != len(axes):
         raise InvalidAxis(f"axes {axes} repeat an axis")
     return axes
 
+
+def reduce_shape(shape, axes):
+    """(axes, out): the axes of `shape` that a reduction over `axes` (an
+    int, a tuple, or None for all) sums, and the shape it leaves."""
+    if axes is None:
+        return tuple(range(len(shape))), ()
+    axes = _axes(shape, (axes,) if isinstance(axes, int) else axes)
+    return axes, tuple([n for i, n in enumerate(shape) if i not in axes])
+
+
+def transpose_shape(shape, axes):
+    """(axes, out): the permutation `axes` of `shape`'s axes (reversed for
+    None) taken modulo its rank, and the permuted shape; InvalidAxis if
+    `axes` does not permute them."""
+    axes = tuple(reversed(range(len(shape)))) if axes is None \
+        else _axes(shape, axes)
+    if len(axes) != len(shape):
+        raise InvalidAxis(f"axes {axes} do not permute the axes of {shape}")
+    return axes, tuple([shape[ax] for ax in axes])
+
+
+def concat_shape(shapes, axis):
+    """(axis, out): `axis` taken modulo the rank, and the shape of the
+    concatenation of `shapes` along it; ShapeMismatch for no shapes, two
+    ranks or sizes that differ off the axis."""
+    if not shapes:
+        raise ShapeMismatch("concat of zero tensors")
+    first = shapes[0]
+    ax, = _axes(first, (axis,))
+    rest = first[:ax] + first[ax + 1:]
+    for s in shapes:
+        if len(s) != len(first) or s[:ax] + s[ax + 1:] != rest:
+            raise ShapeMismatch(f"concat shapes differ off axis {ax}: "
+                                f"{list(shapes)}")
+    return ax, first[:ax] + (sum([s[ax] for s in shapes]),) + first[ax + 1:]
+
+
+def matmul_shape(a, b):
+    """The shape of the product of shapes `a` @ `b`, whose leading (batch)
+    axes broadcast; ShapeMismatch for a rank below 2 or inner sizes that
+    differ."""
+    if len(a) < 2 or len(b) < 2:
+        raise ShapeMismatch("matmul operands must have rank >= 2")
+    if a[-1] != b[-2]:
+        raise ShapeMismatch(f"matmul inner dimensions differ: {a} @ {b}")
+    return broadcast_shape(a[:-2], b[:-2]) + (a[-2], b[-1])
+
+
+def slice_shape(shape, spec):
+    """The shape of `shape` indexed by `spec`, a tuple of ints and slices;
+    IndexOutOfRange for a spec longer than the rank, an int outside its
+    axis, a bool (which numpy reads as a mask) or a zero step."""
+    if len(spec) > len(shape):
+        raise IndexOutOfRange(f"slice spec {spec} too long for shape {shape}")
+    out = []
+    for i, (n, s) in enumerate(zip(shape, spec)):
+        if isinstance(s, slice):
+            if s.step == 0:
+                raise IndexOutOfRange(f"slice {s} on axis {i} has step 0")
+            out.append(len(range(*s.indices(n))))
+        elif isinstance(s, bool) or not -n <= s < n:
+            raise IndexOutOfRange(
+                f"index {s} out of range for axis {i} of {shape}")
+    return tuple(out) + shape[len(spec):]
+
+
+# ---------------------------------------------------------------------------
+# Reductions
+# ---------------------------------------------------------------------------
 
 # numpy's reduction loop over a short contiguous axis is slow: summing the
 # last axis of a (32768, 3) array takes 0.63 ms, a product with ones 0.03 ms
@@ -725,7 +810,7 @@ def _sum_data(data, axes, keepdims):
 
 def reduce_sum(a, axes=None, keepdims=False):
     a = _as_tensor(a)
-    axes = _norm_axes(a, axes)
+    axes, _ = reduce_shape(a.shape, axes)
     out = Tensor(_sum_data(a.data, axes, keepdims))
     shape = a.shape
 
@@ -748,7 +833,7 @@ def _restore_shape(shape, axes):
 
 def reduce_mean(a, axes=None, keepdims=False):
     a = _as_tensor(a)
-    axes = _norm_axes(a, axes)
+    axes, _ = reduce_shape(a.shape, axes)
     count = 1
     for ax in axes:
         count *= a.shape[ax]
@@ -782,15 +867,9 @@ def reshape(a, shape):
 def transpose(a, axes=None):
     """`a` with its axes permuted (reversed by default), as a view."""
     a = _as_tensor(a)
-    if axes is None:
-        axes = tuple(reversed(range(a.ndim)))
-    try:
-        out = Tensor(np.transpose(a.data, axes))
-    except ValueError:
-        raise InvalidAxis(
-            f"axes {axes} do not permute the axes of {a.shape}") from None
-    axes = tuple(ax % a.ndim for ax in axes)
-    return _linear_map(out, a, lambda c: transpose(c, axes),
+    axes, _ = transpose_shape(a.shape, axes)
+    return _linear_map(Tensor(a.data.transpose(axes)), a,
+                       lambda c: transpose(c, axes),
                        lambda adj: transpose(adj, tuple(np.argsort(axes))))
 
 
@@ -806,18 +885,8 @@ def broadcast_to(a, shape):
 
 def matmul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeMismatch("matmul operands must have rank >= 2")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeMismatch(
-            f"matmul inner dimensions differ: {a.shape} @ {b.shape}"
-        )
-    try:
-        out = Tensor(np.matmul(a.data, b.data))
-    except ValueError:
-        raise ShapeMismatch(
-            f"matmul batch dimensions do not broadcast: {a.shape} @ {b.shape}"
-        ) from None
+    matmul_shape(a.shape, b.shape)
+    out = Tensor(np.matmul(a.data, b.data))
 
     def backward(adj, want):
         # the transposes are views: matmul reads them in place
@@ -845,10 +914,7 @@ def sparse_matmul(S, x):
     so outer tapes record the backward pass like any other primitive.
     """
     x = _as_tensor(x)
-    if x.ndim < 2 or x.shape[-2] != S.shape[1]:
-        raise ShapeMismatch(
-            f"sparse_matmul: operator {S.shape} does not apply to {x.shape}"
-        )
+    matmul_shape(S.shape, x.shape)
     # the operator axis leads; batch axes and the last axis fold into columns
     cols = np.moveaxis(x.data, -2, 0).reshape(S.shape[1], -1)
     moved = (S @ cols).reshape((S.shape[0],) + x.shape[:-2] + x.shape[-1:])
@@ -866,24 +932,12 @@ def _swap_last(a):
 
 def concat(parts, axis=-1):
     parts = [_as_tensor(p) for p in parts]
-    if not parts:
-        raise ShapeMismatch("concat of zero tensors")
-    nd = parts[0].ndim
-    if not -nd <= axis < nd:
-        raise InvalidAxis(f"axis {axis} invalid for rank {nd}")
-    ax = axis % nd
-    for p in parts:
-        if p.ndim != nd:
-            raise ShapeMismatch("concat operands must share rank")
-        for i in range(nd):
-            if i != ax and p.shape[i] != parts[0].shape[i]:
-                raise ShapeMismatch(
-                    f"concat non-axis dims differ: {p.shape} vs {parts[0].shape}"
-                )
+    shapes = [p.shape for p in parts]
+    ax, _ = concat_shape(shapes, axis)
     out = Tensor(np.concatenate([p.data for p in parts], axis=ax))
     if not _ACTIVE.recorders:
         return out
-    shapes = [p.shape for p in parts]
+    nd = out.ndim
     offsets = np.cumsum([0] + [s[ax] for s in shapes])
 
     def backward(adj, want):
@@ -917,17 +971,16 @@ def take_slice(a, spec):
     a = _as_tensor(a)
     if not isinstance(spec, tuple):
         spec = (spec,)
-    if len(spec) > a.ndim:
-        raise IndexOutOfRange(f"slice spec {spec} too long for shape {a.shape}")
-    for i, s in enumerate(spec):
-        if isinstance(s, int) and not -a.shape[i] <= s < a.shape[i]:
-            raise IndexOutOfRange(f"index {s} out of range for axis {i} of {a.shape}")
-    # a coefficient is expanded along the axes that the spec indexes
-    read = tuple(i for i, s in enumerate(spec) if s != slice(None))
-    return _linear_map(
-        Tensor(a.data[spec]), a,
-        lambda c, s=a.shape: take_slice(_fit(c, s, read), spec),
-        lambda adj, s=a.shape: scatter_slice(adj, spec, s))
+    shape = a.shape
+    slice_shape(shape, spec)
+
+    def apply(c):
+        # a coefficient is expanded along the axes that the spec indexes
+        read = [i for i, s in enumerate(spec) if s != slice(None)]
+        return take_slice(_fit(c, shape, read), spec)
+
+    return _linear_map(Tensor(a.data[spec]), a, apply,
+                       lambda adj: scatter_slice(adj, spec, shape))
 
 
 def scatter_slice(adj, spec, shape):
@@ -957,6 +1010,9 @@ ELEMENTWISE = {
     "maximum": maximum,
     "minimum": minimum,
 }
+
+# the ops of ELEMENTWISE that take one operand; the others take two
+UNARY = frozenset(("neg", "exp", "log", "sin", "cos", "tanh", "relu"))
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,19 @@ Nodes compare and hash by identity, never by structure.  Structural sharing
 is made when a node is built: :func:`build` hash-conses, returning the live
 node equal to the one asked for if there is one (Filliatre & Conchon,
 "Type-safe modular hash-consing", 2006), so graphs are canonical as built
-and :func:`cse` has nothing left to merge.  Every graph walk here is a loop
-over an explicit stack, so graph depth is bounded by memory, not by the
-interpreter's recursion limit.
+and :func:`cse` has nothing left to merge.  A node's children are created
+before it, so creation order is a topological order: :func:`toposort`
+sorts the reachable nodes by their creation serial.  Every graph walk here
+is a loop over an explicit stack, so graph depth is bounded by memory, not
+by the interpreter's recursion limit.  :func:`trace_shapes` applies the
+shape rules of :mod:`jno.tensor` that evaluation applies, so the two agree
+on every shape and refuse the same nodes.
 """
 
 import io
+import itertools
 import math
+import operator
 import weakref
 
 import numpy as np
@@ -21,10 +27,13 @@ from . import tensor as T
 from .errors import (
     ArityMismatch,
     ExtraBinding,
+    IndexOutOfRange,
+    InvalidAxis,
     MissingBinding,
     NonPositiveInterval,
     NotAVariable,
     ShapeInferenceFailure,
+    ShapeMismatch,
 )
 
 # Node kinds.  Plain strings keep dump output and debugging friction-free.
@@ -56,9 +65,6 @@ LEAF_KINDS = (VARIABLE, LITERAL, CONSTANT, TRIAL, TEST)
 # trackers, which are monitoring sinks.
 _IDENTITY_KINDS = frozenset((VARIABLE, CONSTANT, TRIAL, TEST, TRACKER))
 
-_UNARY_ARITH = {"neg", "exp", "log", "sin", "cos", "tanh", "relu"}
-_BINARY_ARITH = {"add", "sub", "mul", "div", "pow", "maximum", "minimum"}
-
 _ARITY = {
     VARIABLE: 0,
     LITERAL: 0,
@@ -75,6 +81,12 @@ _ARITY = {
     TRACKER: 1,
 }
 
+# Each node takes the next serial when it is created.  Its children exist
+# before it does and are never reassigned, so serials order every graph
+# children first.
+_SERIALS = itertools.count()
+_SERIAL = operator.attrgetter("serial")
+
 
 class ExprNode:
     """One node of the deferred graph.
@@ -86,7 +98,7 @@ class ExprNode:
     """
 
     __slots__ = ("kind", "payload", "children", "name", "shape_hint",
-                 "__weakref__")
+                 "serial", "__weakref__")
 
     def __init__(self, kind, payload=None, children=(), name=None):
         self.kind = kind
@@ -94,6 +106,7 @@ class ExprNode:
         self.children = tuple(children)
         self.name = name
         self.shape_hint = None
+        self.serial = next(_SERIALS)
         _check_arity(self)
 
     # identity hashing/equality is object default; do not override __eq__
@@ -205,13 +218,9 @@ def _check_arity(node):
     a derivative target that is not a Variable."""
     want = _ARITY.get(node.kind)
     if node.kind == ARITH:
-        op = node.payload
-        if op in _UNARY_ARITH:
-            want = 1
-        elif op in _BINARY_ARITH:
-            want = 2
-        else:
-            raise ArityMismatch(f"unknown arithmetic op {op!r}")
+        if node.payload not in T.ELEMENTWISE:
+            raise ArityMismatch(f"unknown arithmetic op {node.payload!r}")
+        want = 1 if node.payload in T.UNARY else 2
     elif node.kind == CONCAT:
         if len(node.children) < 1:
             raise ArityMismatch("Concat needs at least one child")
@@ -454,25 +463,9 @@ def walk(roots):
 
 
 def toposort(roots):
-    """Children-before-parents order: an iterative post-order DFS that
-    visits children left to right.  A node goes on the stack a second time,
-    below its children, and is emitted when it comes off again."""
-    if isinstance(roots, ExprNode):
-        roots = [roots]
-    order, expanded, done = [], set(), set()
-    stack = list(reversed(roots))
-    while stack:
-        node = stack.pop()
-        if node in done:
-            continue
-        if node in expanded:
-            done.add(node)
-            order.append(node)
-            continue
-        expanded.add(node)
-        stack.append(node)
-        stack.extend(reversed(node.children))
-    return order
+    """Children-before-parents order: the reachable nodes in the order they
+    were created (see `_SERIALS`)."""
+    return sorted(walk(roots), key=_SERIAL)
 
 
 def count_nodes(roots):
@@ -526,35 +519,18 @@ class ShapeReport:
         return self.shapes[node]
 
 
-def _broadcast(node, *shapes):
-    """The broadcast of `shapes`.  When the shapes other than () are all
-    equal, that is the answer, and numpy is not asked."""
-    shaped = {tuple(s) for s in shapes if len(s)}
-    if len(shaped) <= 1:
-        return shaped.pop() if shaped else ()
-    try:
-        return tuple(np.broadcast_shapes(*shapes))
-    except ValueError:
-        raise ShapeInferenceFailure(
-            node, f"{node.kind}: shapes {shapes} do not broadcast"
-        ) from None
-
-
 def _infer_shape(node, shapes, context_shapes):
+    """The shape of `node` from its children's `shapes`.  Structural kinds
+    use tensor's shape rules, which raise tensor's own errors."""
     kind = node.kind
     if kind == ARITH:
-        # most nodes: a shape shared by both sides, or next to a scalar, is
-        # the answer, so broadcasting is only worked out where they differ
+        # most nodes: both sides share a shape, which is then the answer
         children = node.children
         a = shapes[children[0]]
         if len(children) == 1:
             return a
         b = shapes[children[1]]
-        if a == b or not b:
-            return a
-        if not a:
-            return b
-        return _broadcast(node, a, b)
+        return a if a == b else T.broadcast_shape(a, b)
     if kind == VARIABLE:
         if node in context_shapes:
             return tuple(context_shapes[node])
@@ -569,35 +545,18 @@ def _infer_shape(node, shapes, context_shapes):
         raise ShapeInferenceFailure(
             node, f"{kind} is only meaningful inside weak-form assembly"
         )
-    if kind == COMPARE:
-        return _broadcast(node, shapes[node.children[0]], shapes[node.children[1]])
+    if kind in (COMPARE, DERIVATIVE):
+        return T.broadcast_shape(*[shapes[c] for c in node.children])
+    if kind == MATMUL:
+        return T.matmul_shape(*[shapes[c] for c in node.children])
     if kind == REDUCE:
-        _, axes = node.payload
-        s = shapes[node.children[0]]
-        if axes is None:
-            return ()
-        normalized = _axes(node, axes, len(s))
-        return tuple(d for i, d in enumerate(s) if i not in normalized)
+        return T.reduce_shape(shapes[node.children[0]], node.payload[1])[1]
     if kind == SLICE:
-        s = shapes[node.children[0]]
-        spec = thaw_slice(node.payload)
-        try:
-            return np.empty(s).__getitem__(spec).shape
-        except IndexError:
-            raise ShapeInferenceFailure(node, f"slice {spec} invalid for {s}") from None
+        return T.slice_shape(shapes[node.children[0]],
+                             thaw_slice(node.payload))
     if kind == CONCAT:
-        child_shapes = [shapes[c] for c in node.children]
-        ax, = _axes(node, (node.payload,), len(child_shapes[0]))
-        base = list(child_shapes[0])
-        for cs in child_shapes[1:]:
-            if len(cs) != len(base) or any(
-                i != ax and cs[i] != base[i] for i in range(len(base))
-            ):
-                raise ShapeInferenceFailure(
-                    node, f"concat shapes incompatible: {child_shapes}"
-                )
-        base[ax] = sum(cs[ax] for cs in child_shapes)
-        return tuple(base)
+        return T.concat_shape([shapes[c] for c in node.children],
+                              node.payload)[1]
     if kind == RESHAPE:
         s = shapes[node.children[0]]
         try:
@@ -607,47 +566,21 @@ def _infer_shape(node, shapes, context_shapes):
                 node, f"cannot reshape {s} to {node.payload}"
             ) from None
     if kind == TRANSPOSE:
-        s = shapes[node.children[0]]
-        axes = node.payload or tuple(reversed(range(len(s))))
-        perm = _axes(node, axes, len(s))
-        if len(perm) != len(s):
-            raise ShapeInferenceFailure(
-                node, f"{axes} does not permute the axes of {s}")
-        return tuple(s[a] for a in perm)
-    if kind == MATMUL:
-        sa, sb = shapes[node.children[0]], shapes[node.children[1]]
-        if len(sa) < 2 or len(sb) < 2 or sa[-1] != sb[-2]:
-            raise ShapeInferenceFailure(node, f"matmul shapes {sa} @ {sb}")
-        batch = _broadcast(node, sa[:-2], sb[:-2])
-        return batch + (sa[-2], sb[-1])
-    if kind == DERIVATIVE:
-        return _broadcast(node, shapes[node.children[0]], shapes[node.children[1]])
+        return T.transpose_shape(shapes[node.children[0]], node.payload)[1]
     if kind == MODEL_CALL:
         model = node.payload
-        return model.output_shape([shapes[c] for c in node.children])
+        return tuple(model.output_shape([shapes[c] for c in node.children]))
     if kind == TRACKER:
         return shapes[node.children[0]]
     raise ShapeInferenceFailure(node, f"unhandled kind {kind}")
-
-
-def _axes(node, axes, rank):
-    """`axes` taken modulo `rank`; ShapeInferenceFailure if one lies outside
-    [-rank, rank) or two name one axis, as evaluation refuses them."""
-    for ax in axes:
-        if not -rank <= ax < rank:
-            raise ShapeInferenceFailure(
-                node, f"axis {ax} invalid for rank {rank}")
-    normalized = [ax % rank for ax in axes]
-    if len(set(normalized)) != len(normalized):
-        raise ShapeInferenceFailure(node, f"axes {axes} repeat an axis")
-    return normalized
 
 
 def trace_shapes(roots, context_shapes=None):
     """Infer a shape for every reachable node.
 
     `context_shapes` maps leaf Variable nodes to shapes; Variables created
-    through a domain already carry hints.
+    through a domain already carry hints.  A node that evaluation would
+    refuse raises ShapeInferenceFailure naming it.
     """
     single = isinstance(roots, ExprNode)
     root_list = [roots] if single else list(roots)
@@ -655,7 +588,10 @@ def trace_shapes(roots, context_shapes=None):
     shapes = {}
     order = toposort(root_list)
     for node in order:
-        shapes[node] = _infer_shape(node, shapes, context_shapes)
+        try:
+            shapes[node] = _infer_shape(node, shapes, context_shapes)
+        except (ShapeMismatch, InvalidAxis, IndexOutOfRange) as e:
+            raise ShapeInferenceFailure(node, f"{node.kind}: {e}") from None
     return ShapeReport(shapes, order, root_list)
 
 

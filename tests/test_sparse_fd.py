@@ -400,6 +400,28 @@ class TestVertexRows:
                                    rtol=1e-12, atol=1e-12)
         assert calls == [30]
 
+    def test_nested_fd_derivatives_read_vertex_rows(self, monkeypatch):
+        # the inner derivative is taken at every vertex, which its context
+        # binds with the vertex ids, so no point is located
+        d = dm.structured_rect(12, 12)
+        x, y, _ = d.variable("interior")
+        u = _sin(np.pi * x) * y * y + x * y
+        calls = _count_locations(monkeypatch)
+        ctx = ev.EvalContext(domain=d, derivative_mode="finite-difference")
+        mixed = ev.evaluate(tr.d(tr.d(u, x), y), ctx).data
+        divergence = ev.evaluate(tr.d(u * tr.d(u, x), x), ctx).data
+        assert calls == [] and "locator" not in d.mesh.__dict__
+
+        verts, ids = d.mesh.vertices, d.vertex_ids["interior"]
+        u_v = (np.sin(np.pi * verts[:, 0]) * verts[:, 1] ** 2
+               + verts[:, 0] * verts[:, 1])[:, None]
+        Gx, Gy = (G.toarray() for G in ev._fd_operators(ctx))
+        np.testing.assert_allclose(mixed[0, 0], (Gy @ (Gx @ u_v))[ids],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(divergence[0, 0],
+                                   (Gx @ (u_v * (Gx @ u_v)))[ids],
+                                   rtol=0, atol=1e-12)
+
     def test_fd_on_a_gauss_tag_locates(self, monkeypatch):
         d = dm.structured_rect(8, 8).init_fem()
         x, y, _ = d.variable(fem.GAUSS_VOLUME)

@@ -8,15 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jno import evaluator as ev
+from jno import tensor as T
 from jno import trace as tr
 from jno.errors import (
     ArityMismatch,
     ExtraBinding,
+    IndexOutOfRange,
     InvalidAxis,
+    JnoError,
     MissingBinding,
     NonPositiveInterval,
     NotAVariable,
     ShapeInferenceFailure,
+    ShapeMismatch,
 )
 
 
@@ -377,43 +381,116 @@ class TestShapes:
             val = ev.evaluate(node, ctx)
             assert val.shape == rep[node]
 
-    @pytest.mark.parametrize("make", [
-        lambda x: x.reduce("sum", axes=(5,)),
-        lambda x: x.reduce("sum", axes=(-7,)),
-        lambda x: x.reduce("sum").reduce("sum", axes=(0,)),
-        lambda x: tr.transpose_node(x, (0, 0, 1, 2)),
-        lambda x: tr.transpose_node(x, (0, 1, 2)),
-        lambda x: tr.concat_nodes([x, x], axis=9),
-        lambda x: x.reduce("sum", axes=(1, 1)),
+    @pytest.mark.parametrize("make, error", [
+        (lambda x: x.reduce("sum", axes=(5,)), InvalidAxis),
+        (lambda x: x.reduce("sum", axes=(-7,)), InvalidAxis),
+        (lambda x: x.reduce("sum").reduce("sum", axes=(0,)), InvalidAxis),
+        (lambda x: tr.transpose_node(x, (0, 0, 1, 2)), InvalidAxis),
+        (lambda x: tr.transpose_node(x, (0, 1, 2)), InvalidAxis),
+        (lambda x: tr.concat_nodes([x, x], axis=9), InvalidAxis),
+        (lambda x: x.reduce("sum", axes=(1, 1)), InvalidAxis),
+        (lambda x: x[:, :, ::0], IndexOutOfRange),
+        (lambda x: x[0, 0, 0, 0, 0], IndexOutOfRange),
+        (lambda x: x[:, :, 3], IndexOutOfRange),
+        (lambda x: x[True], IndexOutOfRange),
+        (lambda x: tr.matmul_nodes(x, x), ShapeMismatch),
+        (lambda x: tr.concat_nodes([x, x.reduce("sum", axes=0)], axis=0),
+         ShapeMismatch),
     ], ids=["reduce-5", "reduce-minus-7", "reduce-scalar", "transpose-repeat",
-            "transpose-3-of-4", "concat-9", "reduce-repeat"])
-    def test_shapes_and_evaluation_refuse_a_bad_axis_alike(self, make):
+            "transpose-3-of-4", "concat-9", "reduce-repeat", "slice-step-0",
+            "slice-too-long", "slice-index", "slice-bool", "matmul-inner",
+            "concat-rank"])
+    def test_shapes_and_evaluation_refuse_a_bad_axis_alike(self, make, error):
         x = tr.variable("x")
         root = make(x)
         with pytest.raises(ShapeInferenceFailure) as exc:
             tr.trace_shapes(root, {x: (1, 1, 3, 2)})
         assert exc.value.node is root
         ctx = ev.EvalContext(bindings={x: np.ones((1, 1, 3, 2))})
-        with pytest.raises(InvalidAxis):
+        with pytest.raises(error):
             ev.evaluate(root, ctx)
+
+
+_DIMS = st.lists(st.lists(st.integers(1, 3), max_size=4).map(tuple),
+                 min_size=1, max_size=3)
+_AXIS = st.integers(-5, 4)
+_AXES = st.none() | st.lists(_AXIS, max_size=2).map(tuple)
+_PERM = st.none() | st.lists(_AXIS, max_size=4)
+_BOUND = st.none() | st.integers(-4, 4)
+_SPEC = st.lists(
+    st.builds(slice, _BOUND, _BOUND, st.sampled_from([0, None, -1, 2]))
+    | st.integers(-4, 3), min_size=1, max_size=4).map(tuple)
+_NEW_SHAPE = st.lists(st.integers(-1, 4), min_size=1, max_size=3)
+_KINDS = st.sampled_from(["slice", "reduce", "transpose", "concat", "matmul",
+                          "reshape", "neg", "tanh", "add", "mul"])
+
+
+def _graph(draw, leaves, depth=3):
+    """A random expression of depth at most `depth` over `leaves`, with
+    axes, slices and shapes that are often invalid; below the root, a
+    quarter of the operands are leaves, and a second operand is the first
+    one half of the time."""
+    if depth == 0 or depth < 3 and draw(st.integers(0, 3)) == 3:
+        return leaves[draw(st.integers(0, len(leaves) - 1))]
+    kind, a = draw(_KINDS), _graph(draw, leaves, depth - 1)
+
+    def other():
+        return a if draw(st.booleans()) else _graph(draw, leaves, depth - 1)
+
+    if kind == "slice":
+        return a[draw(_SPEC)]
+    if kind == "reduce":
+        return a.reduce(draw(st.sampled_from(["sum", "mean"])), draw(_AXES))
+    if kind == "transpose":
+        return tr.transpose_node(a, draw(_PERM))
+    if kind == "concat":
+        return tr.concat_nodes([a, other()], axis=draw(_AXIS))
+    if kind == "matmul":
+        return tr.matmul_nodes(a, other())
+    if kind == "reshape":
+        return tr.reshape_node(a, draw(_NEW_SHAPE))
+    return tr.build(tr.ARITH, kind, (a,) if kind in T.UNARY else (a, other()))
+
+
+class TestShapesAgainstEvaluation:
+    @given(st.data())
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_random_graphs(self, data):
+        # trace_shapes and evaluate walk a graph in one order: they agree
+        # on the shape of every node up to the first one that they refuse
+        leaves = [tr.variable(f"v{i}", s)
+                  for i, s in enumerate(data.draw(_DIMS))]
+        root = _graph(data.draw, leaves)
+        ctx = ev.EvalContext(
+            bindings={v: np.full(v.shape_hint, 0.5) for v in leaves})
+        try:
+            rep = tr.trace_shapes(root)
+        except ShapeInferenceFailure as exc:
+            with pytest.raises(JnoError):
+                ev.evaluate(root, ctx)
+            assert exc.node not in ctx.cache
+            rep = tr.trace_shapes([n for n in tr.toposort(root)
+                                   if n.serial < exc.node.serial])
+        else:
+            ev.evaluate(root, ctx)
+        for node in rep.order:
+            assert ctx.cache[node].shape == rep[node]
 
 
 _SHAPES = st.lists(st.integers(0, 3), max_size=4).map(tuple)
 
 
 class TestBroadcast:
-    @given(st.lists(_SHAPES, min_size=1, max_size=3))
+    @given(_SHAPES, _SHAPES)
     @settings(max_examples=300)
-    def test_matches_numpy(self, shapes):
-        node = tr.variable("x")
+    def test_matches_numpy(self, a, b):
         try:
-            want = np.broadcast_shapes(*shapes)
+            want = np.broadcast_shapes(a, b)
         except ValueError:
-            with pytest.raises(ShapeInferenceFailure) as exc:
-                tr._broadcast(node, *shapes)
-            assert exc.value.node is node
+            with pytest.raises(ShapeMismatch):
+                T.broadcast_shape(a, b)
         else:
-            assert tr._broadcast(node, *shapes) == want
+            assert T.broadcast_shape(a, b) == want
 
 
 class TestDump:
