@@ -18,11 +18,26 @@ A Taylor coefficient keeps the broadcast shape it is born with, such as a
 row for a direction that is the same at every point; only the ops that read
 across elements (reductions, reshapes, slices, sparse products and matmul's
 contracted axis) expand it, along the axes they read across.
+
+Importing this module sets glibc's allocator policy for the process.  A
+training step's tape holds every intermediate, each about 512 KiB at 2048
+points, and frees them all at once; glibc's adaptive rule then trims the
+top of its heap once the free space there passes about twice the largest
+array freed, so each step returned its ~10-16 MB to the OS and the next
+step page-faulted it back in, a quarter of the step's time.  The mmap
+threshold is set to 32 MiB, glibc's own ceiling for it on 64-bit, and the
+trim threshold to 64 MiB, twice that, the ratio glibc's adaptive rule
+keeps.  Both are set because setting either one stops the adaptation,
+which would leave every array above 128 KiB mmapped.  The process's RSS
+then stays at its peak instead of going back to the OS between steps.
+Other C libraries are left alone; no result changes.
 """
 
+import ctypes
 import functools
 import itertools
 import operator
+import os
 import threading
 
 import numpy as np
@@ -35,6 +50,30 @@ from .errors import (
     ShapeMismatch,
     UnknownNode,
 )
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt params
+_MMAP_THRESHOLD = 32 << 20  # glibc's DEFAULT_MMAP_THRESHOLD_MAX on 64-bit
+
+
+def _keep_freed_heap():
+    """Set glibc's mmap and trim thresholds (see the module docstring); a
+    no-op for any other C library."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):
+        return
+    if not libc.startswith("glibc"):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # the trim threshold only where the mmap one took: where glibc's ceiling
+    # is lower (32-bit), either call alone would freeze the mmap threshold
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD):
+        mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
+
+
+_keep_freed_heap()
 
 _UIDS = itertools.count(1)
 _F64 = np.dtype(np.float64)
@@ -833,12 +872,10 @@ def _restore_shape(shape, axes):
 
 def reduce_mean(a, axes=None, keepdims=False):
     a = _as_tensor(a)
-    axes, _ = reduce_shape(a.shape, axes)
-    count = 1
-    for ax in axes:
-        count *= a.shape[ax]
     s = reduce_sum(a, axes=axes, keepdims=keepdims)
-    return div(s, Tensor(float(count)))
+    # each output element sums a.size / s.size inputs; an empty output
+    # (an empty input) divides nothing
+    return div(s, Tensor(float(a.size // max(s.size, 1))))
 
 
 def reduce_mse(a, axes=None, keepdims=False):

@@ -242,10 +242,14 @@ def _freeze_slice(spec):
     for s in spec:
         if isinstance(s, slice):
             frozen.append(("slice", s.start, s.stop, s.step))
-        elif isinstance(s, int):
+        elif isinstance(s, int):  # a bool too, which slice_shape refuses
             frozen.append(("index", s))
         else:
-            raise ArityMismatch(f"unsupported slice element {s!r}")
+            try:
+                frozen.append(("index", operator.index(s)))
+            except TypeError:
+                raise ArityMismatch(
+                    f"unsupported slice element {s!r}") from None
     return tuple(frozen)
 
 

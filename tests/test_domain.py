@@ -11,6 +11,7 @@ from jno.errors import (
     ParseError,
     TagMismatch,
     UnknownTag,
+    UnsupportedGeometry,
 )
 
 
@@ -250,6 +251,12 @@ class TestSampling:
         with pytest.raises(BadShape, match="count must be >= 1 and whole"):
             d.sample("interior", 2.5)
         assert d.context["interior"] is before
+
+    def test_unknown_resample_kind(self):
+        d = dm.rect(mesh_size=0.5)
+        with pytest.raises(UnsupportedGeometry, match="'stratified'"):
+            d.register_resampler("interior", kind="stratified", count=2)
+        assert not d.resamplers
 
     def test_resampler_count_not_whole(self):
         d = dm.rect(mesh_size=0.5)

@@ -19,14 +19,17 @@ from jno import fem
 from jno import mesh as meshmod
 from jno import trace as tr
 from jno.errors import (
+    MultipleTemporalTerms,
     NewtonDivergence,
     NonDifferentiablePath,
     NonlinearTerm,
+    NoTemporalTerm,
     SingularMass,
     SingularStepMatrix,
     SingularSystem,
     TargetMismatch,
     TimeDependentMass,
+    TrialSymbolRemaining,
     UnassembledSymbol,
     UnknownBcTag,
     UnsupportedElement,
@@ -678,6 +681,26 @@ class TestErrors:
         u, phi, (x, y) = setup_fem(dom, [])
         with pytest.raises(TargetMismatch, match=repr(option)):
             (u * phi - phi).assemble(target, **{option: False})
+
+    def test_vpinn_trial_reading_a_symbol(self):
+        dom = dm.structured_rect(2, 2)
+        u, phi, (x, y) = setup_fem(dom, [])
+        with pytest.raises(TrialSymbolRemaining):
+            (u * phi - phi).assemble("vpinn", trial=x * phi)
+
+    def test_fem_time_without_a_temporal_term(self):
+        dom = dm.structured_rect(2, 2)
+        u, phi, (x, y) = setup_fem(dom, [])
+        with pytest.raises(NoTemporalTerm):
+            (laplace(u, phi, (x, y)) - phi).assemble("fem_time")
+
+    def test_fem_time_with_two_temporal_terms(self):
+        dom = dm.structured_rect(2, 2)
+        u, phi, (x, y) = setup_fem(dom, [])
+        u_t = u.d(dom.variable(fem.GAUSS_VOLUME)[-1])
+        with pytest.raises(MultipleTemporalTerms):
+            (u_t * phi + x * u_t * phi
+             + laplace(u, phi, (x, y))).assemble("fem_time")
 
     def test_unknown_dirichlet_tag(self):
         dom = dm.structured_rect(2, 2)

@@ -381,6 +381,21 @@ class TestShapes:
             val = ev.evaluate(node, ctx)
             assert val.shape == rep[node]
 
+    def test_numpy_integer_index(self):
+        x = tr.variable("x")
+        ctx = ev.EvalContext(bindings={x: np.arange(6.0).reshape(2, 3)})
+        numpy_root, int_root = x[np.int64(1)], x[1]
+        assert numpy_root is int_root
+        assert tr.trace_shapes(numpy_root, {x: (2, 3)})[numpy_root] == (3,)
+        np.testing.assert_array_equal(ev.evaluate(numpy_root, ctx).data,
+                                      ev.evaluate(int_root, ctx).data)
+
+    def test_non_integer_index(self):
+        x = tr.variable("x")
+        for index in (1.0, np.float64(1.0), np.True_):
+            with pytest.raises(ArityMismatch, match="unsupported slice"):
+                x[index]
+
     @pytest.mark.parametrize("make, error", [
         (lambda x: x.reduce("sum", axes=(5,)), InvalidAxis),
         (lambda x: x.reduce("sum", axes=(-7,)), InvalidAxis),
