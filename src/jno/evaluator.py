@@ -11,14 +11,16 @@ differences built from moving-least-squares gradient reconstruction on
 vertex neighborhoods.
 The finite-difference operators (MLS gradients, then vertex row selection
 or barycentric interpolation at the points) are CSR matrices applied with
-:func:`jno.tensor.sparse_matmul`.
+:func:`jno.tensor.sparse_matmul`.  scipy.sparse is imported inside the
+three functions that build them, not here: its import costs several
+times numpy's, and AD derivatives never need it.
 """
 
+import functools
 import operator
 from collections import Counter
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import tensor as T
 from . import trace as tr
@@ -127,15 +129,16 @@ def _schedule(roots, ctx):
 
     The walk visits each node once, children left to right, with an
     explicit stack.  It does not enter Derivative nodes, whose handlers
-    evaluate the expression in a child context, nor a sum of AD Laplacian
-    terms (`_ad_sum`), which its handler reads from one summed coefficient.
-    It records the AD derivatives of both in `ctx`, in the order it meets
+    evaluate the expression in a child context, nor the additions of a sum
+    that holds AD Laplacian terms (`_ad_sum`), whose handler reads them
+    from one summed coefficient and walks only the other terms.  It
+    records the AD derivatives of both in `ctx`, in the order it meets
     them, so that the first of them on an expression pushes the directions
     of all of them in one replay.
     """
     cache, stats = ctx.cache, ctx.stats
     derivative, arith = tr.DERIVATIVE, tr.ARITH
-    seen = set()
+    seen, looked = set(), set()
     stack = list(reversed(roots))
     while stack:
         node = stack.pop()
@@ -149,9 +152,12 @@ def _schedule(roots, ctx):
                     expr, wrt = node.children
                     _request(ctx, expr, (wrt,), node.payload[0])
             elif kind == arith and node.payload == "add" \
-                    and (terms := _ad_sum(node, ctx)) is not None:
-                ctx._ad_sums[node] = terms
-                _request(ctx, *terms, 2)
+                    and node not in looked \
+                    and (terms := _ad_sum(node, ctx, looked)) is not None:
+                groups, others = ctx._ad_sums[node] = terms
+                for expr, wrts in groups:
+                    _request(ctx, expr, wrts, 2)
+                stack.extend(reversed(others))
             else:
                 stack.extend(reversed(node.children))
     return sorted(seen, key=_SERIAL)
@@ -162,32 +168,55 @@ def _request(ctx, expr, wrts, order):
     wanted[wrts] = max(wanted.get(wrts, 0), order)
 
 
-def _ad_sum(node, ctx):
-    """(expr, variables) if the addition `node` is a sum, its additions
-    nested in any way, of second AD derivatives of one expression along
-    distinct variables; else None.  Only an addition with a derivative
-    among its two terms is looked into, so that the walk pays little for
-    other sums; a sum of sums of such derivatives, each with a derivative
-    term, is then served by one group per inner sum."""
-    if tr.DERIVATIVE not in (node.children[0].kind, node.children[1].kind):
-        return None
-    expr, wrts, stack = None, [], [node]
+def _ad_sum(node, ctx, looked):
+    """(groups, others) if the terms of the addition `node`, its additions
+    nested in any way, hold second AD derivatives of one expression along
+    two or more distinct variables; else None.  Each group (expr,
+    variables) is served by one summed coefficient; `others` are the rest
+    of the sum, as the largest sub-sums without a grouped derivative, so
+    that a source term's own sum is evaluated as it is written.
+
+    A sub-sum of a sum that has no group has none either: on None, the
+    additions below `node` join `looked`, so that the walk looks into each
+    addition of a long sum once."""
+    arith, derivative = tr.ARITH, tr.DERIVATIVE
+    adds, groups, stack = {node}, {}, [node]
     while stack:
-        # an addition's terms are checked before the additions below it,
-        # so that a long chain of sums fails at its first term
         for n in stack.pop().children:
-            if n.kind == tr.ARITH and n.payload == "add":
+            kind = n.kind
+            if kind == arith and n.payload == "add":
+                if n not in adds:
+                    adds.add(n)
+                    stack.append(n)
+            elif kind == derivative and n.payload[0] == 2 \
+                    and _derivative_mode(n, ctx) != "finite-difference":
+                expr, wrt = n.children
+                groups.setdefault(expr, {}).setdefault(wrt, n)
+    groups = {e: g for e, g in groups.items() if len(g) > 1}
+    if not groups:
+        looked.update(adds)
+        return None
+    # children are created before their parents: an addition holds a
+    # grouped derivative if one of its children is or holds one
+    pending = {n for g in groups.values() for n in g.values()}
+    holds = set(pending)
+    for n in sorted(adds, key=_SERIAL):
+        if not holds.isdisjoint(n.children):
+            holds.add(n)
+    looked.update(adds - holds)
+    # each grouped derivative counts once, and is never entered; a repeat
+    # of it, or of a sub-sum already entered, is another term
+    others, entered, stack = [], set(pending), [node]
+    while stack:
+        for n in stack.pop().children:
+            if n in pending:
+                pending.remove(n)
+            elif n in holds and n not in entered:
+                entered.add(n)
                 stack.append(n)
-                continue
-            if n.kind != tr.DERIVATIVE or n.payload[0] != 2 \
-                    or _derivative_mode(n, ctx) == "finite-difference":
-                return None
-            e, wrt = n.children
-            if expr not in (None, e) or wrt in wrts:
-                return None
-            expr = e
-            wrts.append(wrt)
-    return expr, tuple(wrts)
+            else:
+                others.append(n)
+    return [(e, tuple(g)) for e, g in groups.items()], others
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +237,10 @@ def _eval_constant(node, ctx):
 
 def _eval_arith(node, ctx):
     if node.payload == "add" and node in ctx._ad_sums:
-        return _derivative_ad(ctx, *ctx._ad_sums[node], 2)
+        groups, others = ctx._ad_sums[node]
+        return functools.reduce(
+            T.add, [_derivative_ad(ctx, expr, wrts, 2) for expr, wrts in groups]
+            + [ctx.cache[n] for n in others])
     return T.ELEMENTWISE[node.payload](*[ctx.cache[c] for c in node.children])
 
 
@@ -241,7 +273,7 @@ def _eval_transpose(node, ctx):
 
 def _eval_matmul(node, ctx):
     a, b = (ctx.cache[c] for c in node.children)
-    if sp.issparse(a):
+    if T.issparse(a):
         return T.sparse_matmul(a, b)
     return T.matmul(a, b)
 
@@ -484,6 +516,8 @@ def mls_gradient_operators(mesh, connectivity):
     Vertices with the same support size (the vertex and its neighbors) are
     fitted together: one stacked SVD gives each one's pseudo-inverse and its
     rank, with the cutoff of ``np.linalg.lstsq``'s default `rcond`."""
+    import scipy.sparse as sp
+
     V, D = mesh.num_vertices, mesh.dim
     verts = mesh.vertices
     ptr, nbr = connectivity.neighbor_indptr, connectivity.neighbor_indices
@@ -532,6 +566,8 @@ def _locate_barycentric(mesh, points):
     nearest centroids; a point that no candidate contains is tested against
     every element.
     """
+    import scipy.sparse as sp
+
     tree, origin, G = mesh.locator
     pts = np.asarray(points, dtype=np.float64)
     elems = mesh.elements
@@ -625,6 +661,8 @@ def _interpolation(ctx, coords, cols):
     """(P, lead) for `_derivative_fd`: P selects the vertex rows of points
     that `ctx` read from the domain with one id array, and locates others;
     each distinct (batch, time) slice of the points takes its own block."""
+    import scipy.sparse as sp
+
     mesh, ids = ctx.domain.mesh, [ctx._vertex_ids.get(v) for v in coords]
     select = ids[0] is not None and all(i is ids[0] for i in ids)
     keys = ids[0][..., None] if select else np.concatenate(

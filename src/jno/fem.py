@@ -39,6 +39,11 @@ Every target reads from such an operator, and every right-hand side is
                        each term's test operator, applied with
                        ``T.sparse_matmul`` to its weighted point values
 
+The matrices are scipy.sparse CSR, imported where one is built (in
+``FemSetup.test_operator`` and :func:`_matrix`): :func:`init_fem` builds
+none, so a program that sets up FEM regions but never assembles does not
+pay for scipy.sparse's import, several times numpy's.
+
 Every sparse solve is one SuperLU factorization made by :func:`_factor`.
 P1 matrices have a symmetric sparsity pattern, so it orders the columns by
 minimum degree on the pattern of A^T + A.  A matrix that is singular, or
@@ -57,7 +62,6 @@ import operator
 from collections import namedtuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import evaluator as ev
 from . import mesh as meshmod
@@ -243,6 +247,8 @@ class FemSetup:
         vertex i's hat function, or its gradient component, at each point."""
         key = region.tag, part
         if key not in self._test_operators:
+            import scipy.sparse as sp
+
             (E, nq), n = region.weights.shape, region.dofs.shape[1]
             Q, G = _basis(region, part)
             values = np.broadcast_to(Q[None] * G[:, None, :], (E, nq, n))
@@ -526,6 +532,8 @@ def _matrix(setup, pieces, base=None):
     sum_q wv[e, q] Qa[q, a] Qb[q, b] * Ga[e, a] Gb[e, b], summed at their
     positions, onto a copy of the data `base` of a matrix on that pattern
     if it is given."""
+    import scipy.sparse as sp
+
     indptr, indices, positions = setup.pattern
     data = np.zeros(len(indices)) if base is None else base.copy()
     for region, test_part, trial_part, wv in pieces:

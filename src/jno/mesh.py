@@ -9,6 +9,10 @@ simplices, all with det J > 0, optionally filtered by centroid.  The disk
 triangulates its concentric rings band by band (`disk_mesh`).  Meshes (and
 everything derived from them) are bitwise reproducible, and their
 `boundary` and `interior` tags are the ones `Mesh` infers from the facets.
+
+Nothing here imports scipy.sparse: `Connectivity` sorts its neighbor lists
+with numpy, so building a domain costs no more than numpy's import.  Only
+point location (`Mesh.locator`) imports scipy, for `scipy.spatial`.
 """
 
 import itertools
@@ -16,7 +20,6 @@ import math
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     DegenerateGeometry,
@@ -108,15 +111,17 @@ class Connectivity:
         elems = mesh.elements
         nodes_per = elems.shape[1]
 
-        # vertex adjacency: every ordered pair of distinct vertices of an element
+        # vertex adjacency: every ordered pair of distinct vertices of an
+        # element, as the distinct keys row * V + col in increasing order
+        # (a sort and a mask; np.unique takes several times as long)
         rows = np.repeat(elems, nodes_per, axis=1).ravel()
         cols = np.tile(elems, (1, nodes_per)).ravel()
         off = rows != cols
-        adj = sp.csr_matrix((np.ones(off.sum()), (rows[off], cols[off])),
-                            shape=(V, V))
-        adj.sum_duplicates()
-        self.neighbor_indptr = adj.indptr.astype(np.int64)
-        self.neighbor_indices = adj.indices.astype(np.int64)
+        keys = np.sort(rows[off] * V + cols[off])
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        self.neighbor_indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(keys // V, minlength=V))))
+        self.neighbor_indices = keys % V
 
         self.nodal_measure = np.bincount(
             elems.ravel(), minlength=V,

@@ -38,6 +38,7 @@ import functools
 import itertools
 import operator
 import os
+import sys
 import threading
 
 import numpy as np
@@ -941,6 +942,13 @@ def matmul(a, b):
     _record(out, (a, b), backward,
             lambda groups: [_bilinear(g, product, a, b) for g in groups])
     return out
+
+
+def issparse(value):
+    """Whether `value` is a ``scipy.sparse`` matrix.  Nothing can be one
+    before something has imported scipy.sparse, so this imports nothing."""
+    sp = sys.modules.get("scipy.sparse")
+    return sp is not None and sp.issparse(value)
 
 
 def sparse_matmul(S, x):

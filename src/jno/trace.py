@@ -21,7 +21,6 @@ import operator
 import weakref
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import tensor as T
 from .errors import (
@@ -337,7 +336,7 @@ def literal(value):
 def constant(value, name=None):
     """A constant leaf; a ``scipy.sparse`` matrix is kept as it is, and a
     matmul applies it as the left operand through ``T.sparse_matmul``."""
-    t = value if isinstance(value, T.Tensor) or sp.issparse(value) \
+    t = value if isinstance(value, T.Tensor) or T.issparse(value) \
         else T.Tensor(value)
     return ExprNode(CONSTANT, t, (), name)
 

@@ -49,30 +49,51 @@ def test_relative_imports_resolve(path):
 
 
 def test_importing_jno_loads_no_scipy_solvers():
-    """scipy.sparse.linalg, and scipy.linalg with it, cost about 0.1 s to
-    import; jno imports them only when it solves, and scipy.spatial, which
-    loads scipy.linalg too, only when it locates points.  A fresh
-    interpreter imports every module, builds every domain kind and its
-    boundary normals, checks, then solves a Poisson problem."""
+    """scipy.sparse costs several times numpy's import, and
+    scipy.sparse.linalg, and scipy.linalg with it, about 0.1 s more; jno
+    imports scipy.sparse only where it builds a sparse matrix, the solvers
+    only when it solves, and scipy.spatial, which loads scipy.linalg too,
+    only when it locates points.  A fresh interpreter imports every module,
+    builds every domain kind and its boundary normals, runs `init_fem`, an
+    AD-Laplacian PINN loss, its parameter gradient and an Adam step, and
+    checks that no scipy module is loaded; then takes one FD derivative,
+    which loads scipy.sparse alone, and solves a Poisson problem."""
     modules = ", ".join(f"jno.{p.stem}" for p in MODULES)
     script = f"""
 import importlib, sys
 for name in "{modules}".split(", "):
     importlib.import_module(name)
-from jno import domain as dm, fem
+import numpy as np
+from jno import domain as dm, evaluator as ev, fem, nn, tensor as T, trace as tr
 for make in (dm.line, dm.rect, dm.disk, dm.lshape, dm.cube,
              dm.rect_with_hole, lambda: dm.structured_rect(4, 4),
              lambda: dm.disk(0.2, 1.0, (0.3, -0.2))):
     make().normals("boundary")
+dom = dm.structured_rect(4, 4)
+dom.init_fem(bcs=[dom.dirichlet("boundary", 0.0)])
+x, y, _ = dom.variable("interior")
+net = nn.mlp(2, [8], 1).initialize(0)
+u = net(tr.concat_nodes([x, y], axis=-1))
+params = net.trainable_params()
+with T.Tape() as tape:
+    tape.watch(*params.values())
+    loss = ev.evaluate((u.dd(x) + u.dd(y) + 1.0).mse, ev.EvalContext(domain=dom))
+grads = tape.gradient(loss, list(params.values()))
+spec = nn.adam(1e-3)
+nn.optimizer_step(spec, nn.OptimizerState(params), params,
+                  {{p: grads[t.uid] for p, t in params.items()}})
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+assert not loaded, loaded
+slope = ev.evaluate(tr.derivative(3.0 * x, x, 1, "finite-difference"),
+                    ev.EvalContext(domain=dom))
+assert np.allclose(slope.data, 3.0), slope.data
+assert "scipy.sparse" in sys.modules
 loaded = [m for m in ("scipy.sparse.linalg", "scipy.linalg", "scipy.spatial")
           if m in sys.modules]
 assert not loaded, loaded
-import numpy as np
-dom = dm.structured_rect(4, 4)
-dom.init_fem(bcs=[dom.dirichlet("boundary", 0.0)])
-u, phi = dom.fem_symbols()
-x, y = dom.variable(fem.GAUSS_VOLUME)[:-1]
-weak = u.d(x) * phi.d(x) + u.d(y) * phi.d(y) - 1.0 * phi
+uh, phi = dom.fem_symbols()
+gx, gy = dom.variable(fem.GAUSS_VOLUME)[:-1]
+weak = uh.d(gx) * phi.d(gx) + uh.d(gy) * phi.d(gy) - 1.0 * phi
 nodal = weak.assemble("fem_system").solve()
 assert nodal.shape == (dom.mesh.num_vertices,) and nodal.max() > 0, nodal
 """
@@ -80,6 +101,37 @@ assert nodal.shape == (dom.mesh.num_vertices,) and nodal.max() > 0, nodal
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def _innermost_functions(tree):
+    """{node: the name of the innermost function around it}; ast.walk is
+    breadth first, so an inner function overwrites its outer one."""
+    scope = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope.update((node, fn.name) for node in ast.walk(fn))
+    return scope
+
+
+def test_no_module_imports_scipy_at_its_top():
+    """A module-level import runs on `import jno`; scipy is imported inside
+    the functions that use it."""
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        inside = _innermost_functions(tree)
+        for node in ast.walk(tree):
+            if node in inside:
+                continue
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert not found
 
 
 def _imports_sparse_solvers(node):
@@ -99,12 +151,7 @@ def test_one_function_imports_and_calls_the_sparse_solvers():
     importers, solver_names = [], []
     for path in MODULES:
         tree = ast.parse(path.read_text())
-        # the innermost function around each node: ast.walk is breadth
-        # first, so an inner function overwrites its outer one
-        scope = {}
-        for fn in ast.walk(tree):
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scope.update((node, fn.name) for node in ast.walk(fn))
+        scope = _innermost_functions(tree)
         for node in ast.walk(tree):
             where = f"{path.stem}.{scope.get(node, '<module>')}"
             if _imports_sparse_solvers(node):

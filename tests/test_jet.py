@@ -575,7 +575,49 @@ def test_sum_with_other_terms_or_repeated_variables_is_not_collapsed(
     assert [(2, 2)] not in pushes
 
 
-_S5 = sp.csr_matrix(np.arange(20.0).reshape(4, 5) % 3 - 1.0)
+def test_laplacian_collapses_wherever_the_other_terms_sit(monkeypatch):
+    # the other terms of a sum may come before, between or after the
+    # Laplacian's; every order is one push of a summed coefficient, records
+    # as many Tape records, and gives the same loss and parameter gradient
+    d, x, y, net, u = _mlp_rect()
+    v = net(tr.concat_nodes([y, x], axis=-1))
+    f, g = 2.0 * x, x * y
+    pushes = _count_pushes(monkeypatch)
+    params = list(net.trainable_params().values())
+
+    def run(expr):
+        pushes.clear()
+        ctx = ev.EvalContext(domain=d)
+        with T.Tape() as tape:
+            tape.watch(*params)
+            loss = ev.evaluate(expr.mse, ctx)
+        records = len(tape.records)
+        grads = tape.gradient(loss, params)
+        assert tr.DERIVATIVE not in ctx.stats["by_kind"]
+        return loss.item(), records, [grads[p.uid].data for p in params]
+
+    lap = u.dd(x) + u.dd(y)
+    want, records, want_grads = run(lap + f + g)
+    assert pushes == [[(2, 2)]]
+    for expr in (f + u.dd(x) + u.dd(y) + g, (u.dd(x) + f) + u.dd(y) + g,
+                 (u.dd(x) + f) + (g + u.dd(y)), f + (g + lap)):
+        got, got_records, got_grads = run(expr)
+        assert pushes == [[(2, 2)]]
+        assert got_records == records
+        assert abs(got - want) <= 1e-12 * abs(want)
+        for a, b in zip(got_grads, want_grads):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+    # two expressions: one group each; a repeated term counts as often as
+    # it is written
+    run(u.dd(x) + v.dd(x) + f + v.dd(y) + u.dd(y))
+    assert pushes == [[(2, 2)], [(2, 2)]]
+    ctx = ev.EvalContext(domain=d)
+    got = ev.evaluate(u.dd(x) + lap + u.dd(x), ctx).data
+    terms = ev.evaluate(lap, ctx).data + 2 * ev.evaluate(u.dd(x), ctx).data
+    np.testing.assert_allclose(got, terms, rtol=1e-12, atol=1e-12)
+
+
+_S5 =sp.csr_matrix(np.arange(20.0).reshape(4, 5) % 3 - 1.0)
 
 # Consumers that read across elements, applied to a (2, 1, 5, 3) tensor
 # whose coefficients are rows of shape (1, 1, 1, 3).

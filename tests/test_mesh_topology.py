@@ -5,6 +5,7 @@ import copy
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from jno import domain as dm
 from jno import mesh as meshmod
@@ -146,6 +147,46 @@ def test_topology_matches_per_element_loops(name, tmp_path):
     for idx in mesh.tags.values():
         assert idx.dtype == np.int64
         assert np.array_equal(idx, np.unique(idx))
+
+
+def _with_unused_vertex():
+    base = meshmod.rect_mesh((0.0, 1.0), (0.0, 1.0), 0.5)
+    return meshmod.Mesh(np.vstack([base.vertices, [[2.0, 2.0]]]),
+                        base.elements, "TRI3")
+
+
+NEIGHBOR_MESHES = {
+    "line": lambda: dm.line().mesh,
+    "rect": lambda: dm.rect().mesh,
+    "structured_rect": lambda: dm.structured_rect(78, 78).mesh,
+    "disk": lambda: dm.disk(0.03).mesh,
+    "disk_off_centre": lambda: dm.disk(0.2, 1.0, (0.3, -0.2)).mesh,
+    "lshape": lambda: dm.lshape().mesh,
+    "cube": lambda: dm.cube().mesh,
+    "rect_with_hole": lambda: dm.rect_with_hole().mesh,
+    "no_elements": lambda: meshmod.Mesh(
+        np.zeros((3, 2)), np.zeros((0, 3), dtype=np.int64), "TRI3"),
+    "unused_vertex": _with_unused_vertex,
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEIGHBOR_MESHES))
+def test_neighbor_lists_equal_a_scipy_csr(name):
+    # the adjacency CSR of every ordered pair of distinct vertices of an
+    # element, duplicates summed: its index arrays, as int64, bit for bit
+    mesh = NEIGHBOR_MESHES[name]()
+    V, elems = mesh.num_vertices, mesh.elements
+    rows = np.repeat(elems, elems.shape[1], axis=1).ravel()
+    cols = np.tile(elems, (1, elems.shape[1])).ravel()
+    off = rows != cols
+    adj = sp.csr_matrix((np.ones(off.sum()), (rows[off], cols[off])),
+                        shape=(V, V))
+    adj.sum_duplicates()
+    conn = meshmod.Connectivity(mesh)
+    for got, want in ((conn.neighbor_indptr, adj.indptr),
+                      (conn.neighbor_indices, adj.indices)):
+        assert got.dtype == np.int64
+        assert got.tobytes() == want.astype(np.int64).tobytes()
 
 
 def _unique_facets(mesh):
