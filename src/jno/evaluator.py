@@ -10,10 +10,11 @@ second derivatives such as a Laplacian) or through mesh-driven finite
 differences built from moving-least-squares gradient reconstruction on
 vertex neighborhoods.
 The finite-difference operators (MLS gradients, then vertex row selection
-or barycentric interpolation at the points) are CSR matrices applied with
-:func:`jno.tensor.sparse_matmul`.  scipy.sparse is imported inside the
-three functions that build them, not here: its import costs several
-times numpy's, and AD derivatives never need it.
+or barycentric interpolation at the points) are
+:class:`jno.tensor.SparseMatrix` triplets applied with
+:func:`jno.tensor.sparse_matmul`; nothing here imports scipy.sparse, whose
+import costs several times numpy's.  Locating points that a context did
+not read from the domain imports scipy.spatial, for `Mesh.locator`.
 """
 
 import functools
@@ -506,18 +507,17 @@ def _check_pointwise(expr, wrt, ctx):
 # reconstruction.  Vertex values map to the points a context read from the
 # domain by those points' vertex rows, and to other points by barycentric
 # interpolation inside the containing element.  The gradient and
-# interpolation operators have a few nonzeros per row and are kept in CSR.
+# interpolation operators have a few nonzeros per row and are kept as
+# row-major triplets.
 # ---------------------------------------------------------------------------
 
 def mls_gradient_operators(mesh, connectivity):
-    """One (V, V) CSR matrix per space dimension; row i holds the
+    """One (V, V) sparse matrix per space dimension; row i holds the
     reconstruction weights of vertex i's neighborhood.
 
     Vertices with the same support size (the vertex and its neighbors) are
     fitted together: one stacked SVD gives each one's pseudo-inverse and its
     rank, with the cutoff of ``np.linalg.lstsq``'s default `rcond`."""
-    import scipy.sparse as sp
-
     V, D = mesh.num_vertices, mesh.dim
     verts = mesh.vertices
     ptr, nbr = connectivity.neighbor_indptr, connectivity.neighbor_indices
@@ -551,12 +551,12 @@ def mls_gradient_operators(mesh, connectivity):
         raise DegenerateNeighborhood(
             f"vertex {i}: neighborhood is affinely degenerate")
     rows, cols = np.concatenate(rows), np.concatenate(cols)
-    return [sp.csr_matrix((np.concatenate(v), (rows, cols)), shape=(V, V))
+    return [T.SparseMatrix(rows, cols, np.concatenate(v), (V, V))
             for v in vals]
 
 
 def _locate_barycentric(mesh, points):
-    """(N, V) CSR interpolation matrix: row n holds the barycentric weights
+    """(N, V) sparse interpolation matrix: row n holds the barycentric weights
     of point n inside the lowest-index element that contains it.
 
     The weights of p in element e are lambda_a = delta_a0 +
@@ -566,8 +566,6 @@ def _locate_barycentric(mesh, points):
     nearest centroids; a point that no candidate contains is tested against
     every element.
     """
-    import scipy.sparse as sp
-
     tree, origin, G = mesh.locator
     pts = np.asarray(points, dtype=np.float64)
     elems = mesh.elements
@@ -597,8 +595,8 @@ def _locate_barycentric(mesh, points):
         chosen[n] = hits[0]
     _, lam = weights(np.arange(N), chosen)
     rows = np.repeat(np.arange(N), elems.shape[1])
-    return sp.csr_matrix((lam.T.ravel(), (rows, elems[chosen].ravel())),
-                         shape=(N, mesh.num_vertices))
+    return T.SparseMatrix(rows, elems[chosen].ravel(), lam.T.ravel(),
+                          (N, mesh.num_vertices))
 
 
 def _fd_operators(ctx):
@@ -660,20 +658,24 @@ def _derivative_fd(node, ctx, order):
 def _interpolation(ctx, coords, cols):
     """(P, lead) for `_derivative_fd`: P selects the vertex rows of points
     that `ctx` read from the domain with one id array, and locates others;
-    each distinct (batch, time) slice of the points takes its own block."""
-    import scipy.sparse as sp
-
+    each distinct (batch, time) slice of the points takes its own block,
+    its rows offset by i * N and its columns by i * V."""
     mesh, ids = ctx.domain.mesh, [ctx._vertex_ids.get(v) for v in coords]
     select = ids[0] is not None and all(i is ids[0] for i in ids)
     keys = ids[0][..., None] if select else np.concatenate(
         np.broadcast_arrays(*(c.data for c in cols)), axis=-1)
     slices = keys.reshape((-1,) + keys.shape[-2:])
     N, V = keys.shape[-2], mesh.num_vertices
-    Ps = [sp.csr_matrix((np.ones(N), k[:, 0], np.arange(N + 1)), (N, V))
+    Ps = [T.SparseMatrix(np.arange(N), k[:, 0], np.ones(N), (N, V))
           if select else _locate_barycentric(mesh, k)
           for k in (slices[:1] if (slices == slices[0]).all() else slices)]
-    return (Ps[0], None) if len(Ps) == 1 \
-        else (sp.block_diag(Ps, format="csr"), keys.shape[:-2])
+    if len(Ps) == 1:
+        return Ps[0], None
+    block = T.SparseMatrix(
+        np.concatenate([P.rows + i * N for i, P in enumerate(Ps)]),
+        np.concatenate([P.cols + i * V for i, P in enumerate(Ps)]),
+        np.concatenate([P.vals for P in Ps]), (len(Ps) * N, len(Ps) * V))
+    return block, keys.shape[:-2]
 
 
 def _vertex_context(ctx, tag):

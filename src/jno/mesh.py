@@ -12,7 +12,8 @@ everything derived from them) are bitwise reproducible, and their
 
 Nothing here imports scipy.sparse: `Connectivity` sorts its neighbor lists
 with numpy, so building a domain costs no more than numpy's import.  Only
-point location (`Mesh.locator`) imports scipy, for `scipy.spatial`.
+point location (`Mesh.locator`) imports scipy, for `scipy.spatial`, whose
+k-d tree module loads scipy.sparse itself.
 """
 
 import itertools

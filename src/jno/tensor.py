@@ -944,26 +944,85 @@ def matmul(a, b):
     return out
 
 
+class SparseMatrix:
+    """A constant sparse matrix of shape (M, V) held as `rows`, `cols` and
+    `vals`, in row-major order with columns ascending within a row.
+
+    ``S @ x`` is one bincount, which adds each output's products in entry
+    order starting from 0.0, the order of scipy's CSR product; `T` swaps
+    rows and cols without sorting again, so its entries stay in the order
+    of scipy's CSC product of the transpose.  Both agree with scipy bitwise.
+    """
+
+    def __init__(self, rows, cols, vals, shape):
+        rows, cols = np.asarray(rows, np.int64), np.asarray(cols, np.int64)
+        order = np.argsort(rows * shape[1] + cols)
+        self.rows, self.cols = rows[order], cols[order]
+        self.vals = np.asarray(vals, np.float64)[order]
+        self.shape = tuple(shape)
+
+    @property
+    def nnz(self):
+        return len(self.vals)
+
+    @functools.cached_property
+    def T(self):
+        # the transpose's own T is a new matrix, not `self`: that cycle
+        # would leave every per-step operator to the cyclic collector
+        t = object.__new__(SparseMatrix)
+        t.rows, t.cols, t.vals = self.cols, self.rows, self.vals
+        t.shape = self.shape[::-1]
+        return t
+
+    def __matmul__(self, x):
+        """`S @ x` for `x` of shape (V,) or (V, m); an m > 1 takes one
+        bincount over the keys row * m + column."""
+        M = self.shape[0]
+        if x.ndim == 1 or x.shape[1] == 1:
+            out = np.bincount(self.rows, self.vals * x.ravel().take(self.cols),
+                              M)
+            return out.reshape((M,) + x.shape[1:])
+        m = x.shape[1]
+        keys = (self.rows * m)[:, None] + np.arange(m)
+        products = self.vals[:, None] * x.take(self.cols, axis=0)
+        return np.bincount(keys.ravel(), products.ravel(), M * m).reshape(M, m)
+
+    def toarray(self):
+        out = np.zeros(self.shape)
+        np.add.at(out, (self.rows, self.cols), self.vals)
+        return out
+
+
 def issparse(value):
-    """Whether `value` is a ``scipy.sparse`` matrix.  Nothing can be one
-    before something has imported scipy.sparse, so this imports nothing."""
+    """Whether `value` is a :class:`SparseMatrix` or a ``scipy.sparse``
+    matrix.  Nothing can be the latter before something has imported
+    scipy.sparse, so this imports nothing."""
+    if isinstance(value, SparseMatrix):
+        return True
     sp = sys.modules.get("scipy.sparse")
     return sp is not None and sp.issparse(value)
 
 
 def sparse_matmul(S, x):
-    """`S @ x` over the second-to-last axis of `x`, for a constant
-    ``scipy.sparse`` matrix `S` of shape (M, V) and `x` of shape (..., V, k).
+    """`S @ x` over the second-to-last axis of `x`, for a constant sparse
+    matrix `S` of shape (M, V), a :class:`SparseMatrix` or a
+    ``scipy.sparse`` one, and `x` of shape (..., V, k).
 
     `S` takes no gradient; the adjoint of `x` is ``sparse_matmul(S.T, adj)``,
     so outer tapes record the backward pass like any other primitive.
     """
     x = _as_tensor(x)
-    matmul_shape(S.shape, x.shape)
-    # the operator axis leads; batch axes and the last axis fold into columns
-    cols = np.moveaxis(x.data, -2, 0).reshape(S.shape[1], -1)
-    moved = (S @ cols).reshape((S.shape[0],) + x.shape[:-2] + x.shape[-1:])
-    out = Tensor(np.moveaxis(moved, 0, -2))
+    shape = matmul_shape(S.shape, x.shape)
+    if x.shape[:-2].count(1) == x.ndim - 2:
+        # no batch axis to fold: x is (V, k) already
+        out = Tensor((S @ x.data.reshape(x.shape[-2:])).reshape(shape))
+    else:
+        # the operator axis leads; batch axes and the last axis fold into
+        # columns
+        cols = np.moveaxis(x.data, -2, 0).reshape(S.shape[1], -1)
+        moved = (S @ cols).reshape((S.shape[0],) + x.shape[:-2]
+                                   + x.shape[-1:])
+        out = Tensor(np.moveaxis(moved, 0, -2))
     return _linear_map(
         out, x, lambda c, s=x.shape: sparse_matmul(S, _fit(c, s, (-2,))),
         lambda adj: sparse_matmul(S.T, adj))

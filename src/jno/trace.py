@@ -334,8 +334,9 @@ def literal(value):
 
 
 def constant(value, name=None):
-    """A constant leaf; a ``scipy.sparse`` matrix is kept as it is, and a
-    matmul applies it as the left operand through ``T.sparse_matmul``."""
+    """A constant leaf; a sparse matrix (``T.SparseMatrix`` or
+    ``scipy.sparse``) is kept as it is, and a matmul applies it as the left
+    operand through ``T.sparse_matmul``."""
     t = value if isinstance(value, T.Tensor) or T.issparse(value) \
         else T.Tensor(value)
     return ExprNode(CONSTANT, t, (), name)

@@ -51,13 +51,16 @@ def test_relative_imports_resolve(path):
 def test_importing_jno_loads_no_scipy_solvers():
     """scipy.sparse costs several times numpy's import, and
     scipy.sparse.linalg, and scipy.linalg with it, about 0.1 s more; jno
-    imports scipy.sparse only where it builds a sparse matrix, the solvers
-    only when it solves, and scipy.spatial, which loads scipy.linalg too,
-    only when it locates points.  A fresh interpreter imports every module,
-    builds every domain kind and its boundary normals, runs `init_fem`, an
-    AD-Laplacian PINN loss, its parameter gradient and an Adam step, and
-    checks that no scipy module is loaded; then takes one FD derivative,
-    which loads scipy.sparse alone, and solves a Poisson problem."""
+    imports scipy.sparse only where FEM builds a matrix, the solvers only
+    when it solves, and scipy.spatial only when it locates points.  A fresh
+    interpreter imports every module, builds every domain kind and its
+    boundary normals, runs `init_fem`, an AD-Laplacian PINN loss, its
+    parameter gradient and an Adam step, and an FD derivative at the
+    points it read from the domain, and checks that no scipy module is
+    loaded; then takes an FD derivative at points bound from outside, which
+    loads scipy.spatial and nothing that importing it alone does not load
+    (its k-d tree module imports scipy.sparse itself), and solves a Poisson
+    problem."""
     modules = ", ".join(f"jno.{p.stem}" for p in MODULES)
     script = f"""
 import importlib, sys
@@ -82,15 +85,16 @@ grads = tape.gradient(loss, list(params.values()))
 spec = nn.adam(1e-3)
 nn.optimizer_step(spec, nn.OptimizerState(params), params,
                   {{p: grads[t.uid] for p, t in params.items()}})
+slope = tr.derivative(3.0 * x, x, 1, "finite-difference")
+at_rows = ev.evaluate(slope, ev.EvalContext(domain=dom))
+assert np.allclose(at_rows.data, 3.0), at_rows.data
 loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
 assert not loaded, loaded
-slope = ev.evaluate(tr.derivative(3.0 * x, x, 1, "finite-difference"),
-                    ev.EvalContext(domain=dom))
-assert np.allclose(slope.data, 3.0), slope.data
-assert "scipy.sparse" in sys.modules
-loaded = [m for m in ("scipy.sparse.linalg", "scipy.linalg", "scipy.spatial")
-          if m in sys.modules]
-assert not loaded, loaded
+pts = dom.context["interior"]
+located = ev.evaluate(slope, ev.EvalContext(
+    {{x: pts[..., :1], y: pts[..., 1:]}}, dom))
+assert np.allclose(located.data, 3.0), located.data
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 uh, phi = dom.fem_symbols()
 gx, gy = dom.variable(fem.GAUSS_VOLUME)[:-1]
 weak = uh.d(gx) * phi.d(gx) + uh.d(gy) * phi.d(gy) - 1.0 * phi
@@ -101,6 +105,14 @@ assert nodal.shape == (dom.mesh.num_vertices,) and nodal.max() > 0, nodal
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    spatial = subprocess.run(
+        [sys.executable, "-c", "import sys, scipy.spatial; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, timeout=120)
+    assert spatial.returncode == 0, spatial.stderr
+    located = set(ast.literal_eval(done.stdout))
+    assert "scipy.spatial" in located
+    assert located <= set(ast.literal_eval(spatial.stdout))
 
 
 def _innermost_functions(tree):
@@ -161,6 +173,40 @@ def test_one_function_imports_and_calls_the_sparse_solvers():
                 solver_names.append((where, name))
     assert importers == ["fem._factor"]
     assert solver_names == [("fem._factor", "splu")]
+
+
+def _imports_scipy_sparse(node):
+    if isinstance(node, ast.Import):
+        return any(a.name.startswith("scipy.sparse") for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return module.startswith("scipy.sparse") or (
+            module == "scipy" and any(a.name == "sparse" for a in node.names))
+    return False
+
+
+def _qualified_scopes(node, path=()):
+    """(node, the dotted names of the classes and functions around it) for
+    every node below `node`, in source order."""
+    for child in ast.iter_child_nodes(node):
+        yield child, ".".join(path) or "<module>"
+        inner = path
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            inner = path + (child.name,)
+        yield from _qualified_scopes(child, inner)
+
+
+def test_only_fem_imports_scipy_sparse():
+    """The FD operators are `tensor.SparseMatrix` triplets; scipy.sparse
+    (its solvers aside, which the test above places) is imported only where
+    FEM builds the matrices that its SuperLU factorization reads."""
+    importers = [f"{path.stem}.{where}" for path in MODULES
+                 for node, where in _qualified_scopes(
+                     ast.parse(path.read_text()))
+                 if _imports_scipy_sparse(node)
+                 and not _imports_sparse_solvers(node)]
+    assert importers == ["fem.FemSetup.test_operator", "fem._matrix"]
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",

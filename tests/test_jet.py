@@ -38,6 +38,13 @@ _S = sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, -1.0, 0.0],
                              [3.0, 0.0, -2.0]]))
 _C = T.Tensor(np.linspace(-1.0, 1.0, 8).reshape(4, 2))
 
+
+def _triplets(S):
+    """The same matrix as a `T.SparseMatrix`, from scipy's `S`."""
+    coo = S.tocoo()
+    return T.SparseMatrix(coo.row, coo.col, coo.data, coo.shape)
+
+
 # Each case builds its output from a watched s of shape (3, 4) through one
 # primitive whose inputs vary with s (both inputs, for the binary ones, so
 # that the cross term of the second coefficient is exercised).
@@ -79,6 +86,7 @@ MORE = {
     "mul_const": lambda s: T.mul(A(s), T.Tensor(-2.5)),
     "div_const_numerator": lambda s: T.div(T.Tensor(2.0), A(s)),
     "matmul_const_right": lambda s: T.matmul(A(s), _C),
+    "sparse_matmul_triplets": lambda s: T.sparse_matmul(_triplets(_S), A(s)),
     "concat_one_varying": lambda s: T.concat([T.zeros((3, 4)), A(s)], axis=0),
 }
 
@@ -617,7 +625,7 @@ def test_laplacian_collapses_wherever_the_other_terms_sit(monkeypatch):
     np.testing.assert_allclose(got, terms, rtol=1e-12, atol=1e-12)
 
 
-_S5 =sp.csr_matrix(np.arange(20.0).reshape(4, 5) % 3 - 1.0)
+_S5 = sp.csr_matrix(np.arange(20.0).reshape(4, 5) % 3 - 1.0)
 
 # Consumers that read across elements, applied to a (2, 1, 5, 3) tensor
 # whose coefficients are rows of shape (1, 1, 1, 3).
@@ -636,6 +644,7 @@ EXPANDING = {
         [t, T.mul(t, T.Tensor(np.linspace(1.0, 2.0, 5).reshape(5, 1)))],
         axis=-1),
     "sparse_matmul": lambda t: T.sparse_matmul(_S5, t),
+    "sparse_matmul_triplets": lambda t: T.sparse_matmul(_triplets(_S5), t),
     # a coefficient of shape (1, 1, 1, 1) on the contracted axis of 3
     "matmul_contracted": lambda t: T.matmul(
         T.add(T.reduce_sum(t, axes=-1, keepdims=True), T.zeros((2, 1, 5, 3))),

@@ -1,12 +1,14 @@
-"""Sparse finite-difference operators: `T.sparse_matmul`, the CSR MLS
-gradients, the CSR point location and the vertex row selection, each
-against a dense oracle."""
+"""Sparse finite-difference operators: `T.sparse_matmul`, the
+`T.SparseMatrix` products against scipy's, the MLS gradients, the point
+location and the vertex row selection, each against a dense oracle."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jno import domain as dm
 from jno import evaluator as ev
@@ -180,18 +182,18 @@ class TestLocateBarycentric:
         mesh = MESHES[name]()
         pts = _probe_points(mesh, seed=7)
         P = ev._locate_barycentric(mesh, pts)
-        assert sp.issparse(P) and P.format == "csr"
+        assert isinstance(P, T.SparseMatrix)
         assert P.shape == (len(pts), mesh.num_vertices)
         want, chosen = _dense_locate(mesh, pts)
         np.testing.assert_allclose(P.toarray(), want, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(np.asarray(P.sum(axis=1)).ravel(), 1.0,
+        np.testing.assert_allclose(np.bincount(P.rows, P.vals, len(pts)), 1.0,
                                    rtol=0, atol=1e-12)
         # off the vertices, the containing elements all have nearby
         # centroids, so the row is stored on the lowest-index one's vertices
         on_vertex = np.zeros(len(pts), dtype=bool)
         on_vertex[100:100 + mesh.num_vertices] = True
         for n in np.nonzero(~on_vertex)[0]:
-            stored = P.indices[P.indptr[n]:P.indptr[n + 1]]
+            stored = P.cols[P.rows == n]
             assert set(stored) == set(mesh.elements[chosen[n]])
 
     def test_falls_back_when_no_candidate_contains_the_point(self):
@@ -210,7 +212,7 @@ class TestLocateBarycentric:
         P = ev._locate_barycentric(mesh, pts)
         want, chosen = _dense_locate(mesh, pts)
         np.testing.assert_allclose(P.toarray(), want, rtol=0, atol=1e-12)
-        assert chosen[0] == 0 and set(P.indices) == {0, 1, 2}
+        assert chosen[0] == 0 and set(P.cols) == {0, 1, 2}
 
     @pytest.mark.parametrize("name,point", [("rect", [5.0, 5.0]),
                                             ("lshape", [0.75, 0.75]),
@@ -281,13 +283,14 @@ class TestFdDerivatives:
             np.testing.assert_allclose(ev.evaluate(tr.d(u, var), ctx).data,
                                        want, rtol=0, atol=1e-12)
 
-    def test_mls_operators_are_csr_and_exact_on_affine(self):
+    def test_mls_operators_are_row_major_and_exact_on_affine(self):
         d = dm.disk(mesh_size=0.2)
         ops = ev.mls_gradient_operators(d.mesh, d.connectivity)
         verts = d.mesh.vertices
         for direction, G in enumerate(ops):
-            assert sp.issparse(G) and G.format == "csr"
+            assert isinstance(G, T.SparseMatrix)
             assert G.shape == (len(verts), len(verts))
+            assert (np.diff(G.rows * len(verts) + G.cols) > 0).all()
             u = 3.0 * verts[:, 0] - 2.0 * verts[:, 1] + 0.5
             np.testing.assert_allclose(G @ u, [3.0, -2.0][direction],
                                        atol=1e-10)
@@ -366,7 +369,8 @@ class TestVertexRows:
         calls = _count_locations(monkeypatch)
         P, lead = ev._interpolation(ctx, coords, cols)
         assert calls == [] and lead is None
-        assert P.format == "csr" and P.nnz == len(cols[0].data[0, 0])
+        assert isinstance(P, T.SparseMatrix)
+        assert P.nnz == len(cols[0].data[0, 0])
         want = ev._locate_barycentric(d.mesh, d.context["interior"][0, 0])
         np.testing.assert_allclose(P.toarray(), want.toarray(), rtol=0,
                                    atol=1e-15)
@@ -459,3 +463,82 @@ class TestVertexRows:
             np.testing.assert_allclose(got[batch], pts[batch, ..., 1:],
                                        rtol=0, atol=1e-14)
         assert calls == ([10, 10] if bound else [])
+
+
+# ---------------------------------------------------------------------------
+# SparseMatrix products against scipy's, bitwise
+# ---------------------------------------------------------------------------
+
+def _scipy_csr(S):
+    """The CSR matrix that scipy builds from `S`'s triplets."""
+    return sp.csr_matrix((S.vals, (S.rows, S.cols)), shape=S.shape)
+
+
+def _assert_products_equal_scipy(S, want, seed):
+    """`S @ x` and `S.T @ x` for one and three columns equal the products
+    of the scipy matrix `want` bitwise."""
+    rng = np.random.default_rng(seed)
+    for m in (1, 3):
+        x = rng.standard_normal((S.shape[1], m))
+        np.testing.assert_array_equal(S @ x, want @ x)
+        y = rng.standard_normal((S.shape[0], m))
+        np.testing.assert_array_equal(S.T @ y, want.T @ y)
+
+
+@st.composite
+def _triplets(draw):
+    """Distinct (row, col) entries of an (M, V) matrix; the entries use only
+    some of its rows and columns, so that some are empty."""
+    M, V = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    used_rows = draw(st.lists(st.integers(0, M - 1), max_size=M, unique=True))
+    used_cols = draw(st.lists(st.integers(0, V - 1), max_size=V, unique=True))
+    pairs = sorted(draw(st.sets(st.tuples(st.sampled_from(used_rows),
+                                          st.sampled_from(used_cols)))
+                        if used_rows and used_cols else st.just(set())))
+    pairs = draw(st.permutations(pairs))
+    vals = draw(st.lists(st.floats(-1e3, 1e3), min_size=len(pairs),
+                         max_size=len(pairs)))
+    rows = np.array([r for r, _ in pairs], dtype=np.int64)
+    cols = np.array([c for _, c in pairs], dtype=np.int64)
+    return rows, cols, np.array(vals, dtype=np.float64), (M, V)
+
+
+class TestSparseMatrixAgainstScipy:
+    @given(_triplets(), st.integers(0, 2 ** 32 - 1))
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    def test_random_triplets(self, triplets, seed):
+        rows, cols, vals, shape = triplets
+        S = T.SparseMatrix(rows, cols, vals, shape)
+        want = sp.csr_matrix((vals, (rows, cols)), shape=shape)
+        assert S.nnz == want.nnz and S.T is S.T
+        np.testing.assert_array_equal(S.toarray(), want.toarray())
+        np.testing.assert_array_equal(S.T.toarray(), want.T.toarray())
+        _assert_products_equal_scipy(S, want, seed)
+
+    @pytest.mark.parametrize("name", ["rect", "disk", "lshape", "cube"])
+    def test_mls_operators(self, name):
+        d = dm.Domain(MESHES[name]())
+        for seed, G in enumerate(
+                ev.mls_gradient_operators(d.mesh, d.connectivity)):
+            _assert_products_equal_scipy(G, _scipy_csr(G), seed)
+
+    def test_per_slice_block_operator(self):
+        # sampled points are vertices, whose weights are 0 and 1; the bound
+        # points lie inside elements, so each row sums three products
+        a, b = dm.rect(mesh_size=0.2), dm.rect(mesh_size=0.2)
+        a.sample("interior", 10, seed=1)
+        b.sample("interior", 10, seed=2)
+        m = a.merge(b)
+        coords = m.variable("interior")[:-1]
+        pts = np.random.default_rng(3).uniform(0.05, 0.95, (2, 1, 10, 2))
+        ctx = ev.EvalContext({v: pts[..., i:i + 1]
+                              for i, v in enumerate(coords)}, m,
+                             derivative_mode="finite-difference")
+        P, lead = ev._interpolation(ctx, coords,
+                                    tuple(ctx.lookup(v) for v in coords))
+        assert lead == (2, 1)
+        want = sp.block_diag(
+            [_scipy_csr(ev._locate_barycentric(m.mesh, p)) for p in pts[:, 0]],
+            format="csr")
+        np.testing.assert_array_equal(P.toarray(), want.toarray())
+        _assert_products_equal_scipy(P, want, 0)
