@@ -13,7 +13,10 @@ transposes, and its second-order term; a linear op gives the map and its
 transpose (Frostig et al., arXiv:2105.09469).  The rules are themselves
 written with the public primitives, so an active Tape or an outer Jet
 records what they compute and higher-order derivatives fall out of
-repeated application.
+repeated application.  A smooth unary map's f'(a) is kept by a replay that
+an active recorder records, such as a Jet push under a parameter Tape, and
+reused by one that no recorder watches, such as that Tape's gradient; a
+square ``mul(a, a)`` is the unary map x**2.
 A Taylor coefficient keeps the broadcast shape it is born with, such as a
 row for a direction that is the same at every point; only the ops that read
 across elements (reductions, reshapes, slices, sparse products and matmul's
@@ -485,9 +488,23 @@ def _unary(out, a, first, second):
     f''(a) = second(f'(a)): t1 = f'(a) a1 per direction and
     t2 = f'(a) a2 + f''(a) sum_j a1_j**2 over a group's directions j.
     f''(a) is computed once per replay, for the first group that needs
-    it."""
+    it.
+
+    A replay that an active recorder records, such as a Jet push under a
+    parameter Tape, keeps the f'(a) it computes (that recorder holds it
+    anyway), and one that no recorder watches, such as the Tape's gradient,
+    reuses it.  Any other replay computes f'(a) anew, so that the recorders
+    watching it see f'(a) depend on `a`."""
+    kept = None
+
     def rule(live):
-        fp = first()
+        nonlocal kept
+        if kept is not None and not _ACTIVE.recorders:
+            fp = kept
+        else:
+            fp = first()
+            if any(fp.uid in r._live for r in _ACTIVE.recorders):
+                kept = fp
         fpp = functools.cache(lambda: second(fp))
 
         def curvature(d1s, t1s):
@@ -555,6 +572,10 @@ def mul(a, b):
     a, b, out = _binary(operator.mul, a, b, "mul")
     if not _ACTIVE.recorders:
         return out
+    if a is b:
+        # the unary map x**2: one product per adjoint instead of two and a
+        # sum; doubling is exact, so the Jet's coefficients are the same
+        return _unary(out, a, lambda: _twice(a), lambda fp: Tensor(2.0))
     return _pointwise(out, (a, b), lambda live: (
         (lambda t: mul(t, b), lambda t: mul(t, a)),
         lambda d1s, t1s: _twice(_sum(_on(mul, *d) for d in d1s))))
@@ -924,7 +945,14 @@ def broadcast_to(a, shape):
 def matmul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     matmul_shape(a.shape, b.shape)
-    out = Tensor(np.matmul(a.data, b.data))
+    if a.shape[-1] == 1:
+        # an outer product: the broadcast product is about twice as fast as
+        # BLAS, and adding 0.0 makes its zeros +0.0 as in BLAS's sum
+        data = a.data * b.data
+        data += 0.0
+    else:
+        data = np.matmul(a.data, b.data)
+    out = Tensor(data)
 
     def backward(adj, want):
         # the transposes are views: matmul reads them in place
@@ -975,17 +1003,15 @@ class SparseMatrix:
         return t
 
     def __matmul__(self, x):
-        """`S @ x` for `x` of shape (V,) or (V, m); an m > 1 takes one
-        bincount over the keys row * m + column."""
+        """`S @ x` for `x` of shape (V,) or (V, m): one bincount per column
+        of `x`."""
         M = self.shape[0]
-        if x.ndim == 1 or x.shape[1] == 1:
-            out = np.bincount(self.rows, self.vals * x.ravel().take(self.cols),
-                              M)
-            return out.reshape((M,) + x.shape[1:])
-        m = x.shape[1]
-        keys = (self.rows * m)[:, None] + np.arange(m)
-        products = self.vals[:, None] * x.take(self.cols, axis=0)
-        return np.bincount(keys.ravel(), products.ravel(), M * m).reshape(M, m)
+        cols = x if x.ndim == 2 else x[:, None]
+        columns = [np.bincount(self.rows, self.vals * c.take(self.cols), M)
+                   for c in cols.T]
+        if len(columns) == 1:
+            return columns[0].reshape((M,) + x.shape[1:])
+        return np.stack(columns, -1) if columns else np.zeros((M, 0))
 
     def toarray(self):
         out = np.zeros(self.shape)

@@ -88,6 +88,11 @@ MORE = {
     "matmul_const_right": lambda s: T.matmul(A(s), _C),
     "sparse_matmul_triplets": lambda s: T.sparse_matmul(_triplets(_S), A(s)),
     "concat_one_varying": lambda s: T.concat([T.zeros((3, 4)), A(s)], axis=0),
+    # a square records as the unary map x**2
+    "mul_square": lambda s: (lambda a: T.mul(a, a))(A(s)),
+    # an inner size of 1 is an outer product, with broadcast batch axes
+    "matmul_outer": lambda s: T.matmul(T.reshape(A(s), (3, 4, 1)),
+                                       T.reshape(B(s), (1, 1, 12))),
 }
 
 
@@ -691,17 +696,33 @@ def test_row_coefficient_through_an_expanding_consumer(name):
         rtol=1e-13)
 
 
-def test_laplacian_loss_allocates_few_full_size_arrays(monkeypatch):
-    # owned (..., N, 32) arrays made by one AD-Laplacian loss of an MLP
-    # 2-32-32-1 under a parameter Tape, and by its parameter gradient;
-    # per-direction second coefficients took 36 and 66
-    n = 200
+def _laplacian_loss(n=200):
+    """The AD-Laplacian loss of an MLP 2-32-32-1 (tanh) at `n` points, its
+    bindings and the MLP."""
     x, y = tr.variable("x"), tr.variable("y")
     rng = np.random.default_rng(2)
     px, py = (rng.uniform(0.0, 1.0, (1, 1, n, 1)) for _ in range(2))
     net = nn.mlp(2, [32, 32], 1).initialize(1)
     u = net(tr.concat_nodes([x, y], axis=-1))
-    loss = (u.dd(x) + u.dd(y) + x * y).mse
+    return (u.dd(x) + u.dd(y) + x * y).mse, {x: px, y: py}, net
+
+
+def _under_tape(loss, bindings, params):
+    """The parameter Tape of `loss` and its value."""
+    with T.Tape() as tape:
+        tape.watch(*params)
+        value = ev.evaluate(loss, ev.EvalContext(bindings=bindings))
+    return tape, value
+
+
+def test_laplacian_loss_allocates_few_full_size_arrays(monkeypatch):
+    # owned (..., N, 32) arrays made by one AD-Laplacian loss of an MLP
+    # 2-32-32-1 under a parameter Tape, and by its parameter gradient;
+    # per-direction second coefficients took 36 and 66, and recomputing
+    # f' of tanh and taking a square as a product took 47 in the gradient
+    n = 200
+    loss, bindings, net = _laplacian_loss(n)
+    params = list(net.trainable_params().values())
     counts = []
     init = T.Tensor.__init__
 
@@ -711,12 +732,128 @@ def test_laplacian_loss_allocates_few_full_size_arrays(monkeypatch):
             counts[-1] += 1
 
     monkeypatch.setattr(T.Tensor, "__init__", counted)
-    params = net.trainable_params()
     counts.append(0)
-    with T.Tape() as tape:
-        tape.watch(*params.values())
-        value = ev.evaluate(loss, ev.EvalContext(bindings={x: px, y: py}))
+    tape, value = _under_tape(loss, bindings, params)
     counts.append(0)
-    tape.gradient(value, list(params.values()))
+    tape.gradient(value, params)
     assert counts[0] <= 28
-    assert counts[1] <= 47
+    assert counts[1] <= 39
+
+
+def _tensors_made(f):
+    """The number of Tensors that f() makes: the uids between two fresh
+    ones."""
+    first = T.Tensor(0.0).uid
+    f()
+    return T.Tensor(0.0).uid - first - 1
+
+
+def test_laplacian_loss_gradient_makes_a_pinned_number_of_tensors():
+    # the unrecorded gradient reuses the f' of each tanh that the push
+    # computed, and takes one product per square; a change that computes
+    # either again makes more Tensors and fails here
+    loss, bindings, net = _laplacian_loss(8)
+    params = list(net.trainable_params().values())
+    tape, value = _under_tape(loss, bindings, params)
+    assert _tensors_made(lambda: tape.gradient(value, params)) == 99
+
+
+def test_unrecorded_replay_keeps_no_derivative_factor():
+    # f' computed by a replay that nothing records is not kept: a second
+    # gradient computes it again and makes as many Tensors as the first
+    w, s = T.Tensor(0.7), T.Tensor(np.linspace(-1.0, 1.0, 5))
+    with T.Tape() as tape:
+        tape.watch(w)
+        total = T.reduce_sum(T.tanh(T.sin(T.mul(w, s))))
+    counts = [_tensors_made(lambda: tape.gradient(total, [w]))
+              for _ in range(2)]
+    assert counts[0] == counts[1] > 0
+
+
+def test_kept_derivative_factor_cannot_hide_a_dependence():
+    # the push under the parameter Tape keeps each tanh's f'; that Tape's
+    # gradient inside an outer Tape computes f' again, so the outer Tape's
+    # H v matches central differences of the gradient, and the gradient
+    # taken again after the outer block, which reuses f', equals a fresh
+    # Tape's
+    loss, bindings, net = _laplacian_loss(6)
+    live = net.params
+    path = next(p for p in live if p.endswith("layers/1/weight"))
+    w = live[path]
+    v = np.random.default_rng(3).uniform(-1.0, 1.0, w.shape)
+
+    def gradient_at(shift):
+        moved = T.Tensor(w.data + shift * v)
+        net.params = {**live, path: moved}
+        tape, value = _under_tape(loss, bindings, [moved])
+        return tape.gradient(value, [moved])[moved.uid].data
+
+    with T.Tape() as outer:
+        outer.watch(w)
+        inner, value = _under_tape(loss, bindings, [w])
+        g = inner.gradient(value, [w])[w.uid]
+        gv = T.reduce_sum(T.mul(g, T.Tensor(v)))
+    hv = outer.gradient(gv, [w])[w.uid].data
+    again = inner.gradient(value, [w])[w.uid].data
+    h = 1e-5
+    try:
+        fd = (gradient_at(h) - gradient_at(-h)) / (2 * h)
+        fresh = gradient_at(0.0)
+    finally:
+        net.params = live
+    np.testing.assert_allclose(hv, fd, atol=1e-6 * (1.0 + np.abs(fd).max()))
+    assert again.tobytes() == fresh.tobytes() == g.data.tobytes()
+
+
+def test_kept_derivative_factor_is_not_reused_under_a_recorder():
+    # the outer Tape records the forward tanh but not the push, which keeps
+    # f' on the inner Tape alone; the inner gradient, in the outer Tape's
+    # block again, computes f' anew, so the outer Tape sees it depend on w:
+    # d2/dw2 sum tanh(w s) = sum -2 s**2 tanh(w s) (1 - tanh(w s)**2)
+    s0 = np.linspace(0.1, 1.0, 5)
+    w, s = T.Tensor(0.7), T.Tensor(s0)
+    outer, inner = T.Tape(), T.Tape()
+    with outer:
+        outer.watch(w)
+        with inner:
+            inner.watch(w)
+            with T.Jet() as jet:
+                jet.watch(s)
+                total = T.reduce_sum(T.tanh(T.mul(w, s)))
+    with inner:
+        jet.push([(2, [(s, None)])])
+    with outer:
+        g = inner.gradient(total, [w])[w.uid]
+    second = outer.gradient(g, [w])[w.uid].item()
+    th = np.tanh(0.7 * s0)
+    assert second == pytest.approx(np.sum(-2 * s0 ** 2 * th * (1 - th ** 2)),
+                                   rel=1e-12)
+
+
+def test_square_is_the_unary_map_of_its_operand():
+    # mul(a, a) against mul(a, b) for a taped copy b of a: the same Jet
+    # coefficients bitwise and the same gradient; d2(x*x)/dx2 is exactly 2
+    s0 = np.random.default_rng(4).uniform(0.2, 0.8, (3, 4))
+    square = _coefficients(lambda s: (lambda a: T.mul(a, a))(A(s)), s0, 2)
+    product = _coefficients(
+        lambda s: (lambda a: T.mul(a, T.reshape(a, a.shape)))(A(s)), s0, 2)
+    for got, want in zip(square, product):
+        assert got.tobytes() == want.tobytes()
+
+    def gradient(f):
+        return T.grad(lambda s: T.reduce_sum(T.sin(f(A(s)))),
+                      T.Tensor(s0)).data
+
+    got = gradient(lambda a: T.mul(a, a))
+    want = gradient(lambda a: T.mul(a, T.reshape(a, a.shape)))
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+    x = T.Tensor(np.array([-1.5, 0.0, 0.3, 2.0]))
+    with T.Tape() as outer:
+        outer.watch(x)
+        with T.Tape() as inner:
+            inner.watch(x)
+            total = T.reduce_sum(T.mul(x, x))
+        g = inner.gradient(total, [x])[x.uid]
+        g_total = T.reduce_sum(g)
+    assert outer.gradient(g_total, [x])[x.uid].tolist() == [2.0] * 4

@@ -475,14 +475,14 @@ def _scipy_csr(S):
 
 
 def _assert_products_equal_scipy(S, want, seed):
-    """`S @ x` and `S.T @ x` for one and three columns equal the products
-    of the scipy matrix `want` bitwise."""
+    """`S @ x` and `S.T @ x` for one, three, eight and no columns, and for
+    a vector, equal the products of the scipy matrix `want` bitwise."""
     rng = np.random.default_rng(seed)
-    for m in (1, 3):
-        x = rng.standard_normal((S.shape[1], m))
-        np.testing.assert_array_equal(S @ x, want @ x)
-        y = rng.standard_normal((S.shape[0], m))
-        np.testing.assert_array_equal(S.T @ y, want.T @ y)
+    for shape in ((1,), (3,), (8,), (0,), ()):
+        x = rng.standard_normal((S.shape[1],) + shape)
+        assert (S @ x).tobytes() == (want @ x).tobytes()
+        y = rng.standard_normal((S.shape[0],) + shape)
+        assert (S.T @ y).tobytes() == (want.T @ y).tobytes()
 
 
 @st.composite
@@ -521,6 +521,19 @@ class TestSparseMatrixAgainstScipy:
         for seed, G in enumerate(
                 ev.mls_gradient_operators(d.mesh, d.connectivity)):
             _assert_products_equal_scipy(G, _scipy_csr(G), seed)
+
+    @pytest.mark.parametrize("lead", [(2, 1), (1, 3), (2, 3)])
+    def test_sparse_matmul_with_batch_and_time_axes(self, lead):
+        # batch and time axes fold into the columns of one product, which
+        # is bitwise scipy's product of each slice
+        d = dm.Domain(MESHES["rect"]())
+        G = ev.mls_gradient_operators(d.mesh, d.connectivity)[0]
+        want = _scipy_csr(G)
+        x = np.random.default_rng(7).standard_normal(
+            lead + (G.shape[1], 2))
+        got = T.sparse_matmul(G, T.Tensor(x)).data
+        slices = np.stack([want @ x[i] for i in np.ndindex(*lead)])
+        assert got.tobytes() == slices.reshape(got.shape).tobytes()
 
     def test_per_slice_block_operator(self):
         # sampled points are vertices, whose weights are 0 and 1; the bound

@@ -167,6 +167,19 @@ class TestLinalg:
         with pytest.raises(ShapeMismatch):
             T.matmul(T.ones((2, 3)), T.ones((4, 4)))
 
+    @pytest.mark.parametrize("sa, sb", [
+        ((1, 1, 6, 1), (1, 4)), ((3, 1, 5, 1), (2, 1, 4)),
+        ((5, 1), (2, 3, 1, 4)), ((7, 1), (1, 1))])
+    def test_inner_size_one_is_bitwise_matmul(self, sa, sb):
+        # an outer product, with broadcast batch axes and zeros of both
+        # signs among the factors
+        rng = np.random.default_rng(len(sa) + len(sb))
+        a0, b0 = rng.standard_normal(sa), rng.standard_normal(sb)
+        a0.flat[::3], b0.flat[::2] = -0.0, 0.0
+        got = T.matmul(T.Tensor(a0), T.Tensor(b0)).data
+        want = np.matmul(a0, b0)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_concat_last_axis(self):
         out = T.concat([T.ones((8, 1)), T.ones((8, 1))], axis=-1)
         assert out.shape == (8, 2)
@@ -405,6 +418,22 @@ class TestGradOracle:
         )
         fd = central_diff(lambda a: float(np.sum(a @ b0)), a0)
         np.testing.assert_allclose(g.data, fd, atol=1e-8)
+
+    def test_outer_product_grad_vs_fd(self):
+        # inner size 1, broadcast batch axes: both operands' gradients
+        rng = np.random.default_rng(10)
+        a0 = rng.uniform(-1, 1, (2, 1, 3, 1))
+        b0 = rng.uniform(-1, 1, (3, 1, 4))
+        w = rng.uniform(-1, 1, (2, 3, 3, 4))
+
+        def loss(a, b):
+            return T.reduce_sum(T.mul(T.sin(T.matmul(a, b)), T.Tensor(w)))
+
+        ga, gb = T.grad(loss, T.Tensor(a0), T.Tensor(b0))
+        fa = central_diff(lambda a: float(np.sum(np.sin(a @ b0) * w)), a0)
+        fb = central_diff(lambda b: float(np.sum(np.sin(a0 @ b) * w)), b0)
+        np.testing.assert_allclose(ga.data, fa, atol=1e-8)
+        np.testing.assert_allclose(gb.data, fb, atol=1e-8)
 
     def test_broadcast_grad_vs_fd(self):
         rng = np.random.default_rng(11)

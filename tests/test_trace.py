@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jno import evaluator as ev
+from jno import nn
 from jno import tensor as T
 from jno import trace as tr
 from jno.errors import (
@@ -490,6 +491,92 @@ class TestShapesAgainstEvaluation:
             ev.evaluate(root, ctx)
         for node in rep.order:
             assert ctx.cache[node].shape == rep[node]
+
+
+_POINTWISE = st.sampled_from(["tanh", "sin", "exp", "log", "square", "mul",
+                              "matmul"])
+
+
+def _arith(kind, *args):
+    return tr.build(tr.ARITH, kind, args)
+
+
+def _pointwise_graph(draw, leaves, depth=3):
+    """A random pointwise expression of depth at most `depth` over the
+    point columns `leaves`: tanh, sin, exp of a tanh, log of one plus a
+    square, a square, a product, and a matmul by a constant row (inner size
+    1) whose tanh a matmul by a constant column (inner size above 1) takes
+    back to one column."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return leaves[draw(st.integers(0, len(leaves) - 1))]
+    kind, a = draw(_POINTWISE), _pointwise_graph(draw, leaves, depth - 1)
+    if kind in ("tanh", "sin"):
+        return _arith(kind, a)
+    if kind == "exp":
+        return _arith("exp", _arith("tanh", a))
+    if kind == "log":
+        return _arith("log", 1.0 + a * a)
+    if kind == "square":
+        return a * a
+    if kind == "mul":
+        return a * _pointwise_graph(draw, leaves, depth - 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k = draw(st.integers(2, 3))
+    row, column = (tr.constant(rng.uniform(-1.0, 1.0, shape))
+                   for shape in ((1, k), (k, 1)))
+    return tr.matmul_nodes(_arith("tanh", tr.matmul_nodes(a, row)), column)
+
+
+class TestAdAgainstDifferences:
+    """Random pointwise expressions through an MLP call: the Tape gradient
+    in the parameters, the Jet Laplacian in the points and the Tape's
+    gradient of that Laplacian against central differences, each of the
+    gradients along a random direction of the parameters."""
+
+    N = 4
+
+    @given(st.data())
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_random_expressions(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        x, y = tr.variable("x"), tr.variable("y")
+        net = nn.mlp(2, [3], 1).initialize(int(rng.integers(100)))
+        u = net(tr.concat_nodes([x, y], axis=-1))
+        expr = _pointwise_graph(data.draw, [x, y, u, u])
+        lap = expr.dd(x) + expr.dd(y)
+        px, py = (rng.uniform(0.0, 1.0, (1, 1, self.N, 1)) for _ in "xy")
+        live = net.params
+        v = {path: rng.uniform(-1.0, 1.0, t.shape) for path, t in live.items()}
+
+        def value(root, shift=0.0, dx=0.0, dy=0.0):
+            net.params = {path: T.Tensor(t.data + shift * v[path])
+                          for path, t in live.items()}
+            ctx = ev.EvalContext(bindings={x: px + dx, y: py + dy})
+            return ev.evaluate(root, ctx).data
+
+        def along_v(root):
+            """The Tape's gradient of sum(root) in the parameters along v,
+            and its central difference."""
+            net.params = live
+            with T.Tape() as tape:
+                tape.watch(*live.values())
+                total = ev.evaluate(root.sum, ev.EvalContext(
+                    bindings={x: px, y: py}))
+            grads = tape.gradient(total, list(live.values()))
+            ad = sum(float(np.sum(grads[t.uid].data * v[path]))
+                     for path, t in live.items())
+            h = 1e-6
+            fd = (value(root.sum, h) - value(root.sum, -h)).item() / (2 * h)
+            return ad, fd
+
+        h = 1e-4
+        fd = (value(expr, dx=h) + value(expr, dx=-h) + value(expr, dy=h)
+              + value(expr, dy=-h) - 4.0 * value(expr)) / h ** 2
+        np.testing.assert_allclose(np.broadcast_to(value(lap), fd.shape), fd,
+                                   atol=1e-5 * (1.0 + np.abs(fd).max()))
+        for root in (expr, lap):
+            ad, cd = along_v(root)
+            assert abs(ad - cd) <= 1e-6 * (1.0 + abs(cd))
 
 
 _SHAPES = st.lists(st.integers(0, 3), max_size=4).map(tuple)
