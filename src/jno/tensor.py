@@ -1006,12 +1006,17 @@ class SparseMatrix:
         """`S @ x` for `x` of shape (V,) or (V, m): one bincount per column
         of `x`."""
         M = self.shape[0]
-        cols = x if x.ndim == 2 else x[:, None]
-        columns = [np.bincount(self.rows, self.vals * c.take(self.cols), M)
-                   for c in cols.T]
-        if len(columns) == 1:
-            return columns[0].reshape((M,) + x.shape[1:])
-        return np.stack(columns, -1) if columns else np.zeros((M, 0))
+        if x.ndim == 1 or x.shape[1] == 1:
+            out = np.bincount(self.rows, self.vals * x.ravel().take(self.cols),
+                              M)
+            # bincount over no entries gives int64 zeros
+            return out.astype(np.float64, copy=False).reshape(
+                (M,) + x.shape[1:])
+        out = np.empty((M, x.shape[1]))
+        for j, c in enumerate(x.T):
+            out[:, j] = np.bincount(self.rows, self.vals * c.take(self.cols),
+                                    M)
+        return out
 
     def toarray(self):
         out = np.zeros(self.shape)

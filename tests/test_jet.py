@@ -802,6 +802,7 @@ def test_kept_derivative_factor_cannot_hide_a_dependence():
     finally:
         net.params = live
     np.testing.assert_allclose(hv, fd, atol=1e-6 * (1.0 + np.abs(fd).max()))
+    assert again.shape == fresh.shape == g.shape
     assert again.tobytes() == fresh.tobytes() == g.data.tobytes()
 
 
@@ -838,7 +839,7 @@ def test_square_is_the_unary_map_of_its_operand():
     product = _coefficients(
         lambda s: (lambda a: T.mul(a, T.reshape(a, a.shape)))(A(s)), s0, 2)
     for got, want in zip(square, product):
-        assert got.tobytes() == want.tobytes()
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def gradient(f):
         return T.grad(lambda s: T.reduce_sum(T.sin(f(A(s)))),

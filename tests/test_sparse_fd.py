@@ -474,15 +474,21 @@ def _scipy_csr(S):
     return sp.csr_matrix((S.vals, (S.rows, S.cols)), shape=S.shape)
 
 
+def _assert_bitwise(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 def _assert_products_equal_scipy(S, want, seed):
     """`S @ x` and `S.T @ x` for one, three, eight and no columns, and for
-    a vector, equal the products of the scipy matrix `want` bitwise."""
+    a vector, equal the products of the scipy matrix `want` bitwise, shape
+    and dtype included."""
     rng = np.random.default_rng(seed)
     for shape in ((1,), (3,), (8,), (0,), ()):
         x = rng.standard_normal((S.shape[1],) + shape)
-        assert (S @ x).tobytes() == (want @ x).tobytes()
+        _assert_bitwise(S @ x, want @ x)
         y = rng.standard_normal((S.shape[0],) + shape)
-        assert (S.T @ y).tobytes() == (want.T @ y).tobytes()
+        _assert_bitwise(S.T @ y, want.T @ y)
 
 
 @st.composite
@@ -532,8 +538,9 @@ class TestSparseMatrixAgainstScipy:
         x = np.random.default_rng(7).standard_normal(
             lead + (G.shape[1], 2))
         got = T.sparse_matmul(G, T.Tensor(x)).data
-        slices = np.stack([want @ x[i] for i in np.ndindex(*lead)])
-        assert got.tobytes() == slices.reshape(got.shape).tobytes()
+        assert got.shape == lead + (G.shape[0], 2)
+        for i in np.ndindex(*lead):
+            _assert_bitwise(got[i], want @ x[i])
 
     def test_per_slice_block_operator(self):
         # sampled points are vertices, whose weights are 0 and 1; the bound
