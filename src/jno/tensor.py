@@ -945,14 +945,7 @@ def broadcast_to(a, shape):
 def matmul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     matmul_shape(a.shape, b.shape)
-    if a.shape[-1] == 1:
-        # an outer product: the broadcast product is about twice as fast as
-        # BLAS, and adding 0.0 makes its zeros +0.0 as in BLAS's sum
-        data = a.data * b.data
-        data += 0.0
-    else:
-        data = np.matmul(a.data, b.data)
-    out = Tensor(data)
+    out = Tensor(np.matmul(a.data, b.data))
 
     def backward(adj, want):
         # the transposes are views: matmul reads them in place

@@ -90,7 +90,7 @@ MORE = {
     "concat_one_varying": lambda s: T.concat([T.zeros((3, 4)), A(s)], axis=0),
     # a square records as the unary map x**2
     "mul_square": lambda s: (lambda a: T.mul(a, a))(A(s)),
-    # an inner size of 1 is an outer product, with broadcast batch axes
+    # an inner size of 1: an outer product, with broadcast batch axes
     "matmul_outer": lambda s: T.matmul(T.reshape(A(s), (3, 4, 1)),
                                        T.reshape(B(s), (1, 1, 12))),
 }

@@ -167,19 +167,6 @@ class TestLinalg:
         with pytest.raises(ShapeMismatch):
             T.matmul(T.ones((2, 3)), T.ones((4, 4)))
 
-    @pytest.mark.parametrize("sa, sb", [
-        ((1, 1, 6, 1), (1, 4)), ((3, 1, 5, 1), (2, 1, 4)),
-        ((5, 1), (2, 3, 1, 4)), ((7, 1), (1, 1))])
-    def test_inner_size_one_is_bitwise_matmul(self, sa, sb):
-        # an outer product, with broadcast batch axes and zeros of both
-        # signs among the factors
-        rng = np.random.default_rng(len(sa) + len(sb))
-        a0, b0 = rng.standard_normal(sa), rng.standard_normal(sb)
-        a0.flat[::3], b0.flat[::2] = -0.0, 0.0
-        got = T.matmul(T.Tensor(a0), T.Tensor(b0)).data
-        want = np.matmul(a0, b0)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
     def test_concat_last_axis(self):
         out = T.concat([T.ones((8, 1)), T.ones((8, 1))], axis=-1)
         assert out.shape == (8, 2)
