@@ -969,10 +969,11 @@ class SparseMatrix:
     """A constant sparse matrix of shape (M, V) held as `rows`, `cols` and
     `vals`, in row-major order with columns ascending within a row.
 
-    ``S @ x`` is one bincount, which adds each output's products in entry
-    order starting from 0.0, the order of scipy's CSR product; `T` swaps
-    rows and cols without sorting again, so its entries stay in the order
-    of scipy's CSC product of the transpose.  Both agree with scipy bitwise.
+    ``S @ x`` is one bincount per column of x, which adds each output's
+    products in entry order starting from 0.0, the order of scipy's CSR
+    product; `T` swaps rows and cols without sorting again, so its entries
+    stay in the order of scipy's CSC product of the transpose.  Both agree
+    with scipy bitwise.
     """
 
     def __init__(self, rows, cols, vals, shape):
