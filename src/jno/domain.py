@@ -2,8 +2,9 @@
 
 A Domain keeps two stores: the *mesh pool* (full tagged point sets, batch
 axis 1) and the *runtime context* (the arrays the solver actually trains
-on, shaped ``(B, T, N, D)`` for spatial tags).  Temporal structure lives in
-a separate ``__time__`` context entry of shape ``(B, T, 1, 1)``.
+on, shaped ``(B, T, N, D)``).  T is the length of the time grid, ``[0.0]``
+on a steady domain.  A tag's time Variable binds like its coordinates: the
+grid at each of the tag's points, ``(B, T, N, 1)``, as a read-only view.
 """
 
 import copy
@@ -21,8 +22,6 @@ from .errors import (
     UnsupportedGeometry,
 )
 from .tensor import Tensor
-
-TIME_KEY = "__time__"
 
 
 class ResampleStrategy:
@@ -50,14 +49,12 @@ class Domain:
         self.mesh = mesh
         self.connectivity = meshmod.Connectivity(mesh)
         self.batch = int(batch)
-        self.time = tuple(time) if time is not None else None
-        if self.time is not None:
-            t0, t1, steps = self.time
-            self.num_times = int(steps) + 1
-            self.time_grid = np.linspace(float(t0), float(t1), self.num_times)
+        if time is None:
+            self.time_grid = np.zeros(1)
         else:
-            self.num_times = 1
-            self.time_grid = None
+            t0, t1, steps = time
+            self.time_grid = np.linspace(float(t0), float(t1), int(steps) + 1)
+        self.num_times = len(self.time_grid)
 
         self.mesh_pool = {}
         self.context = {}
@@ -72,11 +69,6 @@ class Domain:
 
         for tag, idx in mesh.tags.items():
             self.add_points(tag, mesh.vertices[idx], idx)
-        if self.time is not None:
-            tarr = self.time_grid.reshape(1, self.num_times, 1, 1)
-            self.context[TIME_KEY] = np.ascontiguousarray(
-                np.broadcast_to(tarr, (self.batch, self.num_times, 1, 1))
-            )
 
     def add_points(self, tag, points, ids=None):
         """Register the points (N, D) under `tag`: in the mesh pool as
@@ -143,7 +135,7 @@ class Domain:
             out.append(var)
         self.coordinates.update((var, tuple(out)) for var in out)
         tvar = tr.variable(f"{name}:t")
-        self._vars[tvar] = ("time",)
+        self._vars[tvar] = ("time", name)
         out.append(tvar)
         return tuple(out)
 
@@ -153,15 +145,18 @@ class Domain:
     def point_bindings(self, tag, points, time=None):
         """{Variable: Tensor} binding `tag`'s coordinate variables to the
         columns of `points` (..., N, D), its unsplit variables to all of
-        them and, if `time` is given, every time variable to that value."""
-        out = {var: Tensor(points if spec[0] == "full"
-                           else points[..., spec[2]:spec[2] + 1])
-               for var, spec in self._vars.items()
-               if spec[0] in ("coord", "full") and spec[1] == tag}
-        if time is not None:
-            out.update((var, Tensor(np.full((1, 1, 1, 1), float(time))))
-                       for var, spec in self._vars.items()
-                       if spec[0] == "time")
+        them, and every time variable to the time at each point, (..., N, 1):
+        `time` if given, else the time grid along axis -3."""
+        t = np.broadcast_to(
+            self.time_grid[:, None, None] if time is None else float(time),
+            points.shape[:-1] + (1,))
+        out = {}
+        for var, spec in self._vars.items():
+            if spec[0] == "time":
+                out[var] = Tensor(t)
+            elif spec[0] in ("coord", "full") and spec[1] == tag:
+                out[var] = Tensor(points if spec[0] == "full"
+                                  else points[..., spec[2]:spec[2] + 1])
         return out
 
     def bindings(self, batch_idx=None):
@@ -183,11 +178,8 @@ class Domain:
         elif kind == "full":
             arr = self.context[spec[1]]
         elif kind == "time":
-            if TIME_KEY in self.context:
-                arr = self.context[TIME_KEY]
-            else:
-                # zero-width placeholder: using it in arithmetic fails loudly
-                arr = np.zeros((self.batch, 1, 1, 0))
+            arr = np.broadcast_to(self.time_grid[:, None, None],
+                                  self.context[spec[1]].shape[:-1] + (1,))
         elif kind == "tensor":
             arr = self.tensor_tags[spec[1]]
             if arr.ndim == 3:

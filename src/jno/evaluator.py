@@ -452,8 +452,8 @@ def _check_pointwise(expr, wrt, ctx):
     `wrt` mixes points (axis -2): a reduce over all axes, over that axis or
     over an axis after it (which moves it), a matmul whose right operand
     depends on `wrt`, a slice that selects along that axis (any entry there
-    but a whole slice), a concat along that axis, or a reshape or transpose
-    that moves it.
+    but a whole slice), a concat along that axis, a reshape or transpose
+    that moves it, or a call of a model that is not `pointwise`.
 
     Shapes are read from the values `ctx` cached while evaluating `expr`,
     and from the passes of the AD derivatives inside it; FD derivatives
@@ -474,7 +474,9 @@ def _check_pointwise(expr, wrt, ctx):
         if out is None or arg is None:
             continue
         r = arg.ndim
-        if n.kind == tr.REDUCE:
+        if n.kind == tr.MODEL_CALL:
+            mixes = not n.payload.pointwise
+        elif n.kind == tr.REDUCE:
             axes = n.payload[1]
             mixes = axes is None or any(a % r >= r - 2 for a in axes)
         elif n.kind == tr.MATMUL:

@@ -429,8 +429,8 @@ def _symbol_part(setup, factor, symbol_kind):
 
 def _reads_time(setup, node):
     """Whether a time variable appears under `node`."""
-    return any(setup.domain.binding_spec(n) == ("time",)
-               for n in tr.walk(node))
+    specs = map(setup.domain.binding_spec, tr.walk(node))
+    return any(spec is not None and spec[0] == "time" for spec in specs)
 
 
 def _trial_derivatives(setup, roots):
@@ -496,11 +496,11 @@ def _group(weak):
 
 def _region_context(setup, region, t=None, fields=None):
     """A context that binds the region's coordinate variables to its points,
-    the time variables to `t` (by default the first time of the domain's
-    grid, or 0) and the field Variables to their values `fields`."""
+    the time variables to `t` at each of them (by default the first time of
+    the domain's grid) and the field Variables to their values `fields`."""
     domain = setup.domain
     if t is None:
-        t = 0.0 if domain.time_grid is None else domain.time_grid[0]
+        t = domain.time_grid[0]
     coords = region.coords.reshape(1, 1, -1, region.coords.shape[-1])
     return ev.EvalContext({**domain.point_bindings(region.tag, coords, time=t),
                            **(fields or {})}, domain)
@@ -668,7 +668,7 @@ def assemble(weak, target, **options):
 class ResidualOperator:
     """R(u, t) over free dofs, and its Jacobian: the one place where
     weak-form terms are integrated.  The time t is bound at each call; None
-    means the first time of the domain's grid, or 0.
+    means the first time of the domain's grid.
 
     Each term's trial factors and the coefficient factors that read the
     time are lowered here, once, to a product over the setup's fields

@@ -37,6 +37,11 @@ class Mesh:
     def __init__(self, vertices, elements, kind, tags=None):
         self.vertices = np.asarray(vertices, dtype=np.float64)
         self.elements = np.asarray(elements, dtype=np.int64)
+        if not np.isfinite(self.vertices).all():
+            i = np.argwhere(~np.isfinite(self.vertices))[0][0]
+            raise DegenerateGeometry(
+                f"vertex {i} has non-finite coordinates "
+                f"{self.vertices[i].tolist()}")
         if kind not in ELEMENT_KINDS:
             raise UnsupportedElement(f"unknown element kind {kind!r}")
         if self.elements.ndim != 2 or self.elements.shape[1] != ELEMENT_KINDS[kind]:
@@ -492,7 +497,8 @@ def load_mesh_text(path):
         raise ParseError("expected 'elements <kind> <E>'", ln)
     kind = parts[1]
     if kind not in ELEMENT_KINDS:
-        raise UnsupportedElement(f"unsupported element kind {kind!r}")
+        raise UnsupportedElement(
+            f"line {ln}: unsupported element kind {kind!r}")
     E = count(parts[2], ln)
     width = ELEMENT_KINDS[kind]
     elements = np.zeros((E, width), dtype=np.int64)

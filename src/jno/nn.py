@@ -178,6 +178,10 @@ def _fresh_name(base):
 
 
 class Model:
+    # whether each output point depends only on the same point of the
+    # inputs, which AD derivatives along a point variable assume
+    pointwise = False
+
     def __init__(self, name):
         self.name = _fresh_name(name)
         self.params = {}
@@ -340,6 +344,8 @@ def _mlp_forward(model, prefix, dims, activation, x):
 class MLP(Model):
     """Affine layers with an activation; the last layer stays linear."""
 
+    pointwise = True
+
     def __init__(self, in_dim, hidden_dims, out_dim, activation="tanh",
                  name="mlp"):
         dims = [int(in_dim)] + [int(h) for h in hidden_dims] + [int(out_dim)]
@@ -376,6 +382,8 @@ class DeepONet(Model):
     (B, T, 1, n_sensors); the trunk consumes coordinates (B, T, N, coord_dim).
     The branch result broadcasts over the point axis.
     """
+
+    pointwise = True
 
     def __init__(self, n_sensors, coord_dim, basis_functions, hidden_dim,
                  activation="tanh", name="deeponet"):

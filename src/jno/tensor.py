@@ -133,50 +133,11 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, data={self.data!r})"
 
-    # Arithmetic operators delegate to the module-level primitives so that
-    # backward rules written with operators are recorded on active tapes.
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other), self)
-
-    def __pow__(self, other):
-        return power(self, _as_tensor(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
 
 def _as_tensor(value):
     if isinstance(value, Tensor):
         return value
     return Tensor(value)
-
-
-def tensor(data):
-    return _as_tensor(data)
 
 
 def zeros(shape):
@@ -234,9 +195,6 @@ class _Recorder:
     def watch(self, *tensors):
         for t in tensors:
             self._live.add(t.uid)
-
-    def tracks(self, t):
-        return t.uid in self._live
 
     def _require(self, tensors):
         for t in tensors:

@@ -58,8 +58,6 @@ ALL_KINDS = (
     RESHAPE, TRANSPOSE, MATMUL, DERIVATIVE, MODEL_CALL, TRACKER, TRIAL, TEST,
 )
 
-LEAF_KINDS = (VARIABLE, LITERAL, CONSTANT, TRIAL, TEST)
-
 # Never shared by `build`: leaves that stand for distinct inputs, and
 # trackers, which are monitoring sinks.
 _IDENTITY_KINDS = frozenset((VARIABLE, CONSTANT, TRIAL, TEST, TRACKER))

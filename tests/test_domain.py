@@ -11,6 +11,7 @@ from jno.errors import (
     ParseError,
     TagMismatch,
     UnknownTag,
+    UnsupportedElement,
     UnsupportedGeometry,
 )
 
@@ -71,9 +72,11 @@ class TestConstruct:
 
     def test_time_grid(self):
         d = dm.rect(mesh_size=0.5, time=(0.0, 1.0, 1))
-        t = d.context["__time__"]
-        assert t.shape == (1, 2, 1, 1)
-        np.testing.assert_allclose(t.ravel(), [0.0, 1.0])
+        np.testing.assert_allclose(d.time_grid, [0.0, 1.0])
+        _, _, t = d.variable("boundary")
+        bt = d.bindings()[t].data
+        assert bt.shape == (1, 2, d.pool_size("boundary"), 1)
+        assert (bt[0, :, :, 0] == d.time_grid[:, None]).all()
 
 
 class TestVariables:
@@ -83,7 +86,7 @@ class TestVariables:
         b = d.bindings()
         assert b[x].shape == (1, 1, 1, 1)  # one interior vertex
         assert b[y].shape == (1, 1, 1, 1)
-        assert b[t].shape == (1, 1, 1, 0)  # steady: zero-width placeholder
+        assert b[t].data.tolist() == [[[[0.0]]]]  # steady: the grid [0.0]
 
     def test_unknown_tag(self):
         d = dm.rect(mesh_size=0.5)
@@ -388,6 +391,50 @@ class TestMeshIO:
         with pytest.raises(ParseError) as exc:
             dm.load_mesh(path)
         assert exc.value.line == line
+
+    # a valid file: each case below replaces one line and reads the error
+    ROWS = ["mesh 2", "vertices 3", "0 0", "1 0", "0 1", "elements TRI3 1",
+            "0 1 2", "tag left 2", "0", "2"]
+
+    @pytest.mark.parametrize("line, text, error, message", [
+        (1, "mash 2", ParseError, "expected 'mesh <dim>'"),
+        (1, "mesh x", ParseError, "bad count"),
+        (2, "verts 3", ParseError, "expected 'vertices <V>'"),
+        (2, "vertices -1", ParseError, "negative count"),
+        (4, "1 0 0", ParseError, "expected 2 coordinates"),
+        (4, "1 zero", ParseError, "bad float"),
+        (6, "elems TRI3 1", ParseError, "expected 'elements <kind> <E>'"),
+        (6, "elements QUAD4 1", UnsupportedElement, "element kind 'QUAD4'"),
+        (7, "0 1", ParseError, "expected 3 vertex indices"),
+        (7, "0 1 x", ParseError, "bad vertex index"),
+        (7, "0 1 3", ParseError, "dangling element index"),
+        (8, "tag left", ParseError, "expected 'tag <name> <K>'"),
+        (9, "0.5", ParseError, "bad vertex index"),
+        (10, "3", ParseError, "tag index out of range"),
+        (10, None, ParseError, "unexpected end of file"),
+    ])
+    def test_refusals_name_their_line(self, tmp_path, line, text, error,
+                                      message):
+        # None drops the line: the tag header then promises one more index
+        # than the file holds, and the end of file is met after line 9
+        rows = list(self.ROWS)
+        rows[line - 1] = "" if text is None else text
+        path = tmp_path / "bad.mesh"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(error, match=message) as exc:
+            meshmod.load_mesh_text(path)
+        where = 9 if text is None else line
+        assert str(exc.value).startswith(f"line {where}: ")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e309"])
+    def test_non_finite_vertex(self, tmp_path, value):
+        # float() reads all three, and the geometry would be NaN
+        rows = list(self.ROWS)
+        rows[3] = f"{value} 0"
+        path = tmp_path / "bad.mesh"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(DegenerateGeometry, match="vertex 1 "):
+            dm.load_mesh(path)
 
     def test_boundary_inferred_from_single_owner_edges(self, tmp_path):
         # brute-force oracle: count edge ownership on a 2-triangle square

@@ -17,6 +17,19 @@ from jno.errors import (
 )
 
 
+class _MeanSquare(nn.Model):
+    """mean(x^2) over the points times w: a model that mixes points, whose
+    derivative by the pointwise trick would be the Jacobian's row sums."""
+
+    def _param_specs(self):
+        return [("w", (1,), 1)]
+
+    def forward(self, args):
+        x = args[0]
+        return T.mul(T.reduce_mean(T.mul(x, x), axes=-2, keepdims=True),
+                     self.params["w"])
+
+
 class TestBasics:
     def test_literal(self):
         ctx = ev.EvalContext()
@@ -112,7 +125,7 @@ class TestBasics:
         x, y, t = d.variable("interior")
         root = (x * y).mse  # no temporal derivative anywhere
         v1 = ev.evaluate(root, ev.EvalContext(domain=d))
-        d.context["__time__"] = d.context["__time__"] + 17.0
+        d.time_grid = d.time_grid + 17.0
         v2 = ev.evaluate(root, ev.EvalContext(domain=d))
         assert v1.data.tobytes() == v2.data.tobytes()
 
@@ -148,6 +161,7 @@ class TestAdDerivatives:
         lambda x, s: tr.reshape_node(x, (1, 1, 3)),
         lambda x, s: tr.transpose_node(x, (0, 1, 3, 2)),
         lambda x, s: tr.d(s * x.sum, s),
+        lambda x, s: _MeanSquare("mean_square").initialize(0)(x),
     ])
     def test_point_mixing_expression_rejected(self, mix):
         # points 0.25, 0.5, 0.75: d(x * mean(x))/dx has diagonal 0.5 + x/3,
@@ -299,7 +313,41 @@ class TestModelCalls:
             ))
 
 
+    def test_pointwise_models_differentiate(self):
+        d = dm.structured_rect(4, 4)
+        x, y, _ = d.variable("interior")
+        k = tr.variable("k")
+        sensors = T.Tensor(np.full((1, 1, 1), 0.3))
+        xy = tr.concat_nodes([x, y], axis=-1)
+        h, bx = 1e-6, d.bindings()[x].data
+        for u in (nn.mlp(2, [8], 1).initialize(0)(xy),
+                  nn.deeponet(1, 2, 4, 8).initialize(0)(k, xy)):
+            def at(shift):
+                return ev.evaluate(u, ev.EvalContext(
+                    bindings={k: sensors, x: T.Tensor(bx + shift)},
+                    domain=d)).data
+            got = ev.evaluate(tr.d(u, x), ev.EvalContext(
+                bindings={k: sensors}, domain=d)).data
+            want = (at(h) - at(-h)) / (2 * h)
+            np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-8)
+
+
 class TestFiniteDifferences:
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("expr", ["literal", "other tag's mean"])
+    def test_expression_constant_over_vertices(self, expr, order):
+        # the vertex values broadcast to every vertex before the operator
+        # applies, so the derivative is zero at each of the context's points
+        d = dm.structured_rect(6, 6, time=(0.0, 1.0, 2))
+        x, _, _ = d.variable("interior")
+        xb, _, _ = d.variable("boundary")
+        u = {"literal": tr.literal(5.0), "other tag's mean": xb.mean}[expr]
+        val = ev.evaluate(tr.derivative(u, x, order=order,
+                                        mode="finite-difference"),
+                          ev.EvalContext(domain=d))
+        assert val.shape == d.context["interior"].shape[:-1] + (1,)
+        assert np.abs(val.data).max() <= 1e-12
+
     def test_affine_exact(self):
         d = dm.rect(mesh_size=0.25)
         x, y, _ = d.variable("interior")
@@ -369,3 +417,69 @@ class TestFiniteDifferences:
             errors.append(np.abs(ad.data - fd.data).max())
         slope = np.polyfit(np.log(hs), np.log(errors), 1)[0]
         assert slope >= 0.9
+
+
+class TestTimeVariable:
+    """A tag's time Variable binds the time grid at each of the tag's
+    points, like its coordinates, so it is an ordinary model input."""
+
+    @staticmethod
+    def _space_time():
+        d = dm.structured_rect(6, 6, time=(0.0, 1.0, 3))
+        return d, d.variable("interior")
+
+    def test_concat_with_time_is_broadcast(self):
+        d, (x, y, t) = self._space_time()
+        xyt = tr.concat_nodes([x, y, t], axis=-1)
+        pts = d.context["interior"]
+        times = np.broadcast_to(d.time_grid[:, None, None],
+                                pts.shape[:-1] + (1,))
+        want = np.concatenate([pts, times], axis=-1)
+        got = ev.evaluate(xyt, ev.EvalContext(domain=d))
+        assert got.data.tobytes() == want.tobytes()
+        assert got.shape == want.shape == (1, 4, 25, 3)
+        shapes = {v: b.shape for v, b in d.bindings().items()}
+        assert tr.trace_shapes(xyt, shapes)[xyt] == (1, 4, 25, 3)
+
+    def test_model_time_derivative_matches_differences(self):
+        d, (x, y, t) = self._space_time()
+        u = nn.mlp(3, [16], 1).initialize(0)(
+            tr.concat_nodes([x, y, t], axis=-1))
+        h, bt = 1e-5, d.bindings()[t].data
+
+        def at(shift):
+            return ev.evaluate(u, ev.EvalContext(
+                bindings={t: T.Tensor(bt + shift)}, domain=d)).data
+
+        got = ev.evaluate(tr.d(u, t), ev.EvalContext(domain=d)).data
+        want = (at(h) - at(-h)) / (2 * h)
+        assert got.shape == (1, 4, 25, 1)
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+    def test_fd_derivative_reads_time_at_the_vertices(self):
+        d, (x, y, t) = self._space_time()
+        ctx = ev.EvalContext(domain=d)
+        got = ev.evaluate(tr.derivative(x * t, x, mode="finite-difference"),
+                          ctx)
+        np.testing.assert_allclose(got.data, ctx.lookup(t).data,
+                                   rtol=0, atol=1e-12)
+
+    def test_time_follows_merge_and_resample(self):
+        d, (x, y, t) = self._space_time()
+        m = d.merge(dm.structured_rect(6, 6, time=(0.0, 1.0, 3)))
+        m.sample("interior", 7, seed=1)
+        ctx = ev.EvalContext(domain=m)
+        assert ev.evaluate(t, ctx).shape == (2, 4, 7, 1)
+        got = ev.evaluate(x + t, ctx)
+        pts = m.context["interior"]
+        np.testing.assert_array_equal(
+            got.data, pts[..., :1] + d.time_grid[:, None, None])
+
+    def test_steady_time_is_zero(self):
+        # the grid of a steady domain is [0.0]
+        d = dm.structured_rect(6, 6)
+        x, y, t = d.variable("interior")
+        ctx = ev.EvalContext(domain=d)
+        assert ev.evaluate(t, ctx).data.tolist() == [[[[0.0]] * 25]]
+        plus = ev.evaluate((x + t).mse, ctx)
+        assert plus.data.tobytes() == ev.evaluate(x.mse, ctx).data.tobytes()

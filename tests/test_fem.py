@@ -823,6 +823,40 @@ class TestErrors:
             (u.dd(x) * phi).assemble("fem_system")
 
 
+class TestExpand:
+    """How `_expand` distributes a weak form: a quotient becomes the
+    product with the divisor's reciprocal, and a negation flips the sign
+    of each term below it."""
+
+    @staticmethod
+    def _system(weak):
+        system = weak.assemble("fem_system")
+        return system.full_matrix.data.tobytes(), system.full_rhs.tobytes()
+
+    @pytest.mark.parametrize("divisor", ["literal", "coordinate"])
+    def test_division_is_the_reciprocal_factor(self, divisor):
+        dom = dm.structured_rect(4, 4)
+        u, phi, (x, y) = setup_fem(dom, [dom.dirichlet("left", 0.0)])
+        c = {"literal": tr.literal(2.0), "coordinate": 1.0 + x}[divisor]
+        form = laplace(u, phi, (x, y)) + u * phi - x * phi
+        assert self._system(form / c) == self._system(form * (1.0 / c))
+
+    @pytest.mark.parametrize("symbol", ["trial", "test"])
+    def test_division_by_a_symbol_is_refused(self, symbol):
+        dom = dm.structured_rect(2, 2)
+        u, phi, (x, y) = setup_fem(dom, [])
+        term = (x * phi) / u if symbol == "trial" else (x * u) / phi
+        with pytest.raises(NonlinearTerm, match="division"):
+            (laplace(u, phi, (x, y)) + term).assemble("fem_system")
+
+    def test_negation_is_subtraction(self):
+        dom = dm.structured_rect(4, 4)
+        u, phi, (x, y) = setup_fem(dom, [dom.dirichlet("left", 0.0)])
+        form = laplace(u, phi, (x, y)) - x * phi
+        assert self._system(form + -(u * phi)) \
+            == self._system(form - u * phi)
+
+
 class TestRegions:
     def test_weights_sum_to_measure(self):
         dom = dm.structured_rect(4, 3, x_range=(0.0, 2.0))

@@ -226,6 +226,17 @@ class TestOptimizers:
         # zero grad: only the decoupled decay applies
         assert new["w"].item() == pytest.approx(1.0 - 0.1 * 0.5)
 
+    def test_parameter_without_gradient_is_kept(self):
+        spec = nn.adam(0.1)
+        params = {"w": T.Tensor([1.0, 2.0]), "b": T.Tensor(3.0)}
+        state = nn.OptimizerState(params)
+        state.m["b"][...] = 0.25
+        new, state = nn.optimizer_step(spec, state, params,
+                                       {"w": T.Tensor([1.0, 1.0])})
+        assert new["b"] is params["b"]
+        assert state.m["b"].tolist() == 0.25 and state.v["b"].tolist() == 0.0
+        assert (new["w"].data != params["w"].data).all()
+
     def test_state_shape_mismatch(self):
         spec = nn.adam(0.1)
         params = {"w": T.Tensor([1.0, 2.0])}

@@ -493,6 +493,24 @@ class TestShapesAgainstEvaluation:
             assert ctx.cache[node].shape == rep[node]
 
 
+    def test_constant_compare_derivative_tracker(self):
+        # kinds the random graphs above do not draw
+        x = tr.variable("x", (2, 1, 5, 1))
+        c = tr.constant(np.linspace(0.0, 1.0, 5).reshape(5, 1))
+        roots = (c * x, x > c, tr.d(x * x, x), tr.dd(c * x * x, x),
+                 tr.tracker(x * c, 10))
+        ctx = ev.EvalContext(bindings={x: np.full((2, 1, 5, 1), 0.5)})
+        values = ev.evaluate(roots, ctx)
+        rep = tr.trace_shapes(list(roots))
+        assert [rep[r] for r in roots] == [v.shape for v in values]
+        # the expressions under a derivative evaluate in their own contexts
+        cached = [n for n in rep.order if n in ctx.cache]
+        assert {n.kind for n in cached} >= {
+            tr.CONSTANT, tr.COMPARE, tr.DERIVATIVE, tr.TRACKER}
+        for node in cached:
+            assert ctx.cache[node].shape == rep[node]
+
+
 _POINTWISE = st.sampled_from(["tanh", "sin", "exp", "log", "square", "mul",
                               "matmul"])
 
