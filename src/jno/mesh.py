@@ -31,6 +31,15 @@ from .errors import (
 ELEMENT_KINDS = {"LINE2": 2, "TRI3": 3, "TET4": 4}
 
 
+def _check_indices(idx, count, what):
+    """ParseError naming the first vertex index in `idx` outside
+    [0, `count`), which `what` (an element or a tag) references."""
+    if idx.size and (idx.min() < 0 or idx.max() >= count):
+        bad = idx[(idx < 0) | (idx >= count)].flat[0]
+        raise ParseError(
+            f"{what} references vertex {bad}, outside [0, {count})")
+
+
 class Mesh:
     """Vertices, elements and named vertex-index tags."""
 
@@ -48,11 +57,12 @@ class Mesh:
             raise UnsupportedElement(
                 f"{kind} elements need {ELEMENT_KINDS[kind]} vertices per row"
             )
-        if self.elements.size and self.elements.max() >= len(self.vertices):
-            raise ParseError("element references vertex beyond vertex count")
         self.kind = kind
         self.tags = {name: np.unique(np.asarray(idx, dtype=np.int64))
                      for name, idx in (tags or {}).items()}
+        _check_indices(self.elements, len(self.vertices), "element")
+        for name, idx in self.tags.items():
+            _check_indices(idx, len(self.vertices), f"tag {name!r}")
         if "boundary" not in self.tags or "interior" not in self.tags:
             self._infer_interior_boundary()
 

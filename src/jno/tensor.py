@@ -20,7 +20,11 @@ square ``mul(a, a)`` is the unary map x**2.
 A Taylor coefficient keeps the broadcast shape it is born with, such as a
 row for a direction that is the same at every point; only the ops that read
 across elements (reductions, reshapes, slices, sparse products and matmul's
-contracted axis) expand it, along the axes they read across.
+contracted axis) expand it, along the axes they read across.  A smooth
+unary map of a row keeps its coefficient factored, and a matmul folds the
+row into its weight, (F * r) @ B = F @ (r^T * B), a K x M scaling in place
+of an (N, K) product (see `Jet`; the first-layer structure of Li et al.'s
+forward Laplacian, arXiv:2307.08214).
 
 Importing this module sets glibc's allocator policy for the process.  A
 training step's tape holds every intermediate, each about 512 KiB at 2048
@@ -162,13 +166,14 @@ def has_nan(t):
 # ---------------------------------------------------------------------------
 
 class _Record:
-    __slots__ = ("out_uid", "in_uids", "backward", "taylor")
+    __slots__ = ("out_uid", "in_uids", "backward", "taylor", "folds")
 
-    def __init__(self, out_uid, in_uids, backward, taylor):
+    def __init__(self, out_uid, in_uids, backward, taylor, folds):
         self.out_uid = out_uid
         self.in_uids = in_uids
         self.backward = backward
         self.taylor = taylor
+        self.folds = folds
 
 
 class _Recorder:
@@ -249,6 +254,15 @@ class Jet(_Recorder):
     needs one sweep per output and nested sweeps for t2, and serves every
     group: a record's rule computes what the groups share, such as f'(a)
     and f''(a), once.
+
+    A coefficient may be factored, the pair F * r of a full factor F and a
+    row r (size 1 on every axis but the last), held unmultiplied: a smooth
+    unary map's rule makes one for f'(a) a1 or f''(a) sum_j a1_j**2 when
+    a1, or the sum of squares, is a row and f'(a) is not, as at an MLP's
+    first activation, whose input's coefficients are rows of its weight.
+    Only matmul's rule takes one, as its left operand, and folds the row
+    into its right operand; every other rule, and every caller of `push`,
+    reads the product F * r, made once, when it is first read.
     """
 
     def push(self, groups):
@@ -261,7 +275,10 @@ class Jet(_Recorder):
         first coefficients per direction and, for order 2, one dict of the
         second coefficients summed over the directions (None for order 1).
         A tensor missing from a dict has a zero coefficient; a coefficient
-        has its tensor's rank and broadcasts to its shape.
+        has its tensor's rank and broadcasts to its shape.  A factored
+        coefficient is multiplied out when it is first read, under the
+        recorders active then: read it inside the block of any Tape that
+        should see it.
         """
         state = []
         for order, directions in groups:
@@ -271,16 +288,15 @@ class Jet(_Recorder):
             firsts = []
             for x, v in directions:
                 self._require([x])
-                firsts.append({x.uid: _seed(x, v)})
-            state.append((firsts, {} if order == 2 else None))
+                firsts.append(_Coefficients({x.uid: _seed(x, v)}))
+            state.append((firsts, _Coefficients() if order == 2 else None))
         for rec in self.records:
             moving = [(firsts, second) for firsts, second in state
                       if any(uid in d for d in firsts for uid in rec.in_uids)]
             if not moving:
                 continue
-            ins = [([tuple(d.get(uid) for uid in rec.in_uids) for d in firsts],
-                    None if second is None
-                    else tuple(second.get(uid) for uid in rec.in_uids))
+            ins = [([_inputs(rec, d) for d in firsts],
+                    None if second is None else _inputs(rec, second))
                    for firsts, second in moving]
             for (firsts, second), (t1s, t2) in zip(moving, rec.taylor(ins)):
                 for d, t in zip(firsts, t1s):
@@ -289,6 +305,52 @@ class Jet(_Recorder):
                 if t2 is not None:
                     second[rec.out_uid] = t2
         return state
+
+
+class _Factored:
+    """The Taylor coefficient F * r held as its factors: F in its tensor's
+    shape and r a row of its rank."""
+
+    __slots__ = ("F", "r")
+
+    def __init__(self, F, r):
+        self.F, self.r = F, r
+
+    @property
+    def ndim(self):
+        return self.F.ndim
+
+
+def _dense(c):
+    """The coefficient `c` as a Tensor: F * r for a factored one."""
+    return mul(c.r, c.F) if type(c) is _Factored else c
+
+
+def _is_row(t):
+    return t.ndim > 0 and t.size == t.shape[-1]
+
+
+class _Coefficients(dict):
+    """uid -> Taylor coefficient; a factored one is multiplied out, and
+    kept so, when it is read."""
+
+    def __getitem__(self, uid):
+        c = dict.__getitem__(self, uid)
+        if type(c) is _Factored:
+            c = self[uid] = _dense(c)
+        return c
+
+    def get(self, uid, default=None):
+        return self[uid] if uid in self else default
+
+
+def _inputs(rec, d):
+    """The coefficients in `d` of `rec`'s inputs, multiplied out but for a
+    factored left operand of a rule that folds it (matmul's)."""
+    if rec.folds:
+        return (dict.get(d, rec.in_uids[0]),) + tuple(
+            d.get(uid) for uid in rec.in_uids[1:])
+    return tuple(d.get(uid) for uid in rec.in_uids)
 
 
 def _seed(x, v):
@@ -301,7 +363,7 @@ def _seed(x, v):
     return _lift(v, x.ndim)
 
 
-def _record(out, inputs, backward, taylor):
+def _record(out, inputs, backward, taylor, folds=False):
     """Record `out` = op(`inputs`) on every active recorder that tracks an
     input.  `backward(adj, want)` returns the adjoints of the inputs flagged
     in `want`.  `taylor(groups)` maps each Jet group's ``(d1s, d2)`` to the
@@ -309,7 +371,9 @@ def _record(out, inputs, backward, taylor):
     coefficients, and `d2` the inputs' second coefficients summed over the
     group, or None for order 1; a coefficient of None is zero.  Elementwise
     ops get both rules from `_pointwise`, linear ones from `_linear_map`;
-    only matmul and concat write their own.
+    only matmul and concat write their own.  `folds` marks matmul's
+    `taylor`, the one that takes a factored coefficient (see `Jet`) of its
+    first input.
 
     The rules bind the values they read and, where they read no more than
     an input's shape, the shape, so that a recorder does not keep the
@@ -321,7 +385,7 @@ def _record(out, inputs, backward, taylor):
         if any(t.uid in r._live for t in inputs):
             if rec is None:
                 rec = _Record(out.uid, tuple(t.uid for t in inputs),
-                              backward, taylor)
+                              backward, taylor, folds)
             r._live.add(out.uid)
             r.records.append(rec)
 
@@ -331,7 +395,7 @@ def _record(out, inputs, backward, taylor):
 def _plus(a, b):
     if a is None:
         return b
-    return a if b is None else add(a, b)
+    return a if b is None else add(_dense(a), _dense(b))
 
 
 def _sum(terms):
@@ -452,7 +516,12 @@ def _unary(out, a, first, second):
     parameter Tape, keeps the f'(a) it computes (that recorder holds it
     anyway), and one that no recorder watches, such as the Tape's gradient,
     reuses it.  Any other replay computes f'(a) anew, so that the recorders
-    watching it see f'(a) depend on `a`."""
+    watching it see f'(a) depend on `a`.
+
+    Where a1, or sum_j a1_j**2, is a row and f'(a) is not, the Jet's term
+    is the factored pair of f'(a) or f''(a) and that row (see `Jet`), for a
+    matmul to fold; a Tape's adjoint has `a`'s shape, as f'(a) has, so the
+    backward rule never makes one."""
     kept = None
 
     def rule(live):
@@ -467,11 +536,18 @@ def _unary(out, a, first, second):
 
         def curvature(d1s, t1s):
             squares = _sum(_on(mul, a1, a1) for (a1,) in d1s)
-            return None if squares is None else mul(fpp(), squares)
+            return None if squares is None else _scaled(squares, fpp())
 
-        return (lambda t: mul(t, fp),), curvature
+        return (lambda t: _scaled(t, fp),), curvature
 
     return _pointwise(out, (a,), rule)
+
+
+def _scaled(t, F):
+    """t * F, left factored where t is a row and F, of t's rank, is not."""
+    if t.ndim == F.ndim and _is_row(t) and not _is_row(F):
+        return _Factored(F, t)
+    return mul(t, F)
 
 
 def _linear_map(out, a, apply, transpose):
@@ -815,15 +891,24 @@ def slice_shape(shape, spec):
 # Reductions
 # ---------------------------------------------------------------------------
 
-# numpy's reduction loop over a short contiguous axis is slow: summing the
-# last axis of a (32768, 3) array takes 0.63 ms, a product with ones 0.03 ms
+# numpy's reduction loop is slow along or across a short last axis: summing
+# the last axis of a (32768, 3) array takes 0.63 ms, a product with ones
+# 0.03 ms, and the first axis of a (2048, 32) one 55 us against 12 us
 _SHORT_AXIS = 32
 
 
 def _sum_data(data, axes, keepdims):
-    if axes == (data.ndim - 1,) and data.shape[-1] <= _SHORT_AXIS:
-        total = data @ np.ones(data.shape[-1])
+    k = data.shape[-1] if data.ndim else 0
+    rest = data.shape[:-1]
+    if axes == (len(rest),) and k <= _SHORT_AXIS:
+        total = data @ np.ones(k)
         return total[..., None] if keepdims else total
+    if axes and 0 < k <= _SHORT_AXIS and len(rest) not in axes and all(
+            i in axes or n == 1 for i, n in enumerate(rest)):
+        # every axis but the last is summed or of size 1: an (N, K) array
+        total = np.ones(data.size // k) @ data.reshape(-1, k)
+        return total.reshape(_restore_shape(data.shape, axes) if keepdims
+                             else (1,) * (len(rest) - len(axes)) + (k,))
     return np.sum(data, axis=axes, keepdims=keepdims)
 
 
@@ -915,11 +1000,17 @@ def matmul(a, b):
         return ga, gb
 
     def product(x, y):
-        # a coefficient is expanded along the contracted axis only
-        return matmul(_fit(x, a.shape, (-1,)), _fit(y, b.shape, (-2,)))
+        # a coefficient is expanded along the contracted axis only; a
+        # factored left one folds its row into the right operand's rows,
+        # (F * r) @ y = F @ (r^T * y)
+        y = _fit(y, b.shape, (-2,))
+        if type(x) is _Factored:
+            return matmul(_fit(x.F, a.shape, (-1,)), mul(_swap_last(x.r), y))
+        return matmul(_fit(x, a.shape, (-1,)), y)
 
     _record(out, (a, b), backward,
-            lambda groups: [_bilinear(g, product, a, b) for g in groups])
+            lambda groups: [_bilinear(g, product, a, b) for g in groups],
+            folds=True)
     return out
 
 

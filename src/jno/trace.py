@@ -580,9 +580,12 @@ def _infer_shape(node, shapes, context_shapes):
 def trace_shapes(roots, context_shapes=None):
     """Infer a shape for every reachable node.
 
-    `context_shapes` maps leaf Variable nodes to shapes; Variables created
-    through a domain already carry hints.  A node that evaluation would
-    refuse raises ShapeInferenceFailure naming it.
+    `context_shapes` maps leaf Variable nodes to shapes; a Variable with no
+    entry there takes the shape it was created with, and one with neither
+    raises ShapeInferenceFailure.  Variables created through a domain carry
+    no shape: pass ``{v: t.shape for v, t in domain.bindings().items()}``.
+    A node that evaluation would refuse raises ShapeInferenceFailure naming
+    it.
     """
     single = isinstance(roots, ExprNode)
     root_list = [roots] if single else list(roots)

@@ -696,6 +696,107 @@ def test_row_coefficient_through_an_expanding_consumer(name):
         rtol=1e-13)
 
 
+# Consumers of h = f(x * w) for a (1, 1, 1, 3) row w, and a (3, 2) weight B.
+# Along a row direction, the first and second coefficients of h are
+# factored, f'(x w) or f''(x w) times a row; a left matmul operand folds the
+# row into B, and every other consumer reads the product.
+FACTORED = {
+    "matmul_left": lambda h, B: T.matmul(h, B),
+    "matmul_right": lambda h, B: T.matmul(
+        T.Tensor(np.linspace(-1.0, 1.0, 20).reshape(4, 5)), h),
+    "add": lambda h, B: T.add(h, T.Tensor(np.linspace(0.0, 1.0, 5)[:, None])),
+    "mul": lambda h, B: T.mul(h, T.Tensor(np.linspace(1.0, 2.0, 3))),
+    "concat": lambda h, B: T.concat([h, T.ones((2, 1, 5, 2))], axis=-1),
+    "reduce_over_points": lambda h, B: T.reduce_sum(h, axes=2, keepdims=True),
+    "tanh": lambda h, B: T.tanh(h),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(FACTORED))
+@pytest.mark.parametrize("name", ["exp", "sin", "tanh"])
+def test_factored_coefficient_equals_the_full_directions(name, consumer):
+    # the coefficients of h and of its consumer, and a Tape's gradient of
+    # them w.r.t. w and B, equal those of a push along a full-shape
+    # direction; bitwise but where a matmul folded the row, which sums in
+    # another order
+    rng = np.random.default_rng(6)
+    w = T.Tensor(np.array([[[[1.0, -2.0, 0.5]]]]))
+    B = T.Tensor(rng.uniform(-1.0, 1.0, (3, 2)))
+    x = T.Tensor(rng.uniform(-1.0, 1.0, (2, 1, 5, 1)))
+    with T.Tape() as tape:
+        tape.watch(w, B)
+        with T.Jet() as jet:
+            jet.watch(x)
+            h = getattr(T, name)(T.mul(x, w))
+            out = FACTORED[consumer](h, B)
+        pushes = [jet.push([(2, [(x, d)])])[0]
+                  for d in (None, T.ones(x.shape))]
+        (rows, row2), (full, full2) = pushes
+        if consumer == "matmul_left":
+            # only the matmul read h's coefficients: they stay factored
+            assert all(type(dict.get(c, h.uid)) is T._Factored
+                       for c in (rows[0], row2))
+        weight = T.Tensor(rng.uniform(-1.0, 1.0, out.shape))
+        totals = [T.add(*(T.reduce_sum(T.mul(T.broadcast_to(c[out.uid],
+                                                             out.shape),
+                                             weight)) for c in (c1[0], c2)))
+                  for c1, c2 in pushes]
+    for t in (h, out):
+        got, want = _full([rows[0], row2], t), _full([full[0], full2], t)
+        if t is out and consumer == "matmul_left":
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+        else:
+            np.testing.assert_array_equal(got, want)
+    got, want = (tape.gradient(t, [w, B]) for t in totals)
+    for p in (w, B):
+        np.testing.assert_allclose(got[p.uid].data, want[p.uid].data,
+                                   rtol=1e-13, atol=1e-15)
+
+
+def test_factored_terms_of_one_coefficient_add():
+    # a = x**2 + c for a row x and a full c has row coefficients 2x and 2,
+    # so both terms of t2 of tanh(a), f'(a) a2 and f''(a) a1**2, are
+    # factored, and are multiplied out to be added
+    x = T.Tensor(np.array([[[[0.3, -0.7, 1.1]]]]))
+    c = np.random.default_rng(8).uniform(-1.0, 1.0, (2, 1, 5, 3))
+    with T.Jet() as jet:
+        jet.watch(x)
+        h = T.tanh(T.add(T.mul(x, x), T.Tensor(c)))
+    (([first], second),) = jet.push([(2, [(x, None)])])
+    fp = 1.0 - h.data ** 2
+    a1 = 2.0 * x.data
+    np.testing.assert_allclose(first[h.uid].data, fp * a1, rtol=1e-14)
+    np.testing.assert_allclose(second[h.uid].data,
+                               fp * 2.0 - 2.0 * h.data * fp * a1 ** 2,
+                               rtol=1e-14, atol=1e-15)
+
+
+def test_space_time_mlp_derivatives_against_differences():
+    # an MLP 3-16-16-1 of (x, y, t): the first layer's coefficients along
+    # each coordinate are rows, factored at its activation
+    d = dm.structured_rect(6, 6, time=(0.0, 1.0, 3))
+    x, y, t = d.variable("interior")
+    net = nn.mlp(3, [16, 16], 1).initialize(4)
+    u = net(tr.concat_nodes([x, y, t], axis=-1))
+    ctx = ev.EvalContext(domain=d)
+    got = ev.evaluate(u.dd(x) + u.dd(y) - u.d(t), ctx).data
+    dt = ev.evaluate(u.d(t), ctx).data
+    b = d.bindings()
+    p = [np.broadcast_to(b[v].data, b[x].shape) for v in (x, y, t)]
+
+    def at(i, h):
+        q = list(p)
+        q[i] = q[i] + h
+        return net.forward([T.Tensor(np.concatenate(q, axis=-1))]).data
+
+    h1, h2 = 1e-6, 1e-4
+    fd_dt = (at(2, h1) - at(2, -h1)) / (2 * h1)
+    lap = sum(at(i, h2) + at(i, -h2) - 2 * at(i, 0.0)
+              for i in (0, 1)) / h2 ** 2
+    np.testing.assert_allclose(dt, fd_dt, atol=1e-6)
+    np.testing.assert_allclose(got, lap - fd_dt, atol=1e-6)
+
+
 def _laplacian_loss(n=200):
     """The AD-Laplacian loss of an MLP 2-32-32-1 (tanh) at `n` points, its
     bindings and the MLP."""
@@ -718,8 +819,10 @@ def _under_tape(loss, bindings, params):
 def test_laplacian_loss_allocates_few_full_size_arrays(monkeypatch):
     # owned (..., N, 32) arrays made by one AD-Laplacian loss of an MLP
     # 2-32-32-1 under a parameter Tape, and by its parameter gradient;
-    # per-direction second coefficients took 36 and 66, and recomputing
-    # f' of tanh and taking a square as a product took 47 in the gradient
+    # per-direction second coefficients took 36 and 66, recomputing f' of
+    # tanh and taking a square as a product took 47 in the gradient, and
+    # multiplying out the first activation's coefficients, which are rows
+    # times f' or f'', took 28 and 39
     n = 200
     loss, bindings, net = _laplacian_loss(n)
     params = list(net.trainable_params().values())
@@ -736,8 +839,8 @@ def test_laplacian_loss_allocates_few_full_size_arrays(monkeypatch):
     tape, value = _under_tape(loss, bindings, params)
     counts.append(0)
     tape.gradient(value, params)
-    assert counts[0] <= 28
-    assert counts[1] <= 39
+    assert counts[0] <= 25
+    assert counts[1] <= 33
 
 
 def _tensors_made(f):
@@ -751,11 +854,14 @@ def _tensors_made(f):
 def test_laplacian_loss_gradient_makes_a_pinned_number_of_tensors():
     # the unrecorded gradient reuses the f' of each tanh that the push
     # computed, and takes one product per square; a change that computes
-    # either again makes more Tensors and fails here
+    # either again makes more Tensors and fails here.  The three scalings
+    # of the second layer's weight by the first activation's factored
+    # coefficients (t1 along x and y, and t2) add one adjoint each to the
+    # 99 Tensors of multiplying those coefficients out
     loss, bindings, net = _laplacian_loss(8)
     params = list(net.trainable_params().values())
     tape, value = _under_tape(loss, bindings, params)
-    assert _tensors_made(lambda: tape.gradient(value, params)) == 99
+    assert _tensors_made(lambda: tape.gradient(value, params)) == 102
 
 
 def test_unrecorded_replay_keeps_no_derivative_factor():

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 from jno import domain as dm
 from jno import mesh as meshmod
-from jno.errors import DegenerateGeometry
+from jno.errors import DegenerateGeometry, ParseError
 
 
 # ---------------------------------------------------------------------------
@@ -449,3 +449,19 @@ def test_rect_takes_an_integral_float_cell_count():
     np.testing.assert_array_equal(got.elements, want.elements)
     with pytest.raises(DegenerateGeometry, match="got 2.5 x 2"):
         dm.structured_rect(2.5, 2)
+
+
+@pytest.mark.parametrize("elements, tags, message", [
+    ([[0, 1, -1]], None, "element references vertex -1,"),
+    ([[0, 1, 2]], {"left": [0, 7]}, "tag 'left' references vertex 7,"),
+    ([[0, 1, 2]], {"left": [-1, 0]}, "tag 'left' references vertex -1,"),
+], ids=["negative_element_index", "tag_index_past_the_end",
+        "negative_tag_index"])
+def test_vertex_index_outside_the_vertices_is_refused(elements, tags,
+                                                      message):
+    # before, the first built and failed inside Connectivity with numpy's
+    # ValueError, the second failed in Domain with an IndexError, and the
+    # third silently bound vertex 3
+    with pytest.raises(ParseError, match=message + r" outside \[0, 4\)"):
+        meshmod.Mesh([[0, 0], [1, 0], [0, 1], [1, 1]], elements, "TRI3",
+                     tags=tags)

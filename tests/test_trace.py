@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jno import domain as dm
 from jno import evaluator as ev
 from jno import nn
 from jno import tensor as T
@@ -381,6 +382,18 @@ class TestShapes:
         for node in rep.order:
             val = ev.evaluate(node, ctx)
             assert val.shape == rep[node]
+
+    def test_domain_variables_take_their_binding_shapes(self):
+        # Variables created through a domain carry no shape; the shapes of
+        # the domain's bindings, passed in, give those of evaluation
+        d = dm.structured_rect(3, 3, time=(0.0, 1.0, 2))
+        x, y, t = d.variable("interior")
+        root = x * y + t
+        with pytest.raises(ShapeInferenceFailure, match="no shape known"):
+            tr.trace_shapes(root)
+        shapes = {v: b.shape for v, b in d.bindings().items()}
+        rep = tr.trace_shapes(root, shapes)
+        assert rep[root] == ev.evaluate(root, ev.EvalContext(domain=d)).shape
 
     def test_numpy_integer_index(self):
         x = tr.variable("x")
