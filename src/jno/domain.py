@@ -45,15 +45,21 @@ class Domain:
     context point (`vertex_ids`: (N,), or (B, T, N) after a merge), so that
     FD derivatives read their vertex rows; `add_points` tags carry none."""
 
-    def __init__(self, mesh, time=None, batch=1):
+    def __init__(self, mesh, time=None):
         self.mesh = mesh
         self.connectivity = meshmod.Connectivity(mesh)
-        self.batch = int(batch)
+        self.batch = 1
         if time is None:
             self.time_grid = np.zeros(1)
         else:
-            t0, t1, steps = time
-            self.time_grid = np.linspace(float(t0), float(t1), int(steps) + 1)
+            t0, t1, steps = (map(float, time) if len(time) == 3
+                             else (np.nan,) * 3)
+            if not (np.isfinite([t0, t1]).all() and t1 > t0
+                    and steps >= 1 and steps.is_integer()):
+                raise BadShape(
+                    f"time must be (t0, t1, steps) with finite t0 < t1 and "
+                    f"whole steps >= 1: {time!r}")
+            self.time_grid = np.linspace(t0, t1, int(steps) + 1)
         self.num_times = len(self.time_grid)
 
         self.mesh_pool = {}
@@ -159,37 +165,25 @@ class Domain:
                                   else points[..., spec[2]:spec[2] + 1])
         return out
 
-    def bindings(self, batch_idx=None):
-        """Resolve every registered Variable against the current context.
+    def bindings(self):
+        """{Variable: Tensor} of every registered Variable, resolved against
+        the current context."""
+        return {var: Tensor(self._resolve(spec))
+                for var, spec in self._vars.items()}
 
-        `batch_idx` selects rows along the batch axis (shared across tags).
-        Returns a dict ExprNode -> Tensor.
-        """
-        out = {}
-        for var, spec in self._vars.items():
-            out[var] = Tensor(self._resolve(spec, batch_idx))
-        return out
-
-    def _resolve(self, spec, batch_idx):
+    def _resolve(self, spec):
         kind = spec[0]
         if kind == "coord":
             _, tag, c = spec
-            arr = self.context[tag][..., c:c + 1]
-        elif kind == "full":
-            arr = self.context[spec[1]]
-        elif kind == "time":
-            arr = np.broadcast_to(self.time_grid[:, None, None],
-                                  self.context[spec[1]].shape[:-1] + (1,))
-        elif kind == "tensor":
-            arr = self.tensor_tags[spec[1]]
-            if arr.ndim == 3:
-                # (B, T, S) rides along the point axis as (B, T, 1, S)
-                arr = arr[:, :, None, :]
-        else:
-            raise UnknownTag(f"bad binding spec {spec!r}")
-        if batch_idx is not None:
-            arr = arr[np.asarray(batch_idx)]
-        return arr
+            return self.context[tag][..., c:c + 1]
+        if kind == "full":
+            return self.context[spec[1]]
+        if kind == "time":
+            return np.broadcast_to(self.time_grid[:, None, None],
+                                   self.context[spec[1]].shape[:-1] + (1,))
+        arr = self.tensor_tags[spec[1]]
+        # (B, T, S) rides along the point axis as (B, T, 1, S)
+        return arr[:, :, None, :] if arr.ndim == 3 else arr
 
     # -- algebra -----------------------------------------------------------
 

@@ -80,7 +80,7 @@ class EvalContext:
         if self.domain is not None:
             spec = self.domain.binding_spec(var)
             if spec is not None:
-                val = T.Tensor(self.domain._resolve(spec, None))
+                val = T.Tensor(self.domain._resolve(spec))
                 self.bindings[var] = val
                 if spec[0] == "coord":
                     self._vertex_ids[var] = self.domain.vertex_ids.get(spec[1])

@@ -31,9 +31,9 @@ Every target reads from such an operator, and every right-hand side is
                        N the terms that are nonlinear or read the time
 * ``fem_system``    -> A u = b: A the free block of the matrix, b = -R(0)
 * ``fem_time``      -> semi-discrete block M u' + R(u, t) = 0, M the
-                       temporal term's matrix: backward Euler factors
-                       M + dt A once if R is affine (R = A u - b(t)),
-                       else runs Newton per step
+                       temporal term's matrix: backward Euler from the
+                       grid's first time factors M + dt A once if R is
+                       affine (R = A u - b(t)), else runs Newton per step
 * ``vpinn``         -> ||R_free(u)||^2 for nodal values; for a trial
                        expression, a traced residual: the free rows of
                        each term's test operator, applied with
@@ -259,9 +259,15 @@ class FemSetup:
         return self._test_operators[key]
 
     def lift(self, u_free):
-        """Expand free-dof values to the full vertex vector."""
+        """Expand free-dof values, or one value for every free dof, to the
+        full vertex vector."""
+        u = np.asarray(u_free, dtype=np.float64)
+        if u.ndim and u.size != len(self.free):
+            raise TargetMismatch(
+                f"free-dof vector of length {u.size} does not match the free "
+                f"dof count {len(self.free)}")
         full = np.zeros(self.num_vertices)
-        full[self.free] = np.asarray(u_free, dtype=np.float64).reshape(-1)
+        full[self.free] = u.reshape(-1)
         full[self.constrained] = self.constrained_values
         return full
 
@@ -721,6 +727,10 @@ class ResidualOperator:
                 for tag, fields in self.reads.items()}
 
     def residual_full(self, u_full, t=None):
+        if np.shape(u_full) != (self.setup.num_vertices,):
+            raise TargetMismatch(
+                f"nodal vector of shape {np.shape(u_full)} does not match "
+                f"the vertex count {self.setup.num_vertices}")
         ctxs = self._contexts(u_full, t)
         return self.matrix @ u_full + self.load + _vector(self.setup, [
             (term.region, term.test_part,
@@ -747,11 +757,6 @@ def newton_solve(op, u0, tol=1e-10, max_iter=10):
     """Newton iteration on R(u) = 0 from the free-dof values `u0`; returns
     (u, residual_norms)."""
     u = np.array(u0, dtype=np.float64).reshape(-1)
-    if len(u) != len(op.setup.free):
-        raise TargetMismatch(
-            f"u0 length {len(u)} does not match the free dof count "
-            f"{len(op.setup.free)}"
-        )
     return _newton(op, op.jacobian, u, tol, max_iter, SingularSystem)
 
 
@@ -816,8 +821,27 @@ class TimeBlock:
         return -self.residual(0, t)
 
     def integrate(self, dt, steps):
-        """Backward-Euler trajectory, see :func:`step_backward_euler`."""
-        return step_backward_euler(self, dt, steps)
+        """Backward-Euler trajectory from u0 at the first time t0 of the
+        domain's grid, (steps+1, n_free) incl. u0.  A linear block factors
+        M + dt A once; otherwise each step solves M (w - u_n) / dt +
+        R(w, t_(n+1)) = 0 for w by Newton from u_n."""
+        if dt <= 0:
+            raise SingularStepMatrix("dt must be positive")
+        t0 = self.setup.domain.time_grid[0]
+        out = [np.asarray(self.u0, dtype=np.float64)]
+        if self.linear:
+            solve = _factor(self.M + dt * self.A, SingularStepMatrix)
+        for k in range(int(steps)):
+            t, u = t0 + dt * (k + 1), out[-1]
+            if self.linear:
+                w = solve(self.M @ u + dt * self.b(t))
+            else:
+                w = _newton(
+                    lambda w: self.M @ (w - u) / dt + self.residual(w, t),
+                    lambda w: self.M / dt + self.jacobian(w, t),
+                    u, 1e-10, 25, SingularStepMatrix)[0]
+            out.append(w)
+        return np.asarray(out)
 
 
 def assemble_fem_time(setup, temporal, steady, state0=None):
@@ -855,29 +879,6 @@ def assemble_fem_time(setup, temporal, steady, state0=None):
             )
     return TimeBlock(setup, _reduce(setup, mass.matrix), u0,
                      ResidualOperator(setup, steady))
-
-
-def step_backward_euler(block, dt, steps, t0=0.0, newton_tol=1e-10,
-                        newton_max_iter=25):
-    """Implicit Euler; returns the trajectory (steps+1, n_free) incl. u0.
-    A linear block factors M + dt A once; otherwise each step solves
-    M (w - u_n) / dt + R(w, t_(n+1)) = 0 for w by Newton from u_n."""
-    if dt <= 0:
-        raise SingularStepMatrix("dt must be positive")
-    out = [np.asarray(block.u0, dtype=np.float64)]
-    if block.linear:
-        solve = _factor(block.M + dt * block.A, SingularStepMatrix)
-    for k in range(int(steps)):
-        t, u = t0 + dt * (k + 1), out[-1]
-        if block.linear:
-            w = solve(block.M @ u + dt * block.b(t))
-        else:
-            w = _newton(
-                lambda w: block.M @ (w - u) / dt + block.residual(w, t),
-                lambda w: block.M / dt + block.jacobian(w, t),
-                u, newton_tol, newton_max_iter, SingularStepMatrix)[0]
-        out.append(w)
-    return np.asarray(out)
 
 
 def export_explicit_ode(block):

@@ -469,79 +469,57 @@ def load_mesh_text(path):
         pos += 1
         return item
 
-    def count(text, ln):
-        """The non-negative integer count `text` of a header on line `ln`."""
+    def header(form):
+        """(line, middle words, count) of a header line of the form `form`
+        ('elements <kind> <E>'), whose last word is a non-negative count."""
+        ln, text = take()
+        words, expected = text.split(), form.split()
+        if len(words) != len(expected) or words[0] != expected[0]:
+            raise ParseError(f"expected {form!r}", ln)
         try:
-            n = int(text)
+            n = int(words[-1])
         except ValueError:
-            raise ParseError(f"bad count {text!r}", ln) from None
+            raise ParseError(f"bad count {words[-1]!r}", ln) from None
         if n < 0:
             raise ParseError(f"negative count {n}", ln)
-        return n
+        return ln, words[1:-1], n
 
-    ln, header = take()
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "mesh":
-        raise ParseError("expected 'mesh <dim>'", ln)
-    dim = count(parts[1], ln)
+    def rows(count, width, parse, bound, messages):
+        """`count` rows of `width` words read by `parse`, below `bound` if
+        it is not None; `messages` name a row of the wrong width, a word
+        that `parse` refuses and a value out of bounds."""
+        what, bad, stray = messages
+        out = []
+        for _ in range(count):
+            ln, text = take()
+            words = text.split()
+            if len(words) != width:
+                raise ParseError(f"expected {width} {what}", ln)
+            try:
+                row = [parse(w) for w in words]
+            except ValueError:
+                raise ParseError(bad, ln) from None
+            if bound is not None and not all(0 <= v < bound for v in row):
+                raise ParseError(stray, ln)
+            out.append(row)
+        return out
 
-    ln, vh = take()
-    parts = vh.split()
-    if len(parts) != 2 or parts[0] != "vertices":
-        raise ParseError("expected 'vertices <V>'", ln)
-    V = count(parts[1], ln)
-    vertices = np.zeros((V, dim))
-    for i in range(V):
-        ln, row = take()
-        vals = row.split()
-        if len(vals) != dim:
-            raise ParseError(f"expected {dim} coordinates", ln)
-        try:
-            vertices[i] = [float(v) for v in vals]
-        except ValueError:
-            raise ParseError("bad float", ln) from None
-
-    ln, eh = take()
-    parts = eh.split()
-    if len(parts) != 3 or parts[0] != "elements":
-        raise ParseError("expected 'elements <kind> <E>'", ln)
-    kind = parts[1]
+    dim = header("mesh <dim>")[2]
+    V = header("vertices <V>")[2]
+    vertices = np.array(rows(V, dim, float, None,
+                             ("coordinates", "bad float", None)),
+                        dtype=np.float64).reshape(V, dim)
+    ln, (kind,), E = header("elements <kind> <E>")
     if kind not in ELEMENT_KINDS:
         raise UnsupportedElement(
             f"line {ln}: unsupported element kind {kind!r}")
-    E = count(parts[2], ln)
     width = ELEMENT_KINDS[kind]
-    elements = np.zeros((E, width), dtype=np.int64)
-    for i in range(E):
-        ln, row = take()
-        vals = row.split()
-        if len(vals) != width:
-            raise ParseError(f"expected {width} vertex indices", ln)
-        try:
-            idx = [int(v) for v in vals]
-        except ValueError:
-            raise ParseError("bad vertex index", ln) from None
-        if any(v < 0 or v >= V for v in idx):
-            raise ParseError("dangling element index", ln)
-        elements[i] = idx
-
+    elements = np.array(rows(E, width, int, V, (
+        "vertex indices", "bad vertex index", "dangling element index")),
+        dtype=np.int64).reshape(E, width)
     tags = {}
     while pos < len(lines):
-        ln, th = take()
-        parts = th.split()
-        if len(parts) != 3 or parts[0] != "tag":
-            raise ParseError("expected 'tag <name> <K>'", ln)
-        name, K = parts[1], count(parts[2], ln)
-        idx = []
-        for _ in range(K):
-            ln, row = take()
-            try:
-                v = int(row)
-            except ValueError:
-                raise ParseError("bad vertex index", ln) from None
-            if v < 0 or v >= V:
-                raise ParseError("tag index out of range", ln)
-            idx.append(v)
-        tags[name] = idx
-
+        _, (name,), K = header("tag <name> <K>")
+        tags[name] = [v for v, in rows(K, 1, int, V, (
+            "vertex index", "bad vertex index", "tag index out of range"))]
     return Mesh(vertices, elements, kind, tags)

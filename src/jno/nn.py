@@ -126,9 +126,9 @@ class OptimizerState:
         self.step = 0
 
 
-def optimizer_step(spec, state, params, grads, step=None):
+def optimizer_step(spec, state, params, grads):
     """One update; returns (new params dict, same state advanced)."""
-    s = state.step if step is None else step
+    s = state.step
     new_params = {}
     for path, p in params.items():
         g = grads.get(path)
@@ -168,29 +168,19 @@ def optimizer_step(spec, state, params, grads, step=None):
 # Models
 # ---------------------------------------------------------------------------
 
-_MODEL_COUNT = {}
-
-
-def _fresh_name(base):
-    n = _MODEL_COUNT.get(base, 0)
-    _MODEL_COUNT[base] = n + 1
-    return base if n == 0 else f"{base}_{n}"
-
-
 class Model:
     # whether each output point depends only on the same point of the
     # inputs, which AD derivatives along a point variable assume
     pointwise = False
 
     def __init__(self, name):
-        self.name = _fresh_name(name)
+        self.name = name
         self.params = {}
         self.frozen = False
         self._mask = {}
         self.lora_cfg = None
         self.opt_spec = None
         self.opt_state = None
-        self._initialized = False
 
     # -- tracing entry point -------------------------------------------------
 
@@ -216,7 +206,6 @@ class Model:
                 limit = math.sqrt(6.0 / fan_in)
                 self.params[path] = T.Tensor(
                     rng.uniform(-limit, limit, size=shape))
-        self._initialized = True
         self.opt_state = None
         return self
 
@@ -286,7 +275,7 @@ class Model:
         raise NotImplementedError
 
     def _require_init(self):
-        if not self._initialized:
+        if not self.params:
             self.initialize(0)
 
     def parameter_count(self):

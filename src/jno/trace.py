@@ -402,27 +402,19 @@ class OperationDef:
     lowering see through, and two calls on the same arguments are one node.
     """
 
-    def __init__(self, params, body, name=None):
+    def __init__(self, params, body):
         for p in params:
             if p.kind != VARIABLE:
                 raise NotAVariable("operation parameters must be Variable nodes")
         self.params = tuple(params)
         self.body = body
-        self.name = name or "op"
 
-    def __call__(self, *args, **kwargs):
-        bindings = dict(zip(self.params, args))
-        if kwargs:
-            by_name = {p.name: p for p in self.params}
-            for k, v in kwargs.items():
-                if k not in by_name:
-                    raise ExtraBinding(f"no parameter named {k!r}")
-                bindings[by_name[k]] = v
-        return call_operation(self, bindings)
+    def __call__(self, *args):
+        return call_operation(self, dict(zip(self.params, args)))
 
 
-def define_operation(params, body, name=None):
-    return OperationDef(params, body, name)
+def define_operation(params, body):
+    return OperationDef(params, body)
 
 
 def call_operation(op_def, bindings):
@@ -632,7 +624,7 @@ def _preorder(roots):
                 stack.extend((c, depth + 1) for c in reversed(node.children))
 
 
-def print_shapes(report, sink=None):
+def print_shapes(report):
     """Deterministic rendering of a ShapeReport; returns the text."""
     out = io.StringIO()
     index = {n: i for i, n in enumerate(report.order)}
@@ -646,13 +638,10 @@ def print_shapes(report, sink=None):
                 f"{pad}#{index[node]} {_label(node)} -> {report[node]}\n")
         else:
             out.write(f"{pad}#{index[node]} ^\n")
-    text = out.getvalue()
-    if sink is not None:
-        sink.write(text)
-    return text
+    return out.getvalue()
 
 
-def dump_tree(root, sink=None):
+def dump_tree(root):
     """Indented structural dump; shared nodes appear once, then by back-ref."""
     out = io.StringIO()
     index = {}
@@ -664,7 +653,4 @@ def dump_tree(root, sink=None):
                       f"children={len(node.children)}\n")
         else:
             out.write(f"{pad}^{index[node]}\n")
-    text = out.getvalue()
-    if sink is not None:
-        sink.write(text)
-    return text
+    return out.getvalue()

@@ -168,6 +168,59 @@ class TestScaleMerge:
             dm.rect(mesh_size=0.5).scale(2.5)
 
 
+class TestRefusals:
+    @pytest.mark.parametrize("time", [
+        (0, 1, -3), (0, 1, 2.5), (1, 0, 2), (0, np.nan, 2), (0, 1),
+    ], ids=["negative_steps", "fractional_steps", "decreasing",
+            "nan_end", "two_values"])
+    def test_bad_time_spec(self, time):
+        # before, these raised numpy's ValueError, made 2 steps, a
+        # decreasing grid, a NaN grid and an unpacking ValueError
+        with pytest.raises(BadShape, match="time must be"):
+            dm.structured_rect(2, 2, time=time)
+
+    def test_tensor_tag_time_extent(self):
+        d = dm.structured_rect(2, 2, time=(0.0, 1.0, 2))
+        with pytest.raises(BadShape, match="time extent 2 incompatible"):
+            d.variable("k", np.zeros((1, 2, 1)))
+
+    @pytest.mark.parametrize("call", [
+        lambda d: d.sample("nowhere", 1),
+        lambda d: d.register_resampler("nowhere"),
+        lambda d: d.normals("nowhere"),
+    ], ids=["sample", "register_resampler", "normals"])
+    def test_unknown_tag(self, call):
+        with pytest.raises(UnknownTag, match="'nowhere'"):
+            call(dm.structured_rect(2, 2))
+
+    def test_residual_weights_of_the_wrong_length(self):
+        d = dm.structured_rect(3, 3)
+        with pytest.raises(BadShape, match="weights length 2 != pool size 4"):
+            d.sample("interior", 3, strategy="residual-weighted",
+                     weights=np.ones(2))
+
+    @pytest.mark.parametrize("other, message", [
+        (lambda: dm.structured_rect(3, 3, time=(0.0, 1.0, 2)),
+         "share the time axis"),
+        (lambda: _changed(lambda d: d.add_points("probe", np.zeros((1, 2)))),
+         "carry the same tags"),
+        (lambda: _changed(lambda d: d.sample("interior", 2, seed=0)),
+         "context shapes differ for tag 'interior'"),
+        (lambda: _changed(lambda d: d.variable("k", np.zeros((1, 1, 1)))),
+         "carry the same tensor tags"),
+    ], ids=["time_axis", "tag_set", "context_shape", "tensor_tags"])
+    def test_merge_mismatch(self, other, message):
+        with pytest.raises(TagMismatch, match=message):
+            dm.structured_rect(3, 3).merge(other())
+
+
+def _changed(change):
+    """structured_rect(3, 3) after `change` is applied to it."""
+    d = dm.structured_rect(3, 3)
+    change(d)
+    return d
+
+
 class TestVertexIds:
     @staticmethod
     def _at_vertices(d, tag):
@@ -275,6 +328,24 @@ class TestSampling:
         w[0] = bad
         with pytest.raises(BadShape, match="not finite"):
             d.sample("interior", 3, strategy="residual-weighted", weights=w)
+
+    def test_callable_residual_weights(self):
+        # the weights are a function of the domain, called at each resample
+        d = dm.structured_rect(4, 4)
+        N, calls = d.pool_size("interior"), []
+
+        def weights(domain):
+            calls.append(domain)
+            return np.arange(N) == 2
+
+        d.register_resampler("interior", kind="residual-weighted", count=3,
+                             weights=weights)
+        d.apply_resamplers(np.random.default_rng(0))
+        d.apply_resamplers(np.random.default_rng(1))
+        assert calls == [d, d]
+        np.testing.assert_array_equal(
+            d.context["interior"][0, 0],
+            np.repeat(d.mesh_pool["interior"][0, 0, 2:3], 3, axis=0))
 
     def test_resample_keeps_b_t_d(self):
         d = 3 * dm.rect(mesh_size=0.25)
@@ -410,6 +481,7 @@ class TestMeshIO:
         (7, "0 1 3", ParseError, "dangling element index"),
         (8, "tag left", ParseError, "expected 'tag <name> <K>'"),
         (9, "0.5", ParseError, "bad vertex index"),
+        (9, "0 1", ParseError, "expected 1 vertex index"),
         (10, "3", ParseError, "tag index out of range"),
         (10, None, ParseError, "unexpected end of file"),
     ])

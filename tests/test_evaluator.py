@@ -129,6 +129,11 @@ class TestBasics:
         v2 = ev.evaluate(root, ev.EvalContext(domain=d))
         assert v1.data.tobytes() == v2.data.tobytes()
 
+    def test_fem_symbol_outside_assembly(self):
+        u, _ = dm.structured_rect(2, 2).init_fem().fem_symbols()
+        with pytest.raises(UnassembledSymbol, match="outside weak-form"):
+            ev.evaluate(u * 2.0, ev.EvalContext())
+
 
 class TestAdDerivatives:
     def test_square(self):
@@ -400,6 +405,22 @@ class TestFiniteDifferences:
         node = tr.derivative(x * x, t, order=1, mode="finite-difference")
         with pytest.raises(NonDifferentiablePath):
             ev.evaluate(node, ev.EvalContext(domain=d))
+
+    def test_refusals(self):
+        d = dm.structured_rect(3, 3)
+        free, full = tr.variable("x"), d.variable("interior", split=False)
+        ones = np.ones((1, 1, 4, 1))
+        for wrt, ctx, error, message in [
+            (free, ev.EvalContext({free: ones}), NonDifferentiablePath,
+             "need a domain"),
+            (free, ev.EvalContext({free: ones}, d), UnboundVariable,
+             "no binding for Variable 'x'"),
+            (full, ev.EvalContext(domain=d), NonDifferentiablePath,
+             "need a coordinate variable, got 'full'"),
+        ]:
+            node = tr.derivative(wrt * wrt, wrt, mode="finite-difference")
+            with pytest.raises(error, match=message):
+                ev.evaluate(node, ctx)
 
     def test_ad_fd_consistency_refines(self):
         errors = []

@@ -656,6 +656,31 @@ class TestFemTime:
         np.testing.assert_allclose(block.integrate(dt, steps), ref,
                                    rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("stiffness", ["1", "1+10t"])
+    def test_steps_from_the_first_grid_time(self, stiffness):
+        # reference: (M + dt s(t_k) A0) u_k = M u_(k-1) + dt (1 + t_k) b1 at
+        # t_k = 0.6 ... 1.0, A0 and b1 from the steady system; the stiffness
+        # 1 + 10t takes the Newton path
+        dom = dm.structured_rect(6, 6, time=(0.5, 1.0, 5))
+        u, phi, (x, y) = setup_fem(dom, [dom.dirichlet("boundary", 0.0)])
+        t = dom.variable(fem.GAUSS_VOLUME)[-1]
+        a, f = laplace(u, phi, (x, y)), sin(np.pi * x) * phi
+        ref = (a - f).assemble("fem_system")
+        if stiffness != "1":
+            a = self.STIFFNESS[stiffness](t) * a
+        v = np.sin(np.arange(len(ref.b)))
+        block = (u.d(t) * phi + a - (1 + t) * f).assemble("fem_time",
+                                                         state0=v)
+        assert block.linear == (stiffness == "1")
+        dt, traj = 0.1, [v]
+        for tk in 0.5 + dt * np.arange(1, 6):
+            s = 1.0 if stiffness == "1" else 1 + 10 * tk
+            step = (block.M + dt * s * ref.A).tocsc()
+            traj.append(scipy.sparse.linalg.spsolve(
+                step, block.M @ traj[-1] + dt * (1 + tk) * ref.b))
+        np.testing.assert_allclose(block.integrate(dt, 5), traj, rtol=0,
+                                   atol=1e-12)
+
     @pytest.mark.parametrize("linear", [True, False])
     def test_explicit_ode_at_an_eigenpair(self, linear):
         # the stiffness 1 + 10t takes the Newton path and is 1 at t = 0
@@ -701,6 +726,27 @@ class TestErrors:
         with pytest.raises(MultipleTemporalTerms):
             (u_t * phi + x * u_t * phi
              + laplace(u, phi, (x, y))).assemble("fem_time")
+
+    @pytest.mark.parametrize("entry", [
+        lambda steady, timed, n: steady.assemble("fem_residual")(
+            np.zeros(n + 1)),
+        lambda steady, timed, n: steady.assemble("fem_residual").jacobian(
+            np.zeros(n + 1)),
+        lambda steady, timed, n: steady.assemble(
+            "fem_residual").residual_full(np.zeros(n)),
+        lambda steady, timed, n: steady.assemble(
+            "vpinn", trial=np.zeros(n + 1)),
+        lambda steady, timed, n: fem.export_explicit_ode(
+            timed.assemble("fem_time"))(0.0, np.zeros(n + 1)),
+    ], ids=["call", "jacobian", "residual_full", "vpinn", "explicit_ode"])
+    def test_nodal_vector_of_the_wrong_length(self, entry):
+        # n free dofs of 25 vertices; before, numpy's ValueError
+        dom = dm.structured_rect(4, 4)
+        u, phi, (x, y) = setup_fem(dom, [dom.dirichlet("boundary", 0.0)])
+        t = dom.variable(fem.GAUSS_VOLUME)[-1]
+        steady = laplace(u, phi, (x, y)) + u ** 3 * phi - phi
+        with pytest.raises(TargetMismatch, match="does not match the"):
+            entry(steady, u.d(t) * phi + steady, len(dom.fem.free))
 
     def test_unknown_dirichlet_tag(self):
         dom = dm.structured_rect(2, 2)

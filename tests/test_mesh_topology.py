@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 from jno import domain as dm
 from jno import mesh as meshmod
-from jno.errors import DegenerateGeometry, ParseError
+from jno.errors import DegenerateGeometry, ParseError, UnsupportedElement
 
 
 # ---------------------------------------------------------------------------
@@ -465,3 +465,21 @@ def test_vertex_index_outside_the_vertices_is_refused(elements, tags,
     with pytest.raises(ParseError, match=message + r" outside \[0, 4\)"):
         meshmod.Mesh([[0, 0], [1, 0], [0, 1], [1, 1]], elements, "TRI3",
                      tags=tags)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: meshmod.Mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]], "QUAD4"),
+     UnsupportedElement, "unknown element kind 'QUAD4'"),
+    (lambda: meshmod.Mesh([[0, 0], [1, 0], [0, 1]], [[0, 1]], "TRI3"),
+     UnsupportedElement, "TRI3 elements need 3 vertices per row"),
+    (lambda: meshmod.disk_mesh(radius=0.0), DegenerateGeometry,
+     "disk needs positive radius"),
+    (lambda: meshmod.rect_with_hole_mesh(hole_radius=-0.1),
+     DegenerateGeometry, "hole radius must be positive"),
+    (lambda: meshmod.rect_with_hole_mesh(hole_radius=0.01, mesh_size=0.25),
+     DegenerateGeometry, "hole smaller than one element"),
+], ids=["unknown_kind", "element_width", "disk_radius", "hole_radius",
+        "hole_below_a_cell"])
+def test_constructor_refusals(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -80,6 +80,20 @@ class TestArchitectures:
         assert tr.trace_shapes(out, {x: (5, 2)})[out] == \
             forward_np(net, np.ones((5, 2))).shape
 
+    def test_deeponet_refusals(self):
+        net = nn.deeponet(3, 2, 4, 8).initialize(0)
+        with pytest.raises(InputRankMismatch, match="got 1 args"):
+            net.forward([T.ones((2, 1, 5, 2))])
+        with pytest.raises(InputRankMismatch, match=r"\(sensors, coords\)$"):
+            net.output_shape([(2, 1, 5, 2)])
+        with pytest.raises(InputRankMismatch, match=r"branch expects .*, 3\)"):
+            forward_np(net, np.ones((2, 1, 1, 4)), np.ones((2, 1, 5, 2)))
+
+    def test_name_is_the_callers(self):
+        # no process-wide renaming: a second model of a name keeps it
+        assert [nn.mlp(2, [4], 1, name="u").name for _ in range(2)] == \
+            ["u", "u"]
+
     def test_deeponet_zero_branch_is_bias(self):
         net = nn.deeponet(1, 2, 8, 8).initialize(0)
         for p in list(net.params):
@@ -196,6 +210,17 @@ class TestLora:
         added = net.parameter_count() - n_before
         assert added == 2 * 4 * 128  # 1024
 
+    def test_rank_below_one(self):
+        net = nn.mlp(2, [8], 1).initialize(0)
+        with pytest.raises(BadDimension, match="rank must be >= 1"):
+            net.lora(rank=0, alpha=4)
+        assert net.lora_cfg is None
+
+    def test_unknown_path(self):
+        net = nn.mlp(2, [8], 1).initialize(0)
+        with pytest.raises(UnknownPath, match="'layers/9/weight'"):
+            net.lora(rank=2, alpha=4, paths=["layers/9/weight"])
+
     def test_non_matrix_rejected(self):
         net = nn.mlp(2, [8], 1).initialize(0)
         with pytest.raises(NotAMatrix):
@@ -243,6 +268,14 @@ class TestOptimizers:
         state = nn.OptimizerState(params)
         with pytest.raises(StateShapeMismatch):
             nn.optimizer_step(spec, state, params, {"w": T.Tensor([1.0])})
+
+    def test_state_missing_a_path(self):
+        spec = nn.adam(0.1)
+        state = nn.OptimizerState({"w": T.Tensor(1.0)})
+        params = {"w": T.Tensor(1.0), "b": T.Tensor(0.0)}
+        with pytest.raises(StateShapeMismatch, match="missing for 'b'"):
+            nn.optimizer_step(spec, state, params,
+                              {"w": T.Tensor(1.0), "b": T.Tensor(1.0)})
 
     def test_unknown_kind(self):
         with pytest.raises(ArityMismatch, match="bogus"):

@@ -199,6 +199,14 @@ class TestLinalg:
         with pytest.raises(InvalidAxis):
             T.concat([T.ones((2, 3)), T.ones((2, 3))], axis=2)
 
+    def test_concat_of_no_tensors(self):
+        with pytest.raises(ShapeMismatch, match="zero tensors"):
+            T.concat([])
+
+    def test_broadcast_to_mismatch(self):
+        with pytest.raises(ShapeMismatch, match=r"cannot broadcast \(2, 3\)"):
+            T.broadcast_to(T.ones((2, 3)), (2, 4))
+
     def test_slice_and_oob(self):
         x = T.Tensor(np.arange(10.0))
         assert T.take_slice(x, (slice(2, 5),)).tolist() == [2.0, 3.0, 4.0]

@@ -85,6 +85,20 @@ class TestBuild:
         with pytest.raises(ArityMismatch):
             tr.build(tr.ARITH, "add", (tr.variable("x"),))
 
+    def test_unknown_arithmetic_op(self):
+        x = tr.variable("x")
+        with pytest.raises(ArityMismatch, match="'bogus'"):
+            tr.build(tr.ARITH, "bogus", (x, x))
+
+    def test_empty_concat(self):
+        with pytest.raises(ArityMismatch, match="at least one child"):
+            tr.concat_nodes([])
+
+    def test_derivative_order_3(self):
+        x = tr.variable("x")
+        with pytest.raises(ArityMismatch, match="order must be 1 or 2"):
+            tr.derivative(x * x, x, order=3)
+
     def test_derivative_requires_variable(self):
         x = tr.variable("x")
         with pytest.raises(NotAVariable):
@@ -118,7 +132,7 @@ class TestOperationDef:
     def test_shared_body(self):
         a, k = tr.variable("a"), tr.variable("k")
         scaled = k * 2.0
-        op = tr.define_operation([a], a * scaled, name="scale")
+        op = tr.define_operation([a], a * scaled)
         x = tr.variable("x")
         call = op(x)
         # the formal is replaced in a copy; the part of the body that does
@@ -137,6 +151,11 @@ class TestOperationDef:
         with pytest.raises(NotAVariable):
             op(x, x + 1.0)
 
+    def test_parameters_must_be_variables(self):
+        a = tr.variable("a")
+        with pytest.raises(NotAVariable):
+            tr.define_operation([a, a + 1.0], a)
+
     def test_missing_binding(self):
         a, b = tr.variable("a"), tr.variable("b")
         op = tr.define_operation([a, b], a + b)
@@ -153,7 +172,7 @@ class TestOperationDef:
         # Oracle: the keys of two rebindings to the same args match, so the
         # two calls are one node as built.
         a = tr.variable("a")
-        square = tr.define_operation([a], a * a, name="square")
+        square = tr.define_operation([a], a * a)
         x = tr.variable("x")
         c1, c2 = square(x), square(x)
         assert c1 is c2
@@ -357,6 +376,15 @@ class TestShapes:
         with pytest.raises(ShapeInferenceFailure) as exc:
             tr.trace_shapes(bad)
         assert exc.value.node is bad
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["trial", "test"])
+    def test_fem_symbol_has_no_shape(self, which):
+        symbol = dm.structured_rect(2, 2).init_fem().fem_symbols()[which]
+        root = symbol * 2.0
+        with pytest.raises(ShapeInferenceFailure,
+                           match="only meaningful inside weak-form") as exc:
+            tr.trace_shapes(root)
+        assert exc.value.node is symbol
 
     def test_feature_axis_broadcast_is_legal(self):
         # trailing 1-vs-2 broadcasts under the right-aligned rule
